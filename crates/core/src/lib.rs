@@ -61,7 +61,7 @@ use std::sync::Arc;
 use jbc::Program;
 use machine::MachineConfig;
 use replay::{EventLog, Recorded, SessionError};
-use vm::{Vm, VmConfig};
+use vm::{Vm, VmConfig, VmError};
 
 pub use engine::Engine;
 
@@ -272,18 +272,12 @@ impl Sanity {
         run: u64,
         setup: impl FnOnce(&mut Vm),
     ) -> Result<Recorded, SessionError> {
+        let program = jbc::Verified::new(Arc::clone(&self.program)).map_err(VmError::from)?;
         let files = self.files.clone();
-        replay::audit_replay(
-            Arc::clone(&self.program),
-            self.mcfg,
-            self.vm_cfg,
-            log,
-            run,
-            |vm| {
-                vm.set_files(files);
-                setup(vm);
-            },
-        )
+        replay::audit_replay(&program, self.mcfg, self.vm_cfg, log, run, |vm| {
+            vm.set_files(files);
+            setup(vm);
+        })
     }
 }
 

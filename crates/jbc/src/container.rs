@@ -28,13 +28,15 @@
 //! accepted containers.
 //!
 //! This crate is dependency-free by design, so the primitives the
-//! envelope needs (LEB128 varints, CRC-32/IEEE, SHA-256) are implemented
-//! here; the varint and CRC definitions match `docs/FORMATS.md` §1
-//! bit-for-bit (same algorithms as `replay::codec::wire`).
+//! envelope needs (LEB128 varints, SHA-256) are implemented here, and the
+//! CRC-32 comes from [`crate::crc`], the one implementation every format
+//! shares; the varint and CRC definitions match `docs/FORMATS.md` §1
+//! bit-for-bit.
 
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::crc::crc32;
 use crate::op::{ElemTy, Op};
 use crate::program::{
     Class, ClassId, Field, FieldId, Handler, Method, MethodId, NativeDecl, NativeId, Program, Ty,
@@ -257,20 +259,6 @@ fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, ContainerError> {
         }
     }
     Err(ContainerError::VarintOverflow)
-}
-
-/// CRC-32/IEEE 802.3 (reflected, init and final XOR `0xFFFFFFFF`) — the
-/// same function as `docs/FORMATS.md` §1.4 and `replay::codec::wire::crc32`.
-fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 /// SHA-256 (FIPS 180-4) of `data`. Plain portable implementation; the

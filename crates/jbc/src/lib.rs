@@ -17,7 +17,8 @@
 //!   model (the equivalent of a loaded set of class files);
 //! * [`ProgramBuilder`] / [`MethodAsm`] — a label-based assembler API;
 //! * [`mod@verify`] — a structural verifier (branch targets, local indices,
-//!   operand-stack discipline);
+//!   operand-stack discipline), and [`Verified`], the handle that proves a
+//!   program passed it;
 //! * [`hll`] — a miniature structured front-end (expressions, statements,
 //!   functions) that compiles to bytecode, used to author the paper's
 //!   workloads (SciMark2, the NFS server) without hand-writing stack code.
@@ -39,12 +40,14 @@
 //! [`container`] defines **TDRP**, the sealed, hash-addressed container
 //! (`docs/FORMATS.md` §7) in which a program travels to an audit daemon.
 //! A program's [`ReferenceId`] is the SHA-256 digest of its canonical
-//! encoding, so registry ids are self-certifying.
+//! encoding, so registry ids are self-certifying. [`crc`] holds the one
+//! CRC-32 implementation every wire format shares.
 
 #![warn(missing_docs)]
 
 pub mod builder;
 pub mod container;
+pub mod crc;
 pub mod disasm;
 pub mod hll;
 pub mod op;
@@ -57,4 +60,4 @@ pub use op::{ElemTy, Op, OpClass};
 pub use program::{
     Class, ClassId, Field, FieldId, Handler, Method, MethodId, NativeDecl, NativeId, Program, Ty,
 };
-pub use verify::{verify, VerifyError};
+pub use verify::{verify, Verified, VerifyError};

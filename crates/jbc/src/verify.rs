@@ -17,6 +17,7 @@
 //! in-program exceptions for those.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::op::Op;
 use crate::program::{MethodId, Program};
@@ -49,6 +50,30 @@ pub fn verify(program: &Program) -> Result<(), VerifyError> {
         verify_method(program, MethodId(i as u16))?;
     }
     Ok(())
+}
+
+/// A program that passed [`verify`].
+///
+/// Only [`Verified::new`] makes one, and it runs the verifier, so holding
+/// a `Verified` proves that this program object (immutable behind its
+/// `Arc`) was checked. A consumer that loads the same program many times,
+/// such as a worker replaying session after session against one
+/// reference, verifies once and hands the handle on instead of
+/// re-verifying per load.
+#[derive(Debug, Clone)]
+pub struct Verified(Arc<Program>);
+
+impl Verified {
+    /// Verify `program` and wrap it.
+    pub fn new(program: Arc<Program>) -> Result<Verified, VerifyError> {
+        verify(&program)?;
+        Ok(Verified(program))
+    }
+
+    /// The verified program.
+    pub fn program(&self) -> &Arc<Program> {
+        &self.0
+    }
 }
 
 fn err(method: MethodId, at: Option<u32>, what: impl Into<String>) -> VerifyError {

@@ -30,11 +30,15 @@ pub enum FramePolicy {
 /// A flat virtual address space with per-page frame assignment.
 ///
 /// The VM's whole world (code, statics, heap, stacks, ring buffers) lives in
-/// one contiguous virtual region starting at 0; `translate` is a single
-/// indexed load, keeping the interpreter hot path cheap.
+/// one contiguous virtual region starting at 0; `translate` is a bounds
+/// check plus, under [`FramePolicy::Random`], one indexed load, keeping the
+/// interpreter hot path cheap.
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
-    /// `frames[vpn]` is the physical frame number backing page `vpn`.
+    /// Number of mapped pages.
+    pages: usize,
+    /// `frames[vpn]` is the physical frame number backing page `vpn`;
+    /// empty under [`FramePolicy::Pinned`], whose mapping is the identity.
     frames: Vec<u32>,
 }
 
@@ -43,17 +47,18 @@ impl AddressSpace {
     /// `seed` matters only for [`FramePolicy::Random`].
     pub fn new(size_bytes: u64, policy: FramePolicy, seed: u64) -> Self {
         let pages = size_bytes.div_ceil(PAGE_SIZE) as usize;
-        let mut frames: Vec<u32> = (0..pages as u32).collect();
+        let mut frames = Vec::new();
         if policy == FramePolicy::Random {
+            frames = (0..pages as u32).collect();
             let mut rng = StdRng::seed_from_u64(seed);
             frames.shuffle(&mut rng);
         }
-        AddressSpace { frames }
+        AddressSpace { pages, frames }
     }
 
     /// Number of mapped pages.
     pub fn pages(&self) -> usize {
-        self.frames.len()
+        self.pages
     }
 
     /// Translate a virtual address to a physical address.
@@ -65,13 +70,20 @@ impl AddressSpace {
     #[inline]
     pub fn translate(&self, vaddr: u64) -> PAddr {
         let vpn = (vaddr / PAGE_SIZE) as usize;
+        assert!(
+            vpn < self.pages,
+            "virtual address {vaddr:#x} outside the mapped region"
+        );
+        if self.frames.is_empty() {
+            return vaddr;
+        }
         let frame = self.frames[vpn] as u64;
         frame * PAGE_SIZE + (vaddr % PAGE_SIZE)
     }
 
     /// True if `vaddr` lies within the mapped region.
     pub fn contains(&self, vaddr: u64) -> bool {
-        ((vaddr / PAGE_SIZE) as usize) < self.frames.len()
+        ((vaddr / PAGE_SIZE) as usize) < self.pages
     }
 }
 
@@ -118,6 +130,20 @@ mod tests {
         for p in 0..64u64 {
             assert!(seen.insert(a.translate(p * 4096)), "frame reused");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the mapped region")]
+    fn pinned_translation_is_bounds_checked() {
+        let a = AddressSpace::new(2 * 4096, FramePolicy::Pinned, 0);
+        a.translate(2 * 4096);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the mapped region")]
+    fn random_translation_is_bounds_checked() {
+        let a = AddressSpace::new(2 * 4096, FramePolicy::Random, 0);
+        a.translate(2 * 4096);
     }
 
     #[test]

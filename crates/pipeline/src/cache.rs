@@ -3,13 +3,14 @@
 //!
 //! Each worker audits many sessions against the *same* known-good
 //! environment. The cache pins that environment once per worker — the
-//! program `Arc`, the machine/VM configuration, the stable-storage file
-//! set, and the fleet's trained [`DetectorBattery`] (all held behind
-//! `Arc`s so forty workers share one copy instead of forty) — and hands
-//! out per-session audit replays. It is what turns the two-trace TDR
-//! detector into an ordinary [`detectors::Detector`]: the adapter produces
-//! the reference timing the detector compares against. It also counts what
-//! passed through it, which is what the throughput bench reads. Under an
+//! program, verified once on construction ([`jbc::Verified`]), the
+//! machine/VM configuration, the stable-storage file set, and the fleet's
+//! trained [`DetectorBattery`] (all held behind `Arc`s so forty workers
+//! share one copy instead of forty) — and hands out per-session audit
+//! replays. It is what turns the two-trace TDR detector into an ordinary
+//! [`detectors::Detector`]: the adapter produces the reference timing the
+//! detector compares against. It also counts what passed through it,
+//! which is what the throughput bench reads. Under an
 //! [`crate::AuditService`] the per-worker tallies here are shadowed by the
 //! service-wide [`crate::obs::ServiceMetrics`] counters (`sessions_audited`,
 //! `replayed_cycles`), which aggregate across workers without touching this
@@ -20,6 +21,7 @@ use std::sync::Arc;
 
 use detectors::{Detector, DetectorBattery, TdrDetector, TraceView};
 use replay::{audit_replay, EventLog, Recorded, SessionError};
+use vm::VmError;
 
 use crate::verdict::AuditVerdict;
 use crate::{AuditConfig, AuditJob, BatteryMode, Reference};
@@ -27,7 +29,10 @@ use crate::{AuditConfig, AuditJob, BatteryMode, Reference};
 /// Per-worker audit state: the reference environment plus counters.
 #[derive(Debug)]
 pub struct ReferenceCache {
-    program: Arc<jbc::Program>,
+    /// The program, verified once when the cache was built. A program
+    /// that fails keeps its load error, and every session audited
+    /// against it gets that error, as a per-session verify would give.
+    program: Result<jbc::Verified, VmError>,
     machine: machine::MachineConfig,
     vm: vm::VmConfig,
     /// Shared file set; cloned per session only when handed to the VM.
@@ -45,7 +50,7 @@ impl ReferenceCache {
     /// Pin `reference` into a worker-local cache.
     pub fn new(reference: &Reference) -> Self {
         ReferenceCache {
-            program: Arc::clone(&reference.program),
+            program: jbc::Verified::new(Arc::clone(&reference.program)).map_err(VmError::from),
             machine: reference.machine,
             vm: reference.vm,
             files: Arc::new(reference.files.clone()),
@@ -87,15 +92,11 @@ impl ReferenceCache {
 
     /// Run the audit replay for `log` under `seed` on the cached reference.
     pub fn replay(&mut self, log: &EventLog, seed: u64) -> Result<Recorded, SessionError> {
+        let program = self.program.as_ref().map_err(VmError::clone)?;
         let files = (*self.files).clone();
-        let rec = audit_replay(
-            Arc::clone(&self.program),
-            self.machine,
-            self.vm,
-            log,
-            seed,
-            |vm| vm.set_files(files),
-        )?;
+        let rec = audit_replay(program, self.machine, self.vm, log, seed, |vm| {
+            vm.set_files(files)
+        })?;
         self.sessions_audited += 1;
         self.cycles_replayed += rec.outcome.cycles;
         Ok(rec)

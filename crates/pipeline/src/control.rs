@@ -23,7 +23,7 @@ use std::io::{self, Read, Write};
 
 use jbc::ReferenceId;
 use replay::codec::{wire, CodecError};
-use replay::stream::{read_full, read_length_prefix, StreamError};
+use replay::stream::{read_length_prefix, StreamError};
 
 use crate::obs::{HistogramSnapshot, MetricsSnapshot};
 use crate::verdict::{AuditVerdict, DetectorStats, FleetSummary, ScoreHistogram, EDGES};
@@ -857,11 +857,12 @@ impl ControlFrame {
     ///
     /// Memory grows with bytes actually *received*, never with the
     /// declared length alone: a peer that announces a near-bound frame
-    /// and then stalls (or disconnects) pins at most one read chunk, not
-    /// the whole declared allocation — on a network-facing daemon the
-    /// declared length is attacker-controlled, so the up-front
-    /// `vec![0; len]` a naive reader would do is an asymmetric
-    /// memory-exhaustion primitive.
+    /// and then stalls (or disconnects) pins a buffer of at most 64 KiB or
+    /// twice what it sent, not the whole declared allocation — on
+    /// a network-facing daemon the declared length is attacker-controlled,
+    /// so the up-front `vec![0; len]` a naive reader would do is an
+    /// asymmetric memory-exhaustion primitive. Bytes are read straight
+    /// into the payload, which grows as they arrive.
     pub fn read_from_bounded<R: Read>(
         reader: &mut R,
         max_len: usize,
@@ -873,15 +874,13 @@ impl ControlFrame {
         if len > max_len {
             return Err(ControlError::FrameTooLarge { len, max: max_len });
         }
-        let mut payload = Vec::new();
-        let mut chunk = [0u8; 64 * 1024];
-        while payload.len() < len {
-            let want = (len - payload.len()).min(chunk.len());
-            let got = read_full(reader, &mut chunk[..want]).map_err(ControlError::from_stream)?;
-            if got == 0 {
-                return Err(ControlError::Truncated);
-            }
-            payload.extend_from_slice(&chunk[..got]);
+        let mut payload = Vec::with_capacity(len.min(64 * 1024));
+        let got = reader
+            .take(len as u64)
+            .read_to_end(&mut payload)
+            .map_err(ControlError::from_io)?;
+        if got < len {
+            return Err(ControlError::Truncated);
         }
         Self::decode_payload(&payload).map(Some)
     }

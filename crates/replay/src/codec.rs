@@ -37,6 +37,8 @@
 
 use std::fmt;
 
+use jbc::crc::crc32;
+
 use crate::log::{EventLog, PacketRecord};
 
 /// Magic bytes opening every encoded log.
@@ -192,55 +194,13 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Incremental CRC-32 (IEEE 802.3) hasher.
+/// Incremental CRC-32 (IEEE 802.3) hasher: [`jbc::crc::Crc32`], the one
+/// table-driven implementation every wire format shares.
 ///
 /// The streaming readers validate checksums as bytes arrive — feed chunks
 /// with [`update`](Crc32::update) in any split and [`value`](Crc32::value)
-/// equals [`wire::crc32`] of the concatenation. Bitwise implementation:
-/// fast enough for ingest and dependency free.
-#[derive(Debug, Clone)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32 {
-    /// Fresh hasher (equivalent to the CRC of zero bytes).
-    pub fn new() -> Self {
-        Crc32 { state: !0u32 }
-    }
-
-    /// Fold `data` into the running checksum.
-    pub fn update(&mut self, data: &[u8]) {
-        let mut crc = self.state;
-        for &b in data {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-            }
-        }
-        self.state = crc;
-    }
-
-    /// The checksum of everything fed so far (does not consume the hasher;
-    /// further [`update`](Crc32::update)s continue from this state).
-    pub fn value(&self) -> u32 {
-        !self.state
-    }
-}
-
-/// One-shot CRC-32 (IEEE 802.3) of `data`.
-fn crc32(data: &[u8]) -> u32 {
-    let mut h = Crc32::new();
-    h.update(data);
-    h.value()
-}
+/// equals [`wire::crc32`] of the concatenation.
+pub use jbc::crc::Crc32;
 
 // ---------------------------------------------------------------------------
 // Log encode / decode

@@ -8,7 +8,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use jbc::Program;
+use jbc::{Program, Verified};
 use machine::{EventMark, Machine, MachineConfig, Seeds, StEntry, TxRecord};
 use sim_core::CoreStats;
 use vm::{ReplayStyle, RunOutcome, Vm, VmConfig, VmError};
@@ -186,8 +186,11 @@ pub fn replay_functional(
 /// wire-arrival cycles to a (known-good) `program` on a fresh machine, and
 /// observe when the outputs appear. The result is the reference timing a
 /// covert-channel detector compares against.
+///
+/// The program comes verified: an auditor replays one reference for many
+/// sessions, so it verifies once ([`Verified::new`]) and reuses the handle.
 pub fn audit_replay(
-    program: Arc<Program>,
+    program: &Verified,
     mcfg: MachineConfig,
     vm_cfg: VmConfig,
     log: &EventLog,
@@ -197,7 +200,7 @@ pub fn audit_replay(
     let machine = Machine::new(mcfg, Seeds::from_run(run));
     let mut cfg = vm_cfg;
     cfg.replay_style = ReplayStyle::Play;
-    let mut vm = Vm::new(program, machine, cfg)?;
+    let mut vm = Vm::load(program, machine, cfg)?;
     setup(&mut vm);
     // Re-deliver the recorded inputs at their original arrival times. The
     // nano-time values are injected from the log so the reference binary
@@ -378,7 +381,7 @@ mod tests {
         )
         .expect("record");
         let audit = audit_replay(
-            Arc::clone(&p),
+            &Verified::new(Arc::clone(&p)).expect("verifies"),
             MachineConfig::sanity(),
             VmConfig::default(),
             &rec.log,
@@ -413,7 +416,7 @@ mod tests {
         // Wait: echo_program does not call covert_delay, so the delay model
         // is inert — this test uses it only to confirm inertness.
         let audit = audit_replay(
-            p,
+            &Verified::new(p).expect("verifies"),
             MachineConfig::sanity(),
             VmConfig::default(),
             &rec.log,

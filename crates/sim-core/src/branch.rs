@@ -71,7 +71,7 @@ impl BranchPredictor {
     }
 
     fn index(&self, pc: PAddr) -> usize {
-        ((pc >> 2) % self.params.entries as u64) as usize
+        ((pc >> 2) & (self.params.entries as u64 - 1)) as usize
     }
 
     /// Resolve the branch at `pc`: predict, compare against the actual
@@ -119,6 +119,11 @@ impl BranchPredictor {
 
     /// Invalidate all entries (used during initialization/quiescence).
     pub fn flush(&mut self) {
+        // Only `resolve` trains entries, and it counts a lookup: with no
+        // lookups yet, every entry is still in its constructed state.
+        if self.lookups == 0 {
+            return;
+        }
         for e in self.entries.iter_mut() {
             e.valid = false;
             e.counter = 0;

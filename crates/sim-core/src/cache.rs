@@ -129,12 +129,14 @@ impl Cache {
         &self.params
     }
 
+    // `sets` and `line` are powers of two (checked in `new`), so the
+    // divisions of the set-index and tag math are shifts and masks.
     fn set_index(&self, addr: PAddr) -> usize {
-        ((addr / self.params.line as u64) % self.params.sets as u64) as usize
+        ((addr >> self.params.line.trailing_zeros()) & (self.params.sets as u64 - 1)) as usize
     }
 
     fn tag(&self, addr: PAddr) -> u64 {
-        addr / self.params.line as u64 / self.params.sets as u64
+        addr >> (self.params.line.trailing_zeros() + self.params.sets.trailing_zeros())
     }
 
     /// Access `addr`; returns hit/writeback status. A write marks the line
@@ -193,6 +195,11 @@ impl Cache {
     /// Invalidate everything, returning the number of dirty lines that the
     /// hardware would have to write back (`wbinvd` semantics, §4.2).
     pub fn flush(&mut self) -> u64 {
+        // Only `access` and `pollute` fill lines, and both advance `clock`:
+        // a cache whose clock is still 0 is all-invalid already.
+        if self.clock == 0 {
+            return 0;
+        }
         let dirty = self.lines.iter().filter(|l| l.valid && l.dirty).count() as u64;
         for l in self.lines.iter_mut() {
             *l = INVALID_LINE;
@@ -256,6 +263,9 @@ impl TlbParams {
     }
 }
 
+/// End of a [`Tlb`] bucket chain.
+const NIL: u32 = u32::MAX;
+
 /// A fully associative TLB with LRU replacement.
 ///
 /// Tracks virtual page numbers; the walk cost is charged on miss. `flush`
@@ -267,24 +277,33 @@ pub struct Tlb {
     clock: u64,
     hits: u64,
     misses: u64,
-    /// `(vpn, slot)` sorted by vpn — a binary-searchable view over
-    /// `entries` so the hot hit path avoids the linear scan. Pure host-side
-    /// acceleration: hit/miss/LRU outcomes are decided by `entries` alone.
-    /// Rebuilt lazily if absent (it is derivable state).
-    index: Vec<(u64, u32)>,
+    /// Host-side lookup index over `entries`, so a lookup costs O(1)
+    /// instead of a scan: `buckets[hash(vpn)]` heads a chain of the slots
+    /// whose vpn hashes there, linked through `next[slot]`. Hit/miss and
+    /// LRU outcomes are decided by `entries` alone — a chain only names
+    /// the slots to compare.
+    buckets: Vec<u32>,
+    next: Vec<u32>,
+    /// `64 - log2(buckets.len())`: the multiplicative hash keeps the top
+    /// bits, so vpns that differ only in high bits (the region bases are
+    /// all multiples of 256 pages) still spread.
+    hash_shift: u32,
 }
 
 impl Tlb {
     /// Create an empty TLB.
     pub fn new(params: TlbParams) -> Self {
         assert!(params.page.is_power_of_two(), "page must be a power of two");
+        let buckets = (params.entries as usize * 2).next_power_of_two().max(2);
         Tlb {
             params,
             entries: Vec::with_capacity(params.entries as usize),
             clock: 0,
             hits: 0,
             misses: 0,
-            index: Vec::with_capacity(params.entries as usize),
+            buckets: vec![NIL; buckets],
+            next: vec![NIL; params.entries as usize],
+            hash_shift: 64 - buckets.trailing_zeros(),
         }
     }
 
@@ -296,53 +315,65 @@ impl Tlb {
     /// Touch the page containing virtual address `vaddr`; returns the cycle
     /// cost (0 on hit, `miss_cycles` on miss).
     pub fn access(&mut self, vaddr: u64) -> Cycles {
-        if self.index.len() != self.entries.len() {
-            // Deserialized (or otherwise derived-state-less): rebuild.
-            self.index = self
-                .entries
-                .iter()
-                .enumerate()
-                .map(|(s, &(vpn, _))| (vpn, s as u32))
-                .collect();
-            self.index.sort_unstable();
-        }
         self.clock += 1;
-        let vpn = vaddr / self.params.page as u64;
-        if let Ok(i) = self.index.binary_search_by_key(&vpn, |&(p, _)| p) {
-            let slot = self.index[i].1 as usize;
+        let vpn = vaddr >> self.params.page.trailing_zeros();
+        if let Some(slot) = self.find(vpn) {
             self.entries[slot].1 = self.clock;
             self.hits += 1;
             return 0;
         }
         self.misses += 1;
         if self.entries.len() < self.params.entries as usize {
-            let slot = self.entries.len() as u32;
             self.entries.push((vpn, self.clock));
-            let at = self.index.partition_point(|&(p, _)| p < vpn);
-            self.index.insert(at, (vpn, slot));
-        } else if let Some((slot, victim)) = self
-            .entries
-            .iter_mut()
-            .enumerate()
-            .min_by_key(|(_, (_, l))| *l)
-        {
-            let old = victim.0;
-            *victim = (vpn, self.clock);
-            let gone = self
-                .index
-                .binary_search_by_key(&old, |&(p, _)| p)
-                .expect("indexed");
-            self.index.remove(gone);
-            let at = self.index.partition_point(|&(p, _)| p < vpn);
-            self.index.insert(at, (vpn, slot as u32));
+            self.link(self.entries.len() - 1);
+        } else if let Some(slot) = (0..self.entries.len()).min_by_key(|&s| self.entries[s].1) {
+            self.unlink(slot);
+            self.entries[slot] = (vpn, self.clock);
+            self.link(slot);
         }
         self.params.miss_cycles
+    }
+
+    fn bucket(&self, vpn: u64) -> usize {
+        (vpn.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.hash_shift) as usize
+    }
+
+    fn find(&self, vpn: u64) -> Option<usize> {
+        let mut slot = self.buckets[self.bucket(vpn)];
+        while slot != NIL {
+            if self.entries[slot as usize].0 == vpn {
+                return Some(slot as usize);
+            }
+            slot = self.next[slot as usize];
+        }
+        None
+    }
+
+    /// Chain `slot` (holding its new vpn) into its bucket.
+    fn link(&mut self, slot: usize) {
+        let b = self.bucket(self.entries[slot].0);
+        self.next[slot] = self.buckets[b];
+        self.buckets[b] = slot as u32;
+    }
+
+    /// Unchain `slot` (still holding its old vpn) from its bucket.
+    fn unlink(&mut self, slot: usize) {
+        let b = self.bucket(self.entries[slot].0);
+        if self.buckets[b] == slot as u32 {
+            self.buckets[b] = self.next[slot];
+            return;
+        }
+        let mut prev = self.buckets[b] as usize;
+        while self.next[prev] != slot as u32 {
+            prev = self.next[prev] as usize;
+        }
+        self.next[prev] = self.next[slot];
     }
 
     /// Drop every entry.
     pub fn flush(&mut self) {
         self.entries.clear();
-        self.index.clear();
+        self.buckets.fill(NIL);
     }
 
     /// `(hits, misses)` counters since construction.
@@ -350,6 +381,9 @@ impl Tlb {
         (self.hits, self.misses)
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

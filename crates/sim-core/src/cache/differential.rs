@@ -1,0 +1,305 @@
+//! Differential test: the shift/mask cache and the hash-indexed TLB
+//! against test-local copies of the division-based cache and the
+//! sorted-index TLB they replaced, on seeded access streams. Every access
+//! outcome, the full line/entry state after every operation (so every
+//! victim), and the final counters must agree.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use super::{Cache, CacheAccess, CacheParams, Line, Tlb, TlbParams, INVALID_LINE};
+
+/// The cache as it was: division/modulo indexing and a flush that always
+/// scans.
+struct RefCache {
+    params: CacheParams,
+    lines: Vec<Line>,
+    clock: u64,
+    hits: u64,
+    misses: u64,
+    writebacks: u64,
+}
+
+impl RefCache {
+    fn new(params: CacheParams) -> Self {
+        RefCache {
+            params,
+            lines: vec![INVALID_LINE; (params.sets * params.ways) as usize],
+            clock: 0,
+            hits: 0,
+            misses: 0,
+            writebacks: 0,
+        }
+    }
+
+    fn access(&mut self, addr: u64, write: bool) -> CacheAccess {
+        self.clock += 1;
+        let set = ((addr / self.params.line as u64) % self.params.sets as u64) as usize;
+        let tag = addr / self.params.line as u64 / self.params.sets as u64;
+        let base = set * self.params.ways as usize;
+        let ways = &mut self.lines[base..base + self.params.ways as usize];
+        for l in ways.iter_mut() {
+            if l.valid && l.tag == tag {
+                l.lru = self.clock;
+                l.dirty |= write;
+                self.hits += 1;
+                return CacheAccess {
+                    hit: true,
+                    writeback: false,
+                };
+            }
+        }
+        self.misses += 1;
+        let victim = ways
+            .iter_mut()
+            .min_by_key(|l| if l.valid { l.lru + 1 } else { 0 })
+            .expect("ways is non-empty");
+        let writeback = victim.valid && victim.dirty;
+        if writeback {
+            self.writebacks += 1;
+        }
+        *victim = Line {
+            tag,
+            valid: true,
+            dirty: write,
+            lru: self.clock,
+        };
+        CacheAccess {
+            hit: false,
+            writeback,
+        }
+    }
+
+    fn flush(&mut self) -> u64 {
+        let dirty = self.lines.iter().filter(|l| l.valid && l.dirty).count() as u64;
+        for l in self.lines.iter_mut() {
+            *l = INVALID_LINE;
+        }
+        dirty
+    }
+
+    fn pollute(&mut self, fraction: f64, salt: u64) {
+        let n = self.lines.len();
+        let count = ((n as f64) * fraction.clamp(0.0, 1.0)) as usize;
+        for k in 0..count {
+            let idx = (salt
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add((k as u64).wrapping_mul(1442695040888963407)))
+                % n as u64;
+            self.clock += 1;
+            self.lines[idx as usize] = Line {
+                tag: salt.wrapping_add(k as u64) | (1 << 40),
+                valid: true,
+                dirty: k % 3 == 0,
+                lru: self.clock,
+            };
+        }
+    }
+}
+
+/// The TLB as it was: a sorted `(vpn, slot)` index, binary-searched.
+struct RefTlb {
+    params: TlbParams,
+    entries: Vec<(u64, u64)>,
+    clock: u64,
+    hits: u64,
+    misses: u64,
+    index: Vec<(u64, u32)>,
+}
+
+impl RefTlb {
+    fn new(params: TlbParams) -> Self {
+        RefTlb {
+            params,
+            entries: Vec::new(),
+            clock: 0,
+            hits: 0,
+            misses: 0,
+            index: Vec::new(),
+        }
+    }
+
+    fn access(&mut self, vaddr: u64) -> u64 {
+        self.clock += 1;
+        let vpn = vaddr / self.params.page as u64;
+        if let Ok(i) = self.index.binary_search_by_key(&vpn, |&(p, _)| p) {
+            let slot = self.index[i].1 as usize;
+            self.entries[slot].1 = self.clock;
+            self.hits += 1;
+            return 0;
+        }
+        self.misses += 1;
+        if self.entries.len() < self.params.entries as usize {
+            let slot = self.entries.len() as u32;
+            self.entries.push((vpn, self.clock));
+            let at = self.index.partition_point(|&(p, _)| p < vpn);
+            self.index.insert(at, (vpn, slot));
+        } else if let Some((slot, victim)) = self
+            .entries
+            .iter_mut()
+            .enumerate()
+            .min_by_key(|(_, (_, l))| *l)
+        {
+            let old = victim.0;
+            *victim = (vpn, self.clock);
+            let gone = self
+                .index
+                .binary_search_by_key(&old, |&(p, _)| p)
+                .expect("indexed");
+            self.index.remove(gone);
+            let at = self.index.partition_point(|&(p, _)| p < vpn);
+            self.index.insert(at, (vpn, slot as u32));
+        }
+        self.params.miss_cycles
+    }
+
+    fn flush(&mut self) {
+        self.entries.clear();
+        self.index.clear();
+    }
+}
+
+/// Virtual bases of the machine's memory map (`machine::map`: code,
+/// statics, heap, stacks, the two ring buffers, VMM scratch, and the end
+/// of the map). Their page numbers are all multiples of 256, so they
+/// collide in any power-of-two table indexed by low vpn bits.
+const REGION_BASES: [u64; 8] = [
+    0x0000_0000,
+    0x0100_0000,
+    0x0200_0000,
+    0x0A00_0000,
+    0x0B00_0000,
+    0x0B10_0000,
+    0x0B20_0000,
+    0x0B30_0000,
+];
+
+fn assert_same_cache(new: &Cache, old: &RefCache, what: &str) {
+    assert_eq!(new.lines, old.lines, "{what}: line state");
+    assert_eq!(new.clock, old.clock, "{what}: clock");
+    assert_eq!(
+        new.stats(),
+        (old.hits, old.misses, old.writebacks),
+        "{what}: counters"
+    );
+}
+
+#[test]
+fn cache_matches_the_division_based_reference() {
+    let geometries = [
+        CacheParams::l1i(),
+        CacheParams::l1d(),
+        CacheParams::l2(),
+        CacheParams {
+            sets: 1,
+            ways: 1,
+            line: 64,
+            hit_cycles: 1,
+        },
+        CacheParams {
+            sets: 4,
+            ways: 3,
+            line: 32,
+            hit_cycles: 1,
+        },
+        CacheParams {
+            sets: 16,
+            ways: 2,
+            line: 128,
+            hit_cycles: 1,
+        },
+    ];
+    for (g, params) in geometries.into_iter().enumerate() {
+        for seed in 0..4u64 {
+            let what = format!("geometry {g} seed {seed}");
+            let mut rng = StdRng::seed_from_u64(0xcace_0000 + g as u64 * 16 + seed);
+            let mut new = Cache::new(params);
+            let mut old = RefCache::new(params);
+            // A flush before anything touched the cache (the start-of-run
+            // case the early return serves).
+            assert_eq!(new.flush(), old.flush(), "{what}: cold flush");
+            assert_same_cache(&new, &old, &what);
+            let span = params.capacity() * 3;
+            for step in 0..6_000 {
+                match rng.gen_range(0u32..100) {
+                    0 => assert_eq!(new.flush(), old.flush(), "{what} step {step}: flush"),
+                    1 => {
+                        let fraction = rng.gen_range(0.0..1.0);
+                        let salt = rng.gen::<u64>();
+                        new.pollute(fraction, salt);
+                        old.pollute(fraction, salt);
+                    }
+                    op => {
+                        // Mostly a working set a few times the capacity
+                        // (hits, LRU evictions, dirty writebacks); some
+                        // addresses anywhere, including the region bases
+                        // and the top of the address space.
+                        let addr = match op % 4 {
+                            0 => rng.gen::<u64>(),
+                            1 => {
+                                REGION_BASES[rng.gen_range(0..REGION_BASES.len())]
+                                    + rng.gen_range(0..4096u64)
+                            }
+                            _ => rng.gen_range(0..span),
+                        };
+                        let write = rng.gen_bool(0.3);
+                        assert_eq!(
+                            new.access(addr, write),
+                            old.access(addr, write),
+                            "{what} step {step}: access {addr:#x}"
+                        );
+                    }
+                }
+                assert_same_cache(&new, &old, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn tlb_matches_the_sorted_index_reference() {
+    for entries in [0u32, 1, 2, 5, 64, 100] {
+        for seed in 0..4u64 {
+            let what = format!("{entries} entries seed {seed}");
+            let params = TlbParams {
+                entries,
+                page: 4096,
+                miss_cycles: 30,
+            };
+            let mut rng = StdRng::seed_from_u64(0x71b0_0000 + entries as u64 * 16 + seed);
+            let mut new = Tlb::new(params);
+            let mut old = RefTlb::new(params);
+            // A pool of pages about twice the TLB's reach, dominated by
+            // the region bases and their neighbours, so a full TLB evicts
+            // constantly and colliding vpns share buckets.
+            let mut pool: Vec<u64> = REGION_BASES
+                .iter()
+                .flat_map(|&b| (0..4u64).map(move |k| b / 4096 + k))
+                .collect();
+            while pool.len() < (2 * entries as usize).max(40) {
+                pool.push(rng.gen_range(0..1u64 << 40));
+            }
+            for step in 0..8_000 {
+                if rng.gen_range(0u32..400) == 0 {
+                    new.flush();
+                    old.flush();
+                } else {
+                    let vpn = pool[rng.gen_range(0..pool.len())];
+                    let vaddr = vpn * 4096 + rng.gen_range(0..4096u64);
+                    assert_eq!(
+                        new.access(vaddr),
+                        old.access(vaddr),
+                        "{what} step {step}: access {vaddr:#x}"
+                    );
+                }
+                assert_eq!(new.entries, old.entries, "{what} step {step}: entries");
+                assert_eq!(new.clock, old.clock, "{what} step {step}: clock");
+            }
+            assert_eq!(new.stats(), (old.hits, old.misses), "{what}: counters");
+            assert!(
+                entries == 0 || old.misses > entries as u64,
+                "{what}: TLB filled"
+            );
+        }
+    }
+}

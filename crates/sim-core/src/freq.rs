@@ -52,7 +52,8 @@ pub struct FrequencyGovernor {
     quantum_left: Cycles,
     /// Remaining turbo budget in cycles.
     turbo_left: Cycles,
-    /// Accumulated picoseconds.
+    /// Accumulated picoseconds (unused under `fixed_period_ps`, where
+    /// they are derived from `elapsed_cycles`).
     elapsed_ps: u128,
     /// Accumulated cycles.
     elapsed_cycles: Cycles,
@@ -60,9 +61,12 @@ pub struct FrequencyGovernor {
     quantum: Cycles,
     /// Exact integer period for the `Fixed` policy when the nominal
     /// frequency divides 1e12 ps evenly (e.g. 10_000 ps at 100 MHz). Lets
-    /// `advance` skip the chunked floating-point loop entirely. Bit-identical
-    /// to the loop: every chunk product `step * period` is exact in f64
-    /// (both factors small), so the chunked sum equals `cycles * period`.
+    /// `advance` skip the chunked floating-point loop entirely: it only
+    /// counts cycles, and [`elapsed_ps`](Self::elapsed_ps) multiplies when
+    /// read. Bit-identical to the loop: every chunk product
+    /// `step * period` is exact in f64 (both factors small), so the
+    /// chunked sum equals `cycles * period`, and a sum of such products
+    /// equals the product of the summed cycles.
     fixed_period_ps: Option<u128>,
 }
 
@@ -117,14 +121,14 @@ impl FrequencyGovernor {
     }
 
     /// Advance by `cycles`, returning the picoseconds they took.
+    #[inline]
     pub fn advance(&mut self, mut cycles: Cycles) -> u128 {
-        // Fixed-frequency fast path: pure integer math, no chunking. The
+        // Fixed-frequency fast path: count cycles, no chunking. The
         // quantum/turbo bookkeeping below is unobservable under `Fixed`.
+        // (Inlined, so a caller that ignores the result skips the multiply.)
         if let Some(period) = self.fixed_period_ps {
-            let ps = cycles as u128 * period;
             self.elapsed_cycles += cycles;
-            self.elapsed_ps += ps;
-            return ps;
+            return cycles as u128 * period;
         }
         let mut ps = 0u128;
         while cycles > 0 {
@@ -156,7 +160,10 @@ impl FrequencyGovernor {
 
     /// Total picoseconds accumulated so far.
     pub fn elapsed_ps(&self) -> u128 {
-        self.elapsed_ps
+        match self.fixed_period_ps {
+            Some(period) => self.elapsed_cycles as u128 * period,
+            None => self.elapsed_ps,
+        }
     }
 
     /// Total cycles accumulated so far.

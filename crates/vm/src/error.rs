@@ -43,3 +43,9 @@ impl fmt::Display for VmError {
 }
 
 impl std::error::Error for VmError {}
+
+impl From<jbc::VerifyError> for VmError {
+    fn from(e: jbc::VerifyError) -> Self {
+        VmError::Load(e.to_string())
+    }
+}

@@ -179,7 +179,13 @@ impl Vm {
     /// Verifies the program, resolves natives, interns string constants on
     /// the heap, and sets up the main thread at the entry point.
     pub fn new(program: Arc<Program>, machine: Machine, cfg: VmConfig) -> Result<Vm, VmError> {
-        jbc::verify(&program).map_err(|e| VmError::Load(e.to_string()))?;
+        Self::load(&jbc::Verified::new(program)?, machine, cfg)
+    }
+
+    /// [`Vm::new`] for a program that already passed the verifier: the
+    /// [`jbc::Verified`] handle is the proof, so the check is not re-run.
+    pub fn load(program: &jbc::Verified, machine: Machine, cfg: VmConfig) -> Result<Vm, VmError> {
+        let program = Arc::clone(program.program());
         let mut natives = Vec::with_capacity(program.natives.len());
         for n in &program.natives {
             natives.push(

@@ -525,3 +525,75 @@ fn re_put_thrash_surfaces_typed_error_not_livelock() {
     client.shutdown().expect("shutdown ack");
     daemon.shutdown();
 }
+
+/// A reference that fails `jbc::verify` is checked once per cache, not
+/// once per session, and nothing about its verdicts changes: every
+/// session audited through a `ReferenceCache` still gets the per-session
+/// load-error verdict (maximal score, flagged, the verifier's message),
+/// in-process and through the service alike, and the registry still
+/// refuses it on load with the in-band `Rejected` ack naming the
+/// verifier's failure.
+#[test]
+fn unverifiable_reference_gets_the_same_error_verdicts_and_rejection() {
+    use sanity_tdr::audit_pipeline::{Reference, ReferenceCache};
+    use sanity_tdr::jbc::Op;
+
+    let echo = echo_sanity_with(3);
+    let jobs = echo_jobs(&echo, 0..3);
+    // Pop from an empty operand stack at the entry: a stack underflow.
+    let mut bad = (**echo.program()).clone();
+    let entry = bad.entry.0 as usize;
+    bad.methods[entry].code.insert(0, Op::Pop);
+    let verify_error = sanity_tdr::jbc::verify(&bad).expect_err("stack underflow");
+    let message = format!("vm error: load error: {verify_error}");
+
+    let cfg = cfg();
+    let mut cache = ReferenceCache::new(&Reference::new(Arc::new(bad.clone())));
+    let direct: Vec<_> = jobs.iter().map(|job| cache.audit(job, &cfg)).collect();
+    for (job, v) in jobs.iter().zip(&direct) {
+        assert_eq!(v.session_id, job.session_id);
+        assert_eq!(v.error.as_deref(), Some(message.as_str()));
+        assert_eq!((v.score, v.flagged), (1.0, true));
+        assert_eq!((v.tx_packets, v.replayed_cycles), (0, 0));
+        assert!(v.detector_scores.is_empty(), "TDR-only scoring");
+    }
+    assert_eq!(cache.sessions_audited(), 0, "no replay ran");
+    assert_eq!(
+        cache.audit(&jobs[0], &cfg),
+        direct[0],
+        "the second audit of a session repeats its verdict"
+    );
+    let service = Sanity::new(bad.clone()).audit_batch(&jobs, &cfg);
+    assert_eq!(service.verdicts, direct, "service workers agree");
+
+    let service = Sanity::new(bad.clone())
+        .audit_service()
+        .workers(1)
+        .build()
+        .expect("valid configuration");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let daemon = serve_tcp_with(service, listener, DaemonOptions::default()).expect("serve");
+    let stream = std::net::TcpStream::connect(daemon.local_addr()).expect("connect");
+    let mut client = Client::new(stream);
+    let put = client
+        .put_reference(1, container::seal(&bad))
+        .expect("exchange completes");
+    assert_eq!(
+        put.status,
+        AckStatus::Rejected(format!("program failed verification: {verify_error}"))
+    );
+    assert_eq!(
+        put.reference,
+        ReferenceId([0; 32]),
+        "no id for a refused put"
+    );
+    assert_eq!(
+        daemon
+            .service()
+            .metrics_snapshot()
+            .counter("registry_verify_failures"),
+        1
+    );
+    client.shutdown().expect("ack");
+    daemon.shutdown();
+}

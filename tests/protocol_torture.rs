@@ -12,14 +12,16 @@
 //! The vendored `rand` is deterministic per seed, so every failure here
 //! reproduces exactly; the panic message names the corpus and seed.
 
+use std::io::{self, Read};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rand::{rngs::StdRng, SeedableRng};
+use sanity_tdr::audit_pipeline::control::DEFAULT_MAX_CONTROL_FRAME;
 use sanity_tdr::audit_pipeline::service::duplex;
 use sanity_tdr::audit_pipeline::{ingest, AuditVerdict, BatchStream, FleetSummary};
 use sanity_tdr::replay::codec::write_frame;
 use sanity_tdr::replay::{EventLog, PacketRecord, SessionStream};
-use sanity_tdr::{AuditConfig, AuditJob, Client, ControlFrame, MetricsSnapshot};
+use sanity_tdr::{AuditConfig, AuditJob, Client, ControlError, ControlFrame, MetricsSnapshot};
 
 #[path = "torture_common.rs"]
 mod torture_common;
@@ -181,31 +183,132 @@ fn sweep(corpus_name: &str, base: &[u8], mutations: usize, decode: impl Fn(&[u8]
 }
 
 // ---------------------------------------------------------------------------
+// Transports for the frame reader: how the bytes arrive must never change
+// what they decode to
+// ---------------------------------------------------------------------------
+
+/// Hands out at most one byte per `read()`: every length prefix, payload
+/// and frame boundary arrives split as finely as a transport can split it.
+struct OneByte<'a>(&'a [u8]);
+
+impl Read for OneByte<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match (buf.first_mut(), self.0.split_first()) {
+            (Some(slot), Some((&b, rest))) => {
+                *slot = b;
+                self.0 = rest;
+                Ok(1)
+            }
+            _ => Ok(0),
+        }
+    }
+}
+
+/// Hands out its bytes, then times out (a peer that stalls instead of
+/// closing), as a socket with a read timeout does.
+struct Stalls<'a>(&'a [u8]);
+
+impl Read for Stalls<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.0.is_empty() && !buf.is_empty() {
+            return Err(io::Error::new(io::ErrorKind::TimedOut, "peer stalled"));
+        }
+        self.0.read(buf)
+    }
+}
+
+/// Every frame `reader` yields (re-encoded, so scores compare by bits),
+/// then how the stream ended: `None` at a clean boundary, or the error.
+fn read_all(mut reader: impl Read) -> (Vec<Vec<u8>>, Option<ControlError>) {
+    let mut frames = Vec::new();
+    loop {
+        match ControlFrame::read_from(&mut reader) {
+            Ok(None) => return (frames, None),
+            Ok(Some(frame)) => frames.push(frame.encode()),
+            Err(e) => return (frames, Some(e)),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Decode-level torture: typed errors or self-consistent decodes, never a
 // panic
 // ---------------------------------------------------------------------------
 
+/// Besides the pinned-good stream, the sweep mutates two short ones — the
+/// stream cut off inside a frame's payload, and a declared length at the
+/// bound followed by one frame's worth of payload and EOF — and reads
+/// every input both at once and through a one-byte-per-read transport,
+/// which must see the same frames and errors.
 #[test]
 fn tdrc_survives_a_thousand_seeded_mutations() {
+    use ControlError::{FrameTooLarge, Io, Truncated};
     let base = tdrc_corpus();
-    sweep("TDRC", &base, 350, |bytes| {
-        let mut src = bytes;
-        loop {
-            match ControlFrame::read_from(&mut src) {
-                Ok(None) => break, // clean end of stream
-                Ok(Some(frame)) => {
-                    // A decode that survives corruption must be
-                    // self-consistent: re-encode → re-decode identical.
-                    let re = frame.encode();
-                    let back = ControlFrame::read_from(&mut &re[..])
-                        .expect("re-encoded frame decodes")
-                        .expect("one frame");
-                    assert_eq!(back, frame);
-                }
-                Err(_typed) => break, // a typed ControlError, by type
-            }
+    let (frames, end) = read_all(&base[..]);
+    assert_eq!((frames.concat(), end), (base.clone(), None));
+
+    // Unmutated, each short input has one classification. A frame cut
+    // anywhere in its payload is `Truncated` after every complete frame
+    // before it (a peer that stalls there instead surfaces its timeout); a
+    // declared length at the bound with too few bytes behind it is
+    // `Truncated`, one past the bound is `FrameTooLarge`.
+    let timed_out = Some(Io(io::ErrorKind::TimedOut, "peer stalled".to_string()));
+    let mut at = 0;
+    for (k, frame) in frames.iter().enumerate() {
+        for cut in [at + 5, at + frame.len() / 2, at + frame.len() - 1] {
+            let stream = &base[..cut];
+            let before = frames[..k].to_vec();
+            assert_eq!(
+                read_all(stream),
+                (before.clone(), Some(Truncated)),
+                "frame {k} cut at {cut}"
+            );
+            assert_eq!(
+                read_all(Stalls(stream)),
+                (before, timed_out.clone()),
+                "frame {k} stalls at {cut}"
+            );
         }
+        at += frame.len();
+    }
+    let cut = &base[..frames[0].len() + frames[1].len() / 2];
+    let declared = |len: usize| {
+        let mut out = (len as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&frames[1][4..]);
+        out
+    };
+    let near = declared(DEFAULT_MAX_CONTROL_FRAME);
+    assert_eq!(read_all(&near[..]), (vec![], Some(Truncated)));
+    assert_eq!(read_all(Stalls(&near)), (vec![], timed_out));
+    let past = DEFAULT_MAX_CONTROL_FRAME + 1;
+    let too_large = Some(FrameTooLarge {
+        len: past,
+        max: DEFAULT_MAX_CONTROL_FRAME,
     });
+    assert_eq!(read_all(&declared(past)[..]), (vec![], too_large));
+
+    for (name, input, mutations) in [
+        ("TDRC", &base[..], 350),
+        ("TDRC cut mid-payload", cut, 60),
+        ("TDRC near-bound length", &near[..], 60),
+    ] {
+        sweep(name, input, mutations, |bytes| {
+            let (frames, end) = read_all(bytes);
+            assert_eq!(
+                read_all(OneByte(bytes)),
+                (frames.clone(), end),
+                "one byte per read"
+            );
+            // A decode that survives corruption must be self-consistent:
+            // re-encode → re-decode identical.
+            for frame in frames {
+                let back = ControlFrame::read_from(&mut &frame[..])
+                    .expect("re-encoded frame decodes")
+                    .expect("one frame");
+                assert_eq!(back.encode(), frame);
+            }
+        });
+    }
 }
 
 /// The stats plane under the same contract as every other TDRC frame:
