@@ -1784,6 +1784,50 @@ mod tests {
         }
     }
 
+    /// Every `every_frame()` encoding and one two-session TDRB batch,
+    /// byte for byte, against committed hex (`tests/goldens/wire.hex`).
+    /// A round trip cannot catch an encoder and decoder that drift
+    /// together; this can. Nothing in the suite rewrites the file.
+    #[test]
+    fn every_encoding_matches_the_committed_hex() {
+        use replay::{EventLog, PacketRecord};
+        let jobs: Vec<crate::AuditJob> = (1..=2u64)
+            .map(|id| crate::AuditJob {
+                session_id: id,
+                log: EventLog {
+                    packets: vec![PacketRecord {
+                        icount: 10 * id,
+                        avail_at: 100,
+                        wire_at: 90,
+                        data: vec![id as u8; 4],
+                    }],
+                    values: vec![id, id + 1],
+                    final_icount: 1_000 + id,
+                    final_cycles: 2_000 + id,
+                    final_wall_ps: 3_000 + id as u128,
+                },
+                observed_ipds: vec![700_000, 690_000 + id],
+            })
+            .collect();
+        let mut actual: Vec<(String, Vec<u8>)> = every_frame()
+            .iter()
+            .map(|f| (f.kind_name().to_string(), f.encode()))
+            .collect();
+        actual.push(("TDRB".to_string(), crate::ingest::encode_batch(&jobs)));
+
+        let golden = include_str!("../../../tests/goldens/wire.hex");
+        let expected: Vec<(&str, &str)> = golden
+            .lines()
+            .filter(|line| !line.is_empty() && !line.starts_with('#'))
+            .map(|line| line.split_once(' ').expect("`label hex` per line"))
+            .collect();
+        assert_eq!(expected.len(), actual.len(), "one golden line per encoding");
+        for (k, ((label, hex), (name, bytes))) in expected.iter().zip(&actual).enumerate() {
+            let got: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!((*label, *hex), (name.as_str(), got.as_str()), "encoding {k}");
+        }
+    }
+
     #[test]
     fn frame_stream_concatenates() {
         let frames = every_frame();
