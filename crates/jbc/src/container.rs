@@ -27,11 +27,11 @@
 //! encoding per program value and the id function is injective over
 //! accepted containers.
 //!
-//! This crate is dependency-free by design, so the primitives the
-//! envelope needs (LEB128 varints, SHA-256) are implemented here, and the
-//! CRC-32 comes from [`crate::crc`], the one implementation every format
-//! shares; the varint and CRC definitions match `docs/FORMATS.md` §1
-//! bit-for-bit.
+//! This crate is dependency-free by design, so SHA-256 is implemented
+//! here; varints and the bounds-checked [`Cursor`] come from
+//! [`crate::wire`] and the CRC-32 from [`crate::crc`], the one
+//! implementation of each that every format shares (`docs/FORMATS.md`
+//! §1).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -41,6 +41,7 @@ use crate::op::{ElemTy, Op};
 use crate::program::{
     Class, ClassId, Field, FieldId, Handler, Method, MethodId, NativeDecl, NativeId, Program, Ty,
 };
+use crate::wire::{put_bytes, put_varint, Cursor, WireError};
 
 /// The four magic bytes opening every TDRP payload.
 pub const MAGIC: [u8; 4] = *b"TDRP";
@@ -228,38 +229,26 @@ impl fmt::Display for ContainerError {
 
 impl std::error::Error for ContainerError {}
 
-// ---------------------------------------------------------------------------
-// Primitives: varint, CRC-32, SHA-256
-// ---------------------------------------------------------------------------
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
+impl From<WireError> for ContainerError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated => ContainerError::Truncated,
+            WireError::VarintOverflow => ContainerError::VarintOverflow,
+            WireError::LengthOverflow {
+                declared,
+                available,
+            } => ContainerError::LengthOverflow {
+                declared,
+                available,
+            },
+            WireError::TrailingBytes(_) => ContainerError::TrailingBytes,
         }
-        out.push(byte | 0x80);
     }
 }
 
-fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, ContainerError> {
-    let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
-        let b = *buf.get(*pos).ok_or(ContainerError::Truncated)?;
-        *pos += 1;
-        let part = (b & 0x7f) as u64;
-        if shift == 63 && part > 1 {
-            return Err(ContainerError::VarintOverflow);
-        }
-        v |= part << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-    }
-    Err(ContainerError::VarintOverflow)
-}
+// ---------------------------------------------------------------------------
+// SHA-256
+// ---------------------------------------------------------------------------
 
 /// SHA-256 (FIPS 180-4) of `data`. Plain portable implementation; the
 /// unit tests pin it against the published test vectors.
@@ -345,100 +334,26 @@ fn sha256(data: &[u8]) -> [u8; 32] {
 // Canonical program encoding
 // ---------------------------------------------------------------------------
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A string: varint length, then UTF-8 bytes.
+fn string(r: &mut Cursor<'_>) -> Result<String, ContainerError> {
+    String::from_utf8(r.bytes()?.to_vec()).map_err(|_| ContainerError::BadUtf8)
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ContainerError> {
-        let end = self.pos.checked_add(n).ok_or(ContainerError::Truncated)?;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(ContainerError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn byte(&mut self) -> Result<u8, ContainerError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, ContainerError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    fn i16(&mut self) -> Result<i16, ContainerError> {
-        Ok(i16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    fn u32(&mut self) -> Result<u32, ContainerError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn i32(&mut self) -> Result<i32, ContainerError> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn i64(&mut self) -> Result<i64, ContainerError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f64(&mut self) -> Result<f64, ContainerError> {
-        let bits = u64::from_le_bytes(self.take(8)?.try_into().expect("8"));
-        Ok(f64::from_bits(bits))
-    }
-
-    fn varint(&mut self) -> Result<u64, ContainerError> {
-        read_varint(self.buf, &mut self.pos)
-    }
-
-    /// A declared element count, bounded by the bytes remaining divided
-    /// by the minimum on-wire element size — a forged count is rejected
-    /// before any allocation toward it.
-    fn bounded_count(&mut self, min_elem: usize) -> Result<usize, ContainerError> {
-        let declared = self.varint()?;
-        let available = (self.buf.len() - self.pos) / min_elem.max(1);
-        if declared > available as u64 {
-            return Err(ContainerError::LengthOverflow {
-                declared,
-                available: available as u64,
-            });
-        }
-        Ok(declared as usize)
-    }
-
-    fn string(&mut self) -> Result<String, ContainerError> {
-        let len = self.bounded_count(1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ContainerError::BadUtf8)
-    }
-
-    fn bool(&mut self, what: &'static str) -> Result<bool, ContainerError> {
-        match self.byte()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            value => Err(ContainerError::BadTag { what, value }),
-        }
-    }
-
-    fn opt_u16(&mut self, what: &'static str) -> Result<Option<u16>, ContainerError> {
-        if self.bool(what)? {
-            Ok(Some(self.u16()?))
-        } else {
-            Ok(None)
-        }
+/// A `bool` tag byte; anything but `00`/`01` names the field it broke.
+fn flag(r: &mut Cursor<'_>, what: &'static str) -> Result<bool, ContainerError> {
+    match r.byte()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        value => Err(ContainerError::BadTag { what, value }),
     }
 }
 
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    put_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_bool(out: &mut Vec<u8>, b: bool) {
-    out.push(b as u8);
+fn opt_u16(r: &mut Cursor<'_>, what: &'static str) -> Result<Option<u16>, ContainerError> {
+    if flag(r, what)? {
+        Ok(Some(r.le()?))
+    } else {
+        Ok(None)
+    }
 }
 
 fn put_opt_u16(out: &mut Vec<u8>, v: Option<u16>) {
@@ -664,25 +579,25 @@ fn put_op(out: &mut Vec<u8>, op: &Op) {
     }
 }
 
-fn read_op(r: &mut Reader<'_>) -> Result<Op, ContainerError> {
+fn read_op(r: &mut Cursor<'_>) -> Result<Op, ContainerError> {
     use Op::*;
     let code = r.byte()?;
     Ok(match code {
         0x00 => Nop,
-        0x01 => IConst(r.i32()?),
-        0x02 => LConst(r.i64()?),
-        0x03 => DConst(r.f64()?),
+        0x01 => IConst(r.le()?),
+        0x02 => LConst(r.le()?),
+        0x03 => DConst(r.le()?),
         0x04 => AConstNull,
-        0x05 => LdcStr(r.u16()?),
-        0x06 => ILoad(r.u16()?),
-        0x07 => LLoad(r.u16()?),
-        0x08 => DLoad(r.u16()?),
-        0x09 => ALoad(r.u16()?),
-        0x0a => IStore(r.u16()?),
-        0x0b => LStore(r.u16()?),
-        0x0c => DStore(r.u16()?),
-        0x0d => AStore(r.u16()?),
-        0x0e => IInc(r.u16()?, r.i16()?),
+        0x05 => LdcStr(r.le()?),
+        0x06 => ILoad(r.le()?),
+        0x07 => LLoad(r.le()?),
+        0x08 => DLoad(r.le()?),
+        0x09 => ALoad(r.le()?),
+        0x0a => IStore(r.le()?),
+        0x0b => LStore(r.le()?),
+        0x0c => DStore(r.le()?),
+        0x0d => AStore(r.le()?),
+        0x0e => IInc(r.le()?, r.le()?),
         0x0f => Pop,
         0x10 => Dup,
         0x11 => DupX1,
@@ -729,31 +644,31 @@ fn read_op(r: &mut Reader<'_>) -> Result<Op, ContainerError> {
         0x3a => LCmp,
         0x3b => DCmpL,
         0x3c => DCmpG,
-        0x3d => Goto(r.u32()?),
-        0x3e => IfEq(r.u32()?),
-        0x3f => IfNe(r.u32()?),
-        0x40 => IfLt(r.u32()?),
-        0x41 => IfGe(r.u32()?),
-        0x42 => IfGt(r.u32()?),
-        0x43 => IfLe(r.u32()?),
-        0x44 => IfICmpEq(r.u32()?),
-        0x45 => IfICmpNe(r.u32()?),
-        0x46 => IfICmpLt(r.u32()?),
-        0x47 => IfICmpGe(r.u32()?),
-        0x48 => IfICmpGt(r.u32()?),
-        0x49 => IfICmpLe(r.u32()?),
-        0x4a => IfACmpEq(r.u32()?),
-        0x4b => IfACmpNe(r.u32()?),
-        0x4c => IfNull(r.u32()?),
-        0x4d => IfNonNull(r.u32()?),
+        0x3d => Goto(r.le()?),
+        0x3e => IfEq(r.le()?),
+        0x3f => IfNe(r.le()?),
+        0x40 => IfLt(r.le()?),
+        0x41 => IfGe(r.le()?),
+        0x42 => IfGt(r.le()?),
+        0x43 => IfLe(r.le()?),
+        0x44 => IfICmpEq(r.le()?),
+        0x45 => IfICmpNe(r.le()?),
+        0x46 => IfICmpLt(r.le()?),
+        0x47 => IfICmpGe(r.le()?),
+        0x48 => IfICmpGt(r.le()?),
+        0x49 => IfICmpLe(r.le()?),
+        0x4a => IfACmpEq(r.le()?),
+        0x4b => IfACmpNe(r.le()?),
+        0x4c => IfNull(r.le()?),
+        0x4d => IfNonNull(r.le()?),
         0x4e => {
-            let low = r.i32()?;
-            let n = r.bounded_count(4)?;
+            let low = r.le()?;
+            let n = r.count(4)?;
             let mut targets = Vec::with_capacity(n);
             for _ in 0..n {
-                targets.push(r.u32()?);
+                targets.push(r.le()?);
             }
-            let default = r.u32()?;
+            let default = r.le()?;
             TableSwitch {
                 low,
                 targets,
@@ -761,21 +676,21 @@ fn read_op(r: &mut Reader<'_>) -> Result<Op, ContainerError> {
             }
         }
         0x4f => {
-            let n = r.bounded_count(8)?;
+            let n = r.count(8)?;
             let mut pairs = Vec::with_capacity(n);
             for _ in 0..n {
-                pairs.push((r.i32()?, r.u32()?));
+                pairs.push((r.le()?, r.le()?));
             }
-            let default = r.u32()?;
+            let default = r.le()?;
             LookupSwitch { pairs, default }
         }
-        0x50 => New(ClassId(r.u16()?)),
-        0x51 => GetField(FieldId(r.u16()?)),
-        0x52 => PutField(FieldId(r.u16()?)),
-        0x53 => GetStatic(FieldId(r.u16()?)),
-        0x54 => PutStatic(FieldId(r.u16()?)),
-        0x55 => InstanceOf(ClassId(r.u16()?)),
-        0x56 => CheckCast(ClassId(r.u16()?)),
+        0x50 => New(ClassId(r.le()?)),
+        0x51 => GetField(FieldId(r.le()?)),
+        0x52 => PutField(FieldId(r.le()?)),
+        0x53 => GetStatic(FieldId(r.le()?)),
+        0x54 => PutStatic(FieldId(r.le()?)),
+        0x55 => InstanceOf(ClassId(r.le()?)),
+        0x56 => CheckCast(ClassId(r.le()?)),
         0x57 => NewArray(elem_ty_from(r.byte()?)?),
         0x58 => ArrayLength,
         0x59 => IALoad,
@@ -790,10 +705,10 @@ fn read_op(r: &mut Reader<'_>) -> Result<Op, ContainerError> {
         0x62 => BAStore,
         0x63 => CALoad,
         0x64 => CAStore,
-        0x65 => InvokeStatic(MethodId(r.u16()?)),
-        0x66 => InvokeVirtual(MethodId(r.u16()?)),
-        0x67 => InvokeSpecial(MethodId(r.u16()?)),
-        0x68 => InvokeNative(NativeId(r.u16()?)),
+        0x65 => InvokeStatic(MethodId(r.le()?)),
+        0x66 => InvokeVirtual(MethodId(r.le()?)),
+        0x67 => InvokeSpecial(MethodId(r.le()?)),
+        0x68 => InvokeNative(NativeId(r.le()?)),
         0x69 => Return,
         0x6a => IReturn,
         0x6b => LReturn,
@@ -815,7 +730,7 @@ pub fn canonical_program_bytes(program: &Program) -> Vec<u8> {
 
     put_varint(&mut out, program.classes.len() as u64);
     for class in &program.classes {
-        put_string(&mut out, &class.name);
+        put_bytes(&mut out, class.name.as_bytes());
         put_opt_u16(&mut out, class.super_class.map(|c| c.0));
         put_varint(&mut out, class.layout.len() as u64);
         for fid in &class.layout {
@@ -831,14 +746,14 @@ pub fn canonical_program_bytes(program: &Program) -> Vec<u8> {
         declared.sort_by(|a, b| a.0.cmp(b.0));
         put_varint(&mut out, declared.len() as u64);
         for (name, mid) in declared {
-            put_string(&mut out, name);
+            put_bytes(&mut out, name.as_bytes());
             out.extend_from_slice(&mid.0.to_le_bytes());
         }
     }
 
     put_varint(&mut out, program.methods.len() as u64);
     for method in &program.methods {
-        put_string(&mut out, &method.name);
+        put_bytes(&mut out, method.name.as_bytes());
         out.extend_from_slice(&method.owner.0.to_le_bytes());
         put_varint(&mut out, method.params.len() as u64);
         for &p in &method.params {
@@ -851,7 +766,7 @@ pub fn canonical_program_bytes(program: &Program) -> Vec<u8> {
             }
             None => out.push(0),
         }
-        put_bool(&mut out, method.is_static);
+        out.push(method.is_static as u8);
         out.extend_from_slice(&method.max_locals.to_le_bytes());
         put_varint(&mut out, method.code.len() as u64);
         for op in &method.code {
@@ -870,23 +785,23 @@ pub fn canonical_program_bytes(program: &Program) -> Vec<u8> {
 
     put_varint(&mut out, program.fields.len() as u64);
     for field in &program.fields {
-        put_string(&mut out, &field.name);
+        put_bytes(&mut out, field.name.as_bytes());
         out.extend_from_slice(&field.owner.0.to_le_bytes());
         out.push(ty_byte(field.ty));
-        put_bool(&mut out, field.is_static);
+        out.push(field.is_static as u8);
         put_varint(&mut out, field.slot as u64);
     }
 
     put_varint(&mut out, program.strings.len() as u64);
     for s in &program.strings {
-        put_string(&mut out, s);
+        put_bytes(&mut out, s.as_bytes());
     }
 
     put_varint(&mut out, program.natives.len() as u64);
     for n in &program.natives {
-        put_string(&mut out, &n.name);
+        put_bytes(&mut out, n.name.as_bytes());
         out.push(n.args);
-        put_bool(&mut out, n.ret);
+        out.push(n.ret as u8);
     }
 
     put_varint(&mut out, program.static_slots as u64);
@@ -895,28 +810,28 @@ pub fn canonical_program_bytes(program: &Program) -> Vec<u8> {
 }
 
 fn decode_program(bytes: &[u8]) -> Result<Program, ContainerError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
+    let mut r = Cursor::new(bytes);
 
-    let n_classes = r.bounded_count(1)?;
+    let n_classes = r.count(1)?;
     let mut classes = Vec::with_capacity(n_classes);
     for _ in 0..n_classes {
-        let name = r.string()?;
-        let super_class = r.opt_u16("Class.super_class")?.map(ClassId);
-        let n_layout = r.bounded_count(2)?;
+        let name = string(&mut r)?;
+        let super_class = opt_u16(&mut r, "Class.super_class")?.map(ClassId);
+        let n_layout = r.count(2)?;
         let mut layout = Vec::with_capacity(n_layout);
         for _ in 0..n_layout {
-            layout.push(FieldId(r.u16()?));
+            layout.push(FieldId(r.le()?));
         }
-        let n_vtable = r.bounded_count(2)?;
+        let n_vtable = r.count(2)?;
         let mut vtable = Vec::with_capacity(n_vtable);
         for _ in 0..n_vtable {
-            vtable.push(MethodId(r.u16()?));
+            vtable.push(MethodId(r.le()?));
         }
-        let n_declared = r.bounded_count(3)?;
+        let n_declared = r.count(3)?;
         let mut declared = HashMap::with_capacity(n_declared);
         for _ in 0..n_declared {
-            let mname = r.string()?;
-            declared.insert(mname, MethodId(r.u16()?));
+            let mname = string(&mut r)?;
+            declared.insert(mname, MethodId(r.le()?));
         }
         classes.push(Class {
             name,
@@ -927,39 +842,39 @@ fn decode_program(bytes: &[u8]) -> Result<Program, ContainerError> {
         });
     }
 
-    let n_methods = r.bounded_count(1)?;
+    let n_methods = r.count(1)?;
     let mut methods = Vec::with_capacity(n_methods);
     for _ in 0..n_methods {
-        let name = r.string()?;
-        let owner = ClassId(r.u16()?);
-        let n_params = r.bounded_count(1)?;
+        let name = string(&mut r)?;
+        let owner = ClassId(r.le()?);
+        let n_params = r.count(1)?;
         let mut params = Vec::with_capacity(n_params);
         for _ in 0..n_params {
             params.push(ty_from(r.byte()?)?);
         }
-        let ret = if r.bool("Method.ret")? {
+        let ret = if flag(&mut r, "Method.ret")? {
             Some(ty_from(r.byte()?)?)
         } else {
             None
         };
-        let is_static = r.bool("Method.is_static")?;
-        let max_locals = r.u16()?;
-        let n_code = r.bounded_count(1)?;
+        let is_static = flag(&mut r, "Method.is_static")?;
+        let max_locals = r.le()?;
+        let n_code = r.count(1)?;
         let mut code = Vec::with_capacity(n_code);
         for _ in 0..n_code {
             code.push(read_op(&mut r)?);
         }
-        let n_handlers = r.bounded_count(13)?;
+        let n_handlers = r.count(13)?;
         let mut handlers = Vec::with_capacity(n_handlers);
         for _ in 0..n_handlers {
             handlers.push(Handler {
-                start: r.u32()?,
-                end: r.u32()?,
-                target: r.u32()?,
-                class: r.opt_u16("Handler.class")?.map(ClassId),
+                start: r.le()?,
+                end: r.le()?,
+                target: r.le()?,
+                class: opt_u16(&mut r, "Handler.class")?.map(ClassId),
             });
         }
-        let vslot = r.opt_u16("Method.vslot")?;
+        let vslot = opt_u16(&mut r, "Method.vslot")?;
         let code_base = r.varint()?;
         methods.push(Method {
             name,
@@ -975,39 +890,37 @@ fn decode_program(bytes: &[u8]) -> Result<Program, ContainerError> {
         });
     }
 
-    let n_fields = r.bounded_count(5)?;
+    let n_fields = r.count(5)?;
     let mut fields = Vec::with_capacity(n_fields);
     for _ in 0..n_fields {
         fields.push(Field {
-            name: r.string()?,
-            owner: ClassId(r.u16()?),
+            name: string(&mut r)?,
+            owner: ClassId(r.le()?),
             ty: ty_from(r.byte()?)?,
-            is_static: r.bool("Field.is_static")?,
+            is_static: flag(&mut r, "Field.is_static")?,
             slot: r.varint()? as u32,
         });
     }
 
-    let n_strings = r.bounded_count(1)?;
+    let n_strings = r.count(1)?;
     let mut strings = Vec::with_capacity(n_strings);
     for _ in 0..n_strings {
-        strings.push(r.string()?);
+        strings.push(string(&mut r)?);
     }
 
-    let n_natives = r.bounded_count(3)?;
+    let n_natives = r.count(3)?;
     let mut natives = Vec::with_capacity(n_natives);
     for _ in 0..n_natives {
         natives.push(NativeDecl {
-            name: r.string()?,
+            name: string(&mut r)?,
             args: r.byte()?,
-            ret: r.bool("NativeDecl.ret")?,
+            ret: flag(&mut r, "NativeDecl.ret")?,
         });
     }
 
     let static_slots = r.varint()? as u32;
-    let entry = MethodId(r.u16()?);
-    if r.pos != bytes.len() {
-        return Err(ContainerError::TrailingBytes);
-    }
+    let entry = MethodId(r.le()?);
+    r.finish()?;
     Ok(Program {
         classes,
         methods,
@@ -1107,20 +1020,9 @@ pub fn open(bytes: &[u8]) -> Result<(ReferenceId, Program), ContainerError> {
     }
     let stored_digest: [u8; 32] = payload[8..40].try_into().expect("32");
 
-    let body_region = &payload[40..crc_at];
-    let mut pos = 0usize;
-    let body_len = read_varint(body_region, &mut pos)?;
-    let available = (body_region.len() - pos) as u64;
-    if body_len > available {
-        return Err(ContainerError::LengthOverflow {
-            declared: body_len,
-            available,
-        });
-    }
-    if body_len < available {
-        return Err(ContainerError::TrailingBytes);
-    }
-    let body = &body_region[pos..];
+    let mut r = Cursor::new(&payload[40..crc_at]);
+    let body = r.bytes()?;
+    r.finish()?;
 
     let computed_digest = sha256(body);
     if stored_digest != computed_digest {
@@ -1255,15 +1157,14 @@ mod tests {
         for v in [0u64, 1, 127, 128, 500, u64::MAX] {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(read_varint(&buf, &mut pos).unwrap(), v);
-            assert_eq!(pos, buf.len());
+            let mut r = Cursor::new(&buf);
+            assert_eq!(r.varint(), Ok(v));
+            assert_eq!(r.remaining(), 0);
         }
         // An 11-byte varint (or a tenth byte > 1) must be rejected.
         let over = [0x80u8, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02];
-        let mut pos = 0;
         assert_eq!(
-            read_varint(&over, &mut pos),
+            Cursor::new(&over).varint().map_err(ContainerError::from),
             Err(ContainerError::VarintOverflow)
         );
     }

@@ -41,7 +41,8 @@
 //! (`docs/FORMATS.md` §7) in which a program travels to an audit daemon.
 //! A program's [`ReferenceId`] is the SHA-256 digest of its canonical
 //! encoding, so registry ids are self-certifying. [`crc`] holds the one
-//! CRC-32 implementation every wire format shares.
+//! CRC-32 implementation every wire format shares, and [`wire`] the one
+//! set of varint, zigzag, delta and slice-cursor primitives.
 
 #![warn(missing_docs)]
 
@@ -53,6 +54,7 @@ pub mod hll;
 pub mod op;
 pub mod program;
 pub mod verify;
+pub mod wire;
 
 pub use builder::{Label, MethodAsm, ProgramBuilder};
 pub use container::{ContainerError, ReferenceId};

@@ -21,8 +21,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Read, Write};
 
+use jbc::crc::crc32;
+use jbc::wire::{put_bytes, put_f64, put_varint, Cursor, WireError};
 use jbc::ReferenceId;
-use replay::codec::{wire, CodecError};
+use replay::codec::CodecError;
 use replay::stream::{read_length_prefix, StreamError};
 
 use crate::obs::{HistogramSnapshot, MetricsSnapshot};
@@ -223,6 +225,16 @@ impl From<CodecError> for ControlError {
     }
 }
 
+impl From<WireError> for ControlError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated => ControlError::Truncated,
+            WireError::TrailingBytes(n) => ControlError::TrailingBytes(n),
+            other => ControlError::Body(other.into()),
+        }
+    }
+}
+
 impl ControlError {
     pub(crate) fn from_io(e: io::Error) -> Self {
         ControlError::Io(e.kind(), e.to_string())
@@ -315,23 +327,6 @@ impl BusyScope {
             BusyScope::InFlightSessions => "in-flight sessions",
         }
     }
-}
-
-/// Frame kind bytes (one per [`ControlFrame`] variant).
-mod kind {
-    pub const SUBMIT_BATCH: u8 = 0x01;
-    pub const VERDICT: u8 = 0x02;
-    pub const SUMMARY: u8 = 0x03;
-    pub const ERROR: u8 = 0x04;
-    pub const SHUTDOWN: u8 = 0x05;
-    pub const SHUTDOWN_ACK: u8 = 0x06;
-    pub const STATS_REQUEST: u8 = 0x07;
-    pub const STATS: u8 = 0x08;
-    pub const BUSY: u8 = 0x09;
-    pub const PUT_REFERENCE: u8 = 0x0a;
-    pub const REFERENCE_ACK: u8 = 0x0b;
-    pub const PUT_BATTERY: u8 = 0x0c;
-    pub const BATTERY_ACK: u8 = 0x0d;
 }
 
 /// What a [`ControlFrame::ReferenceAck`] reports about a registry
@@ -528,151 +523,20 @@ pub enum ControlFrame {
 }
 
 impl ControlFrame {
-    /// The variant's wire kind byte.
-    fn kind_byte(&self) -> u8 {
-        match self {
-            ControlFrame::SubmitBatch { .. } => kind::SUBMIT_BATCH,
-            ControlFrame::Verdict { .. } => kind::VERDICT,
-            ControlFrame::Summary { .. } => kind::SUMMARY,
-            ControlFrame::Error { .. } => kind::ERROR,
-            ControlFrame::Shutdown => kind::SHUTDOWN,
-            ControlFrame::ShutdownAck => kind::SHUTDOWN_ACK,
-            ControlFrame::StatsRequest => kind::STATS_REQUEST,
-            ControlFrame::Stats { .. } => kind::STATS,
-            ControlFrame::Busy { .. } => kind::BUSY,
-            ControlFrame::PutReference { .. } => kind::PUT_REFERENCE,
-            ControlFrame::ReferenceAck { .. } => kind::REFERENCE_ACK,
-            ControlFrame::PutBattery { .. } => kind::PUT_BATTERY,
-            ControlFrame::BatteryAck { .. } => kind::BATTERY_ACK,
-        }
-    }
-
-    /// The variant's display name (for protocol-violation errors).
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            ControlFrame::SubmitBatch { .. } => "SubmitBatch",
-            ControlFrame::Verdict { .. } => "Verdict",
-            ControlFrame::Summary { .. } => "Summary",
-            ControlFrame::Error { .. } => "Error",
-            ControlFrame::Shutdown => "Shutdown",
-            ControlFrame::ShutdownAck => "ShutdownAck",
-            ControlFrame::StatsRequest => "StatsRequest",
-            ControlFrame::Stats { .. } => "Stats",
-            ControlFrame::Busy { .. } => "Busy",
-            ControlFrame::PutReference { .. } => "PutReference",
-            ControlFrame::ReferenceAck { .. } => "ReferenceAck",
-            ControlFrame::PutBattery { .. } => "PutBattery",
-            ControlFrame::BatteryAck { .. } => "BatteryAck",
-        }
-    }
-
     /// Encode to one complete frame: `u32` length prefix, then the
     /// payload (magic, version, flags, kind, body, CRC-32 trailer).
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&CONTROL_MAGIC);
-        payload.extend_from_slice(&CONTROL_VERSION.to_le_bytes());
-        payload.extend_from_slice(&0u16.to_le_bytes()); // flags
-        payload.push(self.kind_byte());
-        self.put_body(&mut payload);
-        let crc = wire::crc32(&payload[CONTROL_MAGIC.len()..]);
-        payload.extend_from_slice(&crc.to_le_bytes());
-        let mut out = Vec::with_capacity(payload.len() + 4);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let mut out = vec![0; 4]; // length prefix, patched below
+        out.extend_from_slice(&CONTROL_MAGIC);
+        out.extend_from_slice(&CONTROL_VERSION.to_le_bytes());
+        out.extend_from_slice(&0u16.to_le_bytes()); // flags
+        out.push(self.kind_byte());
+        self.put_body(&mut out);
+        let crc = crc32(&out[4 + CONTROL_MAGIC.len()..]);
+        out.extend_from_slice(&crc.to_le_bytes());
+        let len = (out.len() - 4) as u32;
+        out[..4].copy_from_slice(&len.to_le_bytes());
         out
-    }
-
-    fn put_body(&self, out: &mut Vec<u8>) {
-        match self {
-            ControlFrame::SubmitBatch {
-                batch_id,
-                tdrb,
-                reference,
-            } => {
-                wire::put_varint(out, *batch_id);
-                wire::put_varint(out, tdrb.len() as u64);
-                out.extend_from_slice(tdrb);
-                // v2 extension: the reference id, when present, is the
-                // final 32 bytes of the body. A `None` frame is
-                // byte-identical to a version-1 frame.
-                if let Some(id) = reference {
-                    out.extend_from_slice(&id.0);
-                }
-            }
-            ControlFrame::Verdict {
-                batch_id,
-                index,
-                verdict,
-            } => {
-                wire::put_varint(out, *batch_id);
-                wire::put_varint(out, *index);
-                put_verdict(out, verdict);
-            }
-            ControlFrame::Summary {
-                batch_id,
-                workers,
-                peak_resident,
-                summary,
-            } => {
-                wire::put_varint(out, *batch_id);
-                wire::put_varint(out, *workers);
-                wire::put_varint(out, *peak_resident);
-                put_summary(out, summary);
-            }
-            ControlFrame::Error { batch_id, message } => {
-                wire::put_varint(out, *batch_id);
-                put_string(out, message);
-            }
-            ControlFrame::Shutdown | ControlFrame::ShutdownAck | ControlFrame::StatsRequest => {}
-            ControlFrame::Stats { snapshot } => put_snapshot(out, snapshot),
-            ControlFrame::Busy {
-                batch_id,
-                scope,
-                active,
-                limit,
-            } => {
-                wire::put_varint(out, *batch_id);
-                out.push(scope.wire_byte());
-                wire::put_varint(out, *active);
-                wire::put_varint(out, *limit);
-            }
-            ControlFrame::PutReference { put_id, tdrp } => {
-                wire::put_varint(out, *put_id);
-                wire::put_varint(out, tdrp.len() as u64);
-                out.extend_from_slice(tdrp);
-            }
-            ControlFrame::ReferenceAck {
-                put_id,
-                reference,
-                status,
-                resident_bytes,
-            } => {
-                wire::put_varint(out, *put_id);
-                out.extend_from_slice(&reference.0);
-                out.push(status.wire_byte());
-                wire::put_varint(out, *resident_bytes);
-                if let AckStatus::Rejected(message) = status {
-                    put_string(out, message);
-                }
-            }
-            ControlFrame::PutBattery { put_id, json } => {
-                wire::put_varint(out, *put_id);
-                put_string(out, json);
-            }
-            ControlFrame::BatteryAck {
-                put_id,
-                generation,
-                status,
-            } => {
-                wire::put_varint(out, *put_id);
-                wire::put_varint(out, *generation);
-                out.push(status.wire_byte());
-                if let AckStatus::Rejected(message) = status {
-                    put_string(out, message);
-                }
-            }
-        }
     }
 
     /// Decode one frame payload (everything after the length prefix).
@@ -689,7 +553,7 @@ impl ControlFrame {
         }
         let trailer_at = payload.len() - 4;
         let stored = u32::from_le_bytes(payload[trailer_at..].try_into().expect("4 bytes"));
-        let computed = wire::crc32(&payload[CONTROL_MAGIC.len()..trailer_at]);
+        let computed = crc32(&payload[CONTROL_MAGIC.len()..trailer_at]);
         if stored != computed {
             return Err(ControlError::BadChecksum { stored, computed });
         }
@@ -701,140 +565,9 @@ impl ControlFrame {
         if flags != 0 {
             return Err(ControlError::UnsupportedFlags(flags));
         }
-        let frame_kind = payload[8];
-        let body = &payload[9..trailer_at];
-        let mut pos = 0usize;
-        let frame = match frame_kind {
-            kind::SUBMIT_BATCH => {
-                let batch_id = wire::read_varint(body, &mut pos)?;
-                let len = wire::read_varint(body, &mut pos)? as usize;
-                let end = pos.checked_add(len).ok_or(ControlError::Truncated)?;
-                let tdrb = body.get(pos..end).ok_or(ControlError::Truncated)?.to_vec();
-                pos = end;
-                // v2 extension: an empty remainder is a version-1 frame
-                // (default reference); otherwise exactly 32 id bytes
-                // must follow (fewer is truncation, more is trailing
-                // garbage via the exact-consumption check below).
-                let reference = if pos == body.len() {
-                    None
-                } else {
-                    let end = pos.checked_add(32).ok_or(ControlError::Truncated)?;
-                    let bytes = body.get(pos..end).ok_or(ControlError::Truncated)?;
-                    pos = end;
-                    Some(ReferenceId(bytes.try_into().expect("32 bytes")))
-                };
-                ControlFrame::SubmitBatch {
-                    batch_id,
-                    tdrb,
-                    reference,
-                }
-            }
-            kind::VERDICT => {
-                let batch_id = wire::read_varint(body, &mut pos)?;
-                let index = wire::read_varint(body, &mut pos)?;
-                let verdict = read_verdict(body, &mut pos)?;
-                ControlFrame::Verdict {
-                    batch_id,
-                    index,
-                    verdict,
-                }
-            }
-            kind::SUMMARY => {
-                let batch_id = wire::read_varint(body, &mut pos)?;
-                let workers = wire::read_varint(body, &mut pos)?;
-                let peak_resident = wire::read_varint(body, &mut pos)?;
-                let summary = read_summary(body, &mut pos)?;
-                ControlFrame::Summary {
-                    batch_id,
-                    workers,
-                    peak_resident,
-                    summary,
-                }
-            }
-            kind::ERROR => {
-                let batch_id = wire::read_varint(body, &mut pos)?;
-                let message = read_string(body, &mut pos)?;
-                ControlFrame::Error { batch_id, message }
-            }
-            kind::SHUTDOWN => ControlFrame::Shutdown,
-            kind::SHUTDOWN_ACK => ControlFrame::ShutdownAck,
-            kind::STATS_REQUEST => ControlFrame::StatsRequest,
-            kind::STATS => ControlFrame::Stats {
-                snapshot: read_snapshot(body, &mut pos)?,
-            },
-            kind::BUSY => {
-                let batch_id = wire::read_varint(body, &mut pos)?;
-                let scope_byte = *body.get(pos).ok_or(ControlError::Truncated)?;
-                pos += 1;
-                let scope = BusyScope::from_wire_byte(scope_byte)?;
-                let active = wire::read_varint(body, &mut pos)?;
-                let limit = wire::read_varint(body, &mut pos)?;
-                ControlFrame::Busy {
-                    batch_id,
-                    scope,
-                    active,
-                    limit,
-                }
-            }
-            kind::PUT_REFERENCE => {
-                let put_id = wire::read_varint(body, &mut pos)?;
-                let len = wire::read_varint(body, &mut pos)? as usize;
-                let end = pos.checked_add(len).ok_or(ControlError::Truncated)?;
-                let tdrp = body.get(pos..end).ok_or(ControlError::Truncated)?.to_vec();
-                pos = end;
-                ControlFrame::PutReference { put_id, tdrp }
-            }
-            kind::REFERENCE_ACK => {
-                let put_id = wire::read_varint(body, &mut pos)?;
-                let end = pos.checked_add(32).ok_or(ControlError::Truncated)?;
-                let id_bytes = body.get(pos..end).ok_or(ControlError::Truncated)?;
-                let reference = ReferenceId(id_bytes.try_into().expect("32 bytes"));
-                pos = end;
-                let status_byte = *body.get(pos).ok_or(ControlError::Truncated)?;
-                pos += 1;
-                let resident_bytes = wire::read_varint(body, &mut pos)?;
-                let status = match status_byte {
-                    0x00 => AckStatus::Loaded,
-                    0x01 => AckStatus::AlreadyResident,
-                    0x02 => AckStatus::Rejected(read_string(body, &mut pos)?),
-                    0x03 => AckStatus::Unknown,
-                    other => return Err(ControlError::BadAckStatus(other)),
-                };
-                ControlFrame::ReferenceAck {
-                    put_id,
-                    reference,
-                    status,
-                    resident_bytes,
-                }
-            }
-            kind::PUT_BATTERY => {
-                let put_id = wire::read_varint(body, &mut pos)?;
-                let json = read_string(body, &mut pos)?;
-                ControlFrame::PutBattery { put_id, json }
-            }
-            kind::BATTERY_ACK => {
-                let put_id = wire::read_varint(body, &mut pos)?;
-                let generation = wire::read_varint(body, &mut pos)?;
-                let status_byte = *body.get(pos).ok_or(ControlError::Truncated)?;
-                pos += 1;
-                let status = match status_byte {
-                    0x00 => AckStatus::Loaded,
-                    0x01 => AckStatus::AlreadyResident,
-                    0x02 => AckStatus::Rejected(read_string(body, &mut pos)?),
-                    0x03 => AckStatus::Unknown,
-                    other => return Err(ControlError::BadAckStatus(other)),
-                };
-                ControlFrame::BatteryAck {
-                    put_id,
-                    generation,
-                    status,
-                }
-            }
-            other => return Err(ControlError::UnknownKind(other)),
-        };
-        if pos != body.len() {
-            return Err(ControlError::TrailingBytes(body.len() - pos));
-        }
+        let mut body = Cursor::new(&payload[9..trailer_at]);
+        let frame = Self::get_body(payload[8], &mut body)?;
+        body.finish()?;
         Ok(frame)
     }
 
@@ -887,259 +620,398 @@ impl ControlFrame {
 }
 
 // ---------------------------------------------------------------------------
-// Body field encodings
+// Frame bodies, each described once
 // ---------------------------------------------------------------------------
 
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    wire::put_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
+/// A value with one TDRC body encoding. `MIN` is the fewest bytes one
+/// value occupies: the divisor a declared count of them is bounded by.
+trait Field: Sized {
+    const MIN: usize;
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(r: &mut Cursor<'_>) -> Result<Self, ControlError>;
 }
 
-fn read_string(buf: &[u8], pos: &mut usize) -> Result<String, ControlError> {
-    let len = wire::read_varint(buf, pos)? as usize;
-    let end = pos.checked_add(len).ok_or(ControlError::Truncated)?;
-    let bytes = buf.get(*pos..end).ok_or(ControlError::Truncated)?;
-    *pos = end;
-    String::from_utf8(bytes.to_vec()).map_err(|_| ControlError::BadUtf8)
-}
-
-fn put_verdict(out: &mut Vec<u8>, v: &AuditVerdict) {
-    wire::put_varint(out, v.session_id);
-    wire::put_f64(out, v.score);
-    out.push(v.flagged as u8);
-    wire::put_varint(out, v.tx_packets as u64);
-    wire::put_varint(out, v.replayed_cycles);
-    wire::put_varint(out, v.detector_scores.len() as u64);
-    for (name, &score) in &v.detector_scores {
-        put_string(out, name);
-        wire::put_f64(out, score);
+impl Field for u64 {
+    const MIN: usize = 1;
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(out, *self);
     }
-    match &v.error {
-        None => out.push(0),
-        Some(msg) => {
-            out.push(1);
-            put_string(out, msg);
+    #[inline]
+    fn get(r: &mut Cursor<'_>) -> Result<Self, ControlError> {
+        Ok(r.varint()?)
+    }
+}
+
+impl Field for usize {
+    const MIN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(out, *self as u64);
+    }
+    fn get(r: &mut Cursor<'_>) -> Result<Self, ControlError> {
+        Ok(r.varint()? as usize)
+    }
+}
+
+/// The 8 little-endian bytes of the IEEE-754 bit pattern.
+impl Field for f64 {
+    const MIN: usize = 8;
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        put_f64(out, *self);
+    }
+    #[inline]
+    fn get(r: &mut Cursor<'_>) -> Result<Self, ControlError> {
+        Ok(r.le()?)
+    }
+}
+
+/// One byte, `00` or `01`.
+impl Field for bool {
+    const MIN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
+    }
+    fn get(r: &mut Cursor<'_>) -> Result<Self, ControlError> {
+        match r.byte()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(ControlError::BadBool(other)),
         }
     }
 }
 
-fn read_bool(buf: &[u8], pos: &mut usize) -> Result<bool, ControlError> {
-    let byte = *buf.get(*pos).ok_or(ControlError::Truncated)?;
-    *pos += 1;
-    match byte {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(ControlError::BadBool(other)),
+/// Varint length, then UTF-8 bytes.
+impl Field for String {
+    const MIN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_bytes(out, self.as_bytes());
+    }
+    fn get(r: &mut Cursor<'_>) -> Result<Self, ControlError> {
+        String::from_utf8(r.bytes()?.to_vec()).map_err(|_| ControlError::BadUtf8)
     }
 }
 
-fn read_verdict(buf: &[u8], pos: &mut usize) -> Result<AuditVerdict, ControlError> {
-    let session_id = wire::read_varint(buf, pos)?;
-    let score = wire::read_f64(buf, pos)?;
-    let flagged = read_bool(buf, pos)?;
-    let tx_packets = wire::read_varint(buf, pos)? as usize;
-    let replayed_cycles = wire::read_varint(buf, pos)?;
-    let n_scores = wire::read_varint(buf, pos)? as usize;
-    let mut detector_scores = BTreeMap::new();
-    for _ in 0..n_scores {
-        let name = read_string(buf, pos)?;
-        let score = wire::read_f64(buf, pos)?;
-        detector_scores.insert(name, score);
+/// Varint length, then the bytes verbatim (an embedded TDRB or TDRP).
+impl Field for Vec<u8> {
+    const MIN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_bytes(out, self);
     }
-    let error = if read_bool(buf, pos)? {
-        Some(read_string(buf, pos)?)
-    } else {
-        None
+    fn get(r: &mut Cursor<'_>) -> Result<Self, ControlError> {
+        Ok(r.bytes()?.to_vec())
+    }
+}
+
+/// The 32 digest bytes.
+impl Field for ReferenceId {
+    const MIN: usize = 32;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.0);
+    }
+    fn get(r: &mut Cursor<'_>) -> Result<Self, ControlError> {
+        Ok(ReferenceId(r.array()?))
+    }
+}
+
+impl Field for BusyScope {
+    const MIN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(self.wire_byte());
+    }
+    fn get(r: &mut Cursor<'_>) -> Result<Self, ControlError> {
+        BusyScope::from_wire_byte(r.byte()?)
+    }
+}
+
+/// A `bool`, then the value if it is set.
+impl<T: Field> Field for Option<T> {
+    const MIN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(v) = self {
+            v.put(out);
+        }
+    }
+    fn get(r: &mut Cursor<'_>) -> Result<Self, ControlError> {
+        Ok(if bool::get(r)? {
+            Some(T::get(r)?)
+        } else {
+            None
+        })
+    }
+}
+
+/// A varint count, then the elements.
+impl<T: Field> Field for Vec<T> {
+    const MIN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.len() as u64);
+        put_each(self, out);
+    }
+    fn get(r: &mut Cursor<'_>) -> Result<Self, ControlError> {
+        let n = r.count(T::MIN)?;
+        get_exactly(r, n)
+    }
+}
+
+/// A varint count, then the entries in key order.
+impl<K: Field + Ord, V: Field> Field for BTreeMap<K, V> {
+    const MIN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.len() as u64);
+        for (k, v) in self {
+            k.put(out);
+            v.put(out);
+        }
+    }
+    fn get(r: &mut Cursor<'_>) -> Result<Self, ControlError> {
+        let n = r.count(K::MIN + V::MIN)?;
+        let mut map = BTreeMap::new();
+        for _ in 0..n {
+            let k = K::get(r)?;
+            map.insert(k, V::get(r)?);
+        }
+        Ok(map)
+    }
+}
+
+/// Exactly `N` elements, no count.
+impl<T: Field + Copy + Default, const N: usize> Field for [T; N] {
+    const MIN: usize = N * T::MIN;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_each(self, out);
+    }
+    fn get(r: &mut Cursor<'_>) -> Result<Self, ControlError> {
+        let mut items = [T::default(); N];
+        for item in &mut items {
+            *item = T::get(r)?;
+        }
+        Ok(items)
+    }
+}
+
+fn put_each<T: Field>(items: &[T], out: &mut Vec<u8>) {
+    for item in items {
+        item.put(out);
+    }
+}
+
+/// `n` elements, no count; `n` is already bounded by the caller.
+fn get_exactly<T: Field>(r: &mut Cursor<'_>, n: usize) -> Result<Vec<T>, ControlError> {
+    let mut items = Vec::with_capacity(n);
+    for _ in 0..n {
+        items.push(T::get(r)?);
+    }
+    Ok(items)
+}
+
+/// A counted sequence whose count an earlier field bounds too: checked
+/// against both `max` and the body before any element is read.
+fn get_at_most<T: Field>(r: &mut Cursor<'_>, max: u64) -> Result<Vec<T>, ControlError> {
+    let n = r.count(T::MIN)?;
+    if n as u64 > max {
+        return Err(ControlError::Body(CodecError::LengthOverflow));
+    }
+    get_exactly(r, n)
+}
+
+/// A frame field written in two parts: a head where the frame table
+/// lists it, and a tail after every other field of the body.
+trait Split: Sized {
+    type Head;
+    fn put_head(&self, out: &mut Vec<u8>);
+    fn put_tail(&self, out: &mut Vec<u8>);
+    fn get_head(r: &mut Cursor<'_>) -> Result<Self::Head, ControlError>;
+    fn get_tail(head: Self::Head, r: &mut Cursor<'_>) -> Result<Self, ControlError>;
+}
+
+/// An ack's status: its byte where listed; the check that the byte names
+/// a status, and a `Rejected` message, at the end of the body.
+impl Split for AckStatus {
+    type Head = u8;
+    fn put_head(&self, out: &mut Vec<u8>) {
+        out.push(self.wire_byte());
+    }
+    fn put_tail(&self, out: &mut Vec<u8>) {
+        if let AckStatus::Rejected(message) = self {
+            message.put(out);
+        }
+    }
+    fn get_head(r: &mut Cursor<'_>) -> Result<u8, ControlError> {
+        Ok(r.byte()?)
+    }
+    fn get_tail(byte: u8, r: &mut Cursor<'_>) -> Result<Self, ControlError> {
+        Ok(match byte {
+            0x00 => AckStatus::Loaded,
+            0x01 => AckStatus::AlreadyResident,
+            0x02 => AckStatus::Rejected(String::get(r)?),
+            0x03 => AckStatus::Unknown,
+            other => return Err(ControlError::BadAckStatus(other)),
+        })
+    }
+}
+
+/// SubmitBatch's v2 reference: nothing where listed; at the end of the
+/// body either nothing (a version-1 frame, the default reference) or
+/// exactly 32 id bytes (fewer is truncation, more is trailing bytes).
+impl Split for Option<ReferenceId> {
+    type Head = ();
+    fn put_head(&self, _: &mut Vec<u8>) {}
+    fn put_tail(&self, out: &mut Vec<u8>) {
+        if let Some(id) = self {
+            id.put(out);
+        }
+    }
+    fn get_head(_: &mut Cursor<'_>) -> Result<(), ControlError> {
+        Ok(())
+    }
+    fn get_tail((): (), r: &mut Cursor<'_>) -> Result<Self, ControlError> {
+        if r.remaining() == 0 {
+            Ok(None)
+        } else {
+            ReferenceId::get(r).map(Some)
+        }
+    }
+}
+
+// A field's wire rule. Plain fields are a `Field`; `[split]` is a
+// `Split`; `[..= n]` bounds a sequence's count by an earlier field `n`
+// as well as by the body; `[= len]` sends no count, exactly `len`
+// elements.
+macro_rules! put_head {
+    ($v:ident, $out:ident) => {
+        Field::put($v, $out)
     };
-    Ok(AuditVerdict {
-        session_id,
-        score,
-        flagged,
-        tx_packets,
-        replayed_cycles,
-        detector_scores,
-        error,
-    })
+    ($v:ident, $out:ident, split) => {
+        Split::put_head($v, $out)
+    };
+    ($v:ident, $out:ident, ..= $max:ident) => {
+        Field::put($v, $out)
+    };
+    ($v:ident, $out:ident, = $len:expr) => {
+        put_each($v, $out)
+    };
+}
+macro_rules! put_tail {
+    ($v:ident, $out:ident, split) => {
+        Split::put_tail($v, $out)
+    };
+    ($v:ident, $out:ident $($rule:tt)*) => {};
+}
+macro_rules! get_head {
+    ($r:ident, $t:ty) => {
+        <$t as Field>::get($r)?
+    };
+    ($r:ident, $t:ty, split) => {
+        <$t as Split>::get_head($r)?
+    };
+    ($r:ident, $t:ty, ..= $max:ident) => {
+        get_at_most($r, $max)?
+    };
+    ($r:ident, $t:ty, = $len:expr) => {
+        get_exactly($r, $len)?
+    };
+}
+macro_rules! get_tail {
+    ($r:ident, $t:ty, $v:ident, split) => {
+        let $v = <$t as Split>::get_tail($v, $r)?;
+    };
+    ($r:ident, $t:ty, $v:ident $($rule:tt)*) => {};
 }
 
-fn put_summary(out: &mut Vec<u8>, s: &FleetSummary) {
-    wire::put_varint(out, s.sessions);
-    wire::put_varint(out, s.flagged.len() as u64);
-    for &id in &s.flagged {
-        wire::put_varint(out, id);
-    }
-    wire::put_varint(out, s.errors);
-    for &count in &s.histogram.counts {
-        wire::put_varint(out, count);
-    }
-    wire::put_f64(out, s.max_score);
-    wire::put_f64(out, s.mean_score);
-    wire::put_varint(out, s.replayed_cycles);
-    wire::put_varint(out, s.detector_stats.len() as u64);
-    for (name, stats) in &s.detector_stats {
-        put_string(out, name);
-        wire::put_f64(out, stats.mean);
-        wire::put_f64(out, stats.max);
-    }
-}
-
-fn read_summary(buf: &[u8], pos: &mut usize) -> Result<FleetSummary, ControlError> {
-    let sessions = wire::read_varint(buf, pos)?;
-    let n_flagged = wire::read_varint(buf, pos)? as usize;
-    // Bounded by what the body can possibly hold (each id is ≥ 1 byte),
-    // not by the equally attacker-controlled `sessions` count — a crafted
-    // frame must not drive the allocation below.
-    if n_flagged as u64 > sessions || n_flagged > buf.len().saturating_sub(*pos) {
-        return Err(ControlError::Body(CodecError::LengthOverflow));
-    }
-    let mut flagged = Vec::with_capacity(n_flagged);
-    for _ in 0..n_flagged {
-        flagged.push(wire::read_varint(buf, pos)?);
-    }
-    let errors = wire::read_varint(buf, pos)?;
-    let mut histogram = ScoreHistogram::default();
-    for slot in 0..EDGES.len() {
-        histogram.counts[slot] = wire::read_varint(buf, pos)?;
-    }
-    let max_score = wire::read_f64(buf, pos)?;
-    let mean_score = wire::read_f64(buf, pos)?;
-    let replayed_cycles = wire::read_varint(buf, pos)?;
-    let n_stats = wire::read_varint(buf, pos)? as usize;
-    let mut detector_stats = BTreeMap::new();
-    for _ in 0..n_stats {
-        let name = read_string(buf, pos)?;
-        let mean = wire::read_f64(buf, pos)?;
-        let max = wire::read_f64(buf, pos)?;
-        detector_stats.insert(name, DetectorStats { mean, max });
-    }
-    Ok(FleetSummary {
-        sessions,
-        flagged,
-        errors,
-        histogram,
-        max_score,
-        mean_score,
-        replayed_cycles,
-        detector_stats,
-    })
-}
-
-/// Body-length bound for an attacker-declared element count: each element
-/// occupies at least `min_bytes` on the wire, so a count the remaining
-/// body cannot possibly hold is a length overflow, rejected before any
-/// allocation (same discipline as `read_summary`'s flagged bound).
-fn bounded_count(
-    buf: &[u8],
-    pos: usize,
-    declared: u64,
-    min_bytes: usize,
-) -> Result<usize, ControlError> {
-    // A zero minimum would make the bound vacuous: `remaining / 1` after
-    // the release-only `.max(1)` below admits up to one element per
-    // remaining byte, silently weakening the guard by a factor of the
-    // caller's true element size. Every call site must pass the real
-    // per-element wire minimum (≥ 1 byte); a zero is a caller bug, caught
-    // loudly in debug builds while release builds keep the (weakened but
-    // still finite) divide-by-one bound instead of panicking mid-decode.
-    debug_assert!(
-        min_bytes > 0,
-        "bounded_count requires the true per-element minimum (≥ 1 byte), got 0"
-    );
-    let remaining = buf.len().saturating_sub(pos);
-    if declared > (remaining / min_bytes.max(1)) as u64 {
-        return Err(ControlError::Body(CodecError::LengthOverflow));
-    }
-    Ok(declared as usize)
-}
-
-fn put_snapshot(out: &mut Vec<u8>, s: &MetricsSnapshot) {
-    wire::put_varint(out, s.counters.len() as u64);
-    for (name, &v) in &s.counters {
-        put_string(out, name);
-        wire::put_varint(out, v);
-    }
-    wire::put_varint(out, s.gauges.len() as u64);
-    for (name, &v) in &s.gauges {
-        put_string(out, name);
-        wire::put_varint(out, v);
-    }
-    wire::put_varint(out, s.float_gauges.len() as u64);
-    for (name, &v) in &s.float_gauges {
-        put_string(out, name);
-        wire::put_f64(out, v);
-    }
-    wire::put_varint(out, s.histograms.len() as u64);
-    for (name, h) in &s.histograms {
-        put_string(out, name);
-        wire::put_varint(out, h.edges.len() as u64);
-        for &edge in &h.edges {
-            wire::put_f64(out, edge);
+/// One `Field` impl per struct, from its fields in wire order.
+macro_rules! struct_fields {
+    ($($name:ident { $($f:ident: $t:ty $([$($rule:tt)+])?),+ })+) => {$(
+        impl Field for $name {
+            const MIN: usize = 0 $(+ <$t as Field>::MIN)+;
+            fn put(&self, out: &mut Vec<u8>) {
+                let $name { $($f),+ } = self;
+                $(put_head!($f, out $(, $($rule)+)?);)+
+            }
+            fn get(r: &mut Cursor<'_>) -> Result<Self, ControlError> {
+                $(let $f = get_head!(r, $t $(, $($rule)+)?);)+
+                Ok($name { $($f),+ })
+            }
         }
-        for &count in &h.counts {
-            wire::put_varint(out, count);
-        }
-        wire::put_varint(out, h.total);
-        wire::put_f64(out, h.sum);
+    )+};
+}
+
+struct_fields! {
+    AuditVerdict {
+        session_id: u64, score: f64, flagged: bool, tx_packets: usize, replayed_cycles: u64,
+        detector_scores: BTreeMap<String, f64>, error: Option<String>
+    }
+    DetectorStats { mean: f64, max: f64 }
+    ScoreHistogram { counts: [u64; EDGES.len()] }
+    FleetSummary {
+        sessions: u64, flagged: Vec<u64> [..= sessions], errors: u64, histogram: ScoreHistogram,
+        max_score: f64, mean_score: f64, replayed_cycles: u64,
+        detector_stats: BTreeMap<String, DetectorStats>
+    }
+    HistogramSnapshot { edges: Vec<f64>, counts: Vec<u64> [= edges.len() + 1], total: u64, sum: f64 }
+    MetricsSnapshot {
+        counters: BTreeMap<String, u64>, gauges: BTreeMap<String, u64>,
+        float_gauges: BTreeMap<String, f64>, histograms: BTreeMap<String, HistogramSnapshot>
     }
 }
 
-fn read_snapshot(buf: &[u8], pos: &mut usize) -> Result<MetricsSnapshot, ControlError> {
-    // A name is ≥ 1 byte (its length varint) and every value ≥ 1 byte, so
-    // each entry of every family is ≥ 2 wire bytes.
-    let n = wire::read_varint(buf, pos)?;
-    let n_counters = bounded_count(buf, *pos, n, 2)?;
-    let mut counters = BTreeMap::new();
-    for _ in 0..n_counters {
-        let name = read_string(buf, pos)?;
-        counters.insert(name, wire::read_varint(buf, pos)?);
-    }
-    let n = wire::read_varint(buf, pos)?;
-    let n_gauges = bounded_count(buf, *pos, n, 2)?;
-    let mut gauges = BTreeMap::new();
-    for _ in 0..n_gauges {
-        let name = read_string(buf, pos)?;
-        gauges.insert(name, wire::read_varint(buf, pos)?);
-    }
-    let n = wire::read_varint(buf, pos)?;
-    let n_float = bounded_count(buf, *pos, n, 9)?; // name ≥ 1 + f64 = 8
-    let mut float_gauges = BTreeMap::new();
-    for _ in 0..n_float {
-        let name = read_string(buf, pos)?;
-        float_gauges.insert(name, wire::read_f64(buf, pos)?);
-    }
-    let n = wire::read_varint(buf, pos)?;
-    let n_hist = bounded_count(buf, *pos, n, 2)?;
-    let mut histograms = BTreeMap::new();
-    for _ in 0..n_hist {
-        let name = read_string(buf, pos)?;
-        let n = wire::read_varint(buf, pos)?;
-        let n_edges = bounded_count(buf, *pos, n, 8)?; // each edge is an f64
-        let mut edges = Vec::with_capacity(n_edges);
-        for _ in 0..n_edges {
-            edges.push(wire::read_f64(buf, pos)?);
+/// The frame table: kind byte, variant, and body fields in wire order
+/// (`docs/FORMATS.md` §5). Kind byte, kind name, encoder and decoder all
+/// come from it.
+macro_rules! control_frames {
+    ($($kind:literal $name:ident { $($f:ident: $t:ty $([$($rule:tt)+])?),* })+) => {
+        impl ControlFrame {
+            fn kind_byte(&self) -> u8 {
+                match self {
+                    $(ControlFrame::$name { .. } => $kind,)+
+                }
+            }
+
+            /// The variant's display name (for protocol-violation errors).
+            pub fn kind_name(&self) -> &'static str {
+                match self {
+                    $(ControlFrame::$name { .. } => stringify!($name),)+
+                }
+            }
+
+            fn put_body(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(ControlFrame::$name { $($f),* } => {
+                        $(put_head!($f, out $(, $($rule)+)?);)*
+                        $(put_tail!($f, out $(, $($rule)+)?);)*
+                    })+
+                }
+            }
+
+            fn get_body(kind: u8, r: &mut Cursor<'_>) -> Result<Self, ControlError> {
+                Ok(match kind {
+                    $($kind => {
+                        $(let $f = get_head!(r, $t $(, $($rule)+)?);)*
+                        $(get_tail!(r, $t, $f $(, $($rule)+)?);)*
+                        ControlFrame::$name { $($f),* }
+                    })+
+                    other => return Err(ControlError::UnknownKind(other)),
+                })
+            }
         }
-        let mut counts = Vec::with_capacity(n_edges + 1);
-        for _ in 0..=n_edges {
-            counts.push(wire::read_varint(buf, pos)?);
-        }
-        let total = wire::read_varint(buf, pos)?;
-        let sum = wire::read_f64(buf, pos)?;
-        histograms.insert(
-            name,
-            HistogramSnapshot {
-                edges,
-                counts,
-                total,
-                sum,
-            },
-        );
-    }
-    Ok(MetricsSnapshot {
-        counters,
-        gauges,
-        float_gauges,
-        histograms,
-    })
+    };
+}
+
+control_frames! {
+    0x01 SubmitBatch { batch_id: u64, tdrb: Vec<u8>, reference: Option<ReferenceId> [split] }
+    0x02 Verdict { batch_id: u64, index: u64, verdict: AuditVerdict }
+    0x03 Summary { batch_id: u64, workers: u64, peak_resident: u64, summary: FleetSummary }
+    0x04 Error { batch_id: u64, message: String }
+    0x05 Shutdown {}
+    0x06 ShutdownAck {}
+    0x07 StatsRequest {}
+    0x08 Stats { snapshot: MetricsSnapshot }
+    0x09 Busy { batch_id: u64, scope: BusyScope, active: u64, limit: u64 }
+    0x0a PutReference { put_id: u64, tdrp: Vec<u8> }
+    0x0b ReferenceAck { put_id: u64, reference: ReferenceId, status: AckStatus [split], resident_bytes: u64 }
+    0x0c PutBattery { put_id: u64, json: String }
+    0x0d BatteryAck { put_id: u64, generation: u64, status: AckStatus [split] }
 }
 
 // ---------------------------------------------------------------------------
@@ -1443,35 +1315,25 @@ impl<T: Read + Write> Client<T> {
         put_id: u64,
         tdrp: Vec<u8>,
     ) -> Result<PutOutcome, ControlError> {
-        ControlFrame::PutReference { put_id, tdrp }.write_to(&mut self.transport)?;
-        self.transport.flush().map_err(ControlError::from_io)?;
-        match ControlFrame::read_from(&mut self.transport)? {
-            Some(ControlFrame::ReferenceAck {
-                put_id: got,
-                reference,
-                status,
-                resident_bytes,
-            }) => {
-                if got != put_id {
-                    return Err(ControlError::UnexpectedFrame(
-                        "ReferenceAck (foreign put id)",
-                    ));
-                }
-                Ok(PutOutcome {
+        self.request(
+            ControlFrame::PutReference { put_id, tdrp },
+            |reply| match reply {
+                ControlFrame::ReferenceAck {
+                    put_id: got,
                     reference,
                     status,
                     resident_bytes,
-                })
-            }
-            Some(ControlFrame::Busy {
-                scope: BusyScope::Connections,
-                active,
-                limit,
-                ..
-            }) => Err(ControlError::Busy { active, limit }),
-            Some(other) => Err(ControlError::UnexpectedFrame(other.kind_name())),
-            None => Err(ControlError::Disconnected),
-        }
+                } if got == put_id => Ok(PutOutcome {
+                    reference,
+                    status,
+                    resident_bytes,
+                }),
+                ControlFrame::ReferenceAck { .. } => Err(ControlError::UnexpectedFrame(
+                    "ReferenceAck (foreign put id)",
+                )),
+                other => Err(unexpected(other)),
+            },
+        )
     }
 
     /// Install a trained detector battery: one `PutBattery` frame
@@ -1488,28 +1350,20 @@ impl<T: Read + Write> Client<T> {
         put_id: u64,
         json: String,
     ) -> Result<BatteryOutcome, ControlError> {
-        ControlFrame::PutBattery { put_id, json }.write_to(&mut self.transport)?;
-        self.transport.flush().map_err(ControlError::from_io)?;
-        match ControlFrame::read_from(&mut self.transport)? {
-            Some(ControlFrame::BatteryAck {
-                put_id: got,
-                generation,
-                status,
-            }) => {
-                if got != put_id {
-                    return Err(ControlError::UnexpectedFrame("BatteryAck (foreign put id)"));
+        self.request(
+            ControlFrame::PutBattery { put_id, json },
+            |reply| match reply {
+                ControlFrame::BatteryAck {
+                    put_id: got,
+                    generation,
+                    status,
+                } if got == put_id => Ok(BatteryOutcome { generation, status }),
+                ControlFrame::BatteryAck { .. } => {
+                    Err(ControlError::UnexpectedFrame("BatteryAck (foreign put id)"))
                 }
-                Ok(BatteryOutcome { generation, status })
-            }
-            Some(ControlFrame::Busy {
-                scope: BusyScope::Connections,
-                active,
-                limit,
-                ..
-            }) => Err(ControlError::Busy { active, limit }),
-            Some(other) => Err(ControlError::UnexpectedFrame(other.kind_name())),
-            None => Err(ControlError::Disconnected),
-        }
+                other => Err(unexpected(other)),
+            },
+        )
     }
 
     /// Fetch the daemon's current metrics: one `StatsRequest` frame out,
@@ -1517,38 +1371,33 @@ impl<T: Read + Write> Client<T> {
     /// on the same connection; the snapshot covers the whole *service*
     /// (every connection's traffic), not just this client's.
     pub fn stats(&mut self) -> Result<MetricsSnapshot, ControlError> {
-        ControlFrame::StatsRequest.write_to(&mut self.transport)?;
-        self.transport.flush().map_err(ControlError::from_io)?;
-        match ControlFrame::read_from(&mut self.transport)? {
-            Some(ControlFrame::Stats { snapshot }) => Ok(snapshot),
-            Some(ControlFrame::Busy {
-                scope: BusyScope::Connections,
-                active,
-                limit,
-                ..
-            }) => Err(ControlError::Busy { active, limit }),
-            Some(other) => Err(ControlError::UnexpectedFrame(other.kind_name())),
-            None => Err(ControlError::Disconnected),
-        }
+        self.request(ControlFrame::StatsRequest, |reply| match reply {
+            ControlFrame::Stats { snapshot } => Ok(snapshot),
+            other => Err(unexpected(other)),
+        })
     }
 
     /// Perform the `Shutdown`/`ShutdownAck` handshake and consume the
     /// client (over TCP this ends the *connection*; the daemon keeps
     /// serving other connections — `docs/FORMATS.md` §5.4).
     pub fn shutdown(mut self) -> Result<T, ControlError> {
-        ControlFrame::Shutdown.write_to(&mut self.transport)?;
+        self.request(ControlFrame::Shutdown, |reply| match reply {
+            ControlFrame::ShutdownAck => Ok(()),
+            other => Err(unexpected(other)),
+        })?;
+        Ok(self.transport)
+    }
+
+    /// One request, one reply: write and flush `request`, read one frame,
+    /// and hand it to `accept`. EOF before any reply is `Disconnected`.
+    fn request<R>(
+        &mut self,
+        request: ControlFrame,
+        accept: impl FnOnce(ControlFrame) -> Result<R, ControlError>,
+    ) -> Result<R, ControlError> {
+        request.write_to(&mut self.transport)?;
         self.transport.flush().map_err(ControlError::from_io)?;
-        match ControlFrame::read_from(&mut self.transport)? {
-            Some(ControlFrame::ShutdownAck) => Ok(self.transport),
-            Some(ControlFrame::Busy {
-                scope: BusyScope::Connections,
-                active,
-                limit,
-                ..
-            }) => Err(ControlError::Busy { active, limit }),
-            Some(other) => Err(ControlError::UnexpectedFrame(other.kind_name())),
-            None => Err(ControlError::Disconnected),
-        }
+        accept(ControlFrame::read_from(&mut self.transport)?.ok_or(ControlError::Disconnected)?)
     }
 
     /// A shared view of the transport.
@@ -1559,6 +1408,21 @@ impl<T: Read + Write> Client<T> {
     /// Unwrap the transport without the shutdown handshake.
     pub fn into_inner(self) -> T {
         self.transport
+    }
+}
+
+/// The error for a reply a request did not expect: a connection-scoped
+/// `Busy` means the daemon shed this connection; anything else is a
+/// protocol violation.
+fn unexpected(reply: ControlFrame) -> ControlError {
+    match reply {
+        ControlFrame::Busy {
+            scope: BusyScope::Connections,
+            active,
+            limit,
+            ..
+        } => ControlError::Busy { active, limit },
+        other => ControlError::UnexpectedFrame(other.kind_name()),
     }
 }
 
@@ -1759,6 +1623,19 @@ mod tests {
         ReferenceId(id)
     }
 
+    /// A CRC-valid payload (everything after the length prefix) of
+    /// `kind` around a hand-built `body`.
+    fn sealed(kind: u8, body: &[u8]) -> Vec<u8> {
+        let mut payload = CONTROL_MAGIC.to_vec();
+        payload.extend_from_slice(&CONTROL_VERSION.to_le_bytes());
+        payload.extend_from_slice(&0u16.to_le_bytes());
+        payload.push(kind);
+        payload.extend_from_slice(body);
+        let crc = crc32(&payload[4..]);
+        payload.extend_from_slice(&crc.to_le_bytes());
+        payload
+    }
+
     #[test]
     fn every_frame_roundtrips_bit_identically() {
         for frame in every_frame() {
@@ -1824,7 +1701,11 @@ mod tests {
         assert_eq!(expected.len(), actual.len(), "one golden line per encoding");
         for (k, ((label, hex), (name, bytes))) in expected.iter().zip(&actual).enumerate() {
             let got: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
-            assert_eq!((*label, *hex), (name.as_str(), got.as_str()), "encoding {k}");
+            assert_eq!(
+                (*label, *hex),
+                (name.as_str(), got.as_str()),
+                "encoding {k}"
+            );
         }
     }
 
@@ -1843,40 +1724,42 @@ mod tests {
         assert_eq!(decoded, frames);
     }
 
+    /// A frame cut anywhere after its first byte is `Truncated`, for
+    /// every kind.
     #[test]
     fn truncation_rejected_at_every_cut() {
-        let bytes = ControlFrame::Summary {
-            batch_id: 1,
-            workers: 2,
-            peak_resident: 4,
-            summary: sample_summary(),
-        }
-        .encode();
-        for cut in [1, 3, 5, 9, bytes.len() / 2, bytes.len() - 1] {
-            let got = ControlFrame::read_from(&mut &bytes[..cut]);
-            assert_eq!(got, Err(ControlError::Truncated), "cut at {cut}");
+        for frame in every_frame() {
+            let bytes = frame.encode();
+            for cut in 1..bytes.len() {
+                let got = ControlFrame::read_from(&mut &bytes[..cut]);
+                assert_eq!(
+                    got,
+                    Err(ControlError::Truncated),
+                    "{} cut at {cut}",
+                    frame.kind_name()
+                );
+            }
         }
     }
-
+    /// Every single-bit flip after the length prefix — magic, header,
+    /// body or trailer — surfaces as a typed error, for every kind; none
+    /// decodes silently.
     #[test]
     fn corruption_rejected_by_crc() {
-        let clean = ControlFrame::Verdict {
-            batch_id: 3,
-            index: 1,
-            verdict: sample_verdict(),
-        }
-        .encode();
-        // Flip every byte after the length prefix and magic in turn; each
-        // flip must surface as *some* typed error, and a flip in the body
-        // or trailer must never decode silently.
-        for at in 8..clean.len() {
-            let mut corrupt = clean.clone();
-            corrupt[at] ^= 0x40;
-            let got = ControlFrame::read_from(&mut &corrupt[..]);
-            assert!(got.is_err(), "flip at {at} decoded: {got:?}");
+        for frame in every_frame() {
+            let clean = frame.encode();
+            for bit in 32..clean.len() * 8 {
+                let mut corrupt = clean.clone();
+                corrupt[bit / 8] ^= 1 << (bit % 8);
+                let got = ControlFrame::read_from(&mut &corrupt[..]);
+                assert!(
+                    got.is_err(),
+                    "{} bit {bit} flipped decoded: {got:?}",
+                    frame.kind_name()
+                );
+            }
         }
     }
-
     #[test]
     fn unknown_version_and_flags_rejected() {
         let clean = ControlFrame::Shutdown.encode();
@@ -1890,7 +1773,7 @@ mod tests {
             let mut patched = clean.clone();
             patched[at] = 9;
             let n = patched.len();
-            let crc = wire::crc32(&patched[8..n - 4]);
+            let crc = crc32(&patched[8..n - 4]);
             patched[n - 4..].copy_from_slice(&crc.to_le_bytes());
             let got = ControlFrame::read_from(&mut &patched[..]);
             assert_eq!(got, Err(expect), "patch at {at}");
@@ -1902,7 +1785,7 @@ mod tests {
         let mut bytes = ControlFrame::Shutdown.encode();
         bytes[12] = 0x7f; // kind byte (4-byte prefix + magic + ver + flags)
         let n = bytes.len();
-        let crc = wire::crc32(&bytes[8..n - 4]);
+        let crc = crc32(&bytes[8..n - 4]);
         bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
         assert_eq!(
             ControlFrame::read_from(&mut &bytes[..]),
@@ -1920,23 +1803,28 @@ mod tests {
         );
     }
 
+    /// One byte smuggled after every kind's body, re-sealed so the CRC
+    /// passes, is `TrailingBytes(1)` — except in a v1 SubmitBatch, which
+    /// reads it as the start of a reference id: `Truncated`.
     #[test]
     fn trailing_bytes_inside_payload_rejected() {
-        // A Shutdown body must be empty; splice a byte in and re-seal.
-        let mut bytes = ControlFrame::Shutdown.encode();
-        let n = bytes.len();
-        bytes.insert(n - 4, 0xaa); // before the trailer
-        let len = (bytes.len() - 4) as u32;
-        bytes[..4].copy_from_slice(&len.to_le_bytes());
-        let m = bytes.len();
-        let crc = wire::crc32(&bytes[8..m - 4]);
-        bytes[m - 4..].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(
-            ControlFrame::read_from(&mut &bytes[..]),
-            Err(ControlError::TrailingBytes(1))
-        );
+        for frame in every_frame() {
+            let mut bytes = frame.encode();
+            bytes.insert(bytes.len() - 4, 0xaa);
+            let n = bytes.len();
+            bytes[..4].copy_from_slice(&((n - 4) as u32).to_le_bytes());
+            let crc = crc32(&bytes[8..n - 4]);
+            bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
+            let want = match frame {
+                ControlFrame::SubmitBatch {
+                    reference: None, ..
+                } => ControlError::Truncated,
+                _ => ControlError::TrailingBytes(1),
+            };
+            let got = ControlFrame::read_from(&mut &bytes[..]);
+            assert_eq!(got, Err(want), "{}", frame.kind_name());
+        }
     }
-
     #[test]
     fn oversized_frame_rejected_without_allocation() {
         let mut bytes = Vec::new();
@@ -1974,62 +1862,17 @@ mod tests {
         // case matters on its own: `sessions` is attacker-controlled too,
         // so the body length is the only trustworthy bound.
         for sessions in [2u64, u64::MAX >> 2] {
-            let mut payload = Vec::new();
-            payload.extend_from_slice(&CONTROL_MAGIC);
-            payload.extend_from_slice(&CONTROL_VERSION.to_le_bytes());
-            payload.extend_from_slice(&0u16.to_le_bytes());
-            payload.push(kind::SUMMARY);
-            wire::put_varint(&mut payload, 1); // batch_id
-            wire::put_varint(&mut payload, 1); // workers
-            wire::put_varint(&mut payload, 1); // peak
-            wire::put_varint(&mut payload, sessions);
-            wire::put_varint(&mut payload, u64::MAX >> 2); // preposterous flagged count
-            let crc = wire::crc32(&payload[4..]);
-            payload.extend_from_slice(&crc.to_le_bytes());
+            let mut body = Vec::new();
+            put_varint(&mut body, 1); // batch_id
+            put_varint(&mut body, 1); // workers
+            put_varint(&mut body, 1); // peak
+            put_varint(&mut body, sessions);
+            put_varint(&mut body, u64::MAX >> 2); // preposterous flagged count
             assert_eq!(
-                ControlFrame::decode_payload(&payload),
+                ControlFrame::decode_payload(&sealed(0x03, &body)),
                 Err(ControlError::Body(CodecError::LengthOverflow)),
                 "sessions = {sessions}"
             );
-        }
-    }
-
-    #[test]
-    fn bounded_count_accepts_exactly_full_body() {
-        // The boundary case: a declared count of exactly
-        // `remaining / min_bytes` is the largest claim the body could
-        // possibly satisfy and must be admitted; one more must not.
-        let buf = [0u8; 24];
-        for (pos, min_bytes) in [(0usize, 2usize), (0, 8), (4, 2), (4, 9), (23, 2)] {
-            let remaining = buf.len() - pos;
-            let fit = (remaining / min_bytes) as u64;
-            assert_eq!(
-                bounded_count(&buf, pos, fit, min_bytes),
-                Ok(fit as usize),
-                "pos {pos}, min {min_bytes}"
-            );
-            assert_eq!(
-                bounded_count(&buf, pos, fit + 1, min_bytes),
-                Err(ControlError::Body(CodecError::LengthOverflow)),
-                "pos {pos}, min {min_bytes}"
-            );
-        }
-    }
-
-    #[test]
-    fn bounded_count_rejects_any_claim_against_a_short_body() {
-        // With fewer than `min_bytes` remaining, no nonzero count fits —
-        // including when `pos` already sits at or past the end (the
-        // saturating subtraction leaves zero remaining, not a wrap).
-        let buf = [0u8; 8];
-        for pos in [1usize, 7, 8, 9] {
-            assert_eq!(
-                bounded_count(&buf, pos, 1, 8),
-                Err(ControlError::Body(CodecError::LengthOverflow)),
-                "pos {pos}"
-            );
-            // A zero count is always satisfiable, even by an empty body.
-            assert_eq!(bounded_count(&buf, pos, 0, 8), Ok(0), "pos {pos}");
         }
     }
 
@@ -2123,7 +1966,7 @@ mod tests {
             0x00, // float-gauge count = 0
             0x00, // histogram count = 0
         ]);
-        let crc = wire::crc32(&expected_stats[8..]);
+        let crc = crc32(&expected_stats[8..]);
         expected_stats.extend_from_slice(&crc.to_le_bytes());
         assert_eq!(stats.encode(), expected_stats);
         assert_eq!(
@@ -2155,7 +1998,7 @@ mod tests {
             0x04, // active = 4
             0x04, // limit = 4
         ];
-        let crc = wire::crc32(&expected[8..]);
+        let crc = crc32(&expected[8..]);
         expected.extend_from_slice(&crc.to_le_bytes());
         assert_eq!(frame.encode(), expected);
         assert_eq!(
@@ -2165,64 +2008,17 @@ mod tests {
     }
 
     #[test]
-    fn busy_corruption_and_truncation_rejected() {
-        let clean = ControlFrame::Busy {
-            batch_id: 77,
-            scope: BusyScope::InFlightSessions,
-            active: 9,
-            limit: 8,
-        }
-        .encode();
-        for at in 8..clean.len() {
-            let mut corrupt = clean.clone();
-            corrupt[at] ^= 0x40;
-            let got = ControlFrame::read_from(&mut &corrupt[..]);
-            assert!(got.is_err(), "flip at {at} decoded: {got:?}");
-        }
-        for cut in 1..clean.len() {
-            let got = ControlFrame::read_from(&mut &clean[..cut]);
-            assert_eq!(got, Err(ControlError::Truncated), "cut at {cut}");
-        }
-    }
-
-    #[test]
     fn busy_unknown_scope_rejected_as_bad_scope() {
         // A CRC-valid Busy frame with a scope byte from the future must
         // fail on the *scope*, not on the checksum or as trailing bytes.
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&CONTROL_MAGIC);
-        payload.extend_from_slice(&CONTROL_VERSION.to_le_bytes());
-        payload.extend_from_slice(&0u16.to_le_bytes());
-        payload.push(kind::BUSY);
-        wire::put_varint(&mut payload, 5); // batch_id
-        payload.push(0x7f); // unknown scope
-        wire::put_varint(&mut payload, 1); // active
-        wire::put_varint(&mut payload, 1); // limit
-        let crc = wire::crc32(&payload[4..]);
-        payload.extend_from_slice(&crc.to_le_bytes());
+        let mut body = Vec::new();
+        put_varint(&mut body, 5); // batch_id
+        body.push(0x7f); // unknown scope
+        put_varint(&mut body, 1); // active
+        put_varint(&mut body, 1); // limit
         assert_eq!(
-            ControlFrame::decode_payload(&payload),
+            ControlFrame::decode_payload(&sealed(0x09, &body)),
             Err(ControlError::BadScope(0x7f))
-        );
-    }
-
-    #[test]
-    fn busy_trailing_bytes_rejected() {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&CONTROL_MAGIC);
-        payload.extend_from_slice(&CONTROL_VERSION.to_le_bytes());
-        payload.extend_from_slice(&0u16.to_le_bytes());
-        payload.push(kind::BUSY);
-        wire::put_varint(&mut payload, 0);
-        payload.push(0x00); // Connections
-        wire::put_varint(&mut payload, 2);
-        wire::put_varint(&mut payload, 2);
-        payload.push(0xaa); // smuggled byte
-        let crc = wire::crc32(&payload[4..]);
-        payload.extend_from_slice(&crc.to_le_bytes());
-        assert_eq!(
-            ControlFrame::decode_payload(&payload),
-            Err(ControlError::TrailingBytes(1))
         );
     }
 
@@ -2298,32 +2094,6 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn stats_truncation_rejected_at_every_cut() {
-        let bytes = ControlFrame::Stats {
-            snapshot: sample_snapshot(),
-        }
-        .encode();
-        for cut in [1, 3, 5, 9, 13, 14, bytes.len() / 2, bytes.len() - 1] {
-            let got = ControlFrame::read_from(&mut &bytes[..cut]);
-            assert_eq!(got, Err(ControlError::Truncated), "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn stats_corruption_rejected_by_crc() {
-        let clean = ControlFrame::Stats {
-            snapshot: sample_snapshot(),
-        }
-        .encode();
-        for at in 8..clean.len() {
-            let mut corrupt = clean.clone();
-            corrupt[at] ^= 0x40;
-            let got = ControlFrame::read_from(&mut &corrupt[..]);
-            assert!(got.is_err(), "flip at {at} decoded: {got:?}");
-        }
-    }
-
     /// Declared element counts in a `Stats` body are bounded by what the
     /// body could possibly hold — a crafted frame must never drive an
     /// allocation. One case per family, plus the per-histogram edges.
@@ -2334,96 +2104,45 @@ mod tests {
         type Prefix<'a> = &'a dyn Fn(&mut Vec<u8>);
         let cases: [(Prefix, &str); 4] = [
             (&|_body| {}, "counters"),
-            (&|body| wire::put_varint(body, 0), "gauges"),
+            (&|body| put_varint(body, 0), "gauges"),
             (
                 &|body| {
-                    wire::put_varint(body, 0);
-                    wire::put_varint(body, 0);
+                    put_varint(body, 0);
+                    put_varint(body, 0);
                 },
                 "float gauges",
             ),
             (
                 &|body| {
-                    wire::put_varint(body, 0);
-                    wire::put_varint(body, 0);
-                    wire::put_varint(body, 0);
+                    put_varint(body, 0);
+                    put_varint(body, 0);
+                    put_varint(body, 0);
                 },
                 "histograms",
             ),
         ];
         for (prefix, label) in cases {
-            let mut payload = Vec::new();
-            payload.extend_from_slice(&CONTROL_MAGIC);
-            payload.extend_from_slice(&CONTROL_VERSION.to_le_bytes());
-            payload.extend_from_slice(&0u16.to_le_bytes());
-            payload.push(kind::STATS);
-            prefix(&mut payload);
-            wire::put_varint(&mut payload, u64::MAX >> 2); // preposterous count
-            let crc = wire::crc32(&payload[4..]);
-            payload.extend_from_slice(&crc.to_le_bytes());
+            let mut body = Vec::new();
+            prefix(&mut body);
+            put_varint(&mut body, u64::MAX >> 2); // preposterous count
             assert_eq!(
-                ControlFrame::decode_payload(&payload),
+                ControlFrame::decode_payload(&sealed(0x08, &body)),
                 Err(ControlError::Body(CodecError::LengthOverflow)),
                 "family: {label}"
             );
         }
         // A histogram declaring more edges than the body holds.
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&CONTROL_MAGIC);
-        payload.extend_from_slice(&CONTROL_VERSION.to_le_bytes());
-        payload.extend_from_slice(&0u16.to_le_bytes());
-        payload.push(kind::STATS);
-        wire::put_varint(&mut payload, 0); // counters
-        wire::put_varint(&mut payload, 0); // gauges
-        wire::put_varint(&mut payload, 0); // float gauges
-        wire::put_varint(&mut payload, 1); // one histogram
-        put_string(&mut payload, "h");
-        wire::put_varint(&mut payload, 1 << 30); // preposterous edge count
-        let crc = wire::crc32(&payload[4..]);
-        payload.extend_from_slice(&crc.to_le_bytes());
+        let mut body = Vec::new();
+        put_varint(&mut body, 0); // counters
+        put_varint(&mut body, 0); // gauges
+        put_varint(&mut body, 0); // float gauges
+        put_varint(&mut body, 1); // one histogram
+        put_bytes(&mut body, b"h");
+        put_varint(&mut body, 1 << 30); // preposterous edge count
         assert_eq!(
-            ControlFrame::decode_payload(&payload),
+            ControlFrame::decode_payload(&sealed(0x08, &body)),
             Err(ControlError::Body(CodecError::LengthOverflow)),
             "histogram edges"
-        );
-    }
-
-    #[test]
-    fn stats_trailing_bytes_rejected() {
-        // An empty snapshot body is exactly four zero varints; a fifth
-        // byte must be trailing garbage, not silently ignored.
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&CONTROL_MAGIC);
-        payload.extend_from_slice(&CONTROL_VERSION.to_le_bytes());
-        payload.extend_from_slice(&0u16.to_le_bytes());
-        payload.push(kind::STATS);
-        for _ in 0..4 {
-            wire::put_varint(&mut payload, 0);
-        }
-        payload.push(0xaa);
-        let crc = wire::crc32(&payload[4..]);
-        payload.extend_from_slice(&crc.to_le_bytes());
-        assert_eq!(
-            ControlFrame::decode_payload(&payload),
-            Err(ControlError::TrailingBytes(1))
-        );
-    }
-
-    #[test]
-    fn stats_request_with_a_body_is_trailing_bytes() {
-        // StatsRequest's body is empty by definition; a peer smuggling
-        // payload into it is malformed even with a valid CRC.
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&CONTROL_MAGIC);
-        payload.extend_from_slice(&CONTROL_VERSION.to_le_bytes());
-        payload.extend_from_slice(&0u16.to_le_bytes());
-        payload.push(kind::STATS_REQUEST);
-        payload.extend_from_slice(&[1, 2, 3]);
-        let crc = wire::crc32(&payload[4..]);
-        payload.extend_from_slice(&crc.to_le_bytes());
-        assert_eq!(
-            ControlFrame::decode_payload(&payload),
-            Err(ControlError::TrailingBytes(3))
         );
     }
 
@@ -2612,7 +2331,7 @@ mod tests {
         for drop in [1usize, 31] {
             let mut patched = clean.clone();
             patched.truncate(clean.len() - 4 - drop); // strip CRC + id tail
-            let crc = wire::crc32(&patched[8..]);
+            let crc = crc32(&patched[8..]);
             patched.extend_from_slice(&crc.to_le_bytes());
             let len = (patched.len() - 4) as u32;
             patched[..4].copy_from_slice(&len.to_le_bytes());
@@ -2627,7 +2346,7 @@ mod tests {
         let len = (longer.len() - 4) as u32;
         longer[..4].copy_from_slice(&len.to_le_bytes());
         let n = longer.len();
-        let crc = wire::crc32(&longer[8..n - 4]);
+        let crc = crc32(&longer[8..n - 4]);
         longer[n - 4..].copy_from_slice(&crc.to_le_bytes());
         assert_eq!(
             ControlFrame::read_from(&mut &longer[..]),
@@ -2639,49 +2358,15 @@ mod tests {
     fn reference_ack_unknown_status_byte_rejected() {
         // A CRC-valid ack with a status byte from the future must fail on
         // the *status*, not the checksum.
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&CONTROL_MAGIC);
-        payload.extend_from_slice(&CONTROL_VERSION.to_le_bytes());
-        payload.extend_from_slice(&0u16.to_le_bytes());
-        payload.push(kind::REFERENCE_ACK);
-        wire::put_varint(&mut payload, 1); // put_id
-        payload.extend_from_slice(&[0u8; 32]); // reference id
-        payload.push(0x7f); // unknown status
-        wire::put_varint(&mut payload, 0); // resident_bytes
-        let crc = wire::crc32(&payload[4..]);
-        payload.extend_from_slice(&crc.to_le_bytes());
+        let mut body = Vec::new();
+        put_varint(&mut body, 1); // put_id
+        body.extend_from_slice(&[0u8; 32]); // reference id
+        body.push(0x7f); // unknown status
+        put_varint(&mut body, 0); // resident_bytes
         assert_eq!(
-            ControlFrame::decode_payload(&payload),
+            ControlFrame::decode_payload(&sealed(0x0b, &body)),
             Err(ControlError::BadAckStatus(0x7f))
         );
-    }
-
-    #[test]
-    fn reference_frames_corruption_and_truncation_rejected() {
-        for frame in [
-            ControlFrame::PutReference {
-                put_id: 3,
-                tdrp: vec![0x54, 0x44, 0x52, 0x50, 9, 9],
-            },
-            ControlFrame::ReferenceAck {
-                put_id: 3,
-                reference: sample_reference_id(),
-                status: AckStatus::Rejected("digest mismatch".to_string()),
-                resident_bytes: 77,
-            },
-        ] {
-            let clean = frame.encode();
-            for at in 8..clean.len() {
-                let mut corrupt = clean.clone();
-                corrupt[at] ^= 0x40;
-                let got = ControlFrame::read_from(&mut &corrupt[..]);
-                assert!(got.is_err(), "flip at {at} decoded: {got:?}");
-            }
-            for cut in 1..clean.len() {
-                let got = ControlFrame::read_from(&mut &clean[..cut]);
-                assert_eq!(got, Err(ControlError::Truncated), "cut at {cut}");
-            }
-        }
     }
 
     #[test]

@@ -30,7 +30,9 @@
 use std::fmt;
 use std::io::{self, Read};
 
-use replay::codec::{wire, CodecError};
+use jbc::crc::crc32;
+use jbc::wire;
+use replay::codec::CodecError;
 use replay::stream::{read_full, read_log_frame, read_varint_from, StreamError};
 
 use crate::AuditJob;
@@ -103,7 +105,7 @@ pub fn encode_batch(jobs: &[AuditJob]) -> Vec<u8> {
             wire::put_delta(&mut out, prev, d);
             prev = d;
         }
-        let crc = wire::crc32(&out[header_start..]);
+        let crc = crc32(&out[header_start..]);
         out.extend_from_slice(&crc.to_le_bytes());
         let encoded = job.log.encode();
         out.extend_from_slice(&(encoded.len() as u32).to_le_bytes());
@@ -263,7 +265,7 @@ impl<R: Read> BatchStream<R> {
             Err(e) => return Err(session_err(index, e)),
         }
         let stored = u32::from_le_bytes(trailer);
-        let computed = wire::crc32(&self.hdr_buf);
+        let computed = crc32(&self.hdr_buf);
         if stored != computed {
             return Err(bad(CodecError::BadChecksum { stored, computed }));
         }

@@ -59,7 +59,6 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use detectors::{DetectorBattery, TraceView};
-use replay::codec::wire;
 
 use jbc::ReferenceId;
 
@@ -1062,21 +1061,17 @@ impl AuditService {
                         },
                     };
                     match resolved {
-                        Err(id) => {
-                            let write = ControlFrame::ReferenceAck {
+                        Err(id) => reply(
+                            &mut writer,
+                            ControlFrame::ReferenceAck {
                                 put_id: batch_id,
                                 reference: id,
                                 status: AckStatus::Unknown,
                                 resident_bytes: self.shared.registry.resident_bytes(),
-                            }
-                            .write_to(&mut writer)
-                            .and_then(|()| writer.flush().map_err(ControlError::from_io));
-                            if write.is_ok() {
-                                metrics.frames_out.inc();
-                                metrics.frames_out_reference_ack.inc();
-                            }
-                            write
-                        }
+                            },
+                            metrics,
+                            &metrics.frames_out_reference_ack,
+                        ),
                         Ok(pin) => {
                             if let Some(refusal) =
                                 quota_refusal(quota, admitted_batches, &tdrb, batch_id)
@@ -1086,14 +1081,7 @@ impl AuditService {
                                     h.rejected.inc();
                                 }
                                 metrics.trace(TraceKind::QuotaReject, tenant, batch_id);
-                                let write = refusal
-                                    .write_to(&mut writer)
-                                    .and_then(|()| writer.flush().map_err(ControlError::from_io));
-                                if write.is_ok() {
-                                    metrics.frames_out.inc();
-                                    metrics.frames_out_busy.inc();
-                                }
-                                write
+                                reply(&mut writer, refusal, metrics, &metrics.frames_out_busy)
                             } else {
                                 admitted_batches += 1;
                                 self.serve_batch(
@@ -1131,14 +1119,7 @@ impl AuditService {
                             resident_bytes: self.shared.registry.resident_bytes(),
                         },
                     };
-                    let write = ack
-                        .write_to(&mut writer)
-                        .and_then(|()| writer.flush().map_err(ControlError::from_io));
-                    if write.is_ok() {
-                        metrics.frames_out.inc();
-                        metrics.frames_out_reference_ack.inc();
-                    }
-                    write
+                    reply(&mut writer, ack, metrics, &metrics.frames_out_reference_ack)
                 }
                 ControlFrame::PutBattery { put_id, json } => {
                     metrics.frames_in_put_battery.inc();
@@ -1156,38 +1137,23 @@ impl AuditService {
                             status: AckStatus::Rejected(reason),
                         },
                     };
-                    let write = ack
-                        .write_to(&mut writer)
-                        .and_then(|()| writer.flush().map_err(ControlError::from_io));
-                    if write.is_ok() {
-                        metrics.frames_out.inc();
-                        metrics.frames_out_battery_ack.inc();
-                    }
-                    write
+                    reply(&mut writer, ack, metrics, &metrics.frames_out_battery_ack)
                 }
                 ControlFrame::StatsRequest => {
                     metrics.frames_in_stats_request.inc();
-                    let write = ControlFrame::Stats {
+                    let stats = ControlFrame::Stats {
                         snapshot: metrics.snapshot(),
-                    }
-                    .write_to(&mut writer)
-                    .and_then(|()| writer.flush().map_err(ControlError::from_io));
-                    if write.is_ok() {
-                        metrics.frames_out.inc();
-                        metrics.frames_out_stats.inc();
-                    }
-                    write
+                    };
+                    reply(&mut writer, stats, metrics, &metrics.frames_out_stats)
                 }
                 ControlFrame::Shutdown => {
                     metrics.frames_in_shutdown.inc();
-                    let write = ControlFrame::ShutdownAck
-                        .write_to(&mut writer)
-                        .and_then(|()| writer.flush().map_err(ControlError::from_io));
-                    if write.is_ok() {
-                        metrics.frames_out.inc();
-                        metrics.frames_out_shutdown_ack.inc();
-                    }
-                    break write;
+                    break reply(
+                        &mut writer,
+                        ControlFrame::ShutdownAck,
+                        metrics,
+                        &metrics.frames_out_shutdown_ack,
+                    );
                 }
                 other => Err(ControlError::UnexpectedFrame(other.kind_name())),
             };
@@ -1313,10 +1279,10 @@ impl TenantMetricHandles {
 
 /// Admission decision for one `SubmitBatch`: `Some(Busy)` if `quota`
 /// refuses it. Batch budget is checked first, then the session count the
-/// TDRB header *declares* — a cheap peek, no session is decoded. A
-/// malformed header skips the session check (the ingest path downstream
-/// reports it in-band as a decode [`ControlFrame::Error`], which must not
-/// be masked by a quota refusal).
+/// TDRB header *declares*, read by ingest's own header parser — no
+/// session is decoded. A header that parser rejects skips the session
+/// check (the ingest path downstream reports it in-band as a decode
+/// [`ControlFrame::Error`], which must not be masked by a quota refusal).
 fn quota_refusal(
     quota: Option<TenantQuota>,
     admitted: u64,
@@ -1332,20 +1298,28 @@ fn quota_refusal(
             limit: quota.max_batches,
         });
     }
-    if tdrb.get(..4) == Some(&crate::ingest::BATCH_MAGIC[..]) && tdrb.len() >= 8 {
-        let mut pos = 8usize; // magic + version + flags
-        if let Ok(declared) = wire::read_varint(tdrb, &mut pos) {
-            if declared > quota.max_sessions {
-                return Some(ControlFrame::Busy {
-                    batch_id,
-                    scope: BusyScope::InFlightSessions,
-                    active: declared,
-                    limit: quota.max_sessions,
-                });
-            }
-        }
-    }
-    None
+    let declared = BatchStream::new(tdrb).ok()?.sessions_declared();
+    (declared > quota.max_sessions).then_some(ControlFrame::Busy {
+        batch_id,
+        scope: BusyScope::InFlightSessions,
+        active: declared,
+        limit: quota.max_sessions,
+    })
+}
+
+/// Write one reply frame and flush it; once it is out, count it in
+/// `frames_out` and in its kind's `frames_out_<kind>` counter.
+fn reply<W: Write>(
+    writer: &mut W,
+    frame: ControlFrame,
+    metrics: &ServiceMetrics,
+    kind: &Counter,
+) -> Result<(), ControlError> {
+    frame.write_to(writer)?;
+    writer.flush().map_err(ControlError::from_io)?;
+    metrics.frames_out.inc();
+    kind.inc();
+    Ok(())
 }
 
 /// Everything a feeder needs besides the session source.
@@ -2360,20 +2334,24 @@ mod tests {
         let jobs = mixed_jobs(&program, 3);
         let oversized = crate::ingest::encode_batch(&jobs); // declares 3
         let small = crate::ingest::encode_batch(&jobs[..2]); // declares 2
+                                                             // Declares 3 too, behind a header ingest rejects (version 9).
+        let mut malformed = oversized.clone();
+        malformed[4] = 9;
         let service = AuditService::builder(Reference::new(Arc::clone(&program)))
             .workers(2)
             .build()
             .expect("builds");
         let quota = TenantQuota {
             max_sessions: 2,
-            max_batches: 2,
+            max_batches: 3,
         };
         let mut requests = Vec::new();
         for (batch_id, tdrb) in [
             (1, oversized.clone()),
             (2, small.clone()),
             (3, small.clone()),
-            (4, small.clone()),
+            (4, malformed),
+            (5, small.clone()),
         ] {
             ControlFrame::SubmitBatch {
                 batch_id,
@@ -2421,13 +2399,19 @@ mod tests {
                 .iter()
                 .any(|f| matches!(f, ControlFrame::Summary { batch_id, .. } if *batch_id == id)));
         }
-        // Batch 4 exceeds the lifetime batch budget; refusals consumed
+        // Batch 4's header does not parse, so its declared count is not
+        // checked: the decode error goes back in-band, not masked by a
+        // Busy.
+        assert!(frames
+            .iter()
+            .any(|f| matches!(f, ControlFrame::Error { batch_id: 4, .. })));
+        // Batch 5 exceeds the lifetime batch budget; refusals consumed
         // none of it (batch 1's rejection did not count).
         assert!(frames.contains(&ControlFrame::Busy {
-            batch_id: 4,
+            batch_id: 5,
             scope: BusyScope::QueuedBatches,
-            active: 2,
-            limit: 2,
+            active: 3,
+            limit: 3,
         }));
         assert_eq!(*frames.last().expect("ack"), ControlFrame::ShutdownAck);
 

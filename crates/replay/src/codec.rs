@@ -27,7 +27,10 @@
 //!
 //! The encoding is exact: every `u64`/`u128` round-trips bit-for-bit
 //! (deltas use wrapping arithmetic, so non-monotonic inputs are legal,
-//! merely larger).
+//! merely larger). The primitives — varints, zigzag deltas, and the
+//! bounds-checked [`jbc::wire::Cursor`] the decoder reads through — live
+//! in [`jbc::wire`], shared with the TDRB, TDRC and TDRP formats, and the
+//! checksum in [`jbc::crc`].
 //!
 //! The normative, implementation-independent specification of this format
 //! (TDRL) and of the batch container built on it (TDRB) lives in
@@ -38,6 +41,7 @@
 use std::fmt;
 
 use jbc::crc::crc32;
+use jbc::wire::{put_bytes, put_delta, put_varint, put_varint128, Cursor, WireError};
 
 use crate::log::{EventLog, PacketRecord};
 
@@ -95,102 +99,14 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-// ---------------------------------------------------------------------------
-// Primitives
-// ---------------------------------------------------------------------------
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
+impl From<WireError> for CodecError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated => CodecError::Truncated,
+            WireError::VarintOverflow => CodecError::VarintOverflow,
+            WireError::LengthOverflow { .. } => CodecError::LengthOverflow,
+            WireError::TrailingBytes(n) => CodecError::TrailingBytes(n),
         }
-        out.push(byte | 0x80);
-    }
-}
-
-fn put_varint128(out: &mut Vec<u8>, mut v: u128) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn zigzag(d: i64) -> u64 {
-    ((d << 1) ^ (d >> 63)) as u64
-}
-
-fn unzigzag(z: u64) -> i64 {
-    ((z >> 1) as i64) ^ -((z & 1) as i64)
-}
-
-/// Delta of `cur` against `prev` as a zigzag varint (wrapping, so exact for
-/// any pair).
-fn put_delta(out: &mut Vec<u8>, prev: u64, cur: u64) {
-    put_varint(out, zigzag(cur.wrapping_sub(prev) as i64));
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self.pos.checked_add(n).ok_or(CodecError::LengthOverflow)?;
-        if end > self.buf.len() {
-            return Err(CodecError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn byte(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn varint(&mut self) -> Result<u64, CodecError> {
-        let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
-            let b = self.byte()?;
-            let part = (b & 0x7f) as u64;
-            if shift == 63 && part > 1 {
-                return Err(CodecError::VarintOverflow);
-            }
-            v |= part << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(CodecError::VarintOverflow)
-    }
-
-    fn varint128(&mut self) -> Result<u128, CodecError> {
-        let mut v = 0u128;
-        for shift in (0..133).step_by(7) {
-            let b = self.byte()?;
-            let part = (b & 0x7f) as u128;
-            if shift >= 126 && part >= (1 << (128 - shift)) {
-                return Err(CodecError::VarintOverflow);
-            }
-            v |= part << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(CodecError::VarintOverflow)
-    }
-
-    fn delta(&mut self, prev: u64) -> Result<u64, CodecError> {
-        Ok(prev.wrapping_add(unzigzag(self.varint()?) as u64))
     }
 }
 
@@ -199,7 +115,7 @@ impl<'a> Reader<'a> {
 ///
 /// The streaming readers validate checksums as bytes arrive — feed chunks
 /// with [`update`](Crc32::update) in any split and [`value`](Crc32::value)
-/// equals [`wire::crc32`] of the concatenation.
+/// equals [`jbc::crc::crc32`] of the concatenation.
 pub use jbc::crc::Crc32;
 
 // ---------------------------------------------------------------------------
@@ -232,8 +148,7 @@ pub(crate) fn encode_log(log: &EventLog) -> Vec<u8> {
         icount = p.icount;
         wire = p.wire_at;
         avail = p.avail_at;
-        put_varint(&mut out, p.data.len() as u64);
-        out.extend_from_slice(&p.data);
+        put_bytes(&mut out, &p.data);
     }
 
     let crc = crc32(&out[MAGIC.len()..]);
@@ -262,15 +177,12 @@ pub(crate) fn decode_log(bytes: &[u8]) -> Result<EventLog, CodecError> {
 /// verified the magic bytes and the trailer checksum (the streaming reader
 /// does both incrementally, so this path never re-scans the buffer).
 pub(crate) fn decode_payload(payload: &[u8]) -> Result<EventLog, CodecError> {
-    let mut r = Reader {
-        buf: payload,
-        pos: MAGIC.len(),
-    };
-    let version = u16::from_le_bytes(r.take(2)?.try_into().expect("2 bytes"));
+    let mut r = Cursor::new(&payload[MAGIC.len()..]);
+    let version = r.le()?;
     if version != VERSION {
         return Err(CodecError::UnsupportedVersion(version));
     }
-    let flags = u16::from_le_bytes(r.take(2)?.try_into().expect("2 bytes"));
+    let flags = r.le()?;
     if flags != 0 {
         return Err(CodecError::UnsupportedFlags(flags));
     }
@@ -279,11 +191,8 @@ pub(crate) fn decode_payload(payload: &[u8]) -> Result<EventLog, CodecError> {
     let final_cycles = r.varint()?;
     let final_wall_ps = r.varint128()?;
 
-    let n_values = r.varint()? as usize;
     // A count cannot exceed one delta byte per value.
-    if n_values > payload.len() - r.pos {
-        return Err(CodecError::LengthOverflow);
-    }
+    let n_values = r.count(1)?;
     let mut values = Vec::with_capacity(n_values);
     let mut prev = 0u64;
     for _ in 0..n_values {
@@ -291,29 +200,22 @@ pub(crate) fn decode_payload(payload: &[u8]) -> Result<EventLog, CodecError> {
         values.push(prev);
     }
 
-    let n_packets = r.varint()? as usize;
-    if n_packets > payload.len() - r.pos {
-        return Err(CodecError::LengthOverflow);
-    }
+    let n_packets = r.count(1)?;
     let mut packets = Vec::with_capacity(n_packets);
     let (mut icount, mut wire, mut avail) = (0u64, 0u64, 0u64);
     for _ in 0..n_packets {
         icount = r.delta(icount)?;
         wire = r.delta(wire)?;
         avail = r.delta(avail)?;
-        let len = r.varint()? as usize;
-        let data = r.take(len)?.to_vec();
         packets.push(PacketRecord {
             icount,
             avail_at: avail,
             wire_at: wire,
-            data,
+            data: r.bytes()?.to_vec(),
         });
     }
 
-    if r.pos != payload.len() {
-        return Err(CodecError::TrailingBytes(payload.len() - r.pos));
-    }
+    r.finish()?;
     Ok(EventLog {
         packets,
         values,
@@ -321,70 +223,6 @@ pub(crate) fn decode_payload(payload: &[u8]) -> Result<EventLog, CodecError> {
         final_cycles,
         final_wall_ps,
     })
-}
-
-/// Low-level varint wire helpers, shared with the audit pipeline's batch
-/// ingest format so both layers speak the same encoding.
-pub mod wire {
-    use super::CodecError;
-
-    /// Append a LEB128 varint.
-    pub fn put_varint(out: &mut Vec<u8>, v: u64) {
-        super::put_varint(out, v);
-    }
-
-    /// Read a LEB128 varint at `*pos`, advancing it.
-    pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
-        let mut r = super::Reader { buf, pos: *pos };
-        let v = r.varint()?;
-        *pos = r.pos;
-        Ok(v)
-    }
-
-    /// Append `cur` as a zigzag varint delta against `prev` (wrapping, so
-    /// exact for any pair).
-    pub fn put_delta(out: &mut Vec<u8>, prev: u64, cur: u64) {
-        super::put_delta(out, prev, cur);
-    }
-
-    /// Read a zigzag varint delta against `prev` at `*pos`, advancing it.
-    pub fn read_delta(buf: &[u8], pos: &mut usize, prev: u64) -> Result<u64, CodecError> {
-        let mut r = super::Reader { buf, pos: *pos };
-        let v = r.delta(prev)?;
-        *pos = r.pos;
-        Ok(v)
-    }
-
-    /// Apply an already-read zigzag varint `z` as a delta against `prev`
-    /// (the streaming decoders read the raw varint themselves and use this
-    /// to reconstruct the value; wrapping, so exact for any pair).
-    pub fn apply_delta(prev: u64, z: u64) -> u64 {
-        prev.wrapping_add(super::unzigzag(z) as u64)
-    }
-
-    /// CRC-32 (IEEE) over `data` — the same checksum the log trailer uses.
-    pub fn crc32(data: &[u8]) -> u32 {
-        super::crc32(data)
-    }
-
-    /// Append an `f64` as the 8 little-endian bytes of its IEEE-754 bit
-    /// pattern — the encoding every detector score uses on the wire, so
-    /// round-trips are bit-exact (NaN payloads and signed zeros included).
-    pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    /// Read an `f64` written by [`put_f64`] at `*pos`, advancing it.
-    pub fn read_f64(buf: &[u8], pos: &mut usize) -> Result<f64, CodecError> {
-        let end = pos.checked_add(8).ok_or(CodecError::Truncated)?;
-        let bytes: [u8; 8] = buf
-            .get(*pos..end)
-            .ok_or(CodecError::Truncated)?
-            .try_into()
-            .expect("8-byte slice");
-        *pos = end;
-        Ok(f64::from_bits(u64::from_le_bytes(bytes)))
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@
 use std::fmt;
 use std::io::{self, Read};
 
+use jbc::wire::{self, WireError};
+
 use crate::codec::{self, CodecError, Crc32, MAGIC};
 use crate::log::EventLog;
 
@@ -66,6 +68,12 @@ impl From<CodecError> for StreamError {
     }
 }
 
+impl From<WireError> for StreamError {
+    fn from(e: WireError) -> Self {
+        StreamError::Codec(e.into())
+    }
+}
+
 fn io_err(e: io::Error) -> StreamError {
     StreamError::Io(e.kind(), e.to_string())
 }
@@ -106,28 +114,19 @@ pub fn read_length_prefix<R: Read>(src: &mut R) -> Result<Option<usize>, StreamE
 ///
 /// The TDRB batch container checksums the *serialized* session header, so
 /// its streaming decoder needs the exact bytes back, not just the value.
-/// Semantics are identical to the in-memory decoder: at most ten bytes, and
-/// a tenth byte above `1` is a [`CodecError::VarintOverflow`]; end-of-input
-/// mid-varint is [`CodecError::Truncated`].
+/// The overflow rule is the slice cursor's, [`jbc::wire::read_varint`]:
+/// at most ten bytes, and a tenth byte above `1` is a
+/// [`CodecError::VarintOverflow`]; end-of-input mid-varint is
+/// [`CodecError::Truncated`].
 pub fn read_varint_from<R: Read>(src: &mut R, raw: &mut Vec<u8>) -> Result<u64, StreamError> {
-    let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
+    wire::read_varint(|| {
         let mut byte = [0u8; 1];
         if read_full(src, &mut byte)? == 0 {
             return Err(CodecError::Truncated.into());
         }
-        let b = byte[0];
-        raw.push(b);
-        let part = (b & 0x7f) as u64;
-        if shift == 63 && part > 1 {
-            return Err(CodecError::VarintOverflow.into());
-        }
-        v |= part << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-    }
-    Err(CodecError::VarintOverflow.into())
+        raw.push(byte[0]);
+        Ok(byte[0])
+    })
 }
 
 /// Read one encoded log of exactly `len` bytes from `src` into `buf`
@@ -324,8 +323,9 @@ impl<R: Read> Read for ChunkReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{wire, write_frame, FrameReader};
+    use crate::codec::{write_frame, FrameReader};
     use crate::log::PacketRecord;
+    use jbc::crc::crc32;
 
     fn sample_log(salt: u64) -> EventLog {
         EventLog {
@@ -392,7 +392,7 @@ mod tests {
             let mut h = Crc32::new();
             h.update(&data[..split]);
             h.update(&data[split..]);
-            assert_eq!(h.value(), wire::crc32(&data), "split at {split}");
+            assert_eq!(h.value(), crc32(&data), "split at {split}");
         }
     }
 
@@ -446,7 +446,7 @@ mod tests {
         let mut encoded = log.encode();
         encoded[4] = 42; // version low byte
         let n = encoded.len();
-        let crc = wire::crc32(&encoded[4..n - 4]);
+        let crc = crc32(&encoded[4..n - 4]);
         encoded[n - 4..].copy_from_slice(&crc.to_le_bytes());
         let mut buf = Vec::new();
         buf.extend_from_slice(&(encoded.len() as u32).to_le_bytes());
