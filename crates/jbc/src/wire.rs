@@ -155,7 +155,7 @@ impl FixedLe for f64 {
 }
 
 /// A bounds-checked reader over one encoded structure.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -361,8 +361,8 @@ mod tests {
         let mut r = Cursor::new(&buf);
         assert_eq!(r.le::<u16>(), Ok(0x1234));
         assert_eq!(r.le::<f64>().map(f64::to_bits), Ok((-0.0f64).to_bits()));
-        assert_eq!(r.clone().finish(), Err(WireError::TrailingBytes(1)));
         assert_eq!(r.le::<u16>(), Err(WireError::Truncated));
+        assert_eq!(r.finish(), Err(WireError::TrailingBytes(1)));
     }
 
     #[test]

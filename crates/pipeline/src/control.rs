@@ -7,11 +7,14 @@
 //! error), shut down. Frames use the same conventions as the TDRL/TDRB
 //! formats — little-endian fixed-width integers, LEB128 varints, a `u32`
 //! length prefix, and a CRC-32 trailer over everything after the magic —
-//! so one set of framing helpers (`replay::stream`, `replay::codec::wire`)
-//! serves all three formats. The format is specified normatively in
-//! `docs/FORMATS.md` (§ "TDRC control frames"), with a worked example
-//! pinned byte-for-byte by `formats_md_control_frame_bytes_are_pinned`
-//! below.
+//! so one set of helpers serves every format: `replay::stream` for
+//! framing, [`jbc::wire`] for the primitives and the bounds-checked
+//! cursor bodies are decoded through. Each frame body is described once,
+//! as a row of the frame table below (`control_frames!`); the kind byte,
+//! kind name, encoder and decoder all come from that row. The format is
+//! specified normatively in `docs/FORMATS.md` (§ "TDRC control frames"),
+//! with worked examples pinned byte-for-byte below and every kind pinned
+//! against `tests/goldens/wire.hex`.
 //!
 //! Scores travel as the 8 raw bytes of their IEEE-754 bit pattern, so a
 //! decoded verdict is **bit-identical** to the one the service produced —
@@ -880,17 +883,14 @@ impl Split for Option<ReferenceId> {
 // as well as by the body; `[= len]` sends no count, exactly `len`
 // elements.
 macro_rules! put_head {
-    ($v:ident, $out:ident) => {
-        Field::put($v, $out)
-    };
     ($v:ident, $out:ident, split) => {
         Split::put_head($v, $out)
     };
-    ($v:ident, $out:ident, ..= $max:ident) => {
-        Field::put($v, $out)
-    };
     ($v:ident, $out:ident, = $len:expr) => {
         put_each($v, $out)
+    };
+    ($v:ident, $out:ident $($rule:tt)*) => {
+        Field::put($v, $out)
     };
 }
 macro_rules! put_tail {
