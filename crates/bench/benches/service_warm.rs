@@ -89,7 +89,8 @@ fn bench(c: &mut Criterion) {
                 .expect("valid service configuration");
             b.iter(|| {
                 service
-                    .submit_batch(&jobs)
+                    .submit(jobs.clone(), None)
+                    .expect("built-in reference")
                     .wait()
                     .expect("batch audits")
                     .summary

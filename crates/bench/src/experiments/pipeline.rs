@@ -90,9 +90,10 @@ pub fn run(opts: &Options) {
         let batch = jobs.clone();
         let t = Instant::now();
         let report = service
-            .submit_batch_owned(batch)
+            .submit(batch, None)
+            .expect("the built-in reference is always resident")
             .wait()
-            .expect("batch submissions cannot fail ingest");
+            .expect("owned jobs never fail ingest");
         let secs = t.elapsed().as_secs_f64();
         service.shutdown();
         let rate = jobs.len() as f64 / secs;

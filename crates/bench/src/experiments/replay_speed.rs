@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use machine::MachineConfig;
 use sanity_tdr::audit_pipeline::ingest;
-use sanity_tdr::{AuditJob, Sanity};
+use sanity_tdr::{AuditJob, Sanity, Source};
 use vm::{DispatchMode, VmConfig};
 use workloads::{nfs, scimark::Kernel};
 
@@ -160,8 +160,9 @@ pub fn run(opts: &Options) {
             .build()
             .expect("valid service configuration");
         let t = Instant::now();
+        let source = Source::tdrb(std::io::Cursor::new(tdrb.clone())).expect("header decodes");
         let report = service
-            .submit_stream(std::io::Cursor::new(tdrb.clone()))
+            .submit(source, None)
             .expect("submit")
             .wait()
             .expect("batch audits");

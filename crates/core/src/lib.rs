@@ -80,7 +80,7 @@ pub use audit_pipeline::{
     BatchOutcome, BatchReport, BatchSummary, BatchTicket, BatteryMode, BatteryOutcome, BusyScope,
     Client, ConfigError, ControlError, ControlFrame, CoordReport, Coordinator, DaemonOptions,
     DaemonReport, IngestError, MetricsSnapshot, PutOutcome, ReferenceId, ReferenceRegistry,
-    RegistryError, RegistryLoad, ServiceBuilder, StreamReport, TcpDaemon, TenantQuota, TraceEvent,
+    RegistryError, RegistryLoad, ServiceBuilder, Source, TcpDaemon, TenantQuota, TraceEvent,
     TraceKind,
 };
 pub use detectors::{Detector, DetectorBattery, TraceView};
@@ -225,13 +225,13 @@ impl Sanity {
     /// one-shot conveniences over a temporary service.
     ///
     /// ```no_run
-    /// # use sanity_tdr::{BatteryMode, Sanity};
+    /// # use sanity_tdr::{Sanity, Source};
     /// # use workloads::scimark::Kernel;
     /// # let sanity = Sanity::new(Kernel::Fft.program_small());
     /// # let tdrb_bytes: Vec<u8> = Vec::new();
     /// let service = sanity.audit_service().workers(8).build().unwrap();
-    /// let ticket = service.submit_stream(std::io::Cursor::new(tdrb_bytes)).unwrap();
-    /// let report = ticket.wait().unwrap();
+    /// let source = Source::tdrb(std::io::Cursor::new(tdrb_bytes)).unwrap();
+    /// let report = service.submit(source, None).unwrap().wait().unwrap();
     /// ```
     pub fn audit_service(&self) -> ServiceBuilder {
         AuditService::builder(self.as_reference())
@@ -259,7 +259,7 @@ impl Sanity {
         &self,
         reader: impl std::io::Read,
         cfg: &AuditConfig,
-    ) -> Result<StreamReport, IngestError> {
+    ) -> Result<BatchReport, IngestError> {
         let sessions = audit_pipeline::BatchStream::new(std::io::BufReader::new(reader))?;
         audit_pipeline::audit_stream(&self.as_reference(), sessions, cfg)
     }

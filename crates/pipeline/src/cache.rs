@@ -1,20 +1,19 @@
-//! Worker-local reference cache — the TDR detector's reference-replay
-//! adapter.
+//! Reference cache — the TDR detector's reference-replay adapter.
 //!
-//! Each worker audits many sessions against the *same* known-good
-//! environment. The cache pins that environment once per worker — the
-//! program, verified once on construction ([`jbc::Verified`]), the
-//! machine/VM configuration, the stable-storage file set, and the fleet's
-//! trained [`DetectorBattery`] (all held behind `Arc`s so forty workers
-//! share one copy instead of forty) — and hands out per-session audit
-//! replays. It is what turns the two-trace TDR detector into an ordinary
-//! [`detectors::Detector`]: the adapter produces the reference timing the
-//! detector compares against. It also counts what passed through it,
-//! which is what the throughput bench reads. Under an
-//! [`crate::AuditService`] the per-worker tallies here are shadowed by the
-//! service-wide [`crate::obs::ServiceMetrics`] counters (`sessions_audited`,
-//! `replayed_cycles`), which aggregate across workers without touching this
-//! single-threaded hot path.
+//! Every audit replays a suspect's log on the *same* known-good
+//! environment. The cache pins that environment once — the program,
+//! verified once on construction ([`jbc::Verified`]), the machine/VM
+//! configuration and the stable-storage file set (behind an `Arc`) — and
+//! hands out per-session audit replays. Each [`crate::registry`] entry
+//! keeps a pool of warm caches that service workers check out for one
+//! audit at a time. It is what turns the two-trace TDR detector into an
+//! ordinary [`detectors::Detector`]: the adapter produces the reference
+//! timing the detector compares against. It also counts what passed
+//! through it, which is what the throughput bench reads. Under an
+//! [`crate::AuditService`] these tallies are shadowed by the service-wide
+//! [`crate::obs::ServiceMetrics`] counters (`sessions_audited`,
+//! `replayed_cycles`), which aggregate across workers without touching
+//! this single-threaded hot path.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -24,9 +23,9 @@ use replay::{audit_replay, EventLog, Recorded, SessionError};
 use vm::VmError;
 
 use crate::verdict::AuditVerdict;
-use crate::{AuditConfig, AuditJob, BatteryMode, Reference};
+use crate::{AuditConfig, AuditJob, Reference};
 
-/// Per-worker audit state: the reference environment plus counters.
+/// Warm audit state for one reference: the environment plus counters.
 #[derive(Debug)]
 pub struct ReferenceCache {
     /// The program, verified once when the cache was built. A program
@@ -37,24 +36,21 @@ pub struct ReferenceCache {
     vm: vm::VmConfig,
     /// Shared file set; cloned per session only when handed to the VM.
     files: Arc<Vec<Vec<u8>>>,
-    /// Shared trained battery (None = TDR-only fleet).
-    battery: Option<Arc<DetectorBattery>>,
     tdr: TdrDetector,
-    /// Sessions audited by this worker.
+    /// Sessions audited through this cache.
     sessions_audited: u64,
-    /// Reference cycles replayed by this worker (for sessions/sec math).
+    /// Reference cycles replayed through this cache (for sessions/sec math).
     cycles_replayed: u64,
 }
 
 impl ReferenceCache {
-    /// Pin `reference` into a worker-local cache.
+    /// Pin `reference` into a cache.
     pub fn new(reference: &Reference) -> Self {
         ReferenceCache {
             program: jbc::Verified::new(Arc::clone(&reference.program)).map_err(VmError::from),
             machine: reference.machine,
             vm: reference.vm,
             files: Arc::new(reference.files.clone()),
-            battery: reference.battery.clone(),
             tdr: TdrDetector::new(),
             sessions_audited: 0,
             cycles_replayed: 0,
@@ -71,25 +67,6 @@ impl ReferenceCache {
         self.cycles_replayed
     }
 
-    /// Swap in the fleet's current trained battery (shared `Arc`).
-    ///
-    /// Persistent service workers outlive battery retraining: when
-    /// cross-batch absorption produces a new battery, each work item
-    /// carries the generation it was submitted under, and the worker
-    /// re-points its cache here — an `Arc` pointer compare, so the common
-    /// no-change case costs nothing and the rest of the warm cache
-    /// (program, machine, files) is untouched.
-    pub fn set_battery(&mut self, battery: Option<Arc<DetectorBattery>>) {
-        let unchanged = match (&self.battery, &battery) {
-            (None, None) => true,
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        };
-        if !unchanged {
-            self.battery = battery;
-        }
-    }
-
     /// Run the audit replay for `log` under `seed` on the cached reference.
     pub fn replay(&mut self, log: &EventLog, seed: u64) -> Result<Recorded, SessionError> {
         let program = self.program.as_ref().map_err(VmError::clone)?;
@@ -102,21 +79,10 @@ impl ReferenceCache {
         Ok(rec)
     }
 
-    /// The trained battery this cache scores with, if the fleet has one.
-    fn full_battery(&self, cfg: &AuditConfig) -> Option<&DetectorBattery> {
-        match cfg.battery {
-            BatteryMode::TdrOnly => None,
-            BatteryMode::Full => Some(self.battery.as_deref().expect(
-                "BatteryMode::Full needs a trained battery on the Reference \
-                 (Reference::with_battery)",
-            )),
-        }
-    }
-
     /// Audit one session: reproduce the reference timing for its log and
     /// score the observed wire timing against it — with the TDR detector
-    /// alone, or (under [`BatteryMode::Full`]) with the whole trained
-    /// battery in one pass.
+    /// alone, or with the whole trained `battery` in one pass. `cfg`
+    /// supplies the threshold and the session seed.
     ///
     /// A session whose audit replay *fails* is flagged with the maximal
     /// TDR score: the reference binary could not even reproduce the
@@ -124,14 +90,19 @@ impl ReferenceCache {
     /// The statistical detectors still score its observed timing (they
     /// need no replay), and the verdict's "Sanity" map entry is pinned to
     /// the same maximal 1.0 as its scalar score.
-    pub fn audit(&mut self, job: &AuditJob, cfg: &AuditConfig) -> AuditVerdict {
+    pub fn audit(
+        &mut self,
+        job: &AuditJob,
+        cfg: &AuditConfig,
+        battery: Option<&DetectorBattery>,
+    ) -> AuditVerdict {
         let seed = cfg.session_seed(job.session_id);
         match self.replay(&job.log, seed) {
             Ok(rec) => {
                 let replayed_ipds: Vec<u64> =
                     rec.tx.windows(2).map(|w| w[1].cycle - w[0].cycle).collect();
                 let trace = TraceView::with_replay(&job.observed_ipds, &replayed_ipds);
-                let detector_scores = match self.full_battery(cfg) {
+                let detector_scores = match battery {
                     Some(battery) => battery.score_all(&trace),
                     None => BTreeMap::new(),
                 };
@@ -153,7 +124,7 @@ impl ReferenceCache {
                 }
             }
             Err(e) => {
-                let detector_scores = match self.full_battery(cfg) {
+                let detector_scores = match battery {
                     Some(battery) => {
                         let mut scores =
                             battery.score_all(&TraceView::observed(&job.observed_ipds));

@@ -12,13 +12,14 @@
 //!   pull-based: [`BatchStream`] decodes sessions one at a time from any
 //!   `io::Read` source, so a batch far larger than RAM streams through in
 //!   bounded memory;
-//! * [`pool`] — a sharded worker pool (std threads + channels, no external
-//!   dependencies) that fans the sessions of a batch out across cores;
-//!   every worker audits sessions against a [`ReferenceCache`] holding the
-//!   known-good binary and file set, so per-session setup cost is one
-//!   clone, not one rebuild. [`audit_stream`] couples the pool to a
-//!   session stream through a bounded channel with backpressure
-//!   ([`AuditConfig::high_water`] caps the resident set);
+//! * [`service`] — the persistent [`AuditService`]: a warm worker pool
+//!   behind one submission entry, [`AuditService::submit`]. Workers audit
+//!   every session on a warm [`ReferenceCache`] checked out of its
+//!   reference entry's pool (the known-good binary and file set, so
+//!   per-session setup cost is one clone, not one rebuild), and a stream
+//!   is fed under backpressure ([`AuditConfig::high_water`] caps the
+//!   resident set). [`pool`] holds the one-shot [`audit_batch`] and
+//!   [`audit_stream`] helpers over a temporary service;
 //! * [`verdict`] — per-session [`AuditVerdict`]s and their deterministic
 //!   aggregation into a [`FleetSummary`] (flagged sessions, score
 //!   histogram, per-detector stats) plus labeled ROC/AUC — per detector —
@@ -72,9 +73,9 @@ pub use ingest::{BatchStream, IngestError};
 pub use jbc::ReferenceId;
 pub use net::{serve_tcp, serve_tcp_with, DaemonOptions, DaemonReport, TcpDaemon};
 pub use obs::{MetricsSnapshot, TraceEvent, TraceKind};
-pub use pool::{audit_batch, audit_batch_streaming, audit_stream, BatchReport, StreamReport};
+pub use pool::{audit_batch, audit_stream, BatchReport};
 pub use registry::{ReferenceRegistry, RegistryError, RegistryLoad, DEFAULT_REFERENCE_BUDGET};
-pub use service::{AuditService, BatchTicket, ServiceBuilder, TenantQuota};
+pub use service::{AuditService, BatchTicket, ServiceBuilder, Source, TenantQuota};
 pub use verdict::{AuditVerdict, DetectorStats, FleetSummary, ScoreHistogram};
 
 /// The reference environment sessions are audited against: the known-good
@@ -93,10 +94,11 @@ pub struct Reference {
     /// is machine state, so the reference must see the same files).
     pub files: Vec<Vec<u8>>,
     /// A detector battery trained on this fleet's clean traces, shared
-    /// (one `Arc`, not one copy per worker) by every [`ReferenceCache`].
-    /// `None` — the default — leaves the pipeline TDR-only; sessions gain
-    /// per-detector score maps only when a battery is attached *and*
-    /// [`AuditConfig::battery`] asks for [`BatteryMode::Full`].
+    /// (one `Arc`, not one copy per worker) by every audit that scores
+    /// with it. `None` — the default — leaves the pipeline TDR-only;
+    /// sessions gain per-detector score maps only when a battery is
+    /// attached *and* [`AuditConfig::battery`] asks for
+    /// [`BatteryMode::Full`].
     pub battery: Option<Arc<DetectorBattery>>,
 }
 
@@ -160,10 +162,10 @@ pub enum BatteryMode {
     #[default]
     TdrOnly,
     /// Score every session with the full five-detector battery on
-    /// [`Reference::battery`]. Requires one to be attached (the audit
-    /// panics otherwise — a missing battery must not silently degrade the
-    /// fleet report to TDR-only). The TDR score and flagging are
-    /// byte-identical to [`BatteryMode::TdrOnly`].
+    /// [`Reference::battery`]. Requires one to be attached
+    /// ([`ConfigError::MissingBattery`] otherwise — a missing battery must
+    /// not silently degrade the fleet report to TDR-only). The TDR score
+    /// and flagging are byte-identical to [`BatteryMode::TdrOnly`].
     Full,
 }
 

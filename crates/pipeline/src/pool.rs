@@ -1,7 +1,5 @@
-//! The one-shot audit entry points (thin shims over a temporary
-//! [`AuditService`]).
-//!
-//! Two consumption modes share one audit core:
+//! The one-shot audit entry points: one temporary-service helper behind
+//! two signatures.
 //!
 //! * [`audit_batch`] — a materialized `&[AuditJob]` fanned out across
 //!   workers;
@@ -12,101 +10,54 @@
 //!   [`AuditConfig::high_water`], so a terabyte batch audits in bounded
 //!   memory.
 //!
-//! Since the service refactor these functions spin up a **temporary**
-//! [`AuditService`] (spawn workers, audit one submission, shut down) —
-//! anything auditing continuously should hold a service and keep its
-//! worker pool and caches warm across submissions instead. The same goes
-//! for observability: the temporary service's metrics registry and trace
-//! ring (see [`crate::obs`]) die with it, so callers who want live
-//! counters or a `Stats` frame must hold a service and read
-//! [`AuditService::metrics_snapshot`]. The shims are
-//! pinned byte-identical to the pre-service implementations: a verdict
-//! depends only on the job, the configuration, and the session seed, so
-//! pool lifetime is unobservable in the output. One cost is *not*
-//! identical: persistent workers are `'static`, so [`audit_batch`] clones
-//! the job slice once (the old scoped threads borrowed it) — callers who
-//! own their jobs and care should hold a service and use
-//! `submit_batch_owned`. The legacy `0` fallbacks
-//! ([`AuditConfig::resolved_workers`] / `resolved_high_water`) are
-//! resolved *here*, at the entry point — the service itself rejects zero
-//! values with a typed [`crate::ConfigError`].
+//! Both spin up a **temporary** [`AuditService`] (spawn workers, audit one
+//! submission on its built-in reference, shut down), feeding it on the
+//! calling thread, so the session source may borrow caller state.
+//! Anything auditing continuously should hold a service and
+//! [`AuditService::submit`] to it instead, keeping its worker pool and
+//! reference caches warm across submissions. The same goes for
+//! observability: the temporary service's metrics registry and trace ring
+//! (see [`crate::obs`]) die with it, so callers who want live counters or
+//! a `Stats` frame must hold a service and read
+//! [`AuditService::metrics_snapshot`]. Output is pinned byte-identical to
+//! a held service: a verdict depends only on the job, the configuration,
+//! and the session seed, so pool lifetime is unobservable in the output.
+//! The legacy `0` fallbacks ([`AuditConfig::resolved_workers`] /
+//! `resolved_high_water`) are resolved *here*, at the entry point — the
+//! service itself rejects zero values with a typed
+//! [`crate::ConfigError`].
 
 use crate::ingest::IngestError;
 use crate::service::AuditService;
 use crate::verdict::{AuditVerdict, FleetSummary};
-use crate::{AuditConfig, AuditJob, BatteryMode, Reference};
+use crate::{AuditConfig, AuditJob, Reference};
 
-/// Fail fast — on the calling thread, not inside a worker — when the
-/// configuration asks for full-battery scoring but no trained battery is
-/// attached to the reference.
-fn check_battery_config(reference: &Reference, cfg: &AuditConfig) {
-    if cfg.battery == BatteryMode::Full {
-        assert!(
-            reference.battery.is_some(),
-            "BatteryMode::Full needs a trained battery on the Reference \
-             (Reference::with_battery)"
-        );
-    }
-}
-
-/// Everything a batch audit produces.
+/// Everything an audit produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
-    /// One verdict per submitted job, in submission order.
+    /// One verdict per submitted session, in submission order.
     pub verdicts: Vec<AuditVerdict>,
-    /// Deterministic fleet-wide aggregation.
+    /// Deterministic fleet-wide aggregation — byte-identical for owned
+    /// jobs and for a stream of the same sessions.
     pub summary: FleetSummary,
     /// Workers that actually ran.
     pub workers: usize,
-}
-
-/// Everything a streamed audit produces.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamReport {
-    /// One verdict per streamed session, in stream order.
-    pub verdicts: Vec<AuditVerdict>,
-    /// Deterministic fleet-wide aggregation — byte-identical to what
-    /// [`audit_batch`] produces for the same sessions.
-    pub summary: FleetSummary,
-    /// Workers that actually ran.
-    pub workers: usize,
-    /// The most sessions ever resident at once (decoded, not yet audited).
-    /// Never exceeds [`AuditConfig::high_water`].
+    /// The most sessions ever resident at once (decoded, not yet audited)
+    /// while a stream was fed; never exceeds [`AuditConfig::high_water`].
+    /// Zero for owned jobs, which are resident already and fed ungated.
     pub peak_resident: usize,
 }
 
-/// Audit a batch of sessions against `reference` (see
-/// [`audit_batch_streaming`] for the verdict-streaming variant).
+/// Audit a batch of sessions against `reference`.
+///
+/// # Panics
+///
+/// Panics with [`crate::ConfigError::MissingBattery`]'s message if `cfg`
+/// asks for [`crate::BatteryMode::Full`] but `reference` carries no
+/// trained battery.
 pub fn audit_batch(reference: &Reference, jobs: &[AuditJob], cfg: &AuditConfig) -> BatchReport {
-    audit_batch_streaming(reference, jobs, cfg, |_, _| {})
-}
-
-/// Audit a batch, invoking `on_verdict(index, verdict)` on the calling
-/// thread as each session's verdict arrives (arrival order is
-/// scheduling-dependent; the returned report is not).
-pub fn audit_batch_streaming(
-    reference: &Reference,
-    jobs: &[AuditJob],
-    cfg: &AuditConfig,
-    mut on_verdict: impl FnMut(usize, &AuditVerdict),
-) -> BatchReport {
-    check_battery_config(reference, cfg);
-    let workers = cfg.resolved_workers().min(jobs.len()).max(1);
-    let service = AuditService::builder(reference.clone())
-        .config(AuditConfig {
-            workers,
-            high_water: cfg.resolved_high_water(),
-            ..*cfg
-        })
-        .build()
-        .expect("resolved one-shot config is valid");
-    let mut ticket = service.submit_batch(jobs);
-    while let Some((index, verdict)) = ticket.recv() {
-        on_verdict(index, &verdict);
-    }
-    let report = ticket.wait().expect("batch submissions cannot fail ingest");
-    service.shutdown();
-    report
+    let sessions = jobs.iter().cloned().map(Ok);
+    one_shot(reference, sessions, Some(jobs.len()), cfg).expect("owned jobs never fail ingest")
 }
 
 /// Audit a stream of sessions against `reference` in bounded memory.
@@ -125,19 +76,34 @@ pub fn audit_batch_streaming(
 /// The first stream error aborts the audit and is returned after in-flight
 /// sessions drain; like the materialized path, a malformed session poisons
 /// the batch (reported by index), but bytes before it are never replayed
-/// twice and bytes after it are never pulled.
+/// twice and bytes after it are never pulled. Panics like [`audit_batch`].
 pub fn audit_stream<I>(
     reference: &Reference,
     sessions: I,
     cfg: &AuditConfig,
-) -> Result<StreamReport, IngestError>
+) -> Result<BatchReport, IngestError>
 where
     I: IntoIterator<Item = Result<AuditJob, IngestError>>,
 {
-    check_battery_config(reference, cfg);
+    one_shot(reference, sessions, None, cfg)
+}
+
+/// The temporary-service helper under both entry points. `len` is the
+/// session count of owned jobs (fed ungated), or `None` for a stream (fed
+/// under the high-water gate).
+fn one_shot<I>(
+    reference: &Reference,
+    sessions: I,
+    len: Option<usize>,
+    cfg: &AuditConfig,
+) -> Result<BatchReport, IngestError>
+where
+    I: IntoIterator<Item = Result<AuditJob, IngestError>>,
+{
     let high_water = cfg.resolved_high_water();
-    // More workers than residency slots could never all be busy.
-    let workers = cfg.resolved_workers().min(high_water).max(1);
+    // More workers than sessions, or than residency slots, could never
+    // all be busy.
+    let workers = cfg.resolved_workers().min(len.unwrap_or(high_water)).max(1);
     let service = AuditService::builder(reference.clone())
         .config(AuditConfig {
             workers,
@@ -145,8 +111,9 @@ where
             ..*cfg
         })
         .build()
-        .expect("resolved one-shot config is valid");
-    let report = service.run_stream(sessions);
+        // Fail fast — on the calling thread, not inside a worker.
+        .unwrap_or_else(|e| panic!("{e}"));
+    let report = service.audit_blocking(sessions, len);
     service.shutdown();
     report
 }
@@ -293,20 +260,21 @@ mod tests {
         let program = echo_program(5);
         let (jobs, _) = mixed_batch(&program);
         let mut seen = vec![0u32; jobs.len()];
-        let report = audit_batch_streaming(
-            &Reference::new(program),
-            &jobs,
-            &AuditConfig {
-                workers: 3,
-                ..AuditConfig::default()
-            },
-            |i, v| {
-                seen[i] += 1;
-                assert_eq!(v.session_id, jobs[i].session_id);
-            },
-        );
+        let service = AuditService::builder(Reference::new(program))
+            .workers(3)
+            .build()
+            .expect("valid configuration");
+        let mut ticket = service
+            .submit(jobs.clone(), None)
+            .expect("built-in reference");
+        while let Some((i, v)) = ticket.recv() {
+            seen[i] += 1;
+            assert_eq!(v.session_id, jobs[i].session_id);
+        }
+        let report = ticket.wait().expect("owned jobs never fail ingest");
         assert!(seen.iter().all(|&c| c == 1), "{seen:?}");
         assert_eq!(report.verdicts.len(), jobs.len());
+        service.shutdown();
     }
 
     #[test]

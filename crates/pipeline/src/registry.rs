@@ -17,9 +17,9 @@
 //!   the bytecode passes [`jbc::verify()`]. Nothing unverified is ever
 //!   handed to a replay worker.
 //! * **Warm cache pools.** Each entry keeps a pool of
-//!   [`ReferenceCache`]s, so a worker auditing against a registered
-//!   reference checks a warm cache out and returns it instead of
-//!   rebuilding detector state per session.
+//!   [`ReferenceCache`]s, so a worker auditing against a reference checks
+//!   a warm cache out and returns it instead of rebuilding detector state
+//!   per session.
 //! * **Pinned LRU eviction.** Residency is bounded by a byte budget;
 //!   when it overflows, the least-recently-used *idle* entry is evicted.
 //!   In-flight batches pin their entry ([`PinnedReference`], an RAII
@@ -40,11 +40,14 @@
 //! Registered references carry no trained [`detectors::DetectorBattery`]
 //! (a TDRP ships the program alone), so sessions audited against them
 //! score TDR-only regardless of the service-wide battery mode.
+//! An [`crate::AuditService`]'s built-in reference is an entry too, held
+//! outside every registry's map: registering the same program still loads
+//! a separate, program-only entry.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use jbc::container::{self, ContainerError};
 use jbc::{ReferenceId, VerifyError};
@@ -101,7 +104,9 @@ pub struct RegistryLoad {
 /// One resident reference: the verified program plus its warm cache pool.
 #[derive(Debug)]
 pub struct ReferenceEntry {
-    id: ReferenceId,
+    /// Set at load for a registered entry; hashed on first use for an
+    /// unregistered one, so building a service hashes nothing.
+    id: OnceLock<ReferenceId>,
     reference: Reference,
     /// Canonical program byte length — the entry's budget cost.
     cost: u64,
@@ -118,11 +123,14 @@ pub struct ReferenceEntry {
 impl ReferenceEntry {
     /// The entry's content-addressed id.
     pub fn id(&self) -> ReferenceId {
-        self.id
+        *self
+            .id
+            .get_or_init(|| container::reference_id(&self.reference.program))
     }
 
-    /// The verified reference environment (program-only: empty file set,
-    /// no battery).
+    /// The reference environment: program-only (empty file set, no
+    /// battery) for a registered entry, the builder's [`Reference`] for a
+    /// service's built-in one.
     pub fn reference(&self) -> &Reference {
         &self.reference
     }
@@ -130,6 +138,17 @@ impl ReferenceEntry {
     /// Canonical program bytes this entry charges against the budget.
     pub fn cost(&self) -> u64 {
         self.cost
+    }
+
+    fn new(id: OnceLock<ReferenceId>, reference: Reference, cost: u64, last_used: u64) -> Self {
+        ReferenceEntry {
+            id,
+            reference,
+            cost,
+            pins: AtomicU64::new(0),
+            last_used: AtomicU64::new(last_used),
+            pool: Mutex::new(Vec::new()),
+        }
     }
 }
 
@@ -142,6 +161,20 @@ pub struct PinnedReference {
 }
 
 impl PinnedReference {
+    fn new(entry: Arc<ReferenceEntry>) -> Self {
+        entry.pins.fetch_add(1, Ordering::AcqRel);
+        PinnedReference { entry }
+    }
+
+    /// Pin `reference` as an entry outside every registry: an audit
+    /// service's built-in reference. No registry's map holds it, so it is
+    /// never evicted, charged to no budget and counted in no `registry_*`
+    /// metric.
+    pub(crate) fn unregistered(reference: Reference) -> Self {
+        let entry = ReferenceEntry::new(OnceLock::new(), reference, 0, 0);
+        PinnedReference::new(Arc::new(entry))
+    }
+
     /// The pinned entry.
     pub fn entry(&self) -> &ReferenceEntry {
         &self.entry
@@ -291,15 +324,9 @@ impl ReferenceRegistry {
                 resident_bytes: s.resident,
             });
         }
-        let entry = Arc::new(ReferenceEntry {
-            id,
-            reference: Reference::new(Arc::new(program)),
-            cost,
-            pins: AtomicU64::new(0),
-            last_used: AtomicU64::new(tick),
-            pool: Mutex::new(Vec::new()),
-        });
-        s.entries.insert(id, entry);
+        let reference = Reference::new(Arc::new(program));
+        let entry = ReferenceEntry::new(OnceLock::from(id), reference, cost, tick);
+        s.entries.insert(id, Arc::new(entry));
         s.resident += cost;
         self.metrics.loads.inc();
         self.evict_locked(&mut s);
@@ -324,9 +351,8 @@ impl ReferenceRegistry {
             return None;
         };
         entry.last_used.store(tick, Ordering::Release);
-        entry.pins.fetch_add(1, Ordering::AcqRel);
         self.metrics.hits.inc();
-        Some(PinnedReference { entry })
+        Some(PinnedReference::new(entry))
     }
 
     /// Whether `id` is currently resident.
@@ -379,7 +405,7 @@ impl ReferenceRegistry {
                         && e.last_used.load(Ordering::Acquire) != mru
                 })
                 .min_by_key(|e| e.last_used.load(Ordering::Acquire))
-                .map(|e| e.id);
+                .map(|e| e.id());
             let Some(id) = victim else { break };
             let entry = s.entries.remove(&id).expect("victim is resident");
             s.resident -= entry.cost;

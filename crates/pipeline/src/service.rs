@@ -1,26 +1,35 @@
 //! The persistent audit service: a warmed worker pool behind job tickets.
 //!
-//! The one-shot entry points in [`crate::pool`] spawn scoped worker
-//! threads, build per-worker [`ReferenceCache`]s from scratch, audit one
-//! batch, and tear everything down. A fleet operator auditing traffic
-//! continuously (the deployment of Aviram et al. and Deterland) pays that
-//! spin-up on every batch. [`AuditService`] pays it **once**:
+//! The one-shot entry points in [`crate::pool`] build a temporary
+//! service, audit one batch, and shut it down. A fleet operator auditing
+//! traffic continuously (the deployment of Aviram et al. and Deterland)
+//! pays that spin-up on every batch. [`AuditService`] pays it **once**:
 //!
 //! * [`AuditService::builder`] validates the configuration up front
 //!   ([`AuditConfig::validate`] — zero workers or a zero high-water mark
 //!   are typed [`ConfigError`]s, not silent fallbacks) and spawns the
-//!   worker pool at `build()`. Each worker owns a warm [`ReferenceCache`]
-//!   for the service's lifetime.
-//! * [`AuditService::submit_batch`] / [`AuditService::submit_stream`]
-//!   enqueue work and return a [`BatchTicket`] immediately. The ticket
-//!   yields per-session verdicts as they arrive
+//!   worker pool at `build()`.
+//! * [`AuditService::submit`] is the one in-process entry: it takes a
+//!   [`Source`] (owned jobs or a TDRB reader) and an optional registered
+//!   [`ReferenceId`], enqueues the work and returns a [`BatchTicket`]
+//!   immediately. The ticket yields per-session verdicts as they arrive
 //!   ([`BatchTicket::recv`]) and a final deterministic report
-//!   ([`BatchTicket::wait`] / [`BatchTicket::wait_stream`]). Dropping a
-//!   ticket cancels its not-yet-audited sessions.
+//!   ([`BatchTicket::wait`]). Dropping a ticket cancels its
+//!   not-yet-audited sessions.
 //! * [`AuditService::serve`] is the daemon loop: [`crate::control`]
 //!   frames in, verdict/summary frames out, over any `Read + Write` pair
 //!   (a socket, or the in-memory [`duplex`] used by the tests and
-//!   `repro daemon`).
+//!   `repro daemon`). It submits through the same core as `submit`.
+//!
+//! ## One reference path
+//!
+//! Every work item carries exactly one pinned reference entry: the
+//! service's built-in one (the builder's [`Reference`], held outside the
+//! registry's content-addressed map) or a registered one. A worker checks
+//! a warm [`crate::ReferenceCache`] out of the entry's pool, audits, and
+//! returns it. The battery is resolved once, at submission: the current
+//! generation for the built-in entry under [`BatteryMode::Full`], none
+//! for a registered entry (a TDRP ships the program alone).
 //!
 //! ## Idle/shutdown protocol
 //!
@@ -35,26 +44,24 @@
 //!
 //! The work queue is not a single FIFO: items carry a **tenant id** (the
 //! daemon's connection id; 0 for in-process submissions) and the queue
-//! dequeues round-robin across tenants with queued work (a
-//! deficit-round-robin scheduler at unit quantum — every job costs one
-//! deficit credit, so each tenant with backlog gets one job per round).
-//! A peer flooding thousands of sessions therefore delays another
-//! tenant's batch by at most `other_tenants × in_flight` jobs, never by
-//! its own backlog — the no-starvation invariant
+//! dequeues round-robin across tenants with queued work, one job per
+//! tenant per round. A peer flooding thousands of sessions therefore
+//! delays another tenant's batch by at most `other_tenants × in_flight`
+//! jobs, never by its own backlog — the no-starvation invariant
 //! (`docs/ARCHITECTURE.md`, "Admission control & fairness"), proven by
 //! `tests/fairness_torture.rs`. Within one tenant, order is FIFO, so
 //! verdict streams are unchanged for a lone submitter.
 //!
-//! Determinism is unchanged from the one-shot paths: a verdict depends
-//! only on the job, the service configuration, and the session seed —
-//! never on pool temperature. The one-shot entry points are now thin
-//! shims over a temporary service, and the test suite pins warm-service
-//! resubmission byte-identical to fresh one-shot calls.
+//! Determinism does not depend on the entry point: a verdict depends only
+//! on the job, the service configuration, and the session seed — never on
+//! pool temperature. The one-shot entry points are thin shims over a
+//! temporary service, and the test suite pins warm-service resubmission
+//! byte-identical to fresh one-shot calls.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -62,11 +69,10 @@ use detectors::{DetectorBattery, TraceView};
 
 use jbc::ReferenceId;
 
-use crate::cache::ReferenceCache;
 use crate::control::{AckStatus, BusyScope, ControlError, ControlFrame};
 use crate::ingest::{BatchStream, IngestError};
 use crate::obs::{Counter, Gauge, MetricsSnapshot, ServiceMetrics, TraceEvent, TraceKind};
-use crate::pool::{BatchReport, StreamReport};
+use crate::pool::BatchReport;
 use crate::registry::{
     PinnedReference, ReferenceRegistry, RegistryError, RegistryLoad, DEFAULT_REFERENCE_BUDGET,
 };
@@ -77,27 +83,30 @@ use crate::{AuditConfig, AuditJob, BatteryMode, ConfigError, Reference};
 // Residency gate (streaming backpressure)
 // ---------------------------------------------------------------------------
 
-/// Counting gate bounding the resident-session set; blocks the decode side
-/// when `resident == cap` and records the high-water mark actually reached.
+/// Counting gate bounding the resident-session set of one stream; blocks
+/// the decode side when `resident == cap` and records the high-water mark
+/// actually reached.
 struct ResidencyGate {
     state: Mutex<(usize, usize)>, // (resident, peak)
     freed: Condvar,
+    cap: usize,
 }
 
 impl ResidencyGate {
-    fn new() -> Self {
+    fn new(cap: usize) -> Self {
         ResidencyGate {
             state: Mutex::new((0, 0)),
             freed: Condvar::new(),
+            cap,
         }
     }
 
     /// Block until a residency slot is free, then claim it. The slot is
     /// speculative until [`commit`](Self::commit): the feeder claims before
     /// pulling, but the pull may yield end-of-stream instead of a session.
-    fn acquire(&self, cap: usize) {
+    fn acquire(&self) {
         let mut s = self.state.lock().expect("gate lock");
-        while s.0 >= cap {
+        while s.0 >= self.cap {
             s = self.freed.wait(s).expect("gate wait");
         }
         s.0 += 1;
@@ -132,39 +141,20 @@ pub const RETRAIN_CAPTURE_CAP: usize = 256;
 // Work items and worker threads
 // ---------------------------------------------------------------------------
 
-/// Where a work item's job lives: batch submissions share one `Arc`'d
-/// vector (one clone of the slice total, not one per worker), streamed
-/// sessions are owned (they exist one at a time by design).
-enum JobSource {
-    Shared(Arc<Vec<AuditJob>>, usize),
-    Owned(Box<AuditJob>),
-}
-
-impl JobSource {
-    fn job(&self) -> &AuditJob {
-        match self {
-            JobSource::Shared(jobs, i) => &jobs[*i],
-            JobSource::Owned(job) => job,
-        }
-    }
-}
-
 /// One session queued for a worker.
 struct WorkItem {
     /// Submission index within its batch (verdict ordering key).
     index: usize,
-    source: JobSource,
-    /// Battery generation this item was submitted under (see
-    /// [`ReferenceCache::set_battery`]); always `None` for registry
-    /// submissions (a TDRP ships no battery).
-    battery: Option<Arc<DetectorBattery>>,
-    /// Registry entry this item audits against, pinned for the batch's
+    job: Box<AuditJob>,
+    /// The entry this item audits against, pinned for the batch's
     /// lifetime (all items of one batch share the `Arc`; the last drop
-    /// unpins). `None` = the service's built-in default reference.
-    reference: Option<Arc<PinnedReference>>,
+    /// unpins).
+    reference: Arc<PinnedReference>,
+    /// The battery resolved at submission (`None` = TDR-only).
+    battery: Option<Arc<DetectorBattery>>,
     /// Ticket-wide cancellation flag: set → skip the audit entirely.
     cancelled: Arc<AtomicBool>,
-    /// Residency slot to release after the audit (stream mode only).
+    /// Residency slot to release after the audit (streams only).
     gate: Option<Arc<ResidencyGate>>,
     /// Where the verdict goes (the ticket's receiver).
     sink: mpsc::Sender<(usize, AuditVerdict)>,
@@ -176,13 +166,13 @@ struct WorkItem {
     tenant_depth: Option<Arc<Gauge>>,
 }
 
-/// Tenant id for in-process submissions ([`AuditService::submit_batch`]
-/// and friends) and for daemon connections served without a tenant id.
-/// Daemon connection ids start at 1, so 0 never collides.
+/// Tenant id for in-process submissions ([`AuditService::submit`]) and
+/// for daemon connections served without a tenant id. Daemon connection
+/// ids start at 1, so 0 never collides.
 const LOCAL_TENANT: u64 = 0;
 
 // ---------------------------------------------------------------------------
-// Fair work queue (deficit round-robin across tenants)
+// Fair work queue (round-robin across tenants)
 // ---------------------------------------------------------------------------
 
 /// Per-connection/tenant submission quota, enforced in-band by
@@ -204,16 +194,6 @@ pub struct TenantQuota {
     pub max_batches: u64,
 }
 
-/// One tenant's backlog inside the [`WorkQueue`].
-struct TenantQueue {
-    /// Deficit-round-robin credit. With [`WorkQueue::QUANTUM`] = 1 and
-    /// every job costing one credit this stays at zero — the structure is
-    /// kept so a future cost model (e.g. declared session cycles) only
-    /// changes the arithmetic, not the queue.
-    deficit: u64,
-    items: VecDeque<WorkItem>,
-}
-
 /// What [`WorkQueue::try_pop`] observed without blocking.
 enum Popped {
     Item(Box<WorkItem>),
@@ -222,37 +202,32 @@ enum Popped {
 }
 
 #[derive(Default)]
-struct DrrState {
-    /// Tenants with queued work. Empty per-tenant queues are removed, so
-    /// the map never grows beyond the set of tenants with live backlog.
-    queues: std::collections::BTreeMap<u64, TenantQueue>,
+struct QueueState {
+    /// Per-tenant FIFO backlogs. Empty backlogs are removed, so the map
+    /// never grows beyond the set of tenants with live backlog.
+    queues: BTreeMap<u64, VecDeque<WorkItem>>,
     /// Round-robin service order over `queues` keys.
     active: VecDeque<u64>,
     closed: bool,
 }
 
 /// The shared work queue: items are enqueued FIFO *per tenant* and
-/// dequeued deficit-round-robin *across* tenants, so one tenant's flood
-/// delays another tenant by at most one job per round instead of by the
-/// whole backlog. Replaces the old single `mpsc` FIFO hand-off.
+/// dequeued round-robin *across* tenants — one job per tenant with
+/// backlog per round — so one tenant's flood delays another tenant by at
+/// most one job per round instead of by the whole backlog.
 ///
-/// Close semantics mirror the channel it replaced: [`close`](Self::close)
-/// rejects new pushes, but pops keep draining queued items — `None`/
-/// `Closed` only once the queue is closed **and** empty, so graceful
-/// shutdown still completes in-flight tickets.
+/// [`close`](Self::close) rejects new pushes, but pops keep draining
+/// queued items — `None`/`Closed` only once the queue is closed **and**
+/// empty, so graceful shutdown still completes in-flight tickets.
 struct WorkQueue {
-    state: Mutex<DrrState>,
+    state: Mutex<QueueState>,
     ready: Condvar,
 }
 
 impl WorkQueue {
-    /// Credits granted per round. Unit quantum + unit cost = one job per
-    /// tenant per round (classic round-robin as the DRR degenerate case).
-    const QUANTUM: u64 = 1;
-
     fn new() -> Self {
         WorkQueue {
-            state: Mutex::new(DrrState::default()),
+            state: Mutex::new(QueueState::default()),
             ready: Condvar::new(),
         }
     }
@@ -260,41 +235,31 @@ impl WorkQueue {
     /// Enqueue an item under its tenant. `Err(item)` iff the queue is
     /// closed (the service shut down under the submitter).
     fn push(&self, item: WorkItem) -> Result<(), WorkItem> {
-        let mut s = self.state.lock().expect("work queue lock");
+        let mut guard = self.state.lock().expect("work queue lock");
+        let s = &mut *guard;
         if s.closed {
             return Err(item);
         }
-        let tenant = item.tenant;
-        match s.queues.get_mut(&tenant) {
-            Some(q) => q.items.push_back(item),
-            None => {
-                s.queues.insert(
-                    tenant,
-                    TenantQueue {
-                        deficit: 0,
-                        items: VecDeque::from([item]),
-                    },
-                );
-                s.active.push_back(tenant);
-            }
+        let backlog = s.queues.entry(item.tenant).or_default();
+        if backlog.is_empty() {
+            s.active.push_back(item.tenant);
         }
-        drop(s);
+        backlog.push_back(item);
+        drop(guard);
         self.ready.notify_one();
         Ok(())
     }
 
-    /// One DRR scheduling step under the lock: advance the round-robin
-    /// head, spend a credit, and requeue the tenant if backlog remains.
-    fn pop_locked(s: &mut DrrState) -> Option<Box<WorkItem>> {
+    /// One round-robin step under the lock: serve the head tenant's
+    /// oldest item and requeue the tenant if backlog remains.
+    fn pop_locked(s: &mut QueueState) -> Option<Box<WorkItem>> {
         let tenant = s.active.pop_front()?;
-        let q = s
+        let backlog = s
             .queues
             .get_mut(&tenant)
-            .expect("active tenant has a queue");
-        q.deficit += Self::QUANTUM;
-        let item = q.items.pop_front().expect("active tenant queue nonempty");
-        q.deficit -= 1; // unit cost per job
-        if q.items.is_empty() {
+            .expect("active tenant has a backlog");
+        let item = backlog.pop_front().expect("active tenant backlog nonempty");
+        if backlog.is_empty() {
             s.queues.remove(&tenant);
         } else {
             s.active.push_back(tenant);
@@ -338,19 +303,21 @@ impl WorkQueue {
 
 /// State shared by the service handle, its workers, and its tickets.
 struct Shared {
-    reference: Reference,
     cfg: AuditConfig,
-    /// Current battery generation. Starts as `reference.battery`; swapped
-    /// by cross-batch retraining ([`ServiceBuilder::retrain_on_clean`]).
+    /// The builder's reference as an entry outside the registry's map:
+    /// never evicted, charged to no budget, counted in no `registry_*`
+    /// metric. `submit(_, None)` and v1 `SubmitBatch` frames audit
+    /// against it.
+    builtin: Arc<PinnedReference>,
+    /// Current battery generation. Starts as the reference's battery;
+    /// replaced only through [`publish`].
     battery: Mutex<Option<Arc<DetectorBattery>>>,
     retrain_on_clean: bool,
     /// The service's single source of truth for counters and lifecycle
     /// events — workers, feeders, serve loops, and the TCP front end all
     /// record into this one set (see [`crate::obs::ServiceMetrics`]).
     metrics: ServiceMetrics,
-    /// Wire-registered reference programs (verify-on-load, LRU-evicted);
-    /// the built-in `reference` above is *not* an entry here — v1
-    /// `SubmitBatch` frames and the plain submit paths keep using it.
+    /// Wire-registered reference programs (verify-on-load, LRU-evicted).
     registry: ReferenceRegistry,
 }
 
@@ -358,7 +325,7 @@ struct Shared {
 /// worker panics mid-audit, the slot must not leak: a leaked slot would
 /// wedge the streaming feeder in `gate.acquire` forever, turning a worker
 /// death into a silent hang instead of the loud short-verdict-set failure
-/// `BatchTicket::finish` raises.
+/// `BatchTicket::wait` raises.
 struct SlotGuard(Option<Arc<ResidencyGate>>);
 
 impl Drop for SlotGuard {
@@ -370,7 +337,6 @@ impl Drop for SlotGuard {
 }
 
 fn worker_main(worker: u64, shared: Arc<Shared>, queue: Arc<WorkQueue>) {
-    let mut cache = ReferenceCache::new(&shared.reference);
     loop {
         // The queue holds its lock only for the dequeue, not the audit. An
         // idle worker parks in `pop_wait`; a closed-and-drained queue is
@@ -391,9 +357,9 @@ fn worker_main(worker: u64, shared: Arc<Shared>, queue: Arc<WorkQueue>) {
         shared.metrics.queue_depth.dec();
         let WorkItem {
             index,
-            source,
-            battery,
+            job,
             reference,
+            battery,
             cancelled,
             gate,
             sink,
@@ -406,36 +372,21 @@ fn worker_main(worker: u64, shared: Arc<Shared>, queue: Arc<WorkQueue>) {
         let slot = SlotGuard(gate);
         if cancelled.load(Ordering::Relaxed) {
             shared.metrics.sessions_cancelled.inc();
-            drop(source);
-            drop(slot);
             continue;
         }
         shared.metrics.in_flight_jobs.inc();
         let started = Instant::now();
-        let verdict = match &reference {
-            // Registry submission: audit on a warm cache from the pinned
-            // entry's pool. Registered references ship no battery, so
-            // they score TDR-only regardless of the service-wide mode;
-            // threshold and seed derivation come from the service
-            // configuration as usual.
-            Some(pin) => {
-                let mut ref_cache = pin.checkout_cache();
-                let cfg = AuditConfig {
-                    battery: BatteryMode::TdrOnly,
-                    ..shared.cfg
-                };
-                let verdict = ref_cache.audit(source.job(), &cfg);
-                pin.return_cache(ref_cache);
-                verdict
-            }
-            None => {
-                cache.set_battery(battery);
-                cache.audit(source.job(), &shared.cfg)
-            }
-        };
+        // The one audit arm: a warm cache from the pinned entry's pool,
+        // scored with the battery resolved at submission.
+        let mut cache = reference.checkout_cache();
+        let verdict = cache.audit(&job, &shared.cfg, battery.as_deref());
+        reference.return_cache(cache);
         let elapsed = started.elapsed();
         shared.metrics.in_flight_jobs.dec();
-        drop(source);
+        // Unpin and free the slot before the verdict goes out, so a ticket
+        // that has every verdict holds no pin and no slot.
+        drop(job);
+        drop(reference);
         drop(slot);
         shared
             .metrics
@@ -523,19 +474,19 @@ impl ServiceBuilder {
         self
     }
 
-    /// After each completed batch, fold the observed IPDs of its *clean*
-    /// sessions (not flagged, no replay error) back into the battery
-    /// ([`DetectorBattery::absorb_all`]) and use the retrained battery
-    /// for subsequent submissions — the cross-batch retraining hook.
-    /// Requires a trained battery on the service. Default off: retraining
-    /// changes statistical baselines across batches by design, so
-    /// warm-service output is byte-identical to one-shot calls only with
-    /// this off.
+    /// After each completed batch on the built-in reference, fold the
+    /// observed IPDs of its *clean* sessions (not flagged, no replay
+    /// error) back into the battery ([`DetectorBattery::absorb_all`]) and
+    /// use the retrained battery for subsequent submissions — the
+    /// cross-batch retraining hook. Requires a trained battery on the
+    /// service. Default off: retraining changes statistical baselines
+    /// across batches by design, so warm-service output is byte-identical
+    /// to one-shot calls only with this off.
     ///
-    /// Streamed submissions keep their bounded-memory promise: only the
-    /// first [`RETRAIN_CAPTURE_CAP`] sessions of a streamed batch are
-    /// candidates for absorption (materialized `submit_batch` batches
-    /// absorb every clean session — the caller already holds them all).
+    /// The source kind bounds the capture: every clean session of owned
+    /// jobs is a candidate (the caller already holds them all), but only
+    /// the first [`RETRAIN_CAPTURE_CAP`] sessions of a TDRB stream are, so
+    /// streamed ingest keeps its bounded-memory promise.
     pub fn retrain_on_clean(mut self, on: bool) -> Self {
         self.retrain_on_clean = on;
         self
@@ -551,22 +502,21 @@ impl ServiceBuilder {
         self
     }
 
-    /// Validate the configuration and spawn the worker pool.
+    /// Validate the configuration and spawn the worker pool. Workers
+    /// build their reference caches lazily, on first checkout.
     pub fn build(self) -> Result<AuditService, ConfigError> {
         self.cfg.validate()?;
-        if self.cfg.battery == BatteryMode::Full && self.reference.battery.is_none() {
+        let needs_battery = self.cfg.battery == BatteryMode::Full || self.retrain_on_clean;
+        if needs_battery && self.reference.battery.is_none() {
             return Err(ConfigError::MissingBattery);
         }
-        if self.retrain_on_clean && self.reference.battery.is_none() {
-            return Err(ConfigError::MissingBattery);
-        }
-        let battery = self.reference.battery.clone();
+        let battery = Mutex::new(self.reference.battery.clone());
         let metrics = ServiceMetrics::new();
         let registry = ReferenceRegistry::with_service_metrics(self.reference_budget, &metrics);
         let shared = Arc::new(Shared {
-            reference: self.reference,
             cfg: self.cfg,
-            battery: Mutex::new(battery),
+            builtin: Arc::new(PinnedReference::unregistered(self.reference)),
+            battery,
             retrain_on_clean: self.retrain_on_clean,
             metrics,
             registry,
@@ -594,6 +544,38 @@ impl ServiceBuilder {
 // The service
 // ---------------------------------------------------------------------------
 
+/// What one [`AuditService::submit`] audits. The kind of source, not an
+/// option, selects how it is fed:
+///
+/// * owned jobs (`Vec<AuditJob>`, via `From`) are resident already, so
+///   they are enqueued at once without a residency gate, and every clean
+///   session is a retraining candidate;
+/// * a TDRB reader ([`Source::tdrb`]) is decoded lazily on a feeder thread
+///   under the service's high-water residency bound, and only its first
+///   [`RETRAIN_CAPTURE_CAP`] sessions are retraining candidates.
+pub struct Source(Sessions);
+
+enum Sessions {
+    Jobs(Vec<AuditJob>),
+    Tdrb(BatchStream<io::BufReader<Box<dyn Read + Send>>>),
+}
+
+impl Source {
+    /// A TDRB byte stream. The batch header is read here, so a malformed
+    /// header fails fast, on the caller; `reader` is buffered internally.
+    pub fn tdrb<R: Read + Send + 'static>(reader: R) -> Result<Source, IngestError> {
+        let reader: Box<dyn Read + Send> = Box::new(reader);
+        let sessions = BatchStream::new(io::BufReader::new(reader))?;
+        Ok(Source(Sessions::Tdrb(sessions)))
+    }
+}
+
+impl From<Vec<AuditJob>> for Source {
+    fn from(jobs: Vec<AuditJob>) -> Self {
+        Source(Sessions::Jobs(jobs))
+    }
+}
+
 /// A long-lived audit service: one warmed worker pool, many submissions.
 ///
 /// See the [module docs](self) for the lifecycle. Submissions from
@@ -617,18 +599,6 @@ impl std::fmt::Debug for AuditService {
             )
             .finish()
     }
-}
-
-/// What a streaming feeder reports back when it finishes.
-struct FeederOutcome {
-    error: Option<IngestError>,
-    /// Sessions actually handed to the workers (the verdict count a
-    /// clean run must deliver — fewer means a worker died).
-    submitted: usize,
-    peak_resident: usize,
-    /// `(session_id, observed IPDs)` per submitted session, captured only
-    /// when cross-batch retraining is on.
-    retrain_traces: Option<Vec<(u64, Vec<u64>)>>,
 }
 
 impl AuditService {
@@ -690,23 +660,46 @@ impl AuditService {
         self.shared.metrics.trace_events()
     }
 
-    /// The battery generation new submissions would score with (changes
-    /// only under [`ServiceBuilder::retrain_on_clean`]).
+    /// The current battery generation: what new submissions on the
+    /// built-in reference score with under [`BatteryMode::Full`]. It
+    /// changes under [`install_battery`](Self::install_battery) and under
+    /// [`ServiceBuilder::retrain_on_clean`].
     pub fn battery(&self) -> Option<Arc<DetectorBattery>> {
         self.shared.battery.lock().expect("battery lock").clone()
     }
 
-    /// Submit a materialized batch. Returns immediately; the ticket yields
-    /// verdicts as workers produce them and the final report on
-    /// [`BatchTicket::wait`].
-    pub fn submit_batch(&self, jobs: &[AuditJob]) -> BatchTicket {
-        self.submit_batch_owned(jobs.to_vec())
+    /// Submit `source` for audit against `reference` — a registered id,
+    /// or `None` for the service's built-in reference. Returns
+    /// immediately; the ticket yields verdicts as workers produce them and
+    /// the final report on [`BatchTicket::wait`]. The serve loop submits
+    /// through the same core, so a v1 `SubmitBatch` frame is
+    /// `submit(_, None)` and a v2 frame is `submit(_, Some(id))`.
+    ///
+    /// The built-in reference scores with the battery generation current
+    /// at submission when the service runs [`BatteryMode::Full`]. A
+    /// registered reference ships no battery, so its sessions score
+    /// TDR-only and never feed retraining. Fails with
+    /// [`RegistryError::Unknown`] if `reference` is not resident (never
+    /// loaded, or evicted); [`put_reference`](Self::put_reference) and
+    /// resubmit.
+    pub fn submit(
+        &self,
+        source: impl Into<Source>,
+        reference: Option<ReferenceId>,
+    ) -> Result<BatchTicket, RegistryError> {
+        let registered = self.resolve(reference).map_err(RegistryError::Unknown)?;
+        Ok(self.start(source.into(), registered, LOCAL_TENANT, None))
     }
 
-    /// [`submit_batch`](Self::submit_batch) without the defensive copy —
-    /// the jobs are moved into one shared allocation.
-    pub fn submit_batch_owned(&self, jobs: Vec<AuditJob>) -> BatchTicket {
-        self.submit_batch_inner(jobs, None)
+    /// Pin the registered entry `reference` names (`None` names the
+    /// built-in entry); `Err` returns an id that is not resident.
+    fn resolve(
+        &self,
+        reference: Option<ReferenceId>,
+    ) -> Result<Option<PinnedReference>, ReferenceId> {
+        reference
+            .map(|id| self.shared.registry.checkout(&id).ok_or(id))
+            .transpose()
     }
 
     /// Open, verify, and admit a TDRP container into the service's
@@ -722,10 +715,10 @@ impl AuditService {
     /// (`Client::put_battery`). Returns the new generation number.
     ///
     /// Refused (with the reason) when the JSON fails to parse, the
-    /// battery is untrained, or the service was built without a battery
-    /// (TDR-only scoring — an installed battery would silently never
-    /// score, so pretending to accept it would hide a fleet
-    /// misconfiguration). In-flight sessions keep the generation they
+    /// battery is untrained, or the service scores TDR-only — with or
+    /// without a battery attached, an installed battery would silently
+    /// never score, so pretending to accept it would hide a fleet
+    /// misconfiguration. In-flight sessions keep the generation they
     /// were submitted under; only subsequent submissions see the new one
     /// — the same swap discipline as cross-batch retraining.
     pub fn install_battery(&self, json: &str) -> Result<u64, String> {
@@ -734,40 +727,14 @@ impl AuditService {
         if !battery.is_trained() {
             return Err("battery is untrained".to_string());
         }
-        if self.shared.reference.battery.is_none() {
+        if self.shared.cfg.battery != BatteryMode::Full {
             return Err(
-                "service scores TDR-only (built without a battery); install refused".to_string(),
+                "service scores TDR-only, so an installed battery would never score; install refused"
+                    .to_string(),
             );
         }
-        let mut guard = self.shared.battery.lock().expect("battery lock");
-        *guard = Some(Arc::new(battery));
-        drop(guard);
-        let generation = self.shared.metrics.retrain_generations.inc();
-        self.shared
-            .metrics
-            .trace(TraceKind::RetrainPublish, generation, 0);
-        Ok(generation)
-    }
-
-    /// Submit a materialized batch to be audited against the *registered*
-    /// reference `reference` instead of the service's built-in one — the
-    /// in-process twin of a `SubmitBatch` v2 frame. Fails with
-    /// [`RegistryError::Unknown`] if the id is not resident (never loaded
-    /// or evicted); [`put_reference`](Self::put_reference) and resubmit.
-    ///
-    /// Registered references carry no trained battery, so these sessions
-    /// score TDR-only regardless of the service-wide battery mode.
-    pub fn submit_batch_for(
-        &self,
-        jobs: &[AuditJob],
-        reference: ReferenceId,
-    ) -> Result<BatchTicket, RegistryError> {
-        let pin = self
-            .shared
-            .registry
-            .checkout(&reference)
-            .ok_or(RegistryError::Unknown(reference))?;
-        Ok(self.submit_batch_inner(jobs.to_vec(), Some(Arc::new(pin))))
+        let slot = self.shared.battery.lock().expect("battery lock");
+        Ok(publish(&self.shared, slot, Arc::new(battery), 0))
     }
 
     /// The service's reference registry (shared with every serve loop).
@@ -775,201 +742,115 @@ impl AuditService {
         &self.shared.registry
     }
 
-    fn submit_batch_inner(
+    /// The submission core under [`submit`](Self::submit) and the serve
+    /// loop: owned jobs are fed on the calling thread, a TDRB stream on a
+    /// feeder thread. `registered` is `None` for the built-in entry.
+    fn start(
         &self,
-        jobs: Vec<AuditJob>,
-        reference: Option<Arc<PinnedReference>>,
-    ) -> BatchTicket {
-        let batch_seq = self.shared.metrics.batches_submitted.inc();
-        self.shared
-            .metrics
-            .sessions_submitted
-            .add(jobs.len() as u64);
-        self.shared
-            .metrics
-            .trace(TraceKind::BatchSubmit, batch_seq, jobs.len() as u64);
-        let jobs = Arc::new(jobs);
-        let battery = reference.is_none().then(|| self.battery()).flatten();
-        let retrain_traces = (self.shared.retrain_on_clean && reference.is_none()).then(|| {
-            jobs.iter()
-                .map(|j| (j.session_id, j.observed_ipds.clone()))
-                .collect()
-        });
-        let (sink, rx) = mpsc::channel();
-        let cancelled = Arc::new(AtomicBool::new(false));
-        for index in 0..jobs.len() {
-            let item = WorkItem {
-                index,
-                source: JobSource::Shared(Arc::clone(&jobs), index),
-                battery: battery.clone(),
-                reference: reference.clone(),
-                cancelled: Arc::clone(&cancelled),
-                gate: None,
-                sink: sink.clone(),
-                tenant: LOCAL_TENANT,
-                tenant_depth: None,
-            };
-            self.shared.metrics.queue_depth.inc();
-            self.queue
-                .push(item)
-                .map_err(|_| "queue closed")
-                .expect("service workers outlive submissions");
-        }
-        // Dropping the last local sender lets the ticket's receiver close
-        // once every worker has delivered (or skipped) its verdict.
-        drop(sink);
-        BatchTicket {
-            rx,
-            cancelled,
-            batch_seq,
-            collected: Vec::with_capacity(jobs.len()),
-            feeder: None,
-            immediate_outcome: Some(FeederOutcome {
-                error: None,
-                submitted: jobs.len(),
-                peak_resident: 0,
-                retrain_traces,
-            }),
-            workers: self.workers.len().min(jobs.len()).max(1),
-            shared: Arc::clone(&self.shared),
-            finished: false,
-        }
-    }
-
-    /// Submit a TDRB byte stream. The batch header is validated here (so
-    /// a malformed header fails fast, on the caller); sessions then decode
-    /// lazily on a feeder thread under the service's high-water residency
-    /// bound, exactly like the one-shot [`crate::audit_stream`].
-    pub fn submit_stream<R>(&self, reader: R) -> Result<BatchTicket, IngestError>
-    where
-        R: Read + Send + 'static,
-    {
-        self.submit_stream_tenant(reader, LOCAL_TENANT, None, None)
-    }
-
-    /// [`submit_stream`](Self::submit_stream) with work items tagged for
-    /// the fair scheduler: `tenant` keys the round-robin, `handles` (if
-    /// any) receive per-tenant throughput/depth updates.
-    fn submit_stream_tenant<R>(
-        &self,
-        reader: R,
+        source: Source,
+        registered: Option<PinnedReference>,
         tenant: u64,
         handles: Option<&TenantMetricHandles>,
-        reference: Option<Arc<PinnedReference>>,
-    ) -> Result<BatchTicket, IngestError>
-    where
-        R: Read + Send + 'static,
-    {
-        let sessions = BatchStream::new(io::BufReader::new(reader))?;
-        Ok(self.submit_session_iter_tenant(sessions, tenant, handles, reference))
+    ) -> BatchTicket {
+        match source.0 {
+            Sessions::Jobs(jobs) => {
+                let len = Some(jobs.len());
+                self.open(registered, tenant, handles, len, |ctx| {
+                    Outcome::Fed(feed(jobs.into_iter().map(Ok), ctx))
+                })
+            }
+            Sessions::Tdrb(sessions) => self.open(registered, tenant, handles, None, |ctx| {
+                let feeder = std::thread::Builder::new()
+                    .name("audit-service-feeder".to_string())
+                    .spawn(move || feed(sessions, ctx))
+                    .expect("spawn audit service feeder");
+                Outcome::Feeding(feeder)
+            }),
+        }
     }
 
-    /// Submit any pull-based session source on a feeder thread.
-    pub fn submit_session_iter<I>(&self, sessions: I) -> BatchTicket
-    where
-        I: IntoIterator<Item = Result<AuditJob, IngestError>> + Send + 'static,
-        I::IntoIter: Send,
-    {
-        self.submit_session_iter_tenant(sessions, LOCAL_TENANT, None, None)
-    }
-
-    fn submit_session_iter_tenant<I>(
+    /// Blocking audit of a session source that need not be `Send` (it may
+    /// borrow caller state) on the built-in reference: the feed runs on
+    /// the calling thread while workers audit. This is what the one-shot
+    /// helpers in [`crate::pool`] run; `len` as in [`open`](Self::open).
+    pub(crate) fn audit_blocking<I>(
         &self,
         sessions: I,
-        tenant: u64,
-        handles: Option<&TenantMetricHandles>,
-        reference: Option<Arc<PinnedReference>>,
-    ) -> BatchTicket
-    where
-        I: IntoIterator<Item = Result<AuditJob, IngestError>> + Send + 'static,
-        I::IntoIter: Send,
-    {
-        let batch_seq = self.shared.metrics.batches_submitted.inc();
-        // Session count unknown until the stream drains: `b = 0` marks a
-        // streamed submission in the trace.
-        self.shared
-            .metrics
-            .trace(TraceKind::BatchSubmit, batch_seq, 0);
-        let (sink, rx) = mpsc::channel();
-        let cancelled = Arc::new(AtomicBool::new(false));
-        let default_reference = reference.is_none();
-        let ctx = FeedContext {
-            queue: Arc::clone(&self.queue),
-            sink,
-            cancelled: Arc::clone(&cancelled),
-            battery: default_reference.then(|| self.battery()).flatten(),
-            reference,
-            high_water: self.shared.cfg.high_water,
-            // Cross-batch retraining feeds the *default* battery; a
-            // registry batch's clean traces belong to a different program
-            // and must not be absorbed into it.
-            retrain: self.shared.retrain_on_clean && default_reference,
-            queue_depth: Arc::clone(&self.shared.metrics.queue_depth),
-            sessions_submitted: Arc::clone(&self.shared.metrics.sessions_submitted),
-            tenant,
-            tenant_depth: handles.map(|h| Arc::clone(&h.queue_depth)),
-            tenant_sessions: handles.map(|h| Arc::clone(&h.sessions)),
-        };
-        let feeder = std::thread::Builder::new()
-            .name("audit-service-feeder".to_string())
-            .spawn(move || feed(sessions, ctx))
-            .expect("spawn audit service feeder");
-        BatchTicket {
-            rx,
-            cancelled,
-            batch_seq,
-            collected: Vec::new(),
-            feeder: Some(feeder),
-            immediate_outcome: None,
-            workers: self.workers.len().min(self.shared.cfg.high_water).max(1),
-            shared: Arc::clone(&self.shared),
-            finished: false,
-        }
-    }
-
-    /// Blocking streamed audit over a non-`Send` session source: the
-    /// feeder loop runs on the calling thread (this is what the one-shot
-    /// [`crate::audit_stream`] shim uses, since its iterator may borrow
-    /// caller state), workers audit concurrently, and the collected
-    /// report is returned when the stream and all verdicts drain.
-    pub fn run_stream<I>(&self, sessions: I) -> Result<StreamReport, IngestError>
+        len: Option<usize>,
+    ) -> Result<BatchReport, IngestError>
     where
         I: IntoIterator<Item = Result<AuditJob, IngestError>>,
     {
-        let batch_seq = self.shared.metrics.batches_submitted.inc();
-        self.shared
+        self.open(None, LOCAL_TENANT, None, len, |ctx| {
+            Outcome::Fed(feed(sessions, ctx))
+        })
+        .wait()
+    }
+
+    /// Open one submission: count and trace it, resolve its entry and
+    /// battery, let `run` feed it, and return its ticket — the one ticket
+    /// constructor. `len` is the session count of owned jobs; `None`
+    /// marks a stream, fed under the residency gate.
+    fn open(
+        &self,
+        registered: Option<PinnedReference>,
+        tenant: u64,
+        handles: Option<&TenantMetricHandles>,
+        len: Option<usize>,
+        run: impl FnOnce(FeedContext) -> Outcome,
+    ) -> BatchTicket {
+        let shared = &self.shared;
+        let batch_seq = shared.metrics.batches_submitted.inc();
+        // A stream's session count is unknown until it drains: `b = 0`.
+        shared
             .metrics
-            .trace(TraceKind::BatchSubmit, batch_seq, 0);
+            .trace(TraceKind::BatchSubmit, batch_seq, len.unwrap_or(0) as u64);
+        // The built-in entry scores with the generation current now and
+        // feeds retraining; a registered entry ships no battery and trains
+        // nothing it does not own.
+        let (reference, battery, retrain) = match registered {
+            Some(pin) => (Arc::new(pin), None, false),
+            None => (
+                Arc::clone(&shared.builtin),
+                (shared.cfg.battery == BatteryMode::Full)
+                    .then(|| self.battery())
+                    .flatten(),
+                shared.retrain_on_clean,
+            ),
+        };
         let (sink, rx) = mpsc::channel();
         let cancelled = Arc::new(AtomicBool::new(false));
-        let ctx = FeedContext {
+        let outcome = run(FeedContext {
             queue: Arc::clone(&self.queue),
             sink,
             cancelled: Arc::clone(&cancelled),
-            battery: self.battery(),
-            reference: None,
-            high_water: self.shared.cfg.high_water,
-            retrain: self.shared.retrain_on_clean,
-            queue_depth: Arc::clone(&self.shared.metrics.queue_depth),
-            sessions_submitted: Arc::clone(&self.shared.metrics.sessions_submitted),
-            tenant: LOCAL_TENANT,
-            tenant_depth: None,
-            tenant_sessions: None,
-        };
-        let outcome = feed(sessions, ctx);
-        let mut ticket = BatchTicket {
+            reference,
+            battery,
+            gate: len
+                .is_none()
+                .then(|| Arc::new(ResidencyGate::new(shared.cfg.high_water))),
+            retrain,
+            queue_depth: Arc::clone(&shared.metrics.queue_depth),
+            sessions_submitted: Arc::clone(&shared.metrics.sessions_submitted),
+            tenant,
+            tenant_depth: handles.map(|h| Arc::clone(&h.queue_depth)),
+            tenant_sessions: handles.map(|h| Arc::clone(&h.sessions)),
+        });
+        BatchTicket {
             rx,
             cancelled,
             batch_seq,
-            collected: Vec::new(),
-            feeder: None,
-            immediate_outcome: Some(outcome),
-            workers: self.workers.len().min(self.shared.cfg.high_water).max(1),
-            shared: Arc::clone(&self.shared),
-            finished: false,
-        };
-        while ticket.recv().is_some() {}
-        ticket.wait_stream()
+            collected: Vec::with_capacity(len.unwrap_or(0)),
+            outcome: Some(outcome),
+            // More workers than sessions, or than residency slots, could
+            // never all be busy.
+            workers: self
+                .workers
+                .len()
+                .min(len.unwrap_or(shared.cfg.high_water))
+                .max(1),
+            shared: Arc::clone(shared),
+        }
     }
 
     /// Graceful shutdown: close the work queue, let workers drain every
@@ -1053,14 +934,7 @@ impl AuditService {
                     // id is answered in-band (the client surfaces it as
                     // `ControlError::UnknownReference`) and, like a quota
                     // refusal, consumes no quota.
-                    let resolved = match reference {
-                        None => Ok(None),
-                        Some(id) => match self.shared.registry.checkout(&id) {
-                            Some(pin) => Ok(Some(Arc::new(pin))),
-                            None => Err(id),
-                        },
-                    };
-                    match resolved {
+                    match self.resolve(reference) {
                         Err(id) => reply(
                             &mut writer,
                             ControlFrame::ReferenceAck {
@@ -1072,7 +946,7 @@ impl AuditService {
                             metrics,
                             &metrics.frames_out_reference_ack,
                         ),
-                        Ok(pin) => {
+                        Ok(registered) => {
                             if let Some(refusal) =
                                 quota_refusal(quota, admitted_batches, &tdrb, batch_id)
                             {
@@ -1087,12 +961,11 @@ impl AuditService {
                                 self.serve_batch(
                                     batch_id,
                                     tdrb,
-                                    pin,
+                                    registered,
                                     &mut writer,
                                     tenant,
                                     handles.as_ref(),
                                 )
-                                .and_then(|()| writer.flush().map_err(ControlError::from_io))
                             }
                         }
                     }
@@ -1172,30 +1045,27 @@ impl AuditService {
         &self,
         batch_id: u64,
         tdrb: Vec<u8>,
-        reference: Option<Arc<PinnedReference>>,
+        registered: Option<PinnedReference>,
         writer: &mut W,
         tenant: u64,
         handles: Option<&TenantMetricHandles>,
     ) -> Result<(), ControlError> {
         let metrics = &self.shared.metrics;
-        let mut ticket =
-            match self.submit_stream_tenant(io::Cursor::new(tdrb), tenant, handles, reference) {
-                Ok(ticket) => ticket,
-                Err(e) => {
-                    metrics.batch_errors.inc();
-                    metrics.frames_out.inc();
-                    metrics.frames_out_error.inc();
-                    return ControlFrame::Error {
-                        batch_id,
-                        message: e.to_string(),
-                    }
-                    .write_to(writer);
-                }
-            };
+        let source = match Source::tdrb(io::Cursor::new(tdrb)) {
+            Ok(source) => source,
+            Err(e) => {
+                metrics.batch_errors.inc();
+                let error = ControlFrame::Error {
+                    batch_id,
+                    message: e.to_string(),
+                };
+                return reply(writer, error, metrics, &metrics.frames_out_error);
+            }
+        };
+        let mut ticket = self.start(source, registered, tenant, handles);
         // Re-order scheduling-dependent arrivals into submission order so
         // the response byte stream is deterministic.
-        let mut pending: std::collections::BTreeMap<usize, AuditVerdict> =
-            std::collections::BTreeMap::new();
+        let mut pending: BTreeMap<usize, AuditVerdict> = BTreeMap::new();
         let mut next = 0usize;
         while let Some((index, verdict)) = ticket.recv() {
             pending.insert(index, verdict);
@@ -1221,28 +1091,25 @@ impl AuditService {
             }
         }
         debug_assert!(pending.is_empty(), "verdict indexes are contiguous");
-        match ticket.wait_stream() {
-            Ok(report) => {
-                metrics.frames_out.inc();
-                metrics.frames_out_summary.inc();
+        let (last, kind) = match ticket.wait() {
+            Ok(report) => (
                 ControlFrame::Summary {
                     batch_id,
                     workers: report.workers as u64,
                     peak_resident: report.peak_resident as u64,
                     summary: report.summary,
-                }
-                .write_to(writer)
-            }
-            Err(e) => {
-                metrics.frames_out.inc();
-                metrics.frames_out_error.inc();
+                },
+                &metrics.frames_out_summary,
+            ),
+            Err(e) => (
                 ControlFrame::Error {
                     batch_id,
                     message: e.to_string(),
-                }
-                .write_to(writer)
-            }
-        }
+                },
+                &metrics.frames_out_error,
+            ),
+        };
+        reply(writer, last, metrics, kind)
     }
 }
 
@@ -1322,109 +1189,127 @@ fn reply<W: Write>(
     Ok(())
 }
 
-/// Everything a feeder needs besides the session source.
+// ---------------------------------------------------------------------------
+// Feeding a submission
+// ---------------------------------------------------------------------------
+
+/// Everything [`feed`] needs besides the session source.
 struct FeedContext {
     queue: Arc<WorkQueue>,
     sink: mpsc::Sender<(usize, AuditVerdict)>,
     cancelled: Arc<AtomicBool>,
+    /// The pinned entry every item of the submission audits against.
+    reference: Arc<PinnedReference>,
+    /// The battery resolved at submission.
     battery: Option<Arc<DetectorBattery>>,
-    /// Pinned registry entry the whole submission audits against
-    /// (`None` = default reference).
-    reference: Option<Arc<PinnedReference>>,
-    high_water: usize,
+    /// A stream's residency gate; `None` for owned jobs, which are
+    /// resident already.
+    gate: Option<Arc<ResidencyGate>>,
+    /// Capture clean-session traces for cross-batch retraining.
     retrain: bool,
     /// Metric handles (not the whole set: the feeder may outlive the
     /// ticket but records only these).
     queue_depth: Arc<Gauge>,
     sessions_submitted: Arc<Counter>,
-    /// Scheduling key stamped on every work item this feeder enqueues.
+    /// Scheduling key stamped on every work item this feed enqueues.
     tenant: u64,
     tenant_depth: Option<Arc<Gauge>>,
     tenant_sessions: Option<Arc<Counter>>,
 }
 
-/// The streaming feeder loop: pull sessions under the residency gate and
-/// enqueue them as work items. Runs on a spawned thread
-/// ([`AuditService::submit_session_iter`]) or the calling thread
-/// ([`AuditService::run_stream`]).
-fn feed<I>(sessions: I, ctx: FeedContext) -> FeederOutcome
+/// What a feed reports back when it finishes.
+struct FeedOutcome {
+    error: Option<IngestError>,
+    /// Sessions actually handed to the workers (the verdict count a
+    /// clean run must deliver — fewer means a worker died).
+    submitted: usize,
+    peak_resident: usize,
+    /// `(session_id, observed IPDs)` per captured session, present only
+    /// when cross-batch retraining is on.
+    retrain_traces: Option<Vec<(u64, Vec<u64>)>>,
+}
+
+/// The one enqueue loop: pull sessions — under the residency gate, for a
+/// stream — and enqueue them as work items. Runs on a feeder thread (a
+/// TDRB reader) or on the calling thread (owned jobs, and the blocking
+/// one-shot stream).
+fn feed<I>(sessions: I, ctx: FeedContext) -> FeedOutcome
 where
     I: IntoIterator<Item = Result<AuditJob, IngestError>>,
 {
-    let gate = Arc::new(ResidencyGate::new());
+    // Bounded capture: a gated stream promises memory proportional to
+    // `high_water`, not the batch, so only a capped prefix of it can feed
+    // retraining (absorb_clean zips verdicts with this prefix). Owned jobs
+    // are resident already, so every one of them is captured.
+    let capture = match ctx.gate {
+        Some(_) => RETRAIN_CAPTURE_CAP,
+        None => usize::MAX,
+    };
     let mut retrain_traces = ctx.retrain.then(Vec::new);
     let mut error = None;
     let mut submitted = 0usize;
-    let mut iter = sessions.into_iter();
-    loop {
-        if ctx.cancelled.load(Ordering::Relaxed) {
-            break;
-        }
+    let mut sessions = sessions.into_iter();
+    while !ctx.cancelled.load(Ordering::Relaxed) {
         // Claim a residency slot *before* decoding the next session: the
         // pull itself is what materializes it.
-        gate.acquire(ctx.high_water);
-        match iter.next() {
-            Some(Ok(job)) => {
-                gate.commit();
-                // Bounded capture: streamed ingest promises memory
-                // proportional to `high_water`, not the batch, so only a
-                // capped prefix of a streamed batch can feed retraining
-                // (absorb_clean zips verdicts with this prefix). The
-                // materialized `submit_batch` path captures every session
-                // — the caller already holds the whole batch there.
-                if let Some(traces) = &mut retrain_traces {
-                    if traces.len() < RETRAIN_CAPTURE_CAP {
-                        traces.push((job.session_id, job.observed_ipds.clone()));
-                    }
-                }
-                let item = WorkItem {
-                    index: submitted,
-                    source: JobSource::Owned(Box::new(job)),
-                    battery: ctx.battery.clone(),
-                    reference: ctx.reference.clone(),
-                    cancelled: Arc::clone(&ctx.cancelled),
-                    gate: Some(Arc::clone(&gate)),
-                    sink: ctx.sink.clone(),
-                    tenant: ctx.tenant,
-                    tenant_depth: ctx.tenant_depth.clone(),
-                };
-                ctx.queue_depth.inc();
-                if let Some(depth) = &ctx.tenant_depth {
-                    depth.inc();
-                }
-                if let Err(item) = ctx.queue.push(item) {
-                    // The service shut down under us; hand the slot back
-                    // and stop feeding.
-                    ctx.queue_depth.dec();
-                    if let Some(depth) = &ctx.tenant_depth {
-                        depth.dec();
-                    }
-                    drop(item);
+        if let Some(gate) = &ctx.gate {
+            gate.acquire();
+        }
+        let job = match sessions.next() {
+            Some(Ok(job)) => job,
+            end => {
+                if let Some(gate) = &ctx.gate {
                     gate.release();
-                    break;
                 }
-                ctx.sessions_submitted.inc();
-                if let Some(sessions) = &ctx.tenant_sessions {
-                    sessions.inc();
-                }
-                submitted += 1;
-            }
-            Some(Err(e)) => {
-                gate.release();
-                error = Some(e);
+                error = end.and_then(Result::err);
                 break;
             }
-            None => {
-                gate.release();
-                break;
+        };
+        if let Some(gate) = &ctx.gate {
+            gate.commit();
+        }
+        if let Some(traces) = &mut retrain_traces {
+            if traces.len() < capture {
+                traces.push((job.session_id, job.observed_ipds.clone()));
             }
         }
+        let item = WorkItem {
+            index: submitted,
+            job: Box::new(job),
+            reference: Arc::clone(&ctx.reference),
+            battery: ctx.battery.clone(),
+            cancelled: Arc::clone(&ctx.cancelled),
+            gate: ctx.gate.clone(),
+            sink: ctx.sink.clone(),
+            tenant: ctx.tenant,
+            tenant_depth: ctx.tenant_depth.clone(),
+        };
+        ctx.queue_depth.inc();
+        if let Some(depth) = &ctx.tenant_depth {
+            depth.inc();
+        }
+        if ctx.queue.push(item).is_err() {
+            // The service shut down under us; hand the slot back and
+            // stop feeding.
+            ctx.queue_depth.dec();
+            if let Some(depth) = &ctx.tenant_depth {
+                depth.dec();
+            }
+            if let Some(gate) = &ctx.gate {
+                gate.release();
+            }
+            break;
+        }
+        ctx.sessions_submitted.inc();
+        if let Some(sessions) = &ctx.tenant_sessions {
+            sessions.inc();
+        }
+        submitted += 1;
     }
-    drop(ctx.sink);
-    FeederOutcome {
+    FeedOutcome {
         error,
         submitted,
-        peak_resident: gate.peak(),
+        peak_resident: ctx.gate.map_or(0, |gate| gate.peak()),
         retrain_traces,
     }
 }
@@ -1433,15 +1318,22 @@ where
 // Tickets
 // ---------------------------------------------------------------------------
 
+/// A ticket's outcome slot: the feed already ran (owned jobs, or the
+/// blocking one-shot stream), or a feeder thread is still pulling a TDRB
+/// reader.
+enum Outcome {
+    Fed(FeedOutcome),
+    Feeding(JoinHandle<FeedOutcome>),
+}
+
 /// Handle to one submission in flight on an [`AuditService`].
 ///
 /// Yields per-session verdicts as workers produce them
 /// ([`recv`](Self::recv); arrival order is scheduling-dependent, indexes
 /// are submission order) and the final deterministic report on
-/// [`wait`](Self::wait) / [`wait_stream`](Self::wait_stream). **Dropping
-/// the ticket cancels the submission**: sessions not yet audited are
-/// skipped (their residency slots released) and the service moves on to
-/// the next batch.
+/// [`wait`](Self::wait). **Dropping the ticket cancels the submission**:
+/// sessions not yet audited are skipped (their residency slots released)
+/// and the service moves on to the next batch.
 pub struct BatchTicket {
     rx: mpsc::Receiver<(usize, AuditVerdict)>,
     cancelled: Arc<AtomicBool>,
@@ -1449,13 +1341,11 @@ pub struct BatchTicket {
     /// at submission), keying this batch's trace events.
     batch_seq: u64,
     collected: Vec<(usize, AuditVerdict)>,
-    feeder: Option<JoinHandle<FeederOutcome>>,
-    /// Outcome known at submission time (batch mode, or a blocking feed
-    /// that already ran); mutually exclusive with `feeder`.
-    immediate_outcome: Option<FeederOutcome>,
+    /// Taken when the ticket finishes; a ticket dropped with it still
+    /// here cancels its submission.
+    outcome: Option<Outcome>,
     workers: usize,
     shared: Arc<Shared>,
-    finished: bool,
 }
 
 impl std::fmt::Debug for BatchTicket {
@@ -1484,39 +1374,17 @@ impl BatchTicket {
 
     /// Drain remaining verdicts and produce the final batch report.
     ///
-    /// For batch submissions the `Err` arm is unreachable; for streamed
-    /// submissions it carries the first ingest error, after in-flight
-    /// sessions drained (same contract as the one-shot
-    /// [`crate::audit_stream`]).
-    pub fn wait(self) -> Result<BatchReport, IngestError> {
-        let (report, _) = self.finish()?;
-        Ok(report)
-    }
-
-    /// Like [`wait`](Self::wait), but reports the streaming residency
-    /// peak too (zero for materialized batch submissions).
-    pub fn wait_stream(self) -> Result<StreamReport, IngestError> {
-        let (report, peak_resident) = self.finish()?;
-        Ok(StreamReport {
-            verdicts: report.verdicts,
-            summary: report.summary,
-            workers: report.workers,
-            peak_resident,
-        })
-    }
-
-    fn finish(mut self) -> Result<(BatchReport, usize), IngestError> {
+    /// For owned jobs the `Err` arm is unreachable; for a stream it
+    /// carries the first ingest error, after in-flight sessions drained
+    /// (same contract as the one-shot [`crate::audit_stream`]).
+    pub fn wait(mut self) -> Result<BatchReport, IngestError> {
         // Drain by moving — no per-verdict clone on the internal path.
         while let Ok(pair) = self.rx.recv() {
             self.collected.push(pair);
         }
-        self.finished = true;
-        let outcome = match self.feeder.take() {
-            Some(handle) => handle.join().expect("feeder thread never panics"),
-            None => self
-                .immediate_outcome
-                .take()
-                .expect("ticket has a feeder or an immediate outcome"),
+        let outcome = match self.outcome.take().expect("a ticket finishes once") {
+            Outcome::Fed(outcome) => outcome,
+            Outcome::Feeding(feeder) => feeder.join().expect("feeder thread never panics"),
         };
         let metrics = &self.shared.metrics;
         if let Some(e) = outcome.error {
@@ -1528,11 +1396,9 @@ impl BatchTicket {
             );
             return Err(e);
         }
-        // The old scoped pool asserted "every job produces a verdict" and
-        // propagated worker panics; persistent workers swallow panics into
-        // their join handles, so a short verdict set is the only evidence
-        // a worker died mid-audit — fail loudly, never report a truncated
-        // fleet summary as complete.
+        // Persistent workers swallow panics into their join handles, so a
+        // short verdict set is the only evidence a worker died mid-audit —
+        // fail loudly, never report a truncated fleet summary as complete.
         assert_eq!(
             self.collected.len(),
             outcome.submitted,
@@ -1553,23 +1419,47 @@ impl BatchTicket {
         if let Some(traces) = outcome.retrain_traces {
             absorb_clean(&self.shared, &verdicts, &traces);
         }
-        Ok((
-            BatchReport {
-                verdicts,
-                summary,
-                workers: self.workers,
-            },
-            outcome.peak_resident,
-        ))
+        Ok(BatchReport {
+            verdicts,
+            summary,
+            workers: self.workers,
+            peak_resident: outcome.peak_resident,
+        })
     }
 }
 
 impl Drop for BatchTicket {
     fn drop(&mut self) {
-        if !self.finished {
+        if self.outcome.is_some() {
             self.cancelled.store(true, Ordering::Relaxed);
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Battery generations
+// ---------------------------------------------------------------------------
+
+/// Publish `battery` as the generation new submissions score with — the
+/// one path for [`AuditService::install_battery`] and cross-batch
+/// retraining: swap it into `slot` (the caller's lock on the current
+/// generation), count it in `retrain_generations`, and trace
+/// `RetrainPublish` with the number of clean traces `absorbed`. Returns
+/// the generation number, assigned under the lock so generation order is
+/// swap order.
+fn publish(
+    shared: &Shared,
+    mut slot: MutexGuard<'_, Option<Arc<DetectorBattery>>>,
+    battery: Arc<DetectorBattery>,
+    absorbed: u64,
+) -> u64 {
+    *slot = Some(battery);
+    let generation = shared.metrics.retrain_generations.inc();
+    drop(slot);
+    shared
+        .metrics
+        .trace(TraceKind::RetrainPublish, generation, absorbed);
+    generation
 }
 
 /// Cross-batch retraining: absorb each clean session's observed IPDs (in
@@ -1593,16 +1483,14 @@ fn absorb_clean(shared: &Shared, verdicts: &[AuditVerdict], traces: &[(u64, Vec<
     // Read-modify-write under one lock acquisition: two batches finishing
     // concurrently must not clone the same base generation and lose one
     // batch's absorptions to the other's store.
-    let mut guard = shared.battery.lock().expect("battery lock");
-    let Some(current) = guard.as_ref() else {
+    let slot = shared.battery.lock().expect("battery lock");
+    let Some(old) = slot.clone() else {
         return;
     };
-    let old = Arc::clone(current);
-    let mut battery = (**current).clone();
+    let mut battery = (*old).clone();
     battery.absorb_all(&clean);
     let new = Arc::new(battery);
-    *guard = Some(Arc::clone(&new));
-    drop(guard);
+    publish(shared, slot, Arc::clone(&new), clean.len() as u64);
 
     // Drift is measured on the traces just absorbed — every (trace,
     // detector) score pair, |new − old|. Deterministic: a function of the
@@ -1623,14 +1511,10 @@ fn absorb_clean(shared: &Shared, verdicts: &[AuditVerdict], traces: &[(u64, Vec<
             }
         }
     }
-    let generation = shared.metrics.retrain_generations.inc();
     if n > 0 {
         shared.metrics.retrain_drift_mean.set(sum / n as f64);
         shared.metrics.retrain_drift_max.set(max);
     }
-    shared
-        .metrics
-        .trace(TraceKind::RetrainPublish, generation, clean.len() as u64);
 }
 
 // ---------------------------------------------------------------------------
@@ -1824,6 +1708,13 @@ mod tests {
         }
     }
 
+    /// Submit owned copies of `jobs` against the built-in reference.
+    fn submit_jobs(service: &AuditService, jobs: &[AuditJob]) -> BatchTicket {
+        service
+            .submit(jobs.to_vec(), None)
+            .expect("the built-in reference is always resident")
+    }
+
     fn mixed_jobs(program: &Arc<jbc::Program>, n: u64) -> Vec<AuditJob> {
         (0..n)
             .map(|id| {
@@ -1886,12 +1777,10 @@ mod tests {
             .config(cfg)
             .build()
             .expect("builds");
-        let warm_a = service
-            .submit_batch(&jobs_a)
+        let warm_a = submit_jobs(&service, &jobs_a)
             .wait()
             .expect("batch never fails ingest");
-        let warm_b = service
-            .submit_batch(&jobs_b)
+        let warm_b = submit_jobs(&service, &jobs_b)
             .wait()
             .expect("batch never fails ingest");
         assert_eq!(service.batches_submitted(), 2);
@@ -1917,9 +1806,8 @@ mod tests {
             .expect("builds");
         // Cancel immediately: most of the 12 sessions should be skipped
         // (scheduling-dependent, so only the upper bound is asserted).
-        drop(service.submit_batch(&jobs));
-        let report = service
-            .submit_batch(&jobs[..3])
+        drop(submit_jobs(&service, &jobs));
+        let report = submit_jobs(&service, &jobs[..3])
             .wait()
             .expect("post-cancel submission audits");
         assert_eq!(report.verdicts.len(), 3);
@@ -1943,7 +1831,7 @@ mod tests {
             &jobs,
             service.config(),
         );
-        let ticket = service.submit_batch(&jobs);
+        let ticket = submit_jobs(&service, &jobs);
         // Shut down with the whole batch in flight: graceful shutdown
         // drains the queue, so the ticket still completes in full.
         service.shutdown();
@@ -1962,14 +1850,16 @@ mod tests {
             .high_water(3)
             .build()
             .expect("builds");
-        let batch = service.submit_batch(&jobs).wait().expect("batch");
+        let batch = submit_jobs(&service, &jobs).wait().expect("batch");
+        let source = Source::tdrb(io::Cursor::new(bytes)).expect("header ok");
         let stream = service
-            .submit_stream(io::Cursor::new(bytes))
-            .expect("header ok")
-            .wait_stream()
+            .submit(source, None)
+            .expect("built-in reference")
+            .wait()
             .expect("stream audits");
         assert_eq!(stream.verdicts, batch.verdicts);
         assert_eq!(stream.summary, batch.summary);
+        assert_eq!(batch.peak_resident, 0, "owned jobs are fed ungated");
         assert!(stream.peak_resident <= 3);
         service.shutdown();
     }
@@ -1993,7 +1883,7 @@ mod tests {
             .build()
             .expect("builds");
         let initial = service.battery().expect("battery attached");
-        let report = service.submit_batch(&jobs).wait().expect("audits");
+        let report = submit_jobs(&service, &jobs).wait().expect("audits");
         let clean = report.verdicts.iter().filter(|v| !v.flagged).count();
         assert!(clean > 0, "fixture has clean sessions");
         let after = service.battery().expect("battery still attached");
@@ -2021,6 +1911,107 @@ mod tests {
             .trace_events()
             .iter()
             .any(|e| e.kind == TraceKind::RetrainPublish && e.a == 1 && e.b == clean as u64));
+        service.shutdown();
+    }
+
+    #[test]
+    fn install_battery_refuses_a_battery_a_tdr_only_service_never_scores() {
+        let program = echo_program(3);
+        let jobs = mixed_jobs(&program, 4);
+        let clean: Vec<Vec<u64>> = jobs.iter().map(|j| j.observed_ipds.clone()).collect();
+        let battery = DetectorBattery::trained(&clean);
+        let json = battery.to_json();
+        // A battery attached but TDR-only scoring: no verdict would ever
+        // carry detector scores, so an install must be refused in-band.
+        let service = AuditService::builder(Reference::new(Arc::clone(&program)))
+            .trained_battery(battery.clone())
+            .workers(2)
+            .build()
+            .expect("builds");
+        let before = service.battery().expect("battery attached");
+        let refused = service.install_battery(&json).expect_err("refused");
+        assert!(refused.contains("battery"), "{refused}");
+        assert!(Arc::ptr_eq(&before, &service.battery().expect("kept")));
+        assert_eq!(service.metrics_snapshot().counter("retrain_generations"), 0);
+        let report = submit_jobs(&service, &jobs).wait().expect("audits");
+        assert!(report.verdicts.iter().all(|v| v.detector_scores.is_empty()));
+        service.shutdown();
+
+        // The same install on a service that scores with it is accepted.
+        let service = AuditService::builder(Reference::new(program))
+            .trained_battery(battery)
+            .battery(BatteryMode::Full)
+            .workers(1)
+            .build()
+            .expect("builds");
+        assert_eq!(service.install_battery(&json), Ok(1));
+        service.shutdown();
+    }
+
+    #[test]
+    fn serve_counts_only_the_frames_it_wrote() {
+        /// A transport whose peer vanishes after `budget` bytes.
+        struct Vanishing {
+            budget: usize,
+        }
+        impl Write for Vanishing {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                if self.budget == 0 {
+                    return Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer gone"));
+                }
+                let n = buf.len().min(self.budget);
+                self.budget -= n;
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let program = echo_program(3);
+        let jobs = mixed_jobs(&program, 2);
+        let good = crate::ingest::encode_batch(&jobs);
+        let mut bad_header = good.clone();
+        bad_header[0] ^= 0xff;
+        let mut bad_last = good.clone();
+        let n = bad_last.len();
+        bad_last[n - 10] ^= 0xff;
+        let service = AuditService::builder(Reference::new(program))
+            .workers(1)
+            .build()
+            .expect("builds");
+        // Each batch ends in one terminating frame: the header Error, the
+        // Summary, or the Error after the verdicts before a bad session.
+        for (tdrb, verdicts) in [(bad_header, 0u64), (good, 2), (bad_last, 1)] {
+            let request = ControlFrame::SubmitBatch {
+                batch_id: 1,
+                tdrb,
+                reference: None,
+            }
+            .encode();
+            let mut full = Vec::new();
+            service.serve(&request[..], &mut full).expect("clean");
+            let mut frames = Vec::new();
+            let mut src = &full[..];
+            while let Some(frame) = ControlFrame::read_from(&mut src).expect("decodes") {
+                frames.push(frame);
+            }
+            assert_eq!(frames.len() as u64, verdicts + 1);
+            let last = frames.last().expect("terminating frame").encode().len();
+
+            // The peer vanishes exactly at the terminating frame.
+            let before = service.metrics_snapshot();
+            let mut writer = Vanishing {
+                budget: full.len() - last,
+            };
+            let got = service.serve(&request[..], &mut writer);
+            assert!(matches!(got, Err(ControlError::Io(..))), "{got:?}");
+            let after = service.metrics_snapshot();
+            let delta = |name: &str| after.counter(name) - before.counter(name);
+            assert_eq!(delta("frames_out"), verdicts, "frames written");
+            assert_eq!(delta("frames_out_verdict"), verdicts);
+            assert_eq!(delta("frames_out_summary"), 0);
+            assert_eq!(delta("frames_out_error"), 0);
+        }
         service.shutdown();
     }
 
@@ -2151,7 +2142,7 @@ mod tests {
             .workers(2)
             .build()
             .expect("builds");
-        let report = service.submit_batch(&jobs).wait().expect("audits");
+        let report = submit_jobs(&service, &jobs).wait().expect("audits");
         assert_eq!(report.verdicts.len(), 4);
 
         let snap = service.metrics_snapshot();
@@ -2274,11 +2265,12 @@ mod tests {
         index: usize,
         sink: &mpsc::Sender<(usize, AuditVerdict)>,
     ) -> WorkItem {
+        let reference = Reference::new(echo_program(1));
         WorkItem {
             index,
-            source: JobSource::Owned(Box::new(job.clone())),
+            job: Box::new(job.clone()),
+            reference: Arc::new(PinnedReference::unregistered(reference)),
             battery: None,
-            reference: None,
             cancelled: Arc::new(AtomicBool::new(false)),
             gate: None,
             sink: sink.clone(),

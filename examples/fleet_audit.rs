@@ -24,7 +24,7 @@ use channels::{message_bits, Needle, TimingChannel, Trctc};
 use detectors::{CceTest, Detector, DetectorBattery, RegularityTest};
 use sanity_tdr::audit_pipeline::ingest;
 use sanity_tdr::audit_pipeline::verdict::{labeled_roc, labeled_roc_by_detector};
-use sanity_tdr::{compare, serve_tcp, AuditConfig, AuditJob, BatteryMode, Client, Sanity};
+use sanity_tdr::{compare, serve_tcp, AuditConfig, AuditJob, BatteryMode, Client, Sanity, Source};
 use vm::TargetSendTimes;
 use workloads::nfs;
 
@@ -159,16 +159,17 @@ fn main() {
         .battery(BatteryMode::Full)
         .build()
         .expect("valid service configuration");
+    let source = Source::tdrb(std::io::Cursor::new(batch_bytes.clone()));
     let mut ticket = service
-        .submit_stream(std::io::Cursor::new(batch_bytes.clone()))
-        .expect("batch header decodes");
+        .submit(source.expect("batch header decodes"), None)
+        .expect("the built-in reference is always resident");
     // The ticket streams verdicts as workers finish them (arrival order
     // is scheduling-dependent; the final report is not).
     let mut streamed = 0usize;
     while ticket.recv().is_some() {
         streamed += 1;
     }
-    let sharded = ticket.wait_stream().expect("stream audits");
+    let sharded = ticket.wait().expect("stream audits");
     assert_eq!(streamed, sharded.verdicts.len());
 
     // Cross-check: the materialized batch path on a single worker must
@@ -190,10 +191,11 @@ fn main() {
 
     // Warm resubmission: the same service audits a second copy of the
     // batch without respawning anything, and the report is identical.
+    let source = Source::tdrb(std::io::Cursor::new(batch_bytes.clone()));
     let resubmitted = service
-        .submit_stream(std::io::Cursor::new(batch_bytes.clone()))
-        .expect("batch header decodes")
-        .wait_stream()
+        .submit(source.expect("batch header decodes"), None)
+        .expect("the built-in reference is always resident")
+        .wait()
         .expect("stream audits");
     assert_eq!(resubmitted.summary, sharded.summary);
     println!(

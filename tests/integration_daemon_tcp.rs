@@ -15,7 +15,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use sanity_tdr::audit_pipeline::{ingest, AuditVerdict, FleetSummary};
 use sanity_tdr::{
     serve_tcp, serve_tcp_with, AuditConfig, AuditJob, Client, ControlFrame, DaemonOptions, Sanity,
-    TcpDaemon,
+    Source, TcpDaemon,
 };
 
 #[path = "torture_common.rs"]
@@ -540,11 +540,12 @@ fn slow_loris_and_mid_frame_stalls_are_isolated_per_connection() {
 
     // No residency slot leaked: the warm service still streams a full
     // batch under the same high-water bound of 1.
+    let source = Source::tdrb(std::io::Cursor::new(bytes)).expect("header decodes");
     let stream = report
         .service
-        .submit_stream(std::io::Cursor::new(bytes))
-        .expect("header decodes")
-        .wait_stream()
+        .submit(source, None)
+        .expect("built-in reference")
+        .wait()
         .expect("stream audits after the stall");
     assert_eq!(stream.summary, expected.summary);
     assert_eq!(stream.peak_resident, 1);

@@ -360,7 +360,7 @@ fn eviction_order_and_verdicts_are_deterministic_across_budgets() {
                 let load = service.put_reference(&f.tdrp).expect("admitted");
                 assert_eq!(load.id, f.id);
                 let ticket = service
-                    .submit_batch_for(&f.jobs, f.id)
+                    .submit(f.jobs.clone(), Some(f.id))
                     .expect("reference resident at submit time");
                 let report = ticket.wait().expect("batch completes");
                 assert_eq!(report.summary, f.expected.summary, "{}", f.name);
@@ -549,7 +549,10 @@ fn unverifiable_reference_gets_the_same_error_verdicts_and_rejection() {
 
     let cfg = cfg();
     let mut cache = ReferenceCache::new(&Reference::new(Arc::new(bad.clone())));
-    let direct: Vec<_> = jobs.iter().map(|job| cache.audit(job, &cfg)).collect();
+    let direct: Vec<_> = jobs
+        .iter()
+        .map(|job| cache.audit(job, &cfg, None))
+        .collect();
     for (job, v) in jobs.iter().zip(&direct) {
         assert_eq!(v.session_id, job.session_id);
         assert_eq!(v.error.as_deref(), Some(message.as_str()));
@@ -559,7 +562,7 @@ fn unverifiable_reference_gets_the_same_error_verdicts_and_rejection() {
     }
     assert_eq!(cache.sessions_audited(), 0, "no replay ran");
     assert_eq!(
-        cache.audit(&jobs[0], &cfg),
+        cache.audit(&jobs[0], &cfg, None),
         direct[0],
         "the second audit of a session repeats its verdict"
     );
@@ -596,4 +599,143 @@ fn unverifiable_reference_gets_the_same_error_verdicts_and_rejection() {
     );
     client.shutdown().expect("ack");
     daemon.shutdown();
+}
+
+/// The built-in reference is an entry outside the registry. A service
+/// whose built-in program (with its file set and battery) is also put
+/// over the wire holds two entries: the put loads a fresh program-only
+/// entry, a v1 batch scores against the built-in files and battery
+/// without touching the registry, and a v2 batch scores TDR-only
+/// against the registered entry. A one-byte budget evicts nothing: the
+/// built-in entry is charged to no budget.
+#[test]
+fn builtin_reference_is_invisible_to_the_registry() {
+    use sanity_tdr::{BatteryMode, ControlFrame, DetectorBattery};
+    use workloads::nfs::{client_schedule, make_files};
+
+    let program = server_program(4);
+    let files = make_files(4, 1500, 4000, 14);
+    let plain = Sanity::new(program.clone());
+    let builtin = plain.clone().with_files(files.clone());
+    let jobs: Vec<AuditJob> = (0..4u64)
+        .map(|id| {
+            let sched = client_schedule(&files, 200_000, 700_000, 14 + id);
+            let rec = builtin
+                .record(100 + id, |vm| {
+                    for (at, pkt) in sched.packets.into_iter().take(4) {
+                        vm.machine_mut().deliver_packet(at, pkt);
+                    }
+                })
+                .expect("record NFS session");
+            AuditJob {
+                session_id: id,
+                observed_ipds: rec.tx_ipds_cycles(),
+                log: rec.log,
+            }
+        })
+        .collect();
+    let ipds: Vec<Vec<u64>> = jobs.iter().map(|j| j.observed_ipds.clone()).collect();
+    let builtin = builtin.with_battery(DetectorBattery::trained(&ipds));
+    let full = AuditConfig {
+        battery: BatteryMode::Full,
+        ..cfg()
+    };
+    let expected_v1 = builtin.audit_batch(&jobs, &full);
+    let expected_v2 = plain.audit_batch(&jobs, &cfg());
+    assert!(expected_v1
+        .verdicts
+        .iter()
+        .all(|v| v.detector_scores.len() == 5));
+    assert!(expected_v2
+        .verdicts
+        .iter()
+        .all(|v| v.detector_scores.is_empty()));
+
+    let service = builtin
+        .audit_service()
+        .workers(2)
+        .battery(BatteryMode::Full)
+        .reference_budget(1)
+        .build()
+        .expect("valid configuration");
+    let id = container::reference_id(&program);
+    let tdrb = ingest::encode_batch(&jobs);
+    let mut requests = Vec::new();
+    for frame in [
+        ControlFrame::PutReference {
+            put_id: 1,
+            tdrp: container::seal(&program),
+        },
+        ControlFrame::SubmitBatch {
+            batch_id: 2,
+            tdrb: tdrb.clone(),
+            reference: None,
+        },
+        ControlFrame::StatsRequest,
+        ControlFrame::SubmitBatch {
+            batch_id: 3,
+            tdrb,
+            reference: Some(id),
+        },
+        ControlFrame::StatsRequest,
+        ControlFrame::Shutdown,
+    ] {
+        frame.write_to(&mut requests).expect("encode");
+    }
+    let mut responses = Vec::new();
+    service
+        .serve(&requests[..], &mut responses)
+        .expect("protocol clean");
+    let mut frames = Vec::new();
+    let mut src = &responses[..];
+    while let Some(frame) = ControlFrame::read_from(&mut src).expect("decodes") {
+        frames.push(frame);
+    }
+    let verdicts = |batch: u64| -> Vec<_> {
+        frames
+            .iter()
+            .filter_map(|f| match f {
+                ControlFrame::Verdict {
+                    batch_id, verdict, ..
+                } if *batch_id == batch => Some(verdict.clone()),
+                _ => None,
+            })
+            .collect()
+    };
+    let stats: Vec<_> = frames
+        .iter()
+        .filter_map(|f| match f {
+            ControlFrame::Stats { snapshot } => Some(snapshot),
+            _ => None,
+        })
+        .collect();
+
+    // The put is a fresh load, not a hit on the built-in entry.
+    let ControlFrame::ReferenceAck {
+        reference,
+        status,
+        resident_bytes,
+        ..
+    } = &frames[0]
+    else {
+        panic!("first response is the ReferenceAck, got {:?}", frames[0]);
+    };
+    assert_eq!((*reference, status), (id, &AckStatus::Loaded));
+    let cost = container::canonical_program_bytes(&program).len() as u64;
+    assert_eq!(
+        *resident_bytes, cost,
+        "only the registered entry is charged"
+    );
+
+    // v1: the built-in files and battery, and no registry hit.
+    assert_eq!(verdicts(2), expected_v1.verdicts);
+    assert_eq!(stats[0].gauge("registry_references"), 1);
+    assert_eq!(stats[0].counter("registry_hits"), 0);
+    // v2: the program-only entry, TDR-only, one hit.
+    assert_eq!(verdicts(3), expected_v2.verdicts);
+    assert_eq!(stats[1].counter("registry_hits"), 1);
+    assert_eq!(stats[1].counter("registry_misses"), 0);
+    assert_eq!(stats[1].counter("registry_evictions"), 0);
+    assert_eq!(stats[1].gauge("registry_references"), 1);
+    service.shutdown();
 }

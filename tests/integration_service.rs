@@ -9,7 +9,10 @@ use std::io::Cursor;
 use sanity_tdr::audit_pipeline::service::duplex;
 use sanity_tdr::audit_pipeline::{ingest, FleetSummary};
 use sanity_tdr::detectors::DetectorBattery;
-use sanity_tdr::{AuditConfig, AuditJob, BatteryMode, ConfigError, ControlFrame, Sanity};
+use sanity_tdr::{
+    AuditConfig, AuditJob, AuditService, BatchTicket, BatteryMode, ConfigError, ControlFrame,
+    Sanity, Source,
+};
 use vm::Vm;
 use workloads::nfs;
 
@@ -50,6 +53,21 @@ fn fleet(sanity: &Sanity, ids: std::ops::Range<u64>, covert: u64) -> Vec<AuditJo
     .collect()
 }
 
+/// Submit owned copies of `jobs` against the service's built-in reference.
+fn submit_jobs(service: &AuditService, jobs: &[AuditJob]) -> BatchTicket {
+    service
+        .submit(jobs.to_vec(), None)
+        .expect("the built-in reference is always resident")
+}
+
+/// Submit a TDRB byte stream against the service's built-in reference.
+fn submit_tdrb(service: &AuditService, tdrb: Vec<u8>) -> BatchTicket {
+    let source = Source::tdrb(Cursor::new(tdrb)).expect("header decodes");
+    service
+        .submit(source, None)
+        .expect("the built-in reference is always resident")
+}
+
 fn trained_on_clean(jobs: &[AuditJob], covert: u64) -> DetectorBattery {
     let clean: Vec<Vec<u64>> = jobs
         .iter()
@@ -86,8 +104,8 @@ fn warm_service_reuse_is_byte_identical_to_one_shot() {
                 .battery(mode)
                 .build()
                 .expect("valid service configuration");
-            let warm_a = service.submit_batch(&batch_a).wait().expect("audits");
-            let warm_b = service.submit_batch(&batch_b).wait().expect("audits");
+            let warm_a = submit_jobs(&service, &batch_a).wait().expect("audits");
+            let warm_b = submit_jobs(&service, &batch_b).wait().expect("audits");
             service.shutdown();
 
             // ...must equal two fresh one-shot calls, byte for byte.
@@ -129,16 +147,8 @@ fn warm_stream_submission_matches_one_shot_audit_stream() {
         .high_water(2)
         .build()
         .expect("valid service configuration");
-    let warm_1 = service
-        .submit_stream(Cursor::new(bytes.clone()))
-        .expect("header decodes")
-        .wait_stream()
-        .expect("audits");
-    let warm_2 = service
-        .submit_stream(Cursor::new(bytes))
-        .expect("header decodes")
-        .wait_stream()
-        .expect("audits");
+    let warm_1 = submit_tdrb(&service, bytes.clone()).wait().expect("audits");
+    let warm_2 = submit_tdrb(&service, bytes).wait().expect("audits");
     service.shutdown();
 
     assert_eq!(warm_1, one_shot, "warm streamed == one-shot streamed");
@@ -157,10 +167,10 @@ fn ticket_drop_cancels_and_shutdown_drains_inflight() {
         .expect("valid service configuration");
 
     // Cancel: drop the ticket with everything still queued on one worker.
-    drop(service.submit_batch(&jobs));
+    drop(submit_jobs(&service, &jobs));
 
     // The service survives and audits the next submission in full.
-    let ticket = service.submit_batch(&jobs[..2]);
+    let ticket = submit_jobs(&service, &jobs[..2]);
 
     // Shutdown with that ticket in flight: the queue drains first.
     let baseline = sanity.audit_batch(
@@ -348,11 +358,7 @@ fn retrain_capture_cap_boundary_256_vs_257() {
             .retrain_on_clean(true)
             .build()
             .expect("valid service configuration");
-        let report = service
-            .submit_stream(Cursor::new(bytes))
-            .expect("header decodes")
-            .wait_stream()
-            .expect("stream audits");
+        let report = submit_tdrb(&service, bytes).wait().expect("stream audits");
         assert_eq!(report.summary.sessions, n as u64);
         assert!(
             report.summary.flagged.is_empty(),
@@ -405,7 +411,7 @@ fn retrain_on_clean_feeds_the_next_batch() {
         .retrain_on_clean(true)
         .build()
         .expect("valid service configuration");
-    let report_a = service.submit_batch(&batch_a).wait().expect("audits");
+    let report_a = submit_jobs(&service, &batch_a).wait().expect("audits");
     let clean_a = report_a.verdicts.iter().filter(|v| !v.flagged).count();
     assert!(clean_a > 0);
     let retrained = service.battery().expect("battery attached");
@@ -414,7 +420,7 @@ fn retrain_on_clean_feeds_the_next_batch() {
         battery.training_traces() + clean_a,
         "clean traces of batch A were absorbed"
     );
-    let report_b = service.submit_batch(&batch_b).wait().expect("audits");
+    let report_b = submit_jobs(&service, &batch_b).wait().expect("audits");
     service.shutdown();
 
     // TDR scores never depend on the battery generation...
