@@ -1158,7 +1158,14 @@ impl<T: Read + Write> Client<T> {
         reference: ReferenceId,
         tdrp: &[u8],
     ) -> Result<BatchOutcome, ControlError> {
-        match self.submit_batch_for(batch_id, tdrb.clone(), reference) {
+        // Encoded once: the rare resubmission writes the same bytes again.
+        let frame = ControlFrame::SubmitBatch {
+            batch_id,
+            tdrb,
+            reference: Some(reference),
+        }
+        .encode();
+        match self.exchange(batch_id, &frame, |_, _| {}) {
             Err(ControlError::UnknownReference(id)) if id == reference => {
                 let put = self.put_reference(batch_id, tdrp.to_vec())?;
                 match put.status {
@@ -1173,7 +1180,7 @@ impl<T: Read + Write> Client<T> {
                         ))
                     }
                 }
-                match self.submit_batch_for(batch_id, tdrb, reference) {
+                match self.exchange(batch_id, &frame, |_, _| {}) {
                     Err(ControlError::UnknownReference(id)) if id == reference => {
                         Err(ControlError::ReferenceThrash(reference))
                     }
@@ -1201,14 +1208,28 @@ impl<T: Read + Write> Client<T> {
         batch_id: u64,
         tdrb: Vec<u8>,
         reference: Option<ReferenceId>,
-        mut on_verdict: impl FnMut(u64, &AuditVerdict),
+        on_verdict: impl FnMut(u64, &AuditVerdict),
     ) -> Result<BatchOutcome, ControlError> {
-        ControlFrame::SubmitBatch {
+        let frame = ControlFrame::SubmitBatch {
             batch_id,
             tdrb,
             reference,
         }
-        .write_to(&mut self.transport)?;
+        .encode();
+        self.exchange(batch_id, &frame, on_verdict)
+    }
+
+    /// One batch exchange: write the encoded `SubmitBatch` `frame` and
+    /// read `Verdict*` then the terminating frame.
+    fn exchange(
+        &mut self,
+        batch_id: u64,
+        frame: &[u8],
+        mut on_verdict: impl FnMut(u64, &AuditVerdict),
+    ) -> Result<BatchOutcome, ControlError> {
+        self.transport
+            .write_all(frame)
+            .map_err(ControlError::from_io)?;
         self.transport.flush().map_err(ControlError::from_io)?;
         let mut verdicts: Vec<AuditVerdict> = Vec::new();
         loop {

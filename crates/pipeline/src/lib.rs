@@ -184,8 +184,9 @@ pub struct AuditConfig {
     pub run_seed: u64,
     /// Streaming ingest memory bound: the maximum number of sessions
     /// resident at once (decoded but not yet audited) in
-    /// [`audit_stream`]. Decode of the next session blocks until the
-    /// resident set drops below this mark. `0` means the default of 8.
+    /// [`audit_stream`]. Once the resident set reaches this mark, decode
+    /// of the next session blocks until it has dropped to half the mark.
+    /// `0` means the default of 8.
     /// Has no effect on the materialized [`audit_batch`] path.
     pub high_water: usize,
     /// Which detectors score each session (default: TDR only).

@@ -278,8 +278,10 @@ fn serve_connection(
     options: &DaemonOptions,
 ) {
     let metrics = service.metrics();
-    // Verdict frames are small and latency matters for the submit→verdict
-    // stream; disable Nagle and buffer writes per frame instead.
+    // The BufWriter below gathers frames and the serve loop flushes once
+    // per burst: the verdicts of one 1 ms window, or a reply with the
+    // frames before it. Disable Nagle so each flush leaves as one send at
+    // once instead of waiting on the peer's ACK.
     let _ = stream.set_nodelay(true);
     if let Some(deadline) = options.idle_timeout {
         // A read past the deadline fails with WouldBlock/TimedOut, which

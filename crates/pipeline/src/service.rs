@@ -34,11 +34,14 @@
 //! ## Idle/shutdown protocol
 //!
 //! Idle workers park in a blocking wait on the shared work queue — no
-//! spinning, no polling. [`AuditService::shutdown`] (and `Drop`) closes
-//! the queue; workers drain every job already queued — in-flight tickets
-//! still complete — and then exit, and shutdown joins them. Cancellation
-//! is per-ticket: a dropped ticket flips a shared flag and workers skip
-//! its remaining sessions without auditing them.
+//! spinning, no polling — and a push signals only when a worker is
+//! parked. A streamed batch's feeder that fills its residency gate sleeps
+//! until half the gate is free again, so it wakes once per burst of
+//! freed slots, not once per session. [`AuditService::shutdown`] (and
+//! `Drop`) closes the queue; workers drain every job already queued —
+//! in-flight tickets still complete — and then exit, and shutdown joins
+//! them. Cancellation is per-ticket: a dropped ticket flips a shared flag
+//! and workers skip its remaining sessions without auditing them.
 //!
 //! ## Fair scheduling
 //!
@@ -62,8 +65,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::thread::{self, JoinHandle, Thread};
+use std::time::{Duration, Instant};
 
 use detectors::{DetectorBattery, TraceView};
 
@@ -85,17 +88,27 @@ use crate::{AuditConfig, AuditJob, BatteryMode, ConfigError, Reference};
 
 /// Counting gate bounding the resident-session set of one stream; blocks
 /// the decode side when `resident == cap` and records the high-water mark
-/// actually reached.
+/// actually reached. It refills in bursts: a blocked feeder resumes only
+/// once residency has fallen to half the cap, so it wakes once per
+/// `cap / 2` audited sessions instead of once per session.
 struct ResidencyGate {
-    state: Mutex<(usize, usize)>, // (resident, peak)
+    state: Mutex<GateState>,
     freed: Condvar,
     cap: usize,
+}
+
+#[derive(Default)]
+struct GateState {
+    resident: usize,
+    peak: usize,
+    /// The feeder sleeps until a release clears this.
+    waiting: bool,
 }
 
 impl ResidencyGate {
     fn new(cap: usize) -> Self {
         ResidencyGate {
-            state: Mutex::new((0, 0)),
+            state: Mutex::new(GateState::default()),
             freed: Condvar::new(),
             cap,
         }
@@ -106,28 +119,35 @@ impl ResidencyGate {
     /// pulling, but the pull may yield end-of-stream instead of a session.
     fn acquire(&self) {
         let mut s = self.state.lock().expect("gate lock");
-        while s.0 >= self.cap {
-            s = self.freed.wait(s).expect("gate wait");
+        if s.resident >= self.cap {
+            s.waiting = true;
+            while s.waiting {
+                s = self.freed.wait(s).expect("gate wait");
+            }
         }
-        s.0 += 1;
+        s.resident += 1;
     }
 
     /// Record the claimed slot as a real resident session (peak tracking).
     fn commit(&self) {
         let mut s = self.state.lock().expect("gate lock");
-        s.1 = s.1.max(s.0);
+        s.peak = s.peak.max(s.resident);
     }
 
-    /// Release a residency slot (the session was audited and dropped).
+    /// Release a residency slot (the session was audited and dropped),
+    /// waking a waiting feeder once half the cap is free.
     fn release(&self) {
         let mut s = self.state.lock().expect("gate lock");
-        s.0 -= 1;
-        self.freed.notify_one();
-        drop(s);
+        s.resident -= 1;
+        if s.waiting && s.resident <= self.cap / 2 {
+            s.waiting = false;
+            drop(s);
+            self.freed.notify_one();
+        }
     }
 
     fn peak(&self) -> usize {
-        self.state.lock().expect("gate lock").1
+        self.state.lock().expect("gate lock").peak
     }
 }
 
@@ -157,7 +177,7 @@ struct WorkItem {
     /// Residency slot to release after the audit (streams only).
     gate: Option<Arc<ResidencyGate>>,
     /// Where the verdict goes (the ticket's receiver).
-    sink: mpsc::Sender<(usize, AuditVerdict)>,
+    sink: Sink,
     /// Scheduling key: the daemon connection id that submitted this item,
     /// or [`LOCAL_TENANT`] for in-process submissions.
     tenant: u64,
@@ -170,6 +190,28 @@ struct WorkItem {
 /// for daemon connections served without a tenant id. Daemon connection
 /// ids start at 1, so 0 never collides.
 const LOCAL_TENANT: u64 = 0;
+
+/// Where a submission's verdicts go. Its feed and each of its work items
+/// hold a clone, so once the last clone drops, every verdict the
+/// submission will produce has been sent.
+#[derive(Clone)]
+struct Sink {
+    tx: mpsc::Sender<(usize, AuditVerdict)>,
+    /// The serve loop to wake when the last clone drops. Declared after
+    /// `tx`, so it drops after it: the woken loop finds the channel
+    /// closed.
+    _wake: Option<Arc<Unpark>>,
+}
+
+/// Unparks a thread when dropped. Every [`Sink`] of one submission shares
+/// it, so it drops with the last of them.
+struct Unpark(Thread);
+
+impl Drop for Unpark {
+    fn drop(&mut self) {
+        self.0.unpark();
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Fair work queue (round-robin across tenants)
@@ -209,6 +251,9 @@ struct QueueState {
     /// Round-robin service order over `queues` keys.
     active: VecDeque<u64>,
     closed: bool,
+    /// Workers waiting in [`WorkQueue::pop_wait`]; a push signals only
+    /// when there is one.
+    parked: usize,
 }
 
 /// The shared work queue: items are enqueued FIFO *per tenant* and
@@ -245,8 +290,11 @@ impl WorkQueue {
             s.active.push_back(item.tenant);
         }
         backlog.push_back(item);
+        let parked = s.parked > 0;
         drop(guard);
-        self.ready.notify_one();
+        if parked {
+            self.ready.notify_one();
+        }
         Ok(())
     }
 
@@ -289,7 +337,9 @@ impl WorkQueue {
             if s.closed {
                 return None;
             }
+            s.parked += 1;
             s = self.ready.wait(s).expect("work queue wait");
+            s.parked -= 1;
         }
     }
 
@@ -399,7 +449,7 @@ fn worker_main(worker: u64, shared: Arc<Shared>, queue: Arc<WorkQueue>) {
         shared.metrics.replayed_cycles.add(verdict.replayed_cycles);
         shared.metrics.sessions_audited.inc();
         // A dropped ticket is not an error: the verdict is simply unwanted.
-        let _ = sink.send((index, verdict));
+        let _ = sink.tx.send((index, verdict));
     }
 }
 
@@ -568,6 +618,15 @@ impl Source {
         let sessions = BatchStream::new(io::BufReader::new(reader))?;
         Ok(Source(Sessions::Tdrb(sessions)))
     }
+
+    /// Sessions the source holds: the TDRB header's declared count for a
+    /// stream.
+    fn sessions_declared(&self) -> u64 {
+        match &self.0 {
+            Sessions::Jobs(jobs) => jobs.len() as u64,
+            Sessions::Tdrb(sessions) => sessions.sessions_declared(),
+        }
+    }
 }
 
 impl From<Vec<AuditJob>> for Source {
@@ -688,7 +747,7 @@ impl AuditService {
         reference: Option<ReferenceId>,
     ) -> Result<BatchTicket, RegistryError> {
         let registered = self.resolve(reference).map_err(RegistryError::Unknown)?;
-        Ok(self.start(source.into(), registered, LOCAL_TENANT, None))
+        Ok(self.start(source.into(), registered, LOCAL_TENANT, None, None))
     }
 
     /// Pin the registered entry `reference` names (`None` names the
@@ -744,22 +803,24 @@ impl AuditService {
 
     /// The submission core under [`submit`](Self::submit) and the serve
     /// loop: owned jobs are fed on the calling thread, a TDRB stream on a
-    /// feeder thread. `registered` is `None` for the built-in entry.
+    /// feeder thread. `registered` is `None` for the built-in entry;
+    /// `wake` as in [`open`](Self::open).
     fn start(
         &self,
         source: Source,
         registered: Option<PinnedReference>,
         tenant: u64,
         handles: Option<&TenantMetricHandles>,
+        wake: Option<Thread>,
     ) -> BatchTicket {
         match source.0 {
             Sessions::Jobs(jobs) => {
                 let len = Some(jobs.len());
-                self.open(registered, tenant, handles, len, |ctx| {
+                self.open(registered, tenant, handles, len, wake, |ctx| {
                     Outcome::Fed(feed(jobs.into_iter().map(Ok), ctx))
                 })
             }
-            Sessions::Tdrb(sessions) => self.open(registered, tenant, handles, None, |ctx| {
+            Sessions::Tdrb(sessions) => self.open(registered, tenant, handles, None, wake, |ctx| {
                 let feeder = std::thread::Builder::new()
                     .name("audit-service-feeder".to_string())
                     .spawn(move || feed(sessions, ctx))
@@ -781,7 +842,7 @@ impl AuditService {
     where
         I: IntoIterator<Item = Result<AuditJob, IngestError>>,
     {
-        self.open(None, LOCAL_TENANT, None, len, |ctx| {
+        self.open(None, LOCAL_TENANT, None, len, None, |ctx| {
             Outcome::Fed(feed(sessions, ctx))
         })
         .wait()
@@ -790,13 +851,16 @@ impl AuditService {
     /// Open one submission: count and trace it, resolve its entry and
     /// battery, let `run` feed it, and return its ticket — the one ticket
     /// constructor. `len` is the session count of owned jobs; `None`
-    /// marks a stream, fed under the residency gate.
+    /// marks a stream, fed under the residency gate. `wake` is a thread to
+    /// unpark once the submission's last verdict is sent (the serve loop,
+    /// which sleeps through its verdict windows).
     fn open(
         &self,
         registered: Option<PinnedReference>,
         tenant: u64,
         handles: Option<&TenantMetricHandles>,
         len: Option<usize>,
+        wake: Option<Thread>,
         run: impl FnOnce(FeedContext) -> Outcome,
     ) -> BatchTicket {
         let shared = &self.shared;
@@ -818,11 +882,14 @@ impl AuditService {
                 shared.retrain_on_clean,
             ),
         };
-        let (sink, rx) = mpsc::channel();
+        let (tx, rx) = mpsc::channel();
         let cancelled = Arc::new(AtomicBool::new(false));
         let outcome = run(FeedContext {
             queue: Arc::clone(&self.queue),
-            sink,
+            sink: Sink {
+                tx,
+                _wake: wake.map(|thread| Arc::new(Unpark(thread))),
+            },
             cancelled: Arc::clone(&cancelled),
             reference,
             battery,
@@ -875,8 +942,11 @@ impl AuditService {
     /// more [`ControlFrame::Verdict`] frames **in submission order**
     /// followed by exactly one [`ControlFrame::Summary`] (success) or
     /// [`ControlFrame::Error`] (the embedded TDRB failed to decode; the
-    /// service stays up). A [`ControlFrame::StatsRequest`] is answered
-    /// with one [`ControlFrame::Stats`] carrying a live
+    /// service stays up). Verdicts are flushed in bursts, each at most
+    /// 1 ms after its first verdict; the batch's last verdict and its
+    /// terminating frame are flushed at once. A
+    /// [`ControlFrame::StatsRequest`] is answered with one
+    /// [`ControlFrame::Stats`] carrying a live
     /// [`metrics_snapshot`](Self::metrics_snapshot). Protocol-level
     /// failures — corrupt control frames, client-only frames arriving as
     /// requests, transport errors — return a [`ControlError`] and end the
@@ -1062,13 +1132,47 @@ impl AuditService {
                 return reply(writer, error, metrics, &metrics.frames_out_error);
             }
         };
-        let mut ticket = self.start(source, registered, tenant, handles);
+        let declared = source.sessions_declared();
+        let mut ticket = self.start(source, registered, tenant, handles, Some(thread::current()));
         // Re-order scheduling-dependent arrivals into submission order so
         // the response byte stream is deterministic.
         let mut pending: BTreeMap<usize, AuditVerdict> = BTreeMap::new();
         let mut next = 0usize;
-        while let Some((index, verdict)) = ticket.recv() {
+        let mut received = 0u64;
+        let mut all_in = false;
+        // Verdicts leave in bursts, so a burst costs one wake-up and one
+        // flush instead of one per verdict. Block for a burst's first
+        // verdict, then sleep out the rest of VERDICT_WINDOW: a sender
+        // signals a receiver only while it is blocked in `recv`, so the
+        // window passes unwoken. Only the batch's end wakes it early — the
+        // last sink unparks this thread — so the last verdict and the
+        // terminating frame are never held. A client on a buffered
+        // transport (the TCP front end wraps the socket in a BufWriter)
+        // still sees verdicts live, at most one window late.
+        while !all_in {
+            let Some((index, verdict)) = ticket.recv() else {
+                break;
+            };
+            let opened = Instant::now();
             pending.insert(index, verdict);
+            received += 1;
+            loop {
+                let closed = loop {
+                    match ticket.try_recv() {
+                        Ok((index, verdict)) => {
+                            pending.insert(index, verdict);
+                            received += 1;
+                        }
+                        Err(mpsc::TryRecvError::Empty) => break false,
+                        Err(mpsc::TryRecvError::Disconnected) => break true,
+                    }
+                };
+                all_in = closed || received == declared;
+                match hold(opened, Instant::now(), all_in) {
+                    Some(rest) => thread::park_timeout(rest),
+                    None => break,
+                }
+            }
             let mut wrote = false;
             while let Some(verdict) = pending.remove(&next) {
                 ControlFrame::Verdict {
@@ -1082,11 +1186,9 @@ impl AuditService {
                 next += 1;
                 wrote = true;
             }
-            // Flush whenever in-order verdicts went out, so a client on a
-            // buffered transport (the TCP front end wraps the socket in a
-            // BufWriter) sees verdicts live as workers produce them, not
-            // all at once with the summary.
-            if wrote {
+            // The batch's last burst goes out with the terminating frame's
+            // flush.
+            if wrote && !all_in {
                 writer.flush().map_err(ControlError::from_io)?;
             }
         }
@@ -1174,6 +1276,21 @@ fn quota_refusal(
     })
 }
 
+/// How long the serve loop gathers verdicts after a burst's first one
+/// before writing them all with one flush (`docs/FORMATS.md` §5.1).
+const VERDICT_WINDOW: Duration = Duration::from_millis(1);
+
+/// How much longer the serve loop holds a burst of verdicts opened at
+/// `opened`; `None` writes it now. A burst that completes its batch
+/// (`all_in`) goes out at once, whatever is left of the window.
+fn hold(opened: Instant, now: Instant, all_in: bool) -> Option<Duration> {
+    if all_in {
+        return None;
+    }
+    let rest = VERDICT_WINDOW.saturating_sub(now.duration_since(opened));
+    (!rest.is_zero()).then_some(rest)
+}
+
 /// Write one reply frame and flush it; once it is out, count it in
 /// `frames_out` and in its kind's `frames_out_<kind>` counter.
 fn reply<W: Write>(
@@ -1196,7 +1313,7 @@ fn reply<W: Write>(
 /// Everything [`feed`] needs besides the session source.
 struct FeedContext {
     queue: Arc<WorkQueue>,
-    sink: mpsc::Sender<(usize, AuditVerdict)>,
+    sink: Sink,
     cancelled: Arc<AtomicBool>,
     /// The pinned entry every item of the submission audits against.
     reference: Arc<PinnedReference>,
@@ -1370,6 +1487,13 @@ impl BatchTicket {
             }
             Err(_) => None,
         }
+    }
+
+    /// [`recv`](Self::recv) without blocking.
+    fn try_recv(&mut self) -> Result<(usize, AuditVerdict), mpsc::TryRecvError> {
+        let (index, verdict) = self.rx.try_recv()?;
+        self.collected.push((index, verdict.clone()));
+        Ok((index, verdict))
     }
 
     /// Drain remaining verdicts and produce the final batch report.
@@ -2016,6 +2140,176 @@ mod tests {
     }
 
     #[test]
+    fn serve_flushes_verdicts_once_per_window() {
+        /// Keeps the bytes and counts `flush` calls.
+        #[derive(Default)]
+        struct FlushCounter {
+            bytes: Vec<u8>,
+            flushes: usize,
+        }
+        impl Write for FlushCounter {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                self.flushes += 1;
+                Ok(())
+            }
+        }
+        let program = echo_program(3);
+        let jobs = mixed_jobs(&program, 64);
+        let service = AuditService::builder(Reference::new(Arc::clone(&program)))
+            .workers(1)
+            .build()
+            .expect("builds");
+        let request = ControlFrame::SubmitBatch {
+            batch_id: 3,
+            tdrb: crate::ingest::encode_batch(&jobs),
+            reference: None,
+        }
+        .encode();
+        let mut out = FlushCounter::default();
+        let started = Instant::now();
+        service.serve(&request[..], &mut out).expect("clean");
+        let elapsed = started.elapsed();
+
+        // The bytes are those of a flush per verdict: every verdict of the
+        // one-shot audit in order, then the Summary as the last frame.
+        let expected = pool::audit_batch(&Reference::new(program), &jobs, service.config());
+        let mut src = &out.bytes[..];
+        let mut last = None;
+        while let Some(frame) = ControlFrame::read_from(&mut src).expect("decodes") {
+            last = Some(frame);
+        }
+        let Some(ControlFrame::Summary { peak_resident, .. }) = last else {
+            panic!("the last frame is the Summary, got {last:?}");
+        };
+        assert!(peak_resident <= service.config().high_water as u64);
+        let mut want = Vec::new();
+        for (index, verdict) in expected.verdicts.into_iter().enumerate() {
+            ControlFrame::Verdict {
+                batch_id: 3,
+                index: index as u64,
+                verdict,
+            }
+            .write_to(&mut want)
+            .expect("encode");
+        }
+        ControlFrame::Summary {
+            batch_id: 3,
+            workers: 1,
+            peak_resident,
+            summary: expected.summary,
+        }
+        .write_to(&mut want)
+        .expect("encode");
+        assert!(
+            out.bytes == want,
+            "served bytes differ from the one-shot audit's"
+        );
+
+        // One flush per window, the Summary's included: a flush per
+        // verdict would make 65.
+        let windows = elapsed.as_nanos().div_ceil(VERDICT_WINDOW.as_nanos()) as usize;
+        assert!(
+            out.flushes < windows + 2,
+            "{} flushes in {elapsed:?}",
+            out.flushes
+        );
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_burst_that_completes_its_batch_is_not_held() {
+        let t = Instant::now();
+        assert_eq!(hold(t, t, true), None, "every declared verdict is in");
+        assert_eq!(hold(t, t, false), Some(VERDICT_WINDOW));
+        assert_eq!(
+            hold(t, t + VERDICT_WINDOW / 4, false),
+            Some(VERDICT_WINDOW * 3 / 4)
+        );
+        assert_eq!(hold(t, t + VERDICT_WINDOW / 4, true), None);
+        assert_eq!(hold(t, t + VERDICT_WINDOW, false), None, "window over");
+    }
+
+    #[test]
+    fn a_peer_vanishing_inside_a_window_leaks_nothing() {
+        /// A peer that is gone before the first byte.
+        struct Gone;
+        impl Write for Gone {
+            fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
+                Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer gone"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let program = echo_program(3);
+        let jobs = mixed_jobs(&program, 256);
+        let service = AuditService::builder(Reference::new(Arc::clone(&program)))
+            .workers(1)
+            .build()
+            .expect("builds");
+        let submit = |batch_id, jobs: &[AuditJob]| {
+            ControlFrame::SubmitBatch {
+                batch_id,
+                tdrb: crate::ingest::encode_batch(jobs),
+                reference: None,
+            }
+            .encode()
+        };
+        // The verdicts sit in the BufWriter until the window's flush, which
+        // is where the dead peer shows.
+        let got = service.serve(&submit(1, &jobs)[..], io::BufWriter::new(Gone));
+        assert!(matches!(got, Err(ControlError::Io(..))), "{got:?}");
+
+        // The dropped ticket cancels the rest: the feeder stops, each
+        // session it handed over is audited or skipped, and the feeder and
+        // every work item give back their pin on the built-in entry. A
+        // leaked residency slot would wedge the feeder, so its pin too.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let snap = loop {
+            let snap = service.metrics_snapshot();
+            let handled = snap.counter("sessions_audited") + snap.counter("sessions_cancelled");
+            if Arc::strong_count(&service.shared.builtin) == 1
+                && handled == snap.counter("sessions_submitted")
+            {
+                break snap;
+            }
+            assert!(Instant::now() < deadline, "a pin or a slot leaked");
+            thread::sleep(Duration::from_millis(1));
+        };
+        assert!(
+            snap.counter("sessions_audited") < jobs.len() as u64,
+            "the batch was cut short"
+        );
+        assert_eq!(snap.gauge("queue_depth"), 0);
+        assert_eq!(snap.gauge("in_flight_jobs"), 0);
+
+        // The next batch on the same service audits in full, identical to
+        // a fresh one-shot audit.
+        let mut out = Vec::new();
+        service
+            .serve(&submit(2, &jobs[..6])[..], &mut out)
+            .expect("clean");
+        let mut verdicts = Vec::new();
+        let mut summary = None;
+        let mut src = &out[..];
+        while let Some(frame) = ControlFrame::read_from(&mut src).expect("decodes") {
+            match frame {
+                ControlFrame::Verdict { verdict, .. } => verdicts.push(verdict),
+                ControlFrame::Summary { summary: s, .. } => summary = Some(s),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        let expected = pool::audit_batch(&Reference::new(program), &jobs[..6], service.config());
+        assert_eq!(verdicts, expected.verdicts);
+        assert_eq!(summary, Some(expected.summary));
+        service.shutdown();
+    }
+
+    #[test]
     fn duplex_moves_bytes_both_ways_and_eofs_on_drop() {
         let (mut a, mut b) = duplex();
         a.write_all(b"ping").expect("write");
@@ -2273,7 +2567,10 @@ mod tests {
             battery: None,
             cancelled: Arc::new(AtomicBool::new(false)),
             gate: None,
-            sink: sink.clone(),
+            sink: Sink {
+                tx: sink.clone(),
+                _wake: None,
+            },
             tenant,
             tenant_depth: None,
         }
