@@ -26,6 +26,8 @@
 
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod differential;
 pub mod error;
 pub mod heap;
 pub mod natives;

@@ -346,7 +346,7 @@ impl Vm {
 
     /// Advance to the next runnable thread. `Ok(true)` if one was found,
     /// `Ok(false)` if every thread is done.
-    fn rotate(&mut self) -> Result<bool, VmError> {
+    pub(crate) fn rotate(&mut self) -> Result<bool, VmError> {
         let n = self.threads.len();
         for k in 1..=n {
             let tid = (self.cur + k) % n;
