@@ -228,6 +228,76 @@ fn backend_death_mid_batch_is_retried_on_a_survivor_bit_identically() {
     report.service.shutdown();
 }
 
+// ---------------------------------------------------------------------------
+// Fleet size: the deterministic makespan
+// ---------------------------------------------------------------------------
+
+/// The same batches through coordinators over 1, 2 and 4 backends. At
+/// every fleet size the merged summaries are byte-identical to the
+/// single-daemon audit and every session is audited exactly once. A fleet
+/// of independent hosts finishes when its busiest backend does, so its
+/// makespan is the largest per-backend `replayed_cycles`; the session-id
+/// shard function must cut that near-linearly (0.7·N leaves room for
+/// uneven shards). Only simulated cycles are compared, so this holds on a
+/// one-core host.
+#[test]
+fn deterministic_makespan_shrinks_near_linearly_with_fleet_size() {
+    const BATCHES: u64 = 2;
+    let sanity = echo_sanity();
+    let jobs = echo_jobs(&sanity, 0..8);
+    let expected = summary_bytes(&sanity.audit_batch(&jobs, &cfg()).summary);
+    let tdrb = ingest::encode_batch(&jobs);
+
+    let makespan = |fleet: usize| -> u64 {
+        let backends: Vec<TcpDaemon> = (0..fleet).map(|_| backend(&sanity, 1)).collect();
+        let addrs = backends
+            .iter()
+            .map(|b| b.local_addr().to_string())
+            .collect();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+        let coordinator = serve_coordinator(listener, addrs).expect("coordinator starts");
+        let stream = TcpStream::connect(coordinator.local_addr()).expect("connect");
+        let mut client = Client::new(stream);
+        for b in 0..BATCHES {
+            let outcome = client
+                .submit_batch(b, tdrb.clone())
+                .expect("batch completes");
+            assert_eq!(
+                summary_bytes(&outcome.result.expect("audits").summary),
+                expected,
+                "fleet of {fleet}, batch {b}: merged summary is not byte-identical"
+            );
+        }
+        client.shutdown().expect("shutdown ack");
+        coordinator.shutdown();
+
+        let (mut audited, mut busiest) = (0, 0);
+        for b in backends {
+            let report = b.shutdown();
+            audited += report.snapshot.counter("sessions_audited");
+            busiest = busiest.max(report.snapshot.counter("replayed_cycles"));
+            report.service.shutdown();
+        }
+        assert_eq!(
+            audited,
+            jobs.len() as u64 * BATCHES,
+            "fleet of {fleet}: every session is audited exactly once"
+        );
+        busiest
+    };
+
+    let single = makespan(1);
+    assert!(single > 0, "replay cost recorded");
+    for fleet in [2, 4] {
+        let busiest = makespan(fleet);
+        assert!(
+            busiest as f64 <= single as f64 / (0.7 * fleet as f64),
+            "fleet of {fleet}: makespan {busiest} cycles against {single} on one backend \
+             is not near-linear"
+        );
+    }
+}
+
 /// With every backend dead the coordinator answers the batch with an
 /// in-band `Error` frame naming the dead backend — the connection (and
 /// the Stats plane) keep serving, exactly like a daemon refusing one
