@@ -1450,7 +1450,10 @@ enum Outcome {
 /// are submission order) and the final deterministic report on
 /// [`wait`](Self::wait). **Dropping the ticket cancels the submission**:
 /// sessions not yet audited are skipped (their residency slots released)
-/// and the service moves on to the next batch.
+/// and the service moves on to the next batch. For a TDRB stream, the
+/// drop waits for the feeder thread to stop — including any read of the
+/// source it is in the middle of — so the reader and the reference pin
+/// are released when `drop` returns, and a feeder panic re-raises there.
 pub struct BatchTicket {
     rx: mpsc::Receiver<(usize, AuditVerdict)>,
     cancelled: Arc<AtomicBool>,
@@ -1554,8 +1557,16 @@ impl BatchTicket {
 
 impl Drop for BatchTicket {
     fn drop(&mut self) {
-        if self.outcome.is_some() {
-            self.cancelled.store(true, Ordering::Relaxed);
+        let Some(outcome) = self.outcome.take() else {
+            return;
+        };
+        self.cancelled.store(true, Ordering::Relaxed);
+        if let Outcome::Feeding(feeder) = outcome {
+            if let Err(panic) = feeder.join() {
+                if !thread::panicking() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
         }
     }
 }

@@ -4,7 +4,10 @@
 //! work, and the daemon loop over an in-memory duplex audits a TDRB
 //! batch end to end through the TDRC control plane.
 
-use std::io::Cursor;
+use std::io::{self, Cursor, Read};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 use sanity_tdr::audit_pipeline::service::duplex;
 use sanity_tdr::audit_pipeline::{ingest, FleetSummary};
@@ -184,6 +187,61 @@ fn ticket_drop_cancels_and_shutdown_drains_inflight() {
     let report = ticket.wait().expect("inflight ticket drains");
     assert_eq!(report.verdicts.len(), 2);
     assert_eq!(report.summary, baseline.summary);
+}
+
+/// A TDRB reader that trickles its bytes out 64 at a time, sleeping
+/// before each read, and raises `dropped` when it is dropped.
+struct SlowReader {
+    bytes: Cursor<Vec<u8>>,
+    dropped: Arc<AtomicBool>,
+}
+
+impl Read for SlowReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        std::thread::sleep(Duration::from_millis(1));
+        let n = buf.len().min(64);
+        self.bytes.read(&mut buf[..n])
+    }
+}
+
+impl Drop for SlowReader {
+    fn drop(&mut self) {
+        self.dropped.store(true, Ordering::SeqCst);
+    }
+}
+
+/// Dropping a streamed submission's ticket cancels it and waits for the
+/// feeder thread: once `drop` returns, the feeder has let go of the
+/// reader (and of its reference pin) instead of reading on, detached.
+#[test]
+fn ticket_drop_waits_for_the_feeder_to_release_its_reader() {
+    let sanity = torture_common::echo_sanity();
+    let jobs = torture_common::echo_jobs(&sanity, 0..16);
+    let dropped = Arc::new(AtomicBool::new(false));
+    let reader = SlowReader {
+        bytes: Cursor::new(ingest::encode_batch(&jobs)),
+        dropped: Arc::clone(&dropped),
+    };
+    let service = sanity
+        .audit_service()
+        .workers(1)
+        .build()
+        .expect("valid service configuration");
+    let source = Source::tdrb(reader).expect("header decodes");
+    let mut ticket = service
+        .submit(source, None)
+        .expect("the built-in reference is always resident");
+    ticket.recv().expect("a first verdict");
+    assert!(
+        !dropped.load(Ordering::SeqCst),
+        "the batch is still streaming"
+    );
+    drop(ticket);
+    assert!(
+        dropped.load(Ordering::SeqCst),
+        "the dropped ticket's feeder still holds the reader"
+    );
+    service.shutdown();
 }
 
 #[test]
