@@ -1133,11 +1133,13 @@ impl AuditService {
             }
         };
         let declared = source.sessions_declared();
-        let mut ticket = self.start(source, registered, tenant, handles, Some(thread::current()));
+        let ticket = self.start(source, registered, tenant, handles, Some(thread::current()));
         // Re-order scheduling-dependent arrivals into submission order so
-        // the response byte stream is deterministic.
+        // the response byte stream is deterministic. The verdicts taken
+        // off the channel here are the batch's only copy: once written,
+        // each moves into `written`, which the Summary is computed from.
         let mut pending: BTreeMap<usize, AuditVerdict> = BTreeMap::new();
-        let mut next = 0usize;
+        let mut written = Vec::new();
         let mut received = 0u64;
         let mut all_in = false;
         // Verdicts leave in bursts, so a burst costs one wake-up and one
@@ -1150,7 +1152,7 @@ impl AuditService {
         // transport (the TCP front end wraps the socket in a BufWriter)
         // still sees verdicts live, at most one window late.
         while !all_in {
-            let Some((index, verdict)) = ticket.recv() else {
+            let Ok((index, verdict)) = ticket.rx.recv() else {
                 break;
             };
             let opened = Instant::now();
@@ -1158,7 +1160,7 @@ impl AuditService {
             received += 1;
             loop {
                 let closed = loop {
-                    match ticket.try_recv() {
+                    match ticket.rx.try_recv() {
                         Ok((index, verdict)) => {
                             pending.insert(index, verdict);
                             received += 1;
@@ -1174,16 +1176,19 @@ impl AuditService {
                 }
             }
             let mut wrote = false;
-            while let Some(verdict) = pending.remove(&next) {
-                ControlFrame::Verdict {
+            while let Some(verdict) = pending.remove(&written.len()) {
+                let frame = ControlFrame::Verdict {
                     batch_id,
-                    index: next as u64,
+                    index: written.len() as u64,
                     verdict,
-                }
-                .write_to(writer)?;
+                };
+                frame.write_to(writer)?;
                 metrics.frames_out.inc();
                 metrics.frames_out_verdict.inc();
-                next += 1;
+                let ControlFrame::Verdict { verdict, .. } = frame else {
+                    unreachable!("built as a Verdict frame above");
+                };
+                written.push(verdict);
                 wrote = true;
             }
             // The batch's last burst goes out with the terminating frame's
@@ -1193,7 +1198,7 @@ impl AuditService {
             }
         }
         debug_assert!(pending.is_empty(), "verdict indexes are contiguous");
-        let (last, kind) = match ticket.wait() {
+        let (last, kind) = match ticket.finish(written) {
             Ok(report) => (
                 ControlFrame::Summary {
                     batch_id,
@@ -1492,13 +1497,6 @@ impl BatchTicket {
         }
     }
 
-    /// [`recv`](Self::recv) without blocking.
-    fn try_recv(&mut self) -> Result<(usize, AuditVerdict), mpsc::TryRecvError> {
-        let (index, verdict) = self.rx.try_recv()?;
-        self.collected.push((index, verdict.clone()));
-        Ok((index, verdict))
-    }
-
     /// Drain remaining verdicts and produce the final batch report.
     ///
     /// For owned jobs the `Err` arm is unreachable; for a stream it
@@ -1509,6 +1507,15 @@ impl BatchTicket {
         while let Ok(pair) = self.rx.recv() {
             self.collected.push(pair);
         }
+        let mut collected = std::mem::take(&mut self.collected);
+        collected.sort_by_key(|&(i, _)| i);
+        self.finish(collected.into_iter().map(|(_, v)| v).collect())
+    }
+
+    /// Finish the submission given `verdicts`, every verdict it delivered
+    /// in submission order: join the feed, check that no worker died,
+    /// record the batch, feed retraining and build the report.
+    fn finish(mut self, verdicts: Vec<AuditVerdict>) -> Result<BatchReport, IngestError> {
         let outcome = match self.outcome.take().expect("a ticket finishes once") {
             Outcome::Fed(outcome) => outcome,
             Outcome::Feeding(feeder) => feeder.join().expect("feeder thread never panics"),
@@ -1527,7 +1534,7 @@ impl BatchTicket {
         // short verdict set is the only evidence a worker died mid-audit —
         // fail loudly, never report a truncated fleet summary as complete.
         assert_eq!(
-            self.collected.len(),
+            verdicts.len(),
             outcome.submitted,
             "an audit worker died before delivering every verdict"
         );
@@ -1539,9 +1546,6 @@ impl BatchTicket {
             self.batch_seq,
             outcome.submitted as u64,
         );
-        let mut collected = std::mem::take(&mut self.collected);
-        collected.sort_by_key(|&(i, _)| i);
-        let verdicts: Vec<AuditVerdict> = collected.into_iter().map(|(_, v)| v).collect();
         let summary = FleetSummary::from_verdicts(&verdicts);
         if let Some(traces) = outcome.retrain_traces {
             absorb_clean(&self.shared, &verdicts, &traces);
