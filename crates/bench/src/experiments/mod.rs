@@ -1,16 +1,12 @@
 //! Experiment implementations, one module per paper artifact.
 
 pub mod ablation;
-pub mod daemon;
 pub mod fig2;
 pub mod fig3;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig8_fleet;
-pub mod pipeline;
-pub mod registry;
-pub mod replay_speed;
 pub mod table2;
 
 /// Global harness options.
@@ -22,17 +18,6 @@ pub struct Options {
     pub runs: usize,
     /// Output directory for CSV/JSON artifacts.
     pub out_dir: String,
-    /// `repro pipeline --stream`: run the streaming-ingest throughput
-    /// comparison (streamed vs materialized) instead of the worker sweep.
-    pub stream: bool,
-    /// `repro daemon --tcp`: serve the daemon over a real localhost TCP
-    /// listener and sweep concurrent connection counts instead of the
-    /// warm-vs-cold duplex comparison.
-    pub tcp: bool,
-    /// `repro daemon --tcp --backends N`: put a coordinator in front of
-    /// up to N backend daemons and sweep the fleet size (0 = no
-    /// coordinator, the plain `--tcp` experiment).
-    pub backends: usize,
 }
 
 impl Default for Options {
@@ -41,9 +26,6 @@ impl Default for Options {
             full: false,
             runs: 0,
             out_dir: "results".to_string(),
-            stream: false,
-            tcp: false,
-            backends: 0,
         }
     }
 }

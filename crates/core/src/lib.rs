@@ -85,13 +85,13 @@ pub use audit_pipeline::{
 };
 pub use detectors::{Detector, DetectorBattery, TraceView};
 
-/// The TDR system: a program plus the machine/VM configuration it runs
-/// under. All methods are deterministic given the run number.
+/// The TDR system: a program plus the machine configuration it runs
+/// under, on the default VM. All methods are deterministic given the run
+/// number.
 #[derive(Debug, Clone)]
 pub struct Sanity {
     program: Arc<Program>,
     mcfg: MachineConfig,
-    vm_cfg: VmConfig,
     /// Stable-storage contents (shared machine state: play and replay both
     /// see the same file system, like the paper's NFS file set).
     files: Vec<Vec<u8>>,
@@ -107,7 +107,6 @@ impl Sanity {
         Sanity {
             program: Arc::new(program),
             mcfg: MachineConfig::sanity(),
-            vm_cfg: VmConfig::default(),
             files: Vec::new(),
             battery: None,
         }
@@ -124,12 +123,6 @@ impl Sanity {
     /// Override the machine configuration (ablations).
     pub fn with_machine_config(mut self, mcfg: MachineConfig) -> Self {
         self.mcfg = mcfg;
-        self
-    }
-
-    /// Override the VM configuration.
-    pub fn with_vm_config(mut self, vm_cfg: VmConfig) -> Self {
-        self.vm_cfg = vm_cfg;
         self
     }
 
@@ -156,11 +149,6 @@ impl Sanity {
         &self.program
     }
 
-    /// The machine configuration.
-    pub fn machine_config(&self) -> &MachineConfig {
-        &self.mcfg
-    }
-
     /// Record an execution; `setup` delivers inputs (packets, files, delay
     /// models) before the run starts.
     pub fn record(&self, run: u64, setup: impl FnOnce(&mut Vm)) -> Result<Recorded, SessionError> {
@@ -168,7 +156,7 @@ impl Sanity {
         replay::record(
             Arc::clone(&self.program),
             self.mcfg,
-            self.vm_cfg,
+            VmConfig::default(),
             run,
             |vm| {
                 vm.set_files(files);
@@ -188,7 +176,7 @@ impl Sanity {
         replay::replay_tdr(
             Arc::clone(&self.program),
             self.mcfg,
-            self.vm_cfg,
+            VmConfig::default(),
             log,
             run,
             |vm| {
@@ -201,9 +189,15 @@ impl Sanity {
     /// Functional (XenTT-style) replay of `log` — the Fig. 3 baseline.
     pub fn replay_functional(&self, log: &EventLog, run: u64) -> Result<Recorded, SessionError> {
         let files = self.files.clone();
-        replay::replay_functional(Arc::clone(&self.program), self.vm_cfg, log, run, |vm| {
-            vm.set_files(files);
-        })
+        replay::replay_functional(
+            Arc::clone(&self.program),
+            VmConfig::default(),
+            log,
+            run,
+            |vm| {
+                vm.set_files(files);
+            },
+        )
     }
 
     /// This configuration as an audit-pipeline reference environment.
@@ -211,7 +205,7 @@ impl Sanity {
         audit_pipeline::Reference {
             program: Arc::clone(&self.program),
             machine: self.mcfg,
-            vm: self.vm_cfg,
+            vm: VmConfig::default(),
             files: self.files.clone(),
             battery: self.battery.clone(),
         }
@@ -274,7 +268,7 @@ impl Sanity {
     ) -> Result<Recorded, SessionError> {
         let program = jbc::Verified::new(Arc::clone(&self.program)).map_err(VmError::from)?;
         let files = self.files.clone();
-        replay::audit_replay(&program, self.mcfg, self.vm_cfg, log, run, |vm| {
+        replay::audit_replay(&program, self.mcfg, VmConfig::default(), log, run, |vm| {
             vm.set_files(files);
             setup(vm);
         })

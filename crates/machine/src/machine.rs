@@ -143,11 +143,6 @@ pub struct MachineConfig {
     pub frame_policy_override: Option<FramePolicy>,
     /// Override the environment's frequency policy (ablations).
     pub freq_policy_override: Option<sim_core::FreqPolicy>,
-    /// Drive post-instruction housekeeping from the discrete-event tick
-    /// queue ([`crate::sched`]) instead of re-scanning every component
-    /// after every instruction. Host-side speed only: simulated time is
-    /// bit-identical either way (the determinism goldens pin this).
-    pub event_ticking: bool,
 }
 
 impl MachineConfig {
@@ -168,7 +163,6 @@ impl MachineConfig {
             sc_heartbeat_stall_max: 5_000,
             frame_policy_override: None,
             freq_policy_override: None,
-            event_ticking: true,
         }
     }
 
@@ -190,7 +184,6 @@ impl MachineConfig {
             sc_heartbeat_stall_max: 0,
             frame_policy_override: None,
             freq_policy_override: None,
-            event_ticking: true,
         }
     }
 }
@@ -225,6 +218,10 @@ pub struct Machine {
     next_heartbeat: Cycles,
     /// Discrete-event schedule of the housekeeping components.
     tickq: TickQueue,
+    /// Test oracle: run housekeeping after every step, as the
+    /// scan-everything design the tick queue replaced did.
+    #[cfg(test)]
+    scan_every_step: bool,
 }
 
 impl Machine {
@@ -258,6 +255,8 @@ impl Machine {
             sc_rng: StdRng::seed_from_u64(seeds.noise ^ 0x5c5c),
             next_heartbeat: cfg.sc_heartbeat_interval.max(1),
             tickq: TickQueue::new(),
+            #[cfg(test)]
+            scan_every_step: false,
             noise_cfg,
             cfg,
         };
@@ -398,8 +397,11 @@ impl Machine {
         // UNCONDITIONAL — non-Fixed governors advance in chunks whose
         // float truncation depends on call granularity, so wall-clock time
         // is only reproducible if `sync` runs on exactly the same schedule
-        // in every configuration.
-        if !self.cfg.event_ticking || self.tickq.any_due(self.core.now()) {
+        // whether the gate or the test oracle's scan decides.
+        let due = self.tickq.any_due(self.core.now());
+        #[cfg(test)]
+        let due = due || self.scan_every_step;
+        if due {
             self.run_housekeeping();
         }
         self.sync();
@@ -611,11 +613,6 @@ impl Machine {
         self.ts.drain_values()
     }
 
-    /// Number of entries pending in the S-T buffer.
-    pub fn st_pending(&self) -> usize {
-        self.st.pending()
-    }
-
     /// Core statistics snapshot.
     pub fn core_stats(&self) -> CoreStats {
         self.core.stats()
@@ -624,11 +621,6 @@ impl Machine {
     /// Total bytes of log-flush DMA issued by the SC.
     pub fn log_dma_bytes(&self) -> u64 {
         self.log_dma_bytes
-    }
-
-    /// Direct access to the core (benches and white-box tests).
-    pub fn core_mut(&mut self) -> &mut CoreModel {
-        &mut self.core
     }
 
     /// The address space (white-box tests).
@@ -800,14 +792,15 @@ mod tests {
     fn event_ticking_is_bit_identical_to_scanning() {
         // The tick queue must never change simulated time — only skip
         // no-op housekeeping scans. Run an eventful mix (instructions,
-        // idles, packets, event values) in a noisy environment under both
-        // modes and require identical clocks, wall time, and event counts.
-        let run = |event_ticking: bool, env: Environment| {
+        // idles, packets, event values) in a noisy environment with the
+        // queue and with the scan after every step it replaced, and
+        // require identical clocks, wall time, and event counts.
+        let run = |scan_every_step: bool, env: Environment| {
             let mut cfg = MachineConfig::sanity();
             cfg.env = env;
             cfg.tc_sc_split = false; // Exercise the TC-IRQ component too.
-            cfg.event_ticking = event_ticking;
             let mut m = Machine::new(cfg, Seeds::from_run(42));
+            m.scan_every_step = scan_every_step;
             m.start_run();
             let base = m.now_cycles();
             for k in 0..40u64 {
@@ -835,9 +828,9 @@ mod tests {
         };
         for env in [Environment::Sanity, Environment::UserNoisy] {
             assert_eq!(
-                run(true, env),
                 run(false, env),
-                "tick modes diverged under {env:?}"
+                run(true, env),
+                "tick queue diverged from scanning under {env:?}"
             );
         }
     }

@@ -228,11 +228,6 @@ impl StBuffer {
         self.entries.front().map(|e| e.avail_at)
     }
 
-    /// Virtual timestamp of the head entry, if any (replay injection point).
-    pub fn front_ts(&self) -> Option<u64> {
-        self.entries.front().map(|e| e.ts)
-    }
-
     /// `(polls, consumed)` counters.
     pub fn stats(&self) -> (u64, u64) {
         (self.polls, self.consumed)

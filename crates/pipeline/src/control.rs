@@ -1074,17 +1074,6 @@ pub struct BatchOutcome {
     pub result: Result<BatchSummary, String>,
 }
 
-impl BatchOutcome {
-    /// The summary, panicking with the daemon's message on an in-band
-    /// error (convenience for callers that treat batch failure as fatal).
-    pub fn expect_summary(self) -> BatchSummary {
-        match self.result {
-            Ok(summary) => summary,
-            Err(msg) => panic!("daemon reported batch {} failed: {msg}", self.batch_id),
-        }
-    }
-}
-
 /// A typed TDRC client over any `Read + Write` transport.
 ///
 /// Wraps the request/response choreography of §5 of `docs/FORMATS.md`:
@@ -1419,11 +1408,6 @@ impl<T: Read + Write> Client<T> {
         request.write_to(&mut self.transport)?;
         self.transport.flush().map_err(ControlError::from_io)?;
         accept(ControlFrame::read_from(&mut self.transport)?.ok_or(ControlError::Disconnected)?)
-    }
-
-    /// A shared view of the transport.
-    pub fn get_ref(&self) -> &T {
-        &self.transport
     }
 
     /// Unwrap the transport without the shutdown handshake.

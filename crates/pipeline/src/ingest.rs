@@ -162,7 +162,6 @@ pub struct BatchStream<R> {
     hdr_buf: Vec<u8>,
     frame_buf: Vec<u8>,
     max_frame_len: usize,
-    max_ipds: usize,
     done: bool,
 }
 
@@ -208,7 +207,6 @@ impl<R: Read> BatchStream<R> {
             hdr_buf: Vec::new(),
             frame_buf: Vec::new(),
             max_frame_len: replay::stream::DEFAULT_MAX_FRAME_LEN,
-            max_ipds: DEFAULT_MAX_IPDS,
             done: false,
         })
     }
@@ -216,13 +214,6 @@ impl<R: Read> BatchStream<R> {
     /// Cap the length one session's event-log frame may declare.
     pub fn with_max_frame_len(mut self, max: usize) -> Self {
         self.max_frame_len = max;
-        self
-    }
-
-    /// Cap the IPD count one session may declare (default
-    /// [`DEFAULT_MAX_IPDS`]); raise it for legitimately long sessions.
-    pub fn with_max_ipds(mut self, max: usize) -> Self {
-        self.max_ipds = max;
         self
     }
 
@@ -247,7 +238,7 @@ impl<R: Read> BatchStream<R> {
             .map_err(|e| session_err(index, e))?;
         let n_ipds = read_varint_from(&mut self.src, &mut self.hdr_buf)
             .map_err(|e| session_err(index, e))? as usize;
-        if n_ipds > self.max_ipds {
+        if n_ipds > DEFAULT_MAX_IPDS {
             return Err(bad(CodecError::LengthOverflow));
         }
         let mut observed_ipds = Vec::with_capacity(n_ipds.min(4096));

@@ -18,8 +18,8 @@
 //!   not-yet-audited sessions.
 //! * [`AuditService::serve`] is the daemon loop: [`crate::control`]
 //!   frames in, verdict/summary frames out, over any `Read + Write` pair
-//!   (a socket, or the in-memory [`duplex`] used by the tests and
-//!   `repro daemon`). It submits through the same core as `submit`.
+//!   (a socket, or the in-memory [`duplex`] the tests use). It submits
+//!   through the same core as `submit`.
 //!
 //! ## One reference path
 //!
@@ -1678,9 +1678,8 @@ struct PipeState {
 /// `Read` blocks until bytes arrive or the peer drops (then EOF);
 /// `Write` never blocks (the buffer is unbounded — control traffic is
 /// small). Dropping an end closes both directions for the peer. This is
-/// the loopback transport the daemon tests and `repro daemon` drive
-/// [`AuditService::serve`] with; a real deployment hands `serve` a
-/// socket's reader/writer instead.
+/// the loopback transport the daemon tests drive [`AuditService::serve`]
+/// with; a real deployment hands `serve` a socket's reader/writer instead.
 #[derive(Debug)]
 pub struct DuplexEnd {
     rx: Arc<Pipe>,

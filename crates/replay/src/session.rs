@@ -63,19 +63,6 @@ impl Recorded {
             .map(|w| w[1].cycle - w[0].cycle)
             .collect()
     }
-
-    /// Inter-packet delays of the transmitted trace, in picoseconds.
-    pub fn tx_ipds_ps(&self) -> Vec<u128> {
-        self.tx
-            .windows(2)
-            .map(|w| w[1].wall_ps - w[0].wall_ps)
-            .collect()
-    }
-
-    /// Transmission wall times, in picoseconds.
-    pub fn tx_times_ps(&self) -> Vec<u128> {
-        self.tx.iter().map(|t| t.wall_ps).collect()
-    }
 }
 
 fn finish(mut vm: Vm, outcome: RunOutcome, capture_log: bool) -> Recorded {

@@ -59,7 +59,6 @@ pub struct MemoryBus {
     /// Future/ongoing DMA occupancy windows, sorted by start cycle.
     windows: VecDeque<(Cycles, Cycles)>,
     rng: StdRng,
-    jitter_enabled: bool,
     tc_requests: u64,
     contended: u64,
     stall_cycles: Cycles,
@@ -73,7 +72,6 @@ impl MemoryBus {
             params,
             windows: VecDeque::new(),
             rng: StdRng::seed_from_u64(seed),
-            jitter_enabled: params.jitter_max > 0,
             tc_requests: 0,
             contended: 0,
             stall_cycles: 0,
@@ -84,11 +82,6 @@ impl MemoryBus {
     /// The configured parameters.
     pub fn params(&self) -> &BusParams {
         &self.params
-    }
-
-    /// Enable or disable arbitration jitter (the irreducible noise source).
-    pub fn set_jitter(&mut self, enabled: bool) {
-        self.jitter_enabled = enabled && self.params.jitter_max > 0;
     }
 
     /// Schedule a DMA transfer of `bytes` starting at absolute cycle
@@ -128,7 +121,7 @@ impl MemoryBus {
                 // Window is active: TC waits for it to drain.
                 wait = end - now;
                 self.contended += 1;
-                if self.jitter_enabled {
+                if self.params.jitter_max > 0 {
                     wait += self.rng.gen_range(0..=self.params.jitter_max);
                 }
             } else if now + service > start {
@@ -136,7 +129,7 @@ impl MemoryBus {
                 // model charges the TC the overlap (device has priority).
                 wait = now + service - start;
                 self.contended += 1;
-                if self.jitter_enabled {
+                if self.params.jitter_max > 0 {
                     wait += self.rng.gen_range(0..=self.params.jitter_max);
                 }
             }

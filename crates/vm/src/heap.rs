@@ -8,7 +8,7 @@
 //! has a *simulated address* so that field/element accesses produce real
 //! cache traffic in the timing model.
 
-use jbc::{ClassId, ElemTy};
+use jbc::ClassId;
 use serde::{Deserialize, Serialize};
 
 use crate::value::{Handle, Value, NULL};
@@ -101,8 +101,6 @@ pub struct Heap {
     limit: u64,
     bump: u64,
     allocated_bytes: u64,
-    allocations: u64,
-    collections: u64,
 }
 
 /// Size of the simulated object header.
@@ -118,29 +116,12 @@ impl Heap {
             limit: base + size,
             bump: base,
             allocated_bytes: 0,
-            allocations: 0,
-            collections: 0,
         }
     }
 
     /// Bytes currently allocated (including headers).
     pub fn allocated_bytes(&self) -> u64 {
         self.allocated_bytes
-    }
-
-    /// Total allocations performed.
-    pub fn allocations(&self) -> u64 {
-        self.allocations
-    }
-
-    /// Collections performed.
-    pub fn collections(&self) -> u64 {
-        self.collections
-    }
-
-    /// Number of live objects.
-    pub fn live_objects(&self) -> usize {
-        self.cells.iter().flatten().filter(|c| c.live).count()
     }
 
     fn aligned(n: u64) -> u64 {
@@ -173,7 +154,6 @@ impl Heap {
         let need = Self::aligned(obj.byte_size() + HEADER);
         let addr = self.find_space(need)?;
         self.allocated_bytes += need;
-        self.allocations += 1;
         let cell = Cell {
             obj,
             vaddr: addr,
@@ -239,23 +219,9 @@ impl Heap {
             && self.cells[h as usize].as_ref().is_some_and(|c| c.live)
     }
 
-    /// Allocate a primitive array of `len` zeroed elements.
-    pub fn alloc_array(&mut self, et: ElemTy, len: usize) -> Option<(Handle, u64)> {
-        let obj = match et {
-            ElemTy::I8 => HeapObj::ArrI8(vec![0; len]),
-            ElemTy::U16 => HeapObj::ArrU16(vec![0; len]),
-            ElemTy::I32 => HeapObj::ArrI32(vec![0; len]),
-            ElemTy::I64 => HeapObj::ArrI64(vec![0; len]),
-            ElemTy::F64 => HeapObj::ArrF64(vec![0.0; len]),
-            ElemTy::Ref => HeapObj::ArrRef(vec![NULL; len]),
-        };
-        self.alloc(obj)
-    }
-
     /// Mark-sweep collection from the given roots. Returns statistics; the
     /// caller converts them into deterministic cycle costs.
     pub fn collect(&mut self, roots: impl Iterator<Item = Handle>) -> GcStats {
-        self.collections += 1;
         // Mark (explicit stack; handle order keeps it deterministic).
         let mut stack: Vec<Handle> = roots.filter(|&h| self.is_live(h)).collect();
         while let Some(h) = stack.pop() {

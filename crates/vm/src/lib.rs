@@ -39,4 +39,4 @@ pub use error::VmError;
 pub use heap::{GcStats, Heap, HeapObj};
 pub use natives::{DelayModel, NativeKind, ScheduledDelays, TargetSendTimes};
 pub use value::{Handle, Value, NULL};
-pub use vmcore::{DispatchMode, ExitKind, ReplayStyle, RunOutcome, Vm, VmConfig};
+pub use vmcore::{ExitKind, ReplayStyle, RunOutcome, Vm, VmConfig};

@@ -13,8 +13,8 @@
 //! Timing identity: hot arms run the same prologue (icount/budget/limit
 //! checks), evaluate values through the same `ops::arith`/`ops::control`
 //! helpers, and charge the machine with the same cost class, memory
-//! references, and branch outcome as classic dispatch. The two modes are
-//! cross-checked instruction-for-instruction by `repro replay-speed` and
+//! references, and branch outcome as classic dispatch. The two loops are
+//! cross-checked by the `differential` test (record and TDR replay) and
 //! the determinism goldens.
 
 use jbc::{Op, Program};

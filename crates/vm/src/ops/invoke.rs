@@ -257,14 +257,11 @@ pub(crate) fn call_native(vm: &mut Vm, program: &Program, kind: NativeKind) -> R
             }
         }
         NativeKind::CovertDelay => {
-            if vm.covert_enabled {
-                let idx = vm.send_count;
-                let now = vm.machine.now_cycles();
-                if let Some(m) = vm.delay.as_mut() {
-                    let d = m.next_delay_cycles(idx, now);
-                    if d > 0 {
-                        vm.machine.idle(d);
-                    }
+            let (idx, now) = (vm.send_count, vm.machine.now_cycles());
+            if let Some(m) = vm.delay.as_mut() {
+                let d = m.next_delay_cycles(idx, now);
+                if d > 0 {
+                    vm.machine.idle(d);
                 }
             }
         }

@@ -27,24 +27,6 @@ pub enum ReplayStyle {
     Functional,
 }
 
-/// How the interpreter's inner loop executes opcodes.
-///
-/// Both modes are *bit-identical in simulated time* — same cycle counts,
-/// same wall-clock picoseconds, same RNG draws (pinned by the determinism
-/// goldens suite) — and differ only in host-side speed. `Fused` is the
-/// default; `Classic` is kept as the reference implementation and the
-/// "before" baseline of `repro replay-speed`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// One `step()` call per instruction: single decode point, one match,
-    /// per-operand frame re-borrowing. The original dispatch loop.
-    Classic,
-    /// Fused fast path: hot arithmetic/local/control opcodes execute in a
-    /// micro-loop that borrows the current frame once per instruction;
-    /// cold opcodes (heap, calls, natives) bail to the classic handlers.
-    Fused,
-}
-
 /// VM construction parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct VmConfig {
@@ -62,9 +44,6 @@ pub struct VmConfig {
     pub heap_size: u64,
     /// Wait/idle semantics.
     pub replay_style: ReplayStyle,
-    /// Inner-loop dispatch strategy (host-side speed only; simulated time
-    /// is identical across modes).
-    pub dispatch: DispatchMode,
 }
 
 impl Default for VmConfig {
@@ -77,7 +56,6 @@ impl Default for VmConfig {
             max_call_depth: 512,
             heap_size: 64 << 20,
             replay_style: ReplayStyle::Play,
-            dispatch: DispatchMode::Fused,
         }
     }
 }
@@ -158,7 +136,6 @@ pub struct Vm {
     pub(crate) console: Vec<String>,
     pub(crate) files: Vec<Vec<u8>>,
     pub(crate) delay: Option<Box<dyn DelayModel>>,
-    pub(crate) covert_enabled: bool,
     pub(crate) send_count: u64,
     pub(crate) monitors: HashMap<Handle, MonitorState>,
     pub(crate) gc_runs: u64,
@@ -230,7 +207,6 @@ impl Vm {
             console: Vec::new(),
             files: Vec::new(),
             delay: None,
-            covert_enabled: false,
             send_count: 0,
             monitors: HashMap::new(),
             gc_runs: 0,
@@ -267,29 +243,14 @@ impl Vm {
     }
 
     /// Install the covert-channel delay model (host side of the
-    /// `covert_delay` primitive) and enable it.
+    /// `covert_delay` primitive), which enables the primitive.
     pub fn set_delay_model(&mut self, m: Box<dyn DelayModel>) {
         self.delay = Some(m);
-        self.covert_enabled = true;
-    }
-
-    /// Enable or disable the covert-delay primitive at runtime (§6.6).
-    pub fn set_covert_enabled(&mut self, on: bool) {
-        self.covert_enabled = on;
     }
 
     /// Number of garbage collections so far.
     pub fn gc_runs(&self) -> u64 {
         self.gc_runs
-    }
-
-    /// Heap statistics: `(allocations, allocated_bytes, live_objects)`.
-    pub fn heap_stats(&self) -> (u64, u64, usize) {
-        (
-            self.heap.allocations(),
-            self.heap.allocated_bytes(),
-            self.heap.live_objects(),
-        )
     }
 
     /// Console lines printed so far.
@@ -366,19 +327,17 @@ impl Vm {
 
     /// Run until every thread completes (or a VM error occurs).
     pub fn run(&mut self) -> Result<RunOutcome, VmError> {
+        // Hot opcodes run in the fused fast path, the rest in `step`. The
+        // result must equal one `step` per instruction, bit for bit;
+        // `differential.rs` checks that.
         let program = Arc::clone(&self.program);
-        let fused = self.cfg.dispatch == DispatchMode::Fused;
         loop {
             if (self.threads[self.cur].state != ThreadState::Runnable || self.budget == 0)
                 && !self.rotate()?
             {
                 break;
             }
-            if fused {
-                crate::ops::fused::step_fused(self, &program)?;
-            } else {
-                self.step(&program)?;
-            }
+            crate::ops::fused::step_fused(self, &program)?;
         }
         Ok(RunOutcome {
             exit: ExitKind::Completed,
@@ -387,22 +346,6 @@ impl Vm {
             wall_ps: self.machine.now_ps(),
             console: self.console.clone(),
         })
-    }
-
-    /// Run until the instruction counter reaches at least `target` (used by
-    /// checkpointing and segment replay). Returns false if the program
-    /// finished first.
-    pub fn run_until_icount(&mut self, target: u64) -> Result<bool, VmError> {
-        let program = Arc::clone(&self.program);
-        while self.icount < target {
-            if (self.threads[self.cur].state != ThreadState::Runnable || self.budget == 0)
-                && !self.rotate()?
-            {
-                return Ok(false);
-            }
-            self.step(&program)?;
-        }
-        Ok(true)
     }
 
     pub(crate) fn charge(

@@ -13,7 +13,6 @@
 //! the commit.
 
 use sanity_tdr::{AuditConfig, AuditJob, BatteryMode, DetectorBattery, Sanity};
-use vm::{DispatchMode, VmConfig};
 use workloads::corpus;
 
 const GOLDEN_PATH: &str = concat!(
@@ -88,38 +87,6 @@ fn render_all() -> String {
         out.push_str(&fingerprint(k));
     }
     out
-}
-
-/// The fused fast path is a host-side optimization only: record + replay
-/// under `DispatchMode::Classic` must be bit-identical to the default.
-#[test]
-fn classic_and_fused_dispatch_agree() {
-    for k in 0..corpus::GOLDEN_CORPUS_SIZE as u64 {
-        let prog = corpus::corpus_program(corpus::GOLDEN_CORPUS_SEED + k);
-        let runs: Vec<String> = [DispatchMode::Fused, DispatchMode::Classic]
-            .iter()
-            .map(|&dispatch| {
-                let s = Sanity::new(prog.clone()).with_vm_config(VmConfig {
-                    dispatch,
-                    ..VmConfig::default()
-                });
-                let rec = s.record(1_000 + k, |_| {}).expect("record");
-                let rep = s.replay(&rec.log, 2_000 + k, |_| {}).expect("replay");
-                format!(
-                    "{} {} {} {:?} {:?} | {} {} {:?}",
-                    rec.outcome.icount,
-                    rec.outcome.cycles,
-                    rec.outcome.wall_ps,
-                    rec.outcome.console,
-                    rec.tx_ipds_cycles(),
-                    rep.outcome.cycles,
-                    rep.outcome.wall_ps,
-                    rep.tx_ipds_cycles(),
-                )
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1], "dispatch modes diverged on program {k}");
-    }
 }
 
 #[test]

@@ -217,7 +217,11 @@ fn backend_death_mid_batch_is_retried_on_a_survivor_bit_identically() {
     assert_eq!(snap.counter("coord_backend_1_sessions"), 16);
 
     client.shutdown().expect("shutdown ack");
-    coordinator.shutdown();
+    assert_eq!(
+        coordinator.shutdown().connection_errors,
+        0,
+        "a dead backend is a routing event, not a client connection error"
+    );
 
     // The survivor audited every session of both batches and drained
     // clean: no queue or residency slot leaked from the retried shards.

@@ -320,7 +320,13 @@ fn stats_polling_client_perturbs_neither_verdicts_nor_summaries() {
                 );
                 last_audited = audited;
                 assert_eq!(snap.counter("conn_errors"), 0);
-                assert!(snap.gauge("conn_active") >= 1, "the poller itself");
+                // The poller itself, and at most every client besides.
+                let active = snap.gauge("conn_active");
+                assert!(
+                    (1..=CLIENTS as u64 + 1).contains(&active),
+                    "conn_active {active} outside [1, {}]",
+                    CLIENTS + 1
+                );
                 polls += 1;
             }
             client.shutdown().expect("poller shutdown acked");
@@ -364,6 +370,10 @@ fn stats_polling_client_perturbs_neither_verdicts_nor_summaries() {
 
     let report = daemon.shutdown();
     assert_eq!(report.connections_accepted, (CLIENTS + 1) as u64);
+    assert_eq!(
+        report.snapshot.counter("conn_accepted"),
+        report.connections_accepted
+    );
     assert_eq!(report.connection_errors, 0);
     assert_eq!(report.connections_shed, 0, "no cap, nothing shed");
     assert_eq!(

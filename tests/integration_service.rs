@@ -216,7 +216,9 @@ impl Drop for SlowReader {
 #[test]
 fn ticket_drop_waits_for_the_feeder_to_release_its_reader() {
     let sanity = torture_common::echo_sanity();
-    let jobs = torture_common::echo_jobs(&sanity, 0..16);
+    // About 13 KiB: over 200 sleeping reads, so the stream is still being
+    // read long after the first verdict.
+    let jobs = torture_common::echo_jobs(&sanity, 0..64);
     let dropped = Arc::new(AtomicBool::new(false));
     let reader = SlowReader {
         bytes: Cursor::new(ingest::encode_batch(&jobs)),
