@@ -5,7 +5,8 @@
 //! [`FleetSummary`] byte-identical to a single-daemon audit out —
 //! including when a backend dies mid-batch and its shard is retried on a
 //! survivor, and including the registry (`PutReference` fan-out) and
-//! battery (`PutBattery` fan-out) control planes.
+//! battery (`PutBattery` fan-out) control planes. Sharding must also cut
+//! the fleet's deterministic makespan near-linearly in its size.
 
 use std::net::{TcpListener, TcpStream};
 
