@@ -7,7 +7,9 @@
 
 use std::collections::BTreeMap;
 
-use detectors::{auc, roc, RocPoint};
+use detectors::{auc, roc, DetectorBattery, RocPoint, TraceView};
+
+use crate::AuditJob;
 
 /// The audit outcome for one session.
 #[derive(Debug, Clone, PartialEq)]
@@ -235,6 +237,81 @@ fn split_and_score(
     (points, area)
 }
 
+/// The next battery generation [`retrain`] derived from one batch.
+#[derive(Debug, Clone)]
+pub struct Retrained {
+    /// The base battery with the batch's clean traces absorbed — what the
+    /// writer installs with `PutBattery`.
+    pub battery: DetectorBattery,
+    /// Clean traces absorbed.
+    pub absorbed: usize,
+    /// Mean absolute change in detector score over the absorbed traces,
+    /// base generation vs. next.
+    pub drift_mean: f64,
+    /// Largest such change.
+    pub drift_max: f64,
+}
+
+/// Cross-batch retraining, as a pure function of one audited batch: absorb
+/// each clean session's observed IPDs (not flagged, no replay error,
+/// non-empty IPDs; in submission order, so deterministic) into a copy of
+/// `battery` with one [`DetectorBattery::absorb_all`]. `None` when the
+/// batch has no clean session. A battery's one writer calls this between
+/// a batch's verdicts and its `PutBattery`.
+///
+/// The drift is the score-drift monitoring substrate — a quietly shifting
+/// baseline shows up here before it shows up as verdict churn: every
+/// (absorbed trace, detector) score pair, |next − base|.
+///
+/// # Panics
+///
+/// Panics unless `jobs` and `verdicts` pair up by session id, in order.
+pub fn retrain(
+    battery: &DetectorBattery,
+    jobs: &[AuditJob],
+    verdicts: &[AuditVerdict],
+) -> Option<Retrained> {
+    assert_eq!(jobs.len(), verdicts.len(), "one verdict per job");
+    let mut clean: Vec<Vec<u64>> = Vec::new();
+    for (job, verdict) in jobs.iter().zip(verdicts) {
+        assert_eq!(
+            job.session_id, verdict.session_id,
+            "jobs and verdicts pair up by session id"
+        );
+        if !verdict.flagged && verdict.error.is_none() && !job.observed_ipds.is_empty() {
+            clean.push(job.observed_ipds.clone());
+        }
+    }
+    if clean.is_empty() {
+        return None;
+    }
+    let mut next = battery.clone();
+    next.absorb_all(&clean);
+
+    let mut sum = 0.0f64;
+    let mut max = 0.0f64;
+    let mut n = 0u64;
+    for ipds in &clean {
+        let view = TraceView::observed(ipds);
+        let before = battery.score_all(&view);
+        let after = next.score_all(&view);
+        for (name, b) in &before {
+            if let Some(a) = after.get(name) {
+                let d = (a - b).abs();
+                sum += d;
+                max = max.max(d);
+                n += 1;
+            }
+        }
+    }
+    Some(Retrained {
+        battery: next,
+        absorbed: clean.len(),
+        drift_mean: if n > 0 { sum / n as f64 } else { 0.0 },
+        drift_max: max,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,6 +446,74 @@ mod tests {
         let by_det = labeled_roc_by_detector(&vs, &covert);
         assert_eq!(by_det.len(), 1, "only the Sanity curve");
         assert!((by_det["Sanity"].1 - 1.0).abs() < 1e-9);
+    }
+
+    fn job(session_id: u64, observed_ipds: Vec<u64>) -> AuditJob {
+        AuditJob {
+            session_id,
+            log: replay::EventLog::default(),
+            observed_ipds,
+        }
+    }
+
+    /// `n` IPDs around 700k cycles with deterministic xorshift jitter.
+    fn ipds(seed: u64, n: usize) -> Vec<u64> {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                700_000 + x % 40_000
+            })
+            .collect()
+    }
+
+    #[test]
+    fn retrain_absorbs_the_clean_sessions_in_submission_order() {
+        let training: Vec<Vec<u64>> = (0..8).map(|s| ipds(s, 300)).collect();
+        let base = DetectorBattery::trained(&training);
+        let jobs = vec![
+            job(0, ipds(10, 300)),
+            job(1, ipds(11, 300)),
+            job(2, ipds(12, 300)),
+            job(3, Vec::new()),
+            job(4, ipds(14, 300)),
+        ];
+        // Clean: 0 and 4. Flagged: 1. Replay error: 2. No IPDs: 3.
+        let verdicts = vec![
+            verdict(0, 0.001, false),
+            verdict(1, 0.30, true),
+            AuditVerdict {
+                error: Some("boom".into()),
+                ..verdict(2, 0.001, false)
+            },
+            verdict(3, 0.0, false),
+            verdict(4, 0.001, false),
+        ];
+        let next = retrain(&base, &jobs, &verdicts).expect("two clean sessions");
+        assert_eq!(next.absorbed, 2);
+        assert_eq!(next.battery.training_traces(), base.training_traces() + 2);
+        let mut explicit = base.clone();
+        explicit.absorb_all(&[jobs[0].observed_ipds.clone(), jobs[4].observed_ipds.clone()]);
+        assert_eq!(next.battery.to_json(), explicit.to_json(), "one absorb_all");
+        assert!(
+            next.drift_mean >= 0.0 && next.drift_max >= next.drift_mean,
+            "drift stats ordered: {} {}",
+            next.drift_mean,
+            next.drift_max
+        );
+        assert!(
+            retrain(&base, &jobs[1..4], &verdicts[1..4]).is_none(),
+            "no clean session, no next generation"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "pair up by session id")]
+    fn retrain_refuses_verdicts_of_other_sessions() {
+        let base = DetectorBattery::trained(&[ipds(1, 300), ipds(2, 300)]);
+        retrain(&base, &[job(0, ipds(3, 300))], &[verdict(1, 0.001, false)]);
     }
 
     #[test]

@@ -18,7 +18,10 @@ use sanity_tdr::{
 
 #[path = "torture_common.rs"]
 mod torture_common;
-use torture_common::{echo_jobs, echo_sanity, echo_sanity_with};
+use torture_common::{
+    echo_jobs, echo_sanity, echo_sanity_with, fnv1a, verdict_bytes, writer_fixture, writer_round,
+    WRITER_ROUNDS,
+};
 
 fn backend(sanity: &Sanity, workers: usize) -> TcpDaemon {
     let service = sanity
@@ -520,4 +523,73 @@ fn put_battery_fans_out_with_a_fleet_generation_floor() {
     client.shutdown().expect("shutdown ack");
     coordinator.shutdown();
     tdr_only.shutdown().service.shutdown();
+}
+
+/// A battery's one writer behind a coordinator: two Full-battery
+/// backends, and the writer loop (submit, `verdict::retrain`,
+/// `PutBattery`) running through the coordinator. Every batch's merged
+/// verdict bytes, every next generation and every merged `BatteryAck`
+/// generation equal the single-daemon writer run (`WRITER_ROUNDS`), and
+/// at shutdown every backend holds the writer's last generation — the
+/// shards cannot drift apart, because the client is the fleet's only
+/// writer.
+#[test]
+fn battery_writer_through_a_coordinator_matches_a_single_daemon() {
+    let (sanity, batches, base) = writer_fixture();
+    let system = sanity.with_battery(base.clone());
+    let backends: Vec<TcpDaemon> = (0..2)
+        .map(|_| {
+            let service = system
+                .audit_service()
+                .workers(2)
+                .battery(sanity_tdr::BatteryMode::Full)
+                .build()
+                .expect("valid configuration");
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            serve_tcp(service, listener).expect("backend starts")
+        })
+        .collect();
+    let addrs: Vec<String> = backends
+        .iter()
+        .map(|b| b.local_addr().to_string())
+        .collect();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let coordinator = serve_coordinator(listener, addrs).expect("coordinator starts");
+
+    let stream = TcpStream::connect(coordinator.local_addr()).expect("connect");
+    let mut client = Client::new(stream);
+    let mut battery = base;
+    for (b, (jobs, &(verdicts, json, generation))) in batches.iter().zip(&WRITER_ROUNDS).enumerate()
+    {
+        let (merged, next, acked) = writer_round(&mut client, b as u64, &battery, jobs);
+        assert_eq!(
+            fnv1a(&verdict_bytes(&merged)),
+            verdicts,
+            "batch {b}: merged verdict bytes"
+        );
+        assert_eq!(
+            fnv1a(next.to_json().as_bytes()),
+            json,
+            "batch {b}: next generation"
+        );
+        assert_eq!(acked, generation, "batch {b}: merged BatteryAck generation");
+        battery = next;
+    }
+    client.shutdown().expect("shutdown ack");
+    coordinator.shutdown();
+
+    let last = battery.to_json();
+    for b in backends {
+        let report = b.shutdown();
+        let held = report
+            .service
+            .battery()
+            .expect("battery attached")
+            .to_json();
+        assert!(
+            held == last,
+            "a backend's battery drifted from the writer's"
+        );
+        report.service.shutdown();
+    }
 }

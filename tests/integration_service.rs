@@ -9,52 +9,20 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use sanity_tdr::audit_pipeline::service::duplex;
+use sanity_tdr::audit_pipeline::service::{duplex, DuplexEnd};
 use sanity_tdr::audit_pipeline::{ingest, FleetSummary};
 use sanity_tdr::detectors::DetectorBattery;
 use sanity_tdr::{
-    AuditConfig, AuditJob, AuditService, BatchTicket, BatteryMode, ConfigError, ControlFrame,
-    Sanity, Source,
+    AuditConfig, AuditJob, AuditService, BatchTicket, BatteryMode, Client, ConfigError,
+    ControlFrame, Source,
 };
-use vm::Vm;
-use workloads::nfs;
 
 #[path = "torture_common.rs"]
 mod torture_common;
-
-fn nfs_sanity(seed: u64) -> Sanity {
-    Sanity::new(nfs::server_program(4)).with_files(nfs::make_files(4, 1500, 4000, seed))
-}
-
-fn deliver_nfs(vm: &mut Vm, seed: u64) {
-    let files = nfs::make_files(4, 1500, 4000, seed);
-    let sched = nfs::client_schedule(&files, 200_000, 700_000, seed ^ 1);
-    for (at, pkt) in sched.packets.into_iter().take(4) {
-        vm.machine_mut().deliver_packet(at, pkt);
-    }
-}
-
-/// A small mixed fleet: mostly clean sessions, one with a covert delay.
-fn fleet(sanity: &Sanity, ids: std::ops::Range<u64>, covert: u64) -> Vec<AuditJob> {
-    ids.map(|id| {
-        let rec = sanity
-            .record(100 + id, |vm| {
-                deliver_nfs(vm, 14);
-                if id == covert {
-                    vm.set_delay_model(Box::new(vm::ScheduledDelays::new(vec![
-                        0, 150_000, 0, 150_000,
-                    ])));
-                }
-            })
-            .expect("record");
-        AuditJob {
-            session_id: id,
-            observed_ipds: rec.tx_ipds_cycles(),
-            log: rec.log,
-        }
-    })
-    .collect()
-}
+use torture_common::{
+    fleet, fnv1a, nfs_sanity, trained_on_clean, verdict_bytes, writer_fixture, writer_round,
+    WRITER_ROUNDS,
+};
 
 /// Submit owned copies of `jobs` against the service's built-in reference.
 fn submit_jobs(service: &AuditService, jobs: &[AuditJob]) -> BatchTicket {
@@ -69,15 +37,6 @@ fn submit_tdrb(service: &AuditService, tdrb: Vec<u8>) -> BatchTicket {
     service
         .submit(source, None)
         .expect("the built-in reference is always resident")
-}
-
-fn trained_on_clean(jobs: &[AuditJob], covert: u64) -> DetectorBattery {
-    let clean: Vec<Vec<u64>> = jobs
-        .iter()
-        .filter(|j| j.session_id != covert)
-        .map(|j| j.observed_ipds.clone())
-        .collect();
-    DetectorBattery::trained(&clean)
 }
 
 #[test]
@@ -506,4 +465,90 @@ fn retrain_on_clean_feeds_the_next_batch() {
             "{name}: batch B must be scored by the retrained battery"
         );
     }
+}
+
+/// Serve `service` to one in-memory duplex client for the length of
+/// `run`, then close the connection with the shutdown handshake.
+fn over_duplex<R>(service: &AuditService, run: impl FnOnce(&mut Client<DuplexEnd>) -> R) -> R {
+    let (client_end, server_end) = duplex();
+    std::thread::scope(|scope| {
+        let daemon = scope.spawn(move || service.serve(&server_end, &server_end));
+        let mut client = Client::new(client_end);
+        let out = run(&mut client);
+        client.shutdown().expect("shutdown acked");
+        daemon
+            .join()
+            .expect("daemon thread")
+            .expect("daemon loop exits cleanly");
+        out
+    })
+}
+
+/// The equivalence pin for a battery's one writer: a client that submits
+/// each batch, retrains on its clean sessions with `verdict::retrain`
+/// and installs the result with `PutBattery` reproduces in-service
+/// retraining bit for bit — the same Verdict frame bytes, the same
+/// next-generation JSON, generations 1, 2, 3 (`WRITER_ROUNDS`).
+#[test]
+fn battery_writer_reproduces_in_service_retraining() {
+    let (sanity, batches, base) = writer_fixture();
+    let system = sanity.with_battery(base.clone());
+    let build = |retrain: bool| {
+        system
+            .audit_service()
+            .workers(2)
+            .battery(BatteryMode::Full)
+            .retrain_on_clean(retrain)
+            .build()
+            .expect("valid service configuration")
+    };
+
+    let service = build(true);
+    let in_service: Vec<(u64, u64, u64)> = over_duplex(&service, |client| {
+        batches
+            .iter()
+            .enumerate()
+            .map(|(b, jobs)| {
+                let outcome = client
+                    .submit_batch(b as u64, ingest::encode_batch(jobs))
+                    .expect("batch completes");
+                outcome.result.expect("batch audits");
+                let json = service.battery().expect("battery attached").to_json();
+                let generation = service.metrics_snapshot().counter("retrain_generations");
+                (
+                    fnv1a(&verdict_bytes(&outcome.verdicts)),
+                    fnv1a(json.as_bytes()),
+                    generation,
+                )
+            })
+            .collect()
+    });
+    service.shutdown();
+
+    let service = build(false);
+    let writer: Vec<(u64, u64, u64)> = over_duplex(&service, |client| {
+        let mut battery = base.clone();
+        batches
+            .iter()
+            .enumerate()
+            .map(|(b, jobs)| {
+                let (verdicts, next, generation) = writer_round(client, b as u64, &battery, jobs);
+                let json = service.battery().expect("battery attached").to_json();
+                assert_eq!(json, next.to_json(), "batch {b}: installed == sent");
+                battery = next;
+                (
+                    fnv1a(&verdict_bytes(&verdicts)),
+                    fnv1a(json.as_bytes()),
+                    generation,
+                )
+            })
+            .collect()
+    });
+    service.shutdown();
+
+    assert_eq!(
+        writer, in_service,
+        "(verdict bytes, battery JSON, generation) per batch"
+    );
+    assert_eq!(writer, WRITER_ROUNDS, "the recorded in-service rounds");
 }

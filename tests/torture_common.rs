@@ -1,13 +1,21 @@
-//! Helpers shared by the protocol torture suites
-//! (`protocol_torture.rs`, `integration_daemon_tcp.rs`): the seeded
-//! byte-stream mutator and the cheap echo fixture. Each test binary pulls
-//! this in with `#[path = "torture_common.rs"] mod torture_common;`, so
-//! the two suites can never drift apart on what "a mutation" means.
+//! Helpers shared by the integration suites: the seeded byte-stream
+//! mutator of the protocol torture suites (`protocol_torture.rs`,
+//! `integration_daemon_tcp.rs`), the cheap echo fixture, and the NFS
+//! fleet and battery-writer round the retraining pins share
+//! (`integration_service.rs`, `integration_coordinator.rs`). Each test
+//! binary pulls this in with `#[path = "torture_common.rs"] mod
+//! torture_common;`, so the suites can never drift apart on what "a
+//! mutation" or "a writer round" means.
 
 #![allow(dead_code)] // each test binary uses a subset
 
+use std::io::{Read, Write};
+
 use rand::{rngs::StdRng, Rng};
-use sanity_tdr::{AuditJob, Sanity};
+use sanity_tdr::audit_pipeline::verdict::retrain;
+use sanity_tdr::audit_pipeline::{ingest, AuditVerdict};
+use sanity_tdr::{AckStatus, AuditJob, Client, ControlFrame, DetectorBattery, Sanity};
+use workloads::nfs;
 
 /// One seeded mutation of `base`: bit flips, truncation, length-prefix /
 /// length-field inflation, duplicated frames, interleaved chunks, or a
@@ -126,4 +134,117 @@ pub fn echo_jobs(sanity: &Sanity, ids: std::ops::Range<u64>) -> Vec<AuditJob> {
         }
     })
     .collect()
+}
+
+/// The NFS reference the service suites audit against.
+pub fn nfs_sanity(seed: u64) -> Sanity {
+    Sanity::new(nfs::server_program(4)).with_files(nfs::make_files(4, 1500, 4000, seed))
+}
+
+/// A small mixed NFS fleet: clean sessions, plus a covert delay on
+/// session `covert`.
+pub fn fleet(sanity: &Sanity, ids: std::ops::Range<u64>, covert: u64) -> Vec<AuditJob> {
+    ids.map(|id| {
+        let rec = sanity
+            .record(100 + id, |vm| {
+                let files = nfs::make_files(4, 1500, 4000, 14);
+                let sched = nfs::client_schedule(&files, 200_000, 700_000, 14 ^ 1);
+                for (at, pkt) in sched.packets.into_iter().take(4) {
+                    vm.machine_mut().deliver_packet(at, pkt);
+                }
+                if id == covert {
+                    vm.set_delay_model(Box::new(sanity_tdr::vm::ScheduledDelays::new(vec![
+                        0, 150_000, 0, 150_000,
+                    ])));
+                }
+            })
+            .expect("record");
+        AuditJob {
+            session_id: id,
+            observed_ipds: rec.tx_ipds_cycles(),
+            log: rec.log,
+        }
+    })
+    .collect()
+}
+
+/// A battery trained on every session of `jobs` except `covert`.
+pub fn trained_on_clean(jobs: &[AuditJob], covert: u64) -> DetectorBattery {
+    let clean: Vec<Vec<u64>> = jobs
+        .iter()
+        .filter(|j| j.session_id != covert)
+        .map(|j| j.observed_ipds.clone())
+        .collect();
+    DetectorBattery::trained(&clean)
+}
+
+/// The retraining pins' fixture: three 4-session NFS batches (ids 0..4,
+/// 4..8 and 8..12, with sessions 2, 6 and 9 covert) and the base
+/// battery, trained on the first batch's clean sessions.
+pub fn writer_fixture() -> (Sanity, Vec<Vec<AuditJob>>, DetectorBattery) {
+    let sanity = nfs_sanity(14);
+    let batches: Vec<Vec<AuditJob>> = [(0..4, 2), (4..8, 6), (8..12, 9)]
+        .into_iter()
+        .map(|(ids, covert)| fleet(&sanity, ids, covert))
+        .collect();
+    let base = trained_on_clean(&batches[0], 2);
+    (sanity, batches, base)
+}
+
+/// Per batch of [`writer_fixture`] on a two-worker Full-battery daemon,
+/// what in-service retraining produced before a battery's writer moved
+/// out of the service: FNV-1a 64 of the batch's [`verdict_bytes`], FNV-1a
+/// 64 of the next generation's JSON, and that generation's number. A
+/// writer running [`writer_round`] must reproduce each row.
+pub const WRITER_ROUNDS: [(u64, u64, u64); 3] = [
+    (0x8ca5_7139_2e4f_523d, 0xaf8f_454b_1efb_3af3, 1),
+    (0xdfec_df88_0e28_0f17, 0x2543_4eee_c572_0994, 2),
+    (0xabf3_711b_98a2_f81d, 0x37b0_a3a1_76e7_b44d, 3),
+];
+
+/// FNV-1a 64. Each sealed TDRC frame ends in its own CRC-32, so a CRC-32
+/// over concatenated frames comes out the same for every batch; this
+/// hash does not.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `verdicts` encoded as `Verdict` frames (batch id 0, submission
+/// indexes), concatenated.
+pub fn verdict_bytes(verdicts: &[AuditVerdict]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for (index, verdict) in verdicts.iter().enumerate() {
+        ControlFrame::Verdict {
+            batch_id: 0,
+            index: index as u64,
+            verdict: verdict.clone(),
+        }
+        .write_to(&mut bytes)
+        .expect("encode");
+    }
+    bytes
+}
+
+/// One round of a battery's one writer: submit `jobs`, retrain `battery`
+/// on the batch's clean sessions, and install the result with
+/// `PutBattery`. Returns the wire verdicts, the installed battery and
+/// the acked generation.
+pub fn writer_round<T: Read + Write>(
+    client: &mut Client<T>,
+    batch_id: u64,
+    battery: &DetectorBattery,
+    jobs: &[AuditJob],
+) -> (Vec<AuditVerdict>, DetectorBattery, u64) {
+    let outcome = client
+        .submit_batch(batch_id, ingest::encode_batch(jobs))
+        .expect("batch completes");
+    outcome.result.expect("batch audits");
+    let next = retrain(battery, jobs, &outcome.verdicts).expect("the batch has clean sessions");
+    let ack = client
+        .put_battery(batch_id, next.battery.to_json())
+        .expect("PutBattery answered");
+    assert_eq!(ack.status, AckStatus::Loaded);
+    (outcome.verdicts, next.battery, ack.generation)
 }
