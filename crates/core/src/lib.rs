@@ -18,8 +18,9 @@
 //! * [`Sanity::audit_service`] — the persistent, fleet-scale detector: a
 //!   builder for a long-lived [`audit_pipeline::AuditService`] whose
 //!   worker pool and reference caches stay warm across submissions, with
-//!   job tickets, a daemon loop over `ControlFrame`s, and optional
-//!   cross-batch battery retraining;
+//!   job tickets, a daemon loop over `ControlFrame`s, and battery
+//!   generations that one writer installs (`install_battery`, the wire's
+//!   `PutBattery`);
 //! * [`Sanity::audit_batch`] — the one-shot batch audit: shard a batch of
 //!   recorded sessions across a worker pool (`audit-pipeline`) and
 //!   aggregate per-session verdicts into a fleet summary (now a thin shim

@@ -44,16 +44,17 @@
 //! ## Fleet-consistent batteries
 //!
 //! [`ControlFrame::PutBattery`] fans out to every backend, so one
-//! retrain publishes one new generation everywhere. Backends under a
-//! coordinator should **not** run `--retrain`: local absorption would
-//! let each shard's baselines drift apart, and sharding would then
-//! change scores. The coordinator is the only writer.
+//! retrain publishes one new generation everywhere, and no backend
+//! retrains by itself, so shard baselines cannot drift apart. The client
+//! behind the coordinator is the fleet's one battery writer: it derives
+//! each generation from the merged verdicts with
+//! [`crate::verdict::retrain`] and installs it with one `PutBattery`.
 
 use std::collections::BTreeMap;
 use std::io::{self, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use jbc::ReferenceId;
@@ -62,6 +63,7 @@ use crate::control::{
     AckStatus, BatchOutcome, BatteryOutcome, Client, ControlError, ControlFrame, PutOutcome,
 };
 use crate::ingest;
+use crate::net::{wake_accept, ConnThreads};
 use crate::obs::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 use crate::verdict::{AuditVerdict, FleetSummary};
 use crate::AuditJob;
@@ -127,7 +129,7 @@ struct CoordShared {
     backends: Vec<String>,
     registry: MetricsRegistry,
     metrics: CoordMetrics,
-    conns: Mutex<Vec<JoinHandle<()>>>,
+    conns: ConnThreads,
 }
 
 /// A running TDRC coordinator: an accept loop plus one router thread per
@@ -186,7 +188,7 @@ pub fn serve_coordinator(listener: TcpListener, backends: Vec<String>) -> io::Re
         backends,
         registry,
         metrics,
-        conns: Mutex::new(Vec::new()),
+        conns: ConnThreads::default(),
     });
     let stop = Arc::new(AtomicBool::new(false));
     let accept_thread = {
@@ -240,25 +242,9 @@ impl Coordinator {
             return;
         };
         self.stop.store(true, Ordering::SeqCst);
-        // `accept()` has no timeout; wake it with a throwaway connection
-        // (same discipline as `net::TcpDaemon`).
-        let wake_addr = if self.addr.ip().is_unspecified() {
-            let loopback: std::net::IpAddr = if self.addr.is_ipv4() {
-                std::net::Ipv4Addr::LOCALHOST.into()
-            } else {
-                std::net::Ipv6Addr::LOCALHOST.into()
-            };
-            SocketAddr::new(loopback, self.addr.port())
-        } else {
-            self.addr
-        };
-        let _ = TcpStream::connect(wake_addr);
+        wake_accept(self.addr);
         let _ = accept.join();
-        let conns = std::mem::take(&mut *self.shared.conns.lock().expect("conns lock"));
-        for handle in conns {
-            let _ = handle.join();
-            self.shared.metrics.conn_reaped.inc();
-        }
+        self.shared.conns.join_all(&self.shared.metrics.conn_reaped);
     }
 }
 
@@ -287,7 +273,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<CoordShared>, stop: Arc<Atomic
         }
         let conn_id = shared.metrics.conn_accepted.inc();
         shared.metrics.conn_active.inc();
-        reap_finished(&shared);
+        shared.conns.reap_finished(&shared.metrics.conn_reaped);
         let handle = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -295,30 +281,13 @@ fn accept_loop(listener: TcpListener, shared: Arc<CoordShared>, stop: Arc<Atomic
                 .spawn(move || serve_connection(&shared, stream))
         };
         match handle {
-            Ok(handle) => shared.conns.lock().expect("conns lock").push(handle),
+            Ok(handle) => shared.conns.push(handle),
             Err(_) => {
                 shared.metrics.conn_active.dec();
                 shared.metrics.conn_errors.inc();
             }
         }
     }
-}
-
-/// Join router threads that already finished (same bounded-backlog
-/// discipline as `net::reap_finished`: called on accept and as each
-/// connection exits, remainder at shutdown, every join counted).
-fn reap_finished(shared: &CoordShared) {
-    let mut conns = shared.conns.lock().expect("conns lock");
-    let mut live = Vec::with_capacity(conns.len());
-    for handle in conns.drain(..) {
-        if handle.is_finished() {
-            let _ = handle.join();
-            shared.metrics.conn_reaped.inc();
-        } else {
-            live.push(handle);
-        }
-    }
-    *conns = live;
 }
 
 fn serve_connection(shared: &CoordShared, stream: TcpStream) {
@@ -329,7 +298,7 @@ fn serve_connection(shared: &CoordShared, stream: TcpStream) {
     }
     shared.metrics.conn_active.dec();
     let _ = stream.shutdown(Shutdown::Both);
-    reap_finished(shared);
+    shared.conns.reap_finished(&shared.metrics.conn_reaped);
 }
 
 /// One shard's routing state: the original submission indexes and jobs

@@ -51,31 +51,78 @@
 //! path and to in-process submission.
 
 use std::io::{self, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::control::{BusyScope, ControlError, ControlFrame};
-use crate::obs::{CountingRead, CountingWrite, MetricsSnapshot, ServiceMetrics, TraceKind};
+use crate::obs::{
+    Counter, CountingRead, CountingWrite, MetricsSnapshot, ServiceMetrics, TraceKind,
+};
 use crate::service::{AuditService, TenantQuota};
 
-/// Shared accept/connection bookkeeping. Connection tallies live in the
-/// service's metric set ([`crate::obs::ServiceMetrics`]), not here — one
-/// source of truth for the live accessors, [`DaemonReport`], and the TDRC
-/// `Stats` frame.
+/// The connection-thread ledger of a TCP front end (this daemon and the
+/// [`crate::coord`] coordinator): threads still owed a join. Finished
+/// ones are reaped on each accept **and** as each connection exits (so
+/// an idle front end that stops receiving connects does not hold every
+/// handle it ever served until the next accept — at most the last
+/// connection to finish stays unreaped, since a thread cannot join
+/// itself); the remainder joins at shutdown. Every join increments the
+/// front end's `conn_reaped`, so after a drain the ledger balances:
+/// `conn_reaped` equals the connection threads ever spawned.
 #[derive(Debug, Default)]
-struct DaemonState {
-    /// Connection threads still owed a join. Finished ones are reaped on
-    /// each accept **and** as each connection exits (so an idle daemon
-    /// that stops receiving connects does not hold every handle it ever
-    /// served until the next accept — at most the last connection to
-    /// finish stays unreaped, since a thread cannot join itself); the
-    /// remainder joins at shutdown. Every join increments `conn_reaped`,
-    /// so after a drain the ledger balances: `conn_reaped` equals the
-    /// connection threads ever spawned.
-    conns: Mutex<Vec<JoinHandle<()>>>,
+pub(crate) struct ConnThreads(Mutex<Vec<JoinHandle<()>>>);
+
+impl ConnThreads {
+    pub(crate) fn push(&self, handle: JoinHandle<()>) {
+        self.0.lock().expect("conns lock").push(handle);
+    }
+
+    /// Join the connection threads that already finished, counting each
+    /// join in `reaped`.
+    pub(crate) fn reap_finished(&self, reaped: &Counter) {
+        let mut conns = self.0.lock().expect("conns lock");
+        let (finished, live) = conns.drain(..).partition(JoinHandle::is_finished);
+        *conns = live;
+        drop(conns);
+        Self::join(finished, reaped);
+    }
+
+    /// Join every connection thread (shutdown), counting each join in
+    /// `reaped`.
+    pub(crate) fn join_all(&self, reaped: &Counter) {
+        let conns = std::mem::take(&mut *self.0.lock().expect("conns lock"));
+        Self::join(conns, reaped);
+    }
+
+    fn join(handles: Vec<JoinHandle<()>>, reaped: &Counter) {
+        for handle in handles {
+            let _ = handle.join();
+            reaped.inc();
+        }
+    }
+}
+
+/// Wake an accept loop blocked in `accept()`, which has no timeout, with
+/// a throwaway connection to its listener at `addr`. A wildcard bind
+/// (0.0.0.0 / ::) is not connectable everywhere, so target loopback on
+/// the bound port in that case. If connecting fails (listener already
+/// dead), the accept loop has already returned or will error out and
+/// observe its stop flag.
+pub(crate) fn wake_accept(addr: SocketAddr) {
+    let target = if addr.ip().is_unspecified() {
+        let loopback: IpAddr = if addr.is_ipv4() {
+            Ipv4Addr::LOCALHOST.into()
+        } else {
+            Ipv6Addr::LOCALHOST.into()
+        };
+        SocketAddr::new(loopback, addr.port())
+    } else {
+        addr
+    };
+    let _ = TcpStream::connect(target);
 }
 
 /// Front-end policy knobs for [`serve_tcp_with`].
@@ -137,7 +184,10 @@ pub struct TcpDaemon {
     service: Arc<AuditService>,
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    state: Arc<DaemonState>,
+    /// Connection tallies live in the service's metric set, not here —
+    /// one source of truth for the live accessors, [`DaemonReport`], and
+    /// the TDRC `Stats` frame.
+    conns: Arc<ConnThreads>,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -150,20 +200,20 @@ pub fn serve_tcp_with(
     let addr = listener.local_addr()?;
     let service = Arc::new(service);
     let stop = Arc::new(AtomicBool::new(false));
-    let state = Arc::new(DaemonState::default());
+    let conns = Arc::new(ConnThreads::default());
     let accept_thread = {
         let service = Arc::clone(&service);
         let stop = Arc::clone(&stop);
-        let state = Arc::clone(&state);
+        let conns = Arc::clone(&conns);
         std::thread::Builder::new()
             .name("tdrd-accept".to_string())
-            .spawn(move || accept_loop(listener, service, stop, state, options))?
+            .spawn(move || accept_loop(listener, service, stop, conns, options))?
     };
     Ok(TcpDaemon {
         service,
         addr,
         stop,
-        state,
+        conns,
         accept_thread: Some(accept_thread),
     })
 }
@@ -186,7 +236,7 @@ fn accept_loop(
     listener: TcpListener,
     service: Arc<AuditService>,
     stop: Arc<AtomicBool>,
-    state: Arc<DaemonState>,
+    conns: Arc<ConnThreads>,
     options: DaemonOptions,
 ) {
     loop {
@@ -223,17 +273,17 @@ fn accept_loop(
         let conn_id = metrics.conn_accepted.inc();
         metrics.trace(TraceKind::ConnAccept, conn_id, 0);
         metrics.conn_active.inc();
-        reap_finished(&state, metrics);
+        conns.reap_finished(&metrics.conn_reaped);
         let handle = {
             let service = Arc::clone(&service);
-            let state = Arc::clone(&state);
+            let conns = Arc::clone(&conns);
             let options = options.clone();
             std::thread::Builder::new()
                 .name(format!("tdrd-conn-{conn_id}"))
-                .spawn(move || serve_connection(&service, &state, stream, conn_id, &options))
+                .spawn(move || serve_connection(&service, &conns, stream, conn_id, &options))
         };
         match handle {
-            Ok(handle) => state.conns.lock().expect("conns lock").push(handle),
+            Ok(handle) => conns.push(handle),
             Err(_) => {
                 // Could not spawn a thread: count it against the daemon's
                 // error tally and keep accepting — refusing one client is
@@ -272,7 +322,7 @@ fn shed_connection(stream: &TcpStream, metrics: &ServiceMetrics, active: u64, ca
 /// typed protocol/transport error (counted, never fatal to the daemon).
 fn serve_connection(
     service: &AuditService,
-    state: &DaemonState,
+    conns: &ConnThreads,
     stream: TcpStream,
     conn_id: u64,
     options: &DaemonOptions,
@@ -313,25 +363,7 @@ fn serve_connection(
     // connect, and without this every handle it ever served would sit
     // unjoined until shutdown. This thread's own handle reports
     // unfinished to `is_finished` and is left for the next reaper.
-    reap_finished(state, metrics);
-}
-
-/// Join connection threads that already finished, so a long-lived daemon
-/// does not accumulate handles for every connection it ever served. Each
-/// join is counted by `conn_reaped` — together with the joins at
-/// shutdown, the counter balances against the threads ever spawned.
-fn reap_finished(state: &DaemonState, metrics: &ServiceMetrics) {
-    let mut conns = state.conns.lock().expect("conns lock");
-    let mut live = Vec::with_capacity(conns.len());
-    for handle in conns.drain(..) {
-        if handle.is_finished() {
-            let _ = handle.join();
-            metrics.conn_reaped.inc();
-        } else {
-            live.push(handle);
-        }
-    }
-    *conns = live;
+    conns.reap_finished(&metrics.conn_reaped);
 }
 
 impl TcpDaemon {
@@ -405,28 +437,9 @@ impl TcpDaemon {
             return;
         };
         self.stop.store(true, Ordering::SeqCst);
-        // `accept()` has no timeout; wake it with a throwaway connection.
-        // A wildcard bind (0.0.0.0 / ::) is not connectable everywhere,
-        // so target loopback on the bound port in that case. If
-        // connecting fails (listener already dead), the accept loop has
-        // already returned or will error out and observe `stop`.
-        let wake_addr = if self.addr.ip().is_unspecified() {
-            let loopback: std::net::IpAddr = if self.addr.is_ipv4() {
-                std::net::Ipv4Addr::LOCALHOST.into()
-            } else {
-                std::net::Ipv6Addr::LOCALHOST.into()
-            };
-            SocketAddr::new(loopback, self.addr.port())
-        } else {
-            self.addr
-        };
-        let _ = TcpStream::connect(wake_addr);
+        wake_accept(self.addr);
         let _ = accept.join();
-        let conns = std::mem::take(&mut *self.state.conns.lock().expect("conns lock"));
-        for handle in conns {
-            let _ = handle.join();
-            self.service.metrics().conn_reaped.inc();
-        }
+        self.conns.join_all(&self.service.metrics().conn_reaped);
     }
 }
 

@@ -16,7 +16,7 @@
 //!   serialize bit-identically, on any host, in any run.
 //! * **[`TraceRing`]** — a bounded per-service ring of structured
 //!   lifecycle events ([`TraceEvent`]: connection accept/close, batch
-//!   submit/complete, worker park/unpark, retrain publish, errors) with
+//!   submit/complete, worker park/unpark, battery install, errors) with
 //!   monotonic nanosecond timestamps.
 //!
 //! ## The determinism boundary
@@ -427,8 +427,9 @@ pub enum TraceKind {
     WorkerPark,
     /// A parked worker woke with work or shutdown (`a` = worker index).
     WorkerUnpark,
-    /// Cross-batch retraining published a new battery generation
-    /// (`a` = generation, `b` = clean traces absorbed).
+    /// A battery install published a new generation
+    /// ([`crate::AuditService::install_battery`]; `a` = generation, `b` =
+    /// 0).
     RetrainPublish,
     /// An accept was shed at the connection cap (`a` = connections
     /// active at the shed, `b` = the cap).
@@ -622,10 +623,8 @@ pub struct ServiceMetrics {
     pub(crate) verdict_latency_us: Arc<Histogram>,
     pub(crate) batch_sessions: Arc<Histogram>,
 
-    // retraining
+    // battery generations
     pub(crate) retrain_generations: Arc<Counter>,
-    pub(crate) retrain_drift_mean: Arc<FloatGauge>,
-    pub(crate) retrain_drift_max: Arc<FloatGauge>,
 
     // net.rs — connection lifecycle
     pub(crate) conn_accepted: Arc<Counter>,
@@ -694,8 +693,6 @@ impl ServiceMetrics {
             verdict_latency_us: r.histogram("verdict_latency_us", &VERDICT_LATENCY_EDGES_US),
             batch_sessions: r.histogram("batch_sessions", &BATCH_SESSIONS_EDGES),
             retrain_generations: r.counter("retrain_generations"),
-            retrain_drift_mean: r.float_gauge("retrain_drift_mean"),
-            retrain_drift_max: r.float_gauge("retrain_drift_max"),
             conn_accepted: r.counter("conn_accepted"),
             conn_active: r.gauge("conn_active"),
             conn_errors: r.counter("conn_errors"),

@@ -64,11 +64,11 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-use detectors::{DetectorBattery, TraceView};
+use detectors::DetectorBattery;
 
 use jbc::ReferenceId;
 
@@ -150,12 +150,6 @@ impl ResidencyGate {
         self.state.lock().expect("gate lock").peak
     }
 }
-
-/// Most clean traces one *streamed* batch may contribute to cross-batch
-/// retraining ([`ServiceBuilder::retrain_on_clean`]): streamed ingest
-/// promises memory bounded by the high-water mark, so the retraining
-/// capture cannot be allowed to grow with the batch.
-pub const RETRAIN_CAPTURE_CAP: usize = 256;
 
 // ---------------------------------------------------------------------------
 // Work items and worker threads
@@ -360,9 +354,8 @@ struct Shared {
     /// against it.
     builtin: Arc<PinnedReference>,
     /// Current battery generation. Starts as the reference's battery;
-    /// replaced only through [`publish`].
+    /// replaced only by [`AuditService::install_battery`].
     battery: Mutex<Option<Arc<DetectorBattery>>>,
-    retrain_on_clean: bool,
     /// The service's single source of truth for counters and lifecycle
     /// events — workers, feeders, serve loops, and the TCP front end all
     /// record into this one set (see [`crate::obs::ServiceMetrics`]).
@@ -460,14 +453,13 @@ fn worker_main(worker: u64, shared: Arc<Shared>, queue: Arc<WorkQueue>) {
 /// Configures and spawns an [`AuditService`].
 ///
 /// Defaults: one worker per available core, the default high-water mark,
-/// TDR-only scoring, and no cross-batch retraining. Unlike the one-shot
+/// and TDR-only scoring. Unlike the one-shot
 /// [`AuditConfig`], `0` is **not** a magic value here — `build()` returns
 /// a typed [`ConfigError`] for zero workers or a zero high-water mark.
 #[derive(Debug, Clone)]
 pub struct ServiceBuilder {
     reference: Reference,
     cfg: AuditConfig,
-    retrain_on_clean: bool,
     reference_budget: u64,
 }
 
@@ -485,22 +477,9 @@ impl ServiceBuilder {
     }
 
     /// Which detectors score each session. [`BatteryMode::Full`] requires
-    /// a trained battery on the reference (or via
-    /// [`trained_battery`](Self::trained_battery)).
+    /// a trained battery on the reference ([`Reference::with_battery`]).
     pub fn battery(mut self, mode: BatteryMode) -> Self {
         self.cfg.battery = mode;
-        self
-    }
-
-    /// Attach a trained battery to the service's reference (equivalent to
-    /// building the [`Reference`] with [`Reference::with_battery`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the battery is untrained, like
-    /// [`Reference::with_battery`].
-    pub fn trained_battery(mut self, battery: DetectorBattery) -> Self {
-        self.reference = self.reference.with_battery(battery);
         self
     }
 
@@ -510,35 +489,11 @@ impl ServiceBuilder {
         self
     }
 
-    /// Base replay seed (sessions derive per-session seeds from it).
-    pub fn run_seed(mut self, seed: u64) -> Self {
-        self.cfg.run_seed = seed;
-        self
-    }
-
     /// Replace the whole configuration at once (the one-shot shims use
     /// this to carry a caller's [`AuditConfig`] verbatim — after resolving
     /// its `0` fallbacks, since `build()` rejects them).
     pub fn config(mut self, cfg: AuditConfig) -> Self {
         self.cfg = cfg;
-        self
-    }
-
-    /// After each completed batch on the built-in reference, fold the
-    /// observed IPDs of its *clean* sessions (not flagged, no replay
-    /// error) back into the battery ([`DetectorBattery::absorb_all`]) and
-    /// use the retrained battery for subsequent submissions — the
-    /// cross-batch retraining hook. Requires a trained battery on the
-    /// service. Default off: retraining changes statistical baselines
-    /// across batches by design, so warm-service output is byte-identical
-    /// to one-shot calls only with this off.
-    ///
-    /// The source kind bounds the capture: every clean session of owned
-    /// jobs is a candidate (the caller already holds them all), but only
-    /// the first [`RETRAIN_CAPTURE_CAP`] sessions of a TDRB stream are, so
-    /// streamed ingest keeps its bounded-memory promise.
-    pub fn retrain_on_clean(mut self, on: bool) -> Self {
-        self.retrain_on_clean = on;
         self
     }
 
@@ -556,8 +511,7 @@ impl ServiceBuilder {
     /// build their reference caches lazily, on first checkout.
     pub fn build(self) -> Result<AuditService, ConfigError> {
         self.cfg.validate()?;
-        let needs_battery = self.cfg.battery == BatteryMode::Full || self.retrain_on_clean;
-        if needs_battery && self.reference.battery.is_none() {
+        if self.cfg.battery == BatteryMode::Full && self.reference.battery.is_none() {
             return Err(ConfigError::MissingBattery);
         }
         let battery = Mutex::new(self.reference.battery.clone());
@@ -567,7 +521,6 @@ impl ServiceBuilder {
             cfg: self.cfg,
             builtin: Arc::new(PinnedReference::unregistered(self.reference)),
             battery,
-            retrain_on_clean: self.retrain_on_clean,
             metrics,
             registry,
         });
@@ -598,11 +551,9 @@ impl ServiceBuilder {
 /// option, selects how it is fed:
 ///
 /// * owned jobs (`Vec<AuditJob>`, via `From`) are resident already, so
-///   they are enqueued at once without a residency gate, and every clean
-///   session is a retraining candidate;
+///   they are enqueued at once without a residency gate;
 /// * a TDRB reader ([`Source::tdrb`]) is decoded lazily on a feeder thread
-///   under the service's high-water residency bound, and only its first
-///   [`RETRAIN_CAPTURE_CAP`] sessions are retraining candidates.
+///   under the service's high-water residency bound.
 pub struct Source(Sessions);
 
 enum Sessions {
@@ -671,7 +622,6 @@ impl AuditService {
                 workers: AuditConfig::default().resolved_workers(),
                 ..AuditConfig::default()
             },
-            retrain_on_clean: false,
             reference_budget: DEFAULT_REFERENCE_BUDGET,
         }
     }
@@ -720,9 +670,8 @@ impl AuditService {
     }
 
     /// The current battery generation: what new submissions on the
-    /// built-in reference score with under [`BatteryMode::Full`]. It
-    /// changes under [`install_battery`](Self::install_battery) and under
-    /// [`ServiceBuilder::retrain_on_clean`].
+    /// built-in reference score with under [`BatteryMode::Full`]. Only
+    /// [`install_battery`](Self::install_battery) changes it.
     pub fn battery(&self) -> Option<Arc<DetectorBattery>> {
         self.shared.battery.lock().expect("battery lock").clone()
     }
@@ -737,7 +686,7 @@ impl AuditService {
     /// The built-in reference scores with the battery generation current
     /// at submission when the service runs [`BatteryMode::Full`]. A
     /// registered reference ships no battery, so its sessions score
-    /// TDR-only and never feed retraining. Fails with
+    /// TDR-only. Fails with
     /// [`RegistryError::Unknown`] if `reference` is not resident (never
     /// loaded, or evicted); [`put_reference`](Self::put_reference) and
     /// resubmit.
@@ -778,8 +727,13 @@ impl AuditService {
     /// without a battery attached, an installed battery would silently
     /// never score, so pretending to accept it would hide a fleet
     /// misconfiguration. In-flight sessions keep the generation they
-    /// were submitted under; only subsequent submissions see the new one
-    /// — the same swap discipline as cross-batch retraining.
+    /// were submitted under; only subsequent submissions see the new one.
+    ///
+    /// This is the one way a generation changes. Retraining is the
+    /// writer's job: [`crate::verdict::retrain`] derives the next battery
+    /// from a batch's verdicts, and the writer installs it here. An
+    /// install replaces the battery outright, so a daemon (or a fleet
+    /// behind a coordinator) takes one writer.
     pub fn install_battery(&self, json: &str) -> Result<u64, String> {
         let battery =
             DetectorBattery::from_json(json).map_err(|e| format!("battery JSON refused: {e}"))?;
@@ -792,8 +746,15 @@ impl AuditService {
                     .to_string(),
             );
         }
-        let slot = self.shared.battery.lock().expect("battery lock");
-        Ok(publish(&self.shared, slot, Arc::new(battery), 0))
+        let mut slot = self.shared.battery.lock().expect("battery lock");
+        *slot = Some(Arc::new(battery));
+        // Numbered under the lock, so generation order is swap order.
+        let generation = self.shared.metrics.retrain_generations.inc();
+        drop(slot);
+        self.shared
+            .metrics
+            .trace(TraceKind::RetrainPublish, generation, 0);
+        Ok(generation)
     }
 
     /// The service's reference registry (shared with every serve loop).
@@ -869,17 +830,15 @@ impl AuditService {
         shared
             .metrics
             .trace(TraceKind::BatchSubmit, batch_seq, len.unwrap_or(0) as u64);
-        // The built-in entry scores with the generation current now and
-        // feeds retraining; a registered entry ships no battery and trains
-        // nothing it does not own.
-        let (reference, battery, retrain) = match registered {
-            Some(pin) => (Arc::new(pin), None, false),
+        // The built-in entry scores with the generation current now; a
+        // registered entry ships no battery.
+        let (reference, battery) = match registered {
+            Some(pin) => (Arc::new(pin), None),
             None => (
                 Arc::clone(&shared.builtin),
                 (shared.cfg.battery == BatteryMode::Full)
                     .then(|| self.battery())
                     .flatten(),
-                shared.retrain_on_clean,
             ),
         };
         let (tx, rx) = mpsc::channel();
@@ -896,7 +855,6 @@ impl AuditService {
             gate: len
                 .is_none()
                 .then(|| Arc::new(ResidencyGate::new(shared.cfg.high_water))),
-            retrain,
             queue_depth: Arc::clone(&shared.metrics.queue_depth),
             sessions_submitted: Arc::clone(&shared.metrics.sessions_submitted),
             tenant,
@@ -1327,8 +1285,6 @@ struct FeedContext {
     /// A stream's residency gate; `None` for owned jobs, which are
     /// resident already.
     gate: Option<Arc<ResidencyGate>>,
-    /// Capture clean-session traces for cross-batch retraining.
-    retrain: bool,
     /// Metric handles (not the whole set: the feeder may outlive the
     /// ticket but records only these).
     queue_depth: Arc<Gauge>,
@@ -1346,9 +1302,6 @@ struct FeedOutcome {
     /// clean run must deliver — fewer means a worker died).
     submitted: usize,
     peak_resident: usize,
-    /// `(session_id, observed IPDs)` per captured session, present only
-    /// when cross-batch retraining is on.
-    retrain_traces: Option<Vec<(u64, Vec<u64>)>>,
 }
 
 /// The one enqueue loop: pull sessions — under the residency gate, for a
@@ -1359,15 +1312,6 @@ fn feed<I>(sessions: I, ctx: FeedContext) -> FeedOutcome
 where
     I: IntoIterator<Item = Result<AuditJob, IngestError>>,
 {
-    // Bounded capture: a gated stream promises memory proportional to
-    // `high_water`, not the batch, so only a capped prefix of it can feed
-    // retraining (absorb_clean zips verdicts with this prefix). Owned jobs
-    // are resident already, so every one of them is captured.
-    let capture = match ctx.gate {
-        Some(_) => RETRAIN_CAPTURE_CAP,
-        None => usize::MAX,
-    };
-    let mut retrain_traces = ctx.retrain.then(Vec::new);
     let mut error = None;
     let mut submitted = 0usize;
     let mut sessions = sessions.into_iter();
@@ -1389,11 +1333,6 @@ where
         };
         if let Some(gate) = &ctx.gate {
             gate.commit();
-        }
-        if let Some(traces) = &mut retrain_traces {
-            if traces.len() < capture {
-                traces.push((job.session_id, job.observed_ipds.clone()));
-            }
         }
         let item = WorkItem {
             index: submitted,
@@ -1432,7 +1371,6 @@ where
         error,
         submitted,
         peak_resident: ctx.gate.map_or(0, |gate| gate.peak()),
-        retrain_traces,
     }
 }
 
@@ -1514,7 +1452,7 @@ impl BatchTicket {
 
     /// Finish the submission given `verdicts`, every verdict it delivered
     /// in submission order: join the feed, check that no worker died,
-    /// record the batch, feed retraining and build the report.
+    /// record the batch and build the report.
     fn finish(mut self, verdicts: Vec<AuditVerdict>) -> Result<BatchReport, IngestError> {
         let outcome = match self.outcome.take().expect("a ticket finishes once") {
             Outcome::Fed(outcome) => outcome,
@@ -1547,9 +1485,6 @@ impl BatchTicket {
             outcome.submitted as u64,
         );
         let summary = FleetSummary::from_verdicts(&verdicts);
-        if let Some(traces) = outcome.retrain_traces {
-            absorb_clean(&self.shared, &verdicts, &traces);
-        }
         Ok(BatchReport {
             verdicts,
             summary,
@@ -1572,87 +1507,6 @@ impl Drop for BatchTicket {
                 }
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Battery generations
-// ---------------------------------------------------------------------------
-
-/// Publish `battery` as the generation new submissions score with — the
-/// one path for [`AuditService::install_battery`] and cross-batch
-/// retraining: swap it into `slot` (the caller's lock on the current
-/// generation), count it in `retrain_generations`, and trace
-/// `RetrainPublish` with the number of clean traces `absorbed`. Returns
-/// the generation number, assigned under the lock so generation order is
-/// swap order.
-fn publish(
-    shared: &Shared,
-    mut slot: MutexGuard<'_, Option<Arc<DetectorBattery>>>,
-    battery: Arc<DetectorBattery>,
-    absorbed: u64,
-) -> u64 {
-    *slot = Some(battery);
-    let generation = shared.metrics.retrain_generations.inc();
-    drop(slot);
-    shared
-        .metrics
-        .trace(TraceKind::RetrainPublish, generation, absorbed);
-    generation
-}
-
-/// Cross-batch retraining: absorb each clean session's observed IPDs (in
-/// submission order — deterministic) and publish the new battery
-/// generation for subsequent submissions. Publishes per-generation drift
-/// metrics: the mean/max absolute change in detector score across the
-/// absorbed clean traces, old generation vs. new — the score-drift
-/// monitoring substrate (a quietly shifting baseline shows up here before
-/// it shows up as verdict churn).
-fn absorb_clean(shared: &Shared, verdicts: &[AuditVerdict], traces: &[(u64, Vec<u64>)]) {
-    let mut clean: Vec<Vec<u64>> = Vec::new();
-    for (verdict, (session_id, ipds)) in verdicts.iter().zip(traces) {
-        debug_assert_eq!(verdict.session_id, *session_id);
-        if !verdict.flagged && verdict.error.is_none() && !ipds.is_empty() {
-            clean.push(ipds.clone());
-        }
-    }
-    if clean.is_empty() {
-        return;
-    }
-    // Read-modify-write under one lock acquisition: two batches finishing
-    // concurrently must not clone the same base generation and lose one
-    // batch's absorptions to the other's store.
-    let slot = shared.battery.lock().expect("battery lock");
-    let Some(old) = slot.clone() else {
-        return;
-    };
-    let mut battery = (*old).clone();
-    battery.absorb_all(&clean);
-    let new = Arc::new(battery);
-    publish(shared, slot, Arc::clone(&new), clean.len() as u64);
-
-    // Drift is measured on the traces just absorbed — every (trace,
-    // detector) score pair, |new − old|. Deterministic: a function of the
-    // traces and the two generations, no wall clock involved.
-    let mut sum = 0.0f64;
-    let mut max = 0.0f64;
-    let mut n = 0u64;
-    for ipds in &clean {
-        let view = TraceView::observed(ipds);
-        let before = old.score_all(&view);
-        let after = new.score_all(&view);
-        for (name, b) in &before {
-            if let Some(a) = after.get(name) {
-                let d = (a - b).abs();
-                sum += d;
-                max = max.max(d);
-                n += 1;
-            }
-        }
-    }
-    if n > 0 {
-        shared.metrics.retrain_drift_mean.set(sum / n as f64);
-        shared.metrics.retrain_drift_max.set(max);
     }
 }
 
@@ -1883,20 +1737,12 @@ mod tests {
             Some(ConfigError::ZeroHighWater)
         );
         assert_eq!(
-            AuditService::builder(reference.clone())
+            AuditService::builder(reference)
                 .battery(BatteryMode::Full)
                 .build()
                 .err(),
             Some(ConfigError::MissingBattery),
             "Full battery mode without a battery is a build error"
-        );
-        assert_eq!(
-            AuditService::builder(reference)
-                .retrain_on_clean(true)
-                .build()
-                .err(),
-            Some(ConfigError::MissingBattery),
-            "retraining needs a battery to retrain"
         );
     }
 
@@ -2003,56 +1849,6 @@ mod tests {
     }
 
     #[test]
-    fn retrain_on_clean_publishes_a_new_battery_generation() {
-        let program = echo_program(3);
-        let jobs = mixed_jobs(&program, 6);
-        let clean_traces: Vec<Vec<u64>> = jobs
-            .iter()
-            .filter(|j| j.session_id % 3 != 2)
-            .map(|j| j.observed_ipds.clone())
-            .collect();
-        let battery = DetectorBattery::trained(&clean_traces);
-        let before_traces = battery.training_traces();
-        let service = AuditService::builder(Reference::new(Arc::clone(&program)))
-            .trained_battery(battery)
-            .battery(BatteryMode::Full)
-            .workers(2)
-            .retrain_on_clean(true)
-            .build()
-            .expect("builds");
-        let initial = service.battery().expect("battery attached");
-        let report = submit_jobs(&service, &jobs).wait().expect("audits");
-        let clean = report.verdicts.iter().filter(|v| !v.flagged).count();
-        assert!(clean > 0, "fixture has clean sessions");
-        let after = service.battery().expect("battery still attached");
-        assert!(
-            !Arc::ptr_eq(&initial, &after),
-            "clean absorption publishes a new generation"
-        );
-        assert_eq!(
-            after.training_traces(),
-            before_traces + clean,
-            "one absorbed trace per clean verdict"
-        );
-        // The generation publish left its drift fingerprint: generation
-        // counter, mean ≤ max drift, and a RetrainPublish trace event
-        // naming the generation and absorbed-trace count.
-        let snap = service.metrics_snapshot();
-        assert_eq!(snap.counter("retrain_generations"), 1);
-        let mean = snap.float_gauge("retrain_drift_mean");
-        let max = snap.float_gauge("retrain_drift_max");
-        assert!(
-            mean >= 0.0 && max >= mean,
-            "drift stats ordered: {mean} {max}"
-        );
-        assert!(service
-            .trace_events()
-            .iter()
-            .any(|e| e.kind == TraceKind::RetrainPublish && e.a == 1 && e.b == clean as u64));
-        service.shutdown();
-    }
-
-    #[test]
     fn install_battery_refuses_a_battery_a_tdr_only_service_never_scores() {
         let program = echo_program(3);
         let jobs = mixed_jobs(&program, 4);
@@ -2061,11 +1857,12 @@ mod tests {
         let json = battery.to_json();
         // A battery attached but TDR-only scoring: no verdict would ever
         // carry detector scores, so an install must be refused in-band.
-        let service = AuditService::builder(Reference::new(Arc::clone(&program)))
-            .trained_battery(battery.clone())
-            .workers(2)
-            .build()
-            .expect("builds");
+        let service = AuditService::builder(
+            Reference::new(Arc::clone(&program)).with_battery(battery.clone()),
+        )
+        .workers(2)
+        .build()
+        .expect("builds");
         let before = service.battery().expect("battery attached");
         let refused = service.install_battery(&json).expect_err("refused");
         assert!(refused.contains("battery"), "{refused}");
@@ -2075,14 +1872,25 @@ mod tests {
         assert!(report.verdicts.iter().all(|v| v.detector_scores.is_empty()));
         service.shutdown();
 
-        // The same install on a service that scores with it is accepted.
-        let service = AuditService::builder(Reference::new(program))
-            .trained_battery(battery)
+        // The same install on a service that scores with it is accepted:
+        // it publishes generation 1, counted and traced.
+        let service = AuditService::builder(Reference::new(program).with_battery(battery))
             .battery(BatteryMode::Full)
             .workers(1)
             .build()
             .expect("builds");
+        let initial = service.battery().expect("battery attached");
         assert_eq!(service.install_battery(&json), Ok(1));
+        let installed = service.battery().expect("battery attached");
+        assert!(
+            !Arc::ptr_eq(&initial, &installed),
+            "an install publishes a new generation"
+        );
+        assert_eq!(service.metrics_snapshot().counter("retrain_generations"), 1);
+        assert!(service
+            .trace_events()
+            .iter()
+            .any(|e| e.kind == TraceKind::RetrainPublish && e.a == 1 && e.b == 0));
         service.shutdown();
     }
 

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! tdrd [--bind ADDR] [--workers N] [--high-water W] [--threshold T]
-//!      [--battery FILE] [--retrain] [--idle-timeout SECS]
+//!      [--battery FILE] [--idle-timeout SECS]
 //!      [--stats-interval SECS] [--max-conns N]
 //!      [--tenant-quota SESSIONS,BATCHES] [--reference-dir DIR]
 //!      [--reference-budget BYTES]
@@ -56,8 +56,9 @@
 //!      to a single-daemon audit (`docs/FORMATS.md` §8). A backend that
 //!      dies mid-batch has its shard retried on a survivor; clients of
 //!      the coordinator never see backend topology. Prints the same
-//!      "tdrd: listening on ADDR" line as serve mode. Backends under a
-//!      coordinator should not run `--retrain` (§8.4).
+//!      "tdrd: listening on ADDR" line as serve mode. A `PutBattery`
+//!      through the coordinator reaches every backend, so its client is
+//!      the fleet's one battery writer (§8.4).
 //! ```
 //!
 //! The daemon audits suspects against *known-good reference programs*.
@@ -68,10 +69,12 @@
 //! on load, cached warm, LRU-evicted under `--reference-budget`. The
 //! `--battery FILE` flag loads a trained
 //! [`DetectorBattery`](detectors::DetectorBattery) from its JSON form and
-//! enables full five-detector scoring for the default reference;
-//! `--retrain` additionally folds each batch's clean traces back into
-//! the battery across batches. Registered references score TDR-only (a
-//! TDRP ships no battery).
+//! enables full five-detector scoring for the default reference; the
+//! daemon never retrains it itself. A client that retrains submits a
+//! batch, derives the next generation from its verdicts with
+//! `audit_pipeline::verdict::retrain`, and installs it with `PutBattery`
+//! (the `fleet_audit` example runs that loop). Registered references
+//! score TDR-only (a TDRP ships no battery).
 //!
 //! Shutdown semantics: a TDRC `Shutdown` frame ends one *connection*;
 //! the daemon process is stopped by the operator (SIGTERM — connections
@@ -159,7 +162,6 @@ struct Args {
     high_water: usize,
     threshold: Option<f64>,
     battery: Option<String>,
-    retrain: bool,
     client: Option<String>,
     sessions: usize,
     batches: usize,
@@ -176,13 +178,13 @@ struct Args {
     /// Flag names seen on the command line, for per-mode validation: a
     /// flag the selected mode ignores is a configuration mistake the
     /// operator must hear about, not a silent no-op.
-    seen: Vec<&'static str>,
+    seen: Vec<String>,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: tdrd [--bind ADDR] [--workers N] [--high-water W] [--threshold T] \
-         [--battery FILE] [--retrain] [--idle-timeout SECS] [--stats-interval SECS] \
+         [--battery FILE] [--idle-timeout SECS] [--stats-interval SECS] \
          [--max-conns N] [--tenant-quota SESSIONS,BATCHES] [--reference-dir DIR] \
          [--reference-budget BYTES]\n       \
          tdrd --client ADDR [--sessions N] [--batches M] [--threshold T] [--stats]\n       \
@@ -199,7 +201,6 @@ fn parse_args() -> Args {
         high_water: 8,
         threshold: None,
         battery: None,
-        retrain: false,
         client: None,
         sessions: 6,
         batches: 2,
@@ -231,7 +232,6 @@ fn parse_args() -> Args {
                 args.threshold = Some(value("--threshold").parse().unwrap_or_else(|_| usage()))
             }
             "--battery" => args.battery = Some(value("--battery")),
-            "--retrain" => args.retrain = true,
             "--client" => args.client = Some(value("--client")),
             "--sessions" => args.sessions = parse_num(&value("--sessions"), "--sessions"),
             "--batches" => args.batches = parse_num(&value("--batches"), "--batches"),
@@ -263,30 +263,9 @@ fn parse_args() -> Args {
                 usage()
             }
         }
-        if a.starts_with("--") && a != "--help" {
-            args.seen.push(match a.as_str() {
-                "--bind" => "--bind",
-                "--workers" => "--workers",
-                "--high-water" => "--high-water",
-                "--threshold" => "--threshold",
-                "--battery" => "--battery",
-                "--retrain" => "--retrain",
-                "--client" => "--client",
-                "--sessions" => "--sessions",
-                "--batches" => "--batches",
-                "--stats" => "--stats",
-                "--stats-interval" => "--stats-interval",
-                "--idle-timeout" => "--idle-timeout",
-                "--max-conns" => "--max-conns",
-                "--tenant-quota" => "--tenant-quota",
-                "--reference-dir" => "--reference-dir",
-                "--reference-budget" => "--reference-budget",
-                "--export-references" => "--export-references",
-                "--coordinator" => "--coordinator",
-                "--backends" => "--backends",
-                _ => unreachable!("unknown flags exit above"),
-            });
-        }
+        // Every flag that reaches here is known: the match exits on the
+        // rest.
+        args.seen.push(a);
     }
     // Reject flags the selected mode would silently ignore: e.g.
     // `--client ... --battery f.json` would smoke-test a TDR-only
@@ -300,7 +279,6 @@ fn parse_args() -> Args {
                 "--high-water",
                 "--threshold",
                 "--battery",
-                "--retrain",
                 "--client",
                 "--sessions",
                 "--batches",
@@ -323,7 +301,6 @@ fn parse_args() -> Args {
                 "--workers",
                 "--high-water",
                 "--battery",
-                "--retrain",
                 "--idle-timeout",
                 "--stats-interval",
                 "--max-conns",
@@ -348,7 +325,6 @@ fn parse_args() -> Args {
                 "--high-water",
                 "--threshold",
                 "--battery",
-                "--retrain",
                 "--idle-timeout",
                 "--max-conns",
                 "--tenant-quota",
@@ -366,7 +342,7 @@ fn parse_args() -> Args {
         )
     };
     for flag in inapplicable {
-        if args.seen.contains(flag) {
+        if args.seen.iter().any(|seen| seen == flag) {
             eprintln!("{flag} does not apply in {mode} mode");
             usage();
         }
@@ -543,17 +519,13 @@ fn run_server(args: &Args) -> ! {
         }
         sanity = sanity.with_battery(battery);
         battery_mode = BatteryMode::Full;
-    } else if args.retrain {
-        eprintln!("tdrd: --retrain needs --battery FILE (nothing to retrain)");
-        exit(2);
     }
 
     let mut builder = sanity
         .audit_service()
         .workers(args.workers)
         .high_water(args.high_water)
-        .battery(battery_mode)
-        .retrain_on_clean(args.retrain);
+        .battery(battery_mode);
     if let Some(t) = args.threshold {
         builder = builder.threshold(t);
     }
@@ -619,15 +591,8 @@ fn run_server(args: &Args) -> ! {
     use std::io::Write as _;
     std::io::stdout().flush().expect("flush stdout");
     eprintln!(
-        "tdrd: {} workers, high-water {}, battery {:?}{}",
-        args.workers,
-        args.high_water,
-        battery_mode,
-        if args.retrain {
-            ", retrain-on-clean"
-        } else {
-            ""
-        },
+        "tdrd: {} workers, high-water {}, battery {:?}",
+        args.workers, args.high_water, battery_mode,
     );
     // Serve until the operator kills the process; connections run on the
     // daemon's own threads. With --stats-interval the main thread doubles

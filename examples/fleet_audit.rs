@@ -12,7 +12,10 @@
 //! every session is scored with all five Fig. 8 detectors in one pass.
 //! The ticket streams verdicts as workers produce them; the final report
 //! is byte-identical to the one-shot `Sanity::audit_batch` over the same
-//! bytes, with the TDR scores untouched by the battery.
+//! bytes, with the TDR scores untouched by the battery. Finally the
+//! operator, as the battery's one writer, retrains it on the batch's
+//! clean sessions (`verdict::retrain`), installs the next generation with
+//! `PutBattery`, and has the daemon re-score the batch with it.
 //!
 //! Run with `cargo run --release --example fleet_audit`.
 
@@ -23,8 +26,10 @@ use std::net::{TcpListener, TcpStream};
 use channels::{message_bits, Needle, TimingChannel, Trctc};
 use detectors::{CceTest, Detector, DetectorBattery, RegularityTest};
 use sanity_tdr::audit_pipeline::ingest;
-use sanity_tdr::audit_pipeline::verdict::{labeled_roc, labeled_roc_by_detector};
-use sanity_tdr::{compare, serve_tcp, AuditConfig, AuditJob, BatteryMode, Client, Sanity, Source};
+use sanity_tdr::audit_pipeline::verdict::{labeled_roc, labeled_roc_by_detector, retrain};
+use sanity_tdr::{
+    compare, serve_tcp, AckStatus, AuditConfig, AuditJob, BatteryMode, Client, Sanity, Source,
+};
 use vm::TargetSendTimes;
 use workloads::nfs;
 
@@ -73,7 +78,7 @@ fn main() {
     battery.rt = RegularityTest::new(3);
     battery.cce = CceTest::new(5, 3);
     battery.train(&train);
-    let sanity = sanity.with_battery(battery);
+    let sanity = sanity.with_battery(battery.clone());
 
     // Ground truth for this benchmark fleet.
     let trctc_ids: HashSet<u64> = [4, 9, 19].into_iter().collect();
@@ -213,7 +218,7 @@ fn main() {
     let mut client =
         Client::new(TcpStream::connect(daemon.local_addr()).expect("connect to daemon"));
     let outcome = client
-        .submit_batch(1, batch_bytes)
+        .submit_batch(1, batch_bytes.clone())
         .expect("TDRC protocol stays clean");
     let wire = outcome.result.expect("batch audits over the wire");
     assert_eq!(
@@ -221,6 +226,43 @@ fn main() {
         "TCP wire verdicts must be bit-identical to the in-process audit"
     );
     assert_eq!(wire.summary, sharded.summary);
+
+    // Retraining: the operator is the battery's one writer. It folds the
+    // batch's clean sessions into the next generation, installs it with
+    // PutBattery, and resubmits; the daemon scores the batch with the new
+    // generation, bit-identical to an in-process audit against it.
+    let next = retrain(&battery, &jobs, &outcome.verdicts).expect("the batch has clean sessions");
+    let ack = client
+        .put_battery(2, next.battery.to_json())
+        .expect("TDRC protocol stays clean");
+    assert_eq!(ack.status, AckStatus::Loaded);
+    let rescored = client
+        .submit_batch(3, batch_bytes)
+        .expect("TDRC protocol stays clean");
+    let expected = sanity.clone().with_battery(next.battery).audit_batch(
+        &jobs,
+        &AuditConfig {
+            workers: 1,
+            battery: BatteryMode::Full,
+            ..AuditConfig::default()
+        },
+    );
+    for (wire, local) in rescored.verdicts.iter().zip(&expected.verdicts) {
+        assert_eq!(wire, local, "generation {} diverged", ack.generation);
+        for (name, score) in &wire.detector_scores {
+            assert_eq!(score.to_bits(), local.detector_scores[name].to_bits());
+        }
+    }
+    assert_eq!(rescored.verdicts.len(), expected.verdicts.len());
+    assert_eq!(
+        rescored.result.expect("batch audits over the wire").summary,
+        expected.summary
+    );
+    println!(
+        "writer absorbed {} clean sessions (score drift mean {:.4}, max {:.4}); \
+         generation {} re-scored the batch over the wire, bit-identical",
+        next.absorbed, next.drift_mean, next.drift_max, ack.generation
+    );
     client.shutdown().expect("connection shutdown acked");
     let report = daemon.shutdown();
     assert_eq!(report.connection_errors, 0);

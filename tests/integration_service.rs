@@ -10,6 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sanity_tdr::audit_pipeline::service::{duplex, DuplexEnd};
+use sanity_tdr::audit_pipeline::verdict::retrain;
 use sanity_tdr::audit_pipeline::{ingest, FleetSummary};
 use sanity_tdr::detectors::DetectorBattery;
 use sanity_tdr::{
@@ -309,27 +310,27 @@ fn daemon_over_duplex_audits_a_tdrb_batch_end_to_end() {
         .expect("daemon loop exits cleanly");
 }
 
-/// `RETRAIN_CAPTURE_CAP` boundary: a streamed batch of exactly
-/// `CAP` clean sessions absorbs all of them; one more session (`CAP + 1`)
-/// absorbs only the capped prefix — bounded-memory ingest must never let
-/// the retraining capture grow with the batch. In both cases the
-/// published battery generation is bit-identical (JSON form) to an
-/// explicit `absorb_all` of the captured prefix.
+/// No capture cap: a streamed batch of 257 clean sessions — one past the
+/// 256-session prefix in-service retraining used to capture from a
+/// stream — contributes all 257 to the writer's next generation, since
+/// the writer already holds the jobs it submitted. Streamed ingest still
+/// keeps its residency bound, and the installed generation is
+/// bit-identical (JSON form) to an explicit `absorb_all` of every
+/// session.
 #[test]
 fn retrain_capture_cap_boundary_256_vs_257() {
-    use sanity_tdr::audit_pipeline::service::RETRAIN_CAPTURE_CAP;
     use sanity_tdr::detectors::{CceTest, RegularityTest};
     use sanity_tdr::Detector as _;
 
     // The shared cheap echo reference (10 request/response rounds → 9
-    // IPDs per session) so streaming CAP+1 sessions stays fast; the
+    // IPDs per session) so streaming 257 sessions stays fast; the
     // windowed detectors get short-trace windows like the examples use.
     let sanity = torture_common::echo_sanity_with(10);
 
     // One recorded session, cloned into a large all-clean fleet: distinct
     // ids and sub-noise observed perturbations (a few cycles against
-    // ~10^5-cycle IPDs) keep every captured trace distinct without
-    // flagging anything.
+    // ~10^5-cycle IPDs) keep every trace distinct without flagging
+    // anything.
     let rec = sanity
         .record(42, |vm| {
             for k in 0..10u64 {
@@ -339,84 +340,74 @@ fn retrain_capture_cap_boundary_256_vs_257() {
         })
         .expect("record echo session");
     let base_ipds = rec.tx_ipds_cycles();
-    let make_jobs = |n: usize| -> Vec<AuditJob> {
-        (0..n as u64)
-            .map(|id| {
-                let mut observed = base_ipds.clone();
-                for (k, ipd) in observed.iter_mut().enumerate() {
-                    *ipd += (id + k as u64) % 3;
-                }
-                AuditJob {
-                    session_id: id,
-                    observed_ipds: observed,
-                    log: rec.log.clone(),
-                }
-            })
-            .collect()
-    };
+    let jobs: Vec<AuditJob> = (0..257u64)
+        .map(|id| {
+            let mut observed = base_ipds.clone();
+            for (k, ipd) in observed.iter_mut().enumerate() {
+                *ipd += (id + k as u64) % 3;
+            }
+            AuditJob {
+                session_id: id,
+                observed_ipds: observed,
+                log: rec.log.clone(),
+            }
+        })
+        .collect();
 
     let mut base_battery = DetectorBattery::new();
     base_battery.rt = RegularityTest::new(3);
     base_battery.cce = CceTest::new(5, 3);
     base_battery.train(&[base_ipds.clone(), base_ipds.clone()]);
 
-    for n in [RETRAIN_CAPTURE_CAP, RETRAIN_CAPTURE_CAP + 1] {
-        let jobs = make_jobs(n);
-        let bytes = ingest::encode_batch(&jobs);
-        // The fleet reuses one recorded log across per-session replay
-        // seeds, so cross-seed noise on this short fixture can top the 2%
-        // default threshold; the test is about the retraining capture,
-        // so set the flagging bar where the whole fleet counts as clean.
-        let service = sanity
-            .clone()
-            .with_battery(base_battery.clone())
-            .audit_service()
-            .workers(4)
-            .high_water(8)
-            .threshold(0.5)
-            .retrain_on_clean(true)
-            .build()
-            .expect("valid service configuration");
-        let report = submit_tdrb(&service, bytes).wait().expect("stream audits");
-        assert_eq!(report.summary.sessions, n as u64);
-        assert!(
-            report.summary.flagged.is_empty(),
-            "fixture fleet is clean (n = {n}): {:?}",
-            report.summary.flagged
-        );
-        assert!(report.peak_resident <= 8, "bounded ingest held");
+    // The fleet reuses one recorded log across per-session replay seeds,
+    // so cross-seed noise on this short fixture can top the 2% default
+    // threshold; the test is about what the writer absorbs, so set the
+    // flagging bar where the whole fleet counts as clean.
+    let service = sanity
+        .clone()
+        .with_battery(base_battery.clone())
+        .audit_service()
+        .workers(4)
+        .high_water(8)
+        .threshold(0.5)
+        .battery(BatteryMode::Full)
+        .build()
+        .expect("valid service configuration");
+    let report = submit_tdrb(&service, ingest::encode_batch(&jobs))
+        .wait()
+        .expect("stream audits");
+    assert_eq!(report.summary.sessions, 257);
+    assert!(
+        report.summary.flagged.is_empty(),
+        "fixture fleet is clean: {:?}",
+        report.summary.flagged
+    );
+    assert!(report.peak_resident <= 8, "bounded ingest held");
 
-        // Capture stays capped at the boundary...
-        let published = service.battery().expect("battery attached");
-        let captured = n.min(RETRAIN_CAPTURE_CAP);
-        assert_eq!(
-            published.training_traces(),
-            base_battery.training_traces() + captured,
-            "n = {n}: exactly the capped prefix is absorbed"
-        );
-
-        // ...and the published generation is bit-identical to an explicit
-        // absorb of that prefix.
-        let mut explicit = base_battery.clone();
-        let prefix: Vec<Vec<u64>> = jobs[..captured]
-            .iter()
-            .map(|j| j.observed_ipds.clone())
-            .collect();
-        explicit.absorb_all(&prefix);
-        assert_eq!(
-            published.to_json(),
-            explicit.to_json(),
-            "n = {n}: published generation == explicit absorb_all of the captured prefix"
-        );
-        service.shutdown();
-    }
+    let next = retrain(&base_battery, &jobs, &report.verdicts).expect("clean sessions");
+    assert_eq!(next.absorbed, 257, "every clean session is absorbed");
+    assert_eq!(service.install_battery(&next.battery.to_json()), Ok(1));
+    let published = service.battery().expect("battery attached");
+    assert_eq!(
+        published.training_traces(),
+        base_battery.training_traces() + 257
+    );
+    let mut explicit = base_battery.clone();
+    let all: Vec<Vec<u64>> = jobs.iter().map(|j| j.observed_ipds.clone()).collect();
+    explicit.absorb_all(&all);
+    assert_eq!(
+        published.to_json(),
+        explicit.to_json(),
+        "published generation == explicit absorb_all of the whole batch"
+    );
+    service.shutdown();
 }
 
-/// Cross-batch retraining: with the knob on, the service absorbs each
-/// batch's clean traces, and the next batch is scored by the retrained
-/// generation (observable as a changed statistical baseline).
+/// Cross-batch retraining by the battery's writer: it absorbs batch A's
+/// clean traces and installs the result, and batch B is scored by the
+/// retrained generation (observable as a changed statistical baseline).
 #[test]
-fn retrain_on_clean_feeds_the_next_batch() {
+fn writer_retraining_feeds_the_next_batch() {
     let sanity = nfs_sanity(14);
     let batch_a = fleet(&sanity, 0..4, 2);
     let batch_b = fleet(&sanity, 4..8, 6);
@@ -427,12 +418,14 @@ fn retrain_on_clean_feeds_the_next_batch() {
         .audit_service()
         .workers(2)
         .battery(BatteryMode::Full)
-        .retrain_on_clean(true)
         .build()
         .expect("valid service configuration");
     let report_a = submit_jobs(&service, &batch_a).wait().expect("audits");
     let clean_a = report_a.verdicts.iter().filter(|v| !v.flagged).count();
     assert!(clean_a > 0);
+    let next = retrain(&battery, &batch_a, &report_a.verdicts).expect("clean sessions");
+    assert_eq!(next.absorbed, clean_a);
+    assert_eq!(service.install_battery(&next.battery.to_json()), Ok(1));
     let retrained = service.battery().expect("battery attached");
     assert_eq!(
         retrained.training_traces(),
@@ -486,48 +479,22 @@ fn over_duplex<R>(service: &AuditService, run: impl FnOnce(&mut Client<DuplexEnd
 
 /// The equivalence pin for a battery's one writer: a client that submits
 /// each batch, retrains on its clean sessions with `verdict::retrain`
-/// and installs the result with `PutBattery` reproduces in-service
-/// retraining bit for bit — the same Verdict frame bytes, the same
-/// next-generation JSON, generations 1, 2, 3 (`WRITER_ROUNDS`).
+/// and installs the result with `PutBattery` reproduces what in-service
+/// retraining produced before the service stopped retraining itself, bit
+/// for bit — the same Verdict frame bytes, the same next-generation
+/// JSON, generations 1, 2, 3 (`WRITER_ROUNDS`).
 #[test]
 fn battery_writer_reproduces_in_service_retraining() {
     let (sanity, batches, base) = writer_fixture();
-    let system = sanity.with_battery(base.clone());
-    let build = |retrain: bool| {
-        system
-            .audit_service()
-            .workers(2)
-            .battery(BatteryMode::Full)
-            .retrain_on_clean(retrain)
-            .build()
-            .expect("valid service configuration")
-    };
-
-    let service = build(true);
-    let in_service: Vec<(u64, u64, u64)> = over_duplex(&service, |client| {
-        batches
-            .iter()
-            .enumerate()
-            .map(|(b, jobs)| {
-                let outcome = client
-                    .submit_batch(b as u64, ingest::encode_batch(jobs))
-                    .expect("batch completes");
-                outcome.result.expect("batch audits");
-                let json = service.battery().expect("battery attached").to_json();
-                let generation = service.metrics_snapshot().counter("retrain_generations");
-                (
-                    fnv1a(&verdict_bytes(&outcome.verdicts)),
-                    fnv1a(json.as_bytes()),
-                    generation,
-                )
-            })
-            .collect()
-    });
-    service.shutdown();
-
-    let service = build(false);
+    let service = sanity
+        .with_battery(base.clone())
+        .audit_service()
+        .workers(2)
+        .battery(BatteryMode::Full)
+        .build()
+        .expect("valid service configuration");
     let writer: Vec<(u64, u64, u64)> = over_duplex(&service, |client| {
-        let mut battery = base.clone();
+        let mut battery = base;
         batches
             .iter()
             .enumerate()
@@ -545,10 +512,8 @@ fn battery_writer_reproduces_in_service_retraining() {
             .collect()
     });
     service.shutdown();
-
     assert_eq!(
-        writer, in_service,
+        writer, WRITER_ROUNDS,
         "(verdict bytes, battery JSON, generation) per batch"
     );
-    assert_eq!(writer, WRITER_ROUNDS, "the recorded in-service rounds");
 }
