@@ -23,7 +23,9 @@
 //! * [`verdict`] — per-session [`AuditVerdict`]s and their deterministic
 //!   aggregation into a [`FleetSummary`] (flagged sessions, score
 //!   histogram, per-detector stats) plus labeled ROC/AUC — per detector —
-//!   over a benchmark batch via `detectors::roc`.
+//!   over a benchmark batch via `detectors::roc`, and
+//!   [`verdict::retrain`], the step a battery's one writer runs between a
+//!   batch's verdicts and its `PutBattery`.
 //!
 //! Detection defaults to the TDR score alone, but a fleet can attach a
 //! [`DetectorBattery`] trained on its clean traces

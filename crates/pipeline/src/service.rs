@@ -453,9 +453,9 @@ fn worker_main(worker: u64, shared: Arc<Shared>, queue: Arc<WorkQueue>) {
 /// Configures and spawns an [`AuditService`].
 ///
 /// Defaults: one worker per available core, the default high-water mark,
-/// and TDR-only scoring. Unlike the one-shot
-/// [`AuditConfig`], `0` is **not** a magic value here — `build()` returns
-/// a typed [`ConfigError`] for zero workers or a zero high-water mark.
+/// and TDR-only scoring. Unlike the one-shot [`AuditConfig`], `0` is
+/// **not** a magic value here — `build()` returns a typed [`ConfigError`]
+/// for zero workers or a zero high-water mark.
 #[derive(Debug, Clone)]
 pub struct ServiceBuilder {
     reference: Reference,
@@ -686,10 +686,9 @@ impl AuditService {
     /// The built-in reference scores with the battery generation current
     /// at submission when the service runs [`BatteryMode::Full`]. A
     /// registered reference ships no battery, so its sessions score
-    /// TDR-only. Fails with
-    /// [`RegistryError::Unknown`] if `reference` is not resident (never
-    /// loaded, or evicted); [`put_reference`](Self::put_reference) and
-    /// resubmit.
+    /// TDR-only. Fails with [`RegistryError::Unknown`] if `reference` is
+    /// not resident (never loaded, or evicted);
+    /// [`put_reference`](Self::put_reference) and resubmit.
     pub fn submit(
         &self,
         source: impl Into<Source>,

@@ -1,4 +1,5 @@
-//! Per-session verdicts and fleet-wide aggregation.
+//! Per-session verdicts, fleet-wide aggregation, and [`retrain`]: the
+//! next battery generation derived from an audited batch.
 //!
 //! The aggregation is deliberately deterministic: a [`FleetSummary`] is a
 //! pure function of the verdict *set* (order-insensitive counts and

@@ -263,8 +263,7 @@ fn parse_args() -> Args {
                 usage()
             }
         }
-        // Every flag that reaches here is known: the match exits on the
-        // rest.
+        // Known flags only: the match above exits on the rest.
         args.seen.push(a);
     }
     // Reject flags the selected mode would silently ignore: e.g.

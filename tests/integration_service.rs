@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use sanity_tdr::audit_pipeline::service::{duplex, DuplexEnd};
+use sanity_tdr::audit_pipeline::service::duplex;
 use sanity_tdr::audit_pipeline::verdict::retrain;
 use sanity_tdr::audit_pipeline::{ingest, FleetSummary};
 use sanity_tdr::detectors::DetectorBattery;
@@ -460,23 +460,6 @@ fn writer_retraining_feeds_the_next_batch() {
     }
 }
 
-/// Serve `service` to one in-memory duplex client for the length of
-/// `run`, then close the connection with the shutdown handshake.
-fn over_duplex<R>(service: &AuditService, run: impl FnOnce(&mut Client<DuplexEnd>) -> R) -> R {
-    let (client_end, server_end) = duplex();
-    std::thread::scope(|scope| {
-        let daemon = scope.spawn(move || service.serve(&server_end, &server_end));
-        let mut client = Client::new(client_end);
-        let out = run(&mut client);
-        client.shutdown().expect("shutdown acked");
-        daemon
-            .join()
-            .expect("daemon thread")
-            .expect("daemon loop exits cleanly");
-        out
-    })
-}
-
 /// The equivalence pin for a battery's one writer: a client that submits
 /// each batch, retrains on its clean sessions with `verdict::retrain`
 /// and installs the result with `PutBattery` reproduces what in-service
@@ -493,23 +476,29 @@ fn battery_writer_reproduces_in_service_retraining() {
         .battery(BatteryMode::Full)
         .build()
         .expect("valid service configuration");
-    let writer: Vec<(u64, u64, u64)> = over_duplex(&service, |client| {
+    let (client_end, server_end) = duplex();
+    let writer: Vec<(u64, u64, u64)> = std::thread::scope(|scope| {
+        let daemon = scope.spawn(|| service.serve(&server_end, &server_end));
+        let mut client = Client::new(client_end);
         let mut battery = base;
-        batches
-            .iter()
-            .enumerate()
-            .map(|(b, jobs)| {
-                let (verdicts, next, generation) = writer_round(client, b as u64, &battery, jobs);
-                let json = service.battery().expect("battery attached").to_json();
-                assert_eq!(json, next.to_json(), "batch {b}: installed == sent");
-                battery = next;
-                (
-                    fnv1a(&verdict_bytes(&verdicts)),
-                    fnv1a(json.as_bytes()),
-                    generation,
-                )
-            })
-            .collect()
+        let mut rounds = Vec::new();
+        for (b, jobs) in batches.iter().enumerate() {
+            let (verdicts, next, generation) = writer_round(&mut client, b as u64, &battery, jobs);
+            let json = service.battery().expect("battery attached").to_json();
+            assert_eq!(json, next.to_json(), "batch {b}: installed == sent");
+            battery = next;
+            rounds.push((
+                fnv1a(&verdict_bytes(&verdicts)),
+                fnv1a(json.as_bytes()),
+                generation,
+            ));
+        }
+        client.shutdown().expect("shutdown acked");
+        daemon
+            .join()
+            .expect("daemon thread")
+            .expect("daemon loop exits cleanly");
+        rounds
     });
     service.shutdown();
     assert_eq!(
