@@ -1,8 +1,10 @@
 //! Integration suite for the persistent `AuditService`: warm-service
 //! reuse is byte-identical to fresh one-shot calls across worker counts
 //! and battery modes, tickets cancel cleanly, shutdown drains in-flight
-//! work, and the daemon loop over an in-memory duplex audits a TDRB
-//! batch end to end through the TDRC control plane.
+//! work, the daemon loop over an in-memory duplex audits a TDRB batch
+//! end to end through the TDRC control plane, and a battery writer
+//! (`verdict::retrain` plus `PutBattery`) reproduces the generations
+//! in-service retraining recorded.
 
 use std::io::{self, Cursor, Read};
 use std::sync::atomic::{AtomicBool, Ordering};
