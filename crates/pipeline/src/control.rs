@@ -248,7 +248,6 @@ impl ControlError {
             StreamError::Io(kind, msg) => ControlError::Io(kind, msg),
             StreamError::Codec(CodecError::Truncated) => ControlError::Truncated,
             StreamError::Codec(other) => ControlError::Body(other),
-            StreamError::FrameTooLarge { len, max } => ControlError::FrameTooLarge { len, max },
         }
     }
 

@@ -10,6 +10,18 @@
 //! [`FleetSummary`] is byte-identical to a single-daemon audit of the
 //! same batch.
 //!
+//! The coordinator reuses the daemon where the two do the same job. Its
+//! accept loop, connection threads and shutdown are the daemon's TCP
+//! front end ([`crate::net`]), with the routing below as the
+//! per-connection handler. It validates each client TDRB with the
+//! daemon's own decoder ([`crate::ingest::session_records`], a
+//! [`crate::BatchStream`] walk) and keeps only each valid session's id
+//! and bytes: TDRB sessions are self-contained, so each backend's shard
+//! is a fresh TDRB header plus the client's session bytes, verbatim, built
+//! once per batch ([`crate::ingest::shard_batch`]). A malformed batch is
+//! answered as a daemon answers it: the verdicts of its valid prefix,
+//! routed like any batch, then the decode `Error` the daemon would send.
+//!
 //! ## Why the merge can promise byte-identity
 //!
 //! Two properties, both already pinned by the test suite, make the
@@ -50,26 +62,25 @@
 //! each generation from the merged verdicts with
 //! [`crate::verdict::retrain`] and installs it with one `PutBattery`.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::io::{self, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use jbc::ReferenceId;
 
 use crate::control::{
     AckStatus, BatchOutcome, BatteryOutcome, Client, ControlError, ControlFrame, PutOutcome,
 };
-use crate::ingest;
-use crate::net::{wake_accept, ConnThreads};
-use crate::obs::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
+use crate::ingest::{self, SessionRecord};
+use crate::net::{ConnMetrics, FrontEnd, Handler};
+use crate::obs::{Counter, MetricsRegistry, MetricsSnapshot};
+use crate::registry::DEFAULT_REFERENCE_BUDGET;
 use crate::verdict::{AuditVerdict, FleetSummary};
-use crate::AuditJob;
 
 /// Per-backend routing tallies, all exported through the Stats plane as
 /// `coord_backend_{i}_*`.
+#[derive(Debug)]
 struct BackendCounters {
     batches: Arc<Counter>,
     sessions: Arc<Counter>,
@@ -79,11 +90,9 @@ struct BackendCounters {
 /// The coordinator's own metric set. Connection-lifecycle names match
 /// the daemon's (`conn_*`) so fleet tooling reads both alike; routing
 /// and retry tallies are `coord_*`.
+#[derive(Debug)]
 struct CoordMetrics {
-    conn_accepted: Arc<Counter>,
-    conn_active: Arc<Gauge>,
-    conn_errors: Arc<Counter>,
-    conn_reaped: Arc<Counter>,
+    conn: ConnMetrics,
     frames_in: Arc<Counter>,
     frames_out: Arc<Counter>,
     batches_routed: Arc<Counter>,
@@ -99,10 +108,7 @@ struct CoordMetrics {
 impl CoordMetrics {
     fn new(registry: &MetricsRegistry, n_backends: usize) -> Self {
         CoordMetrics {
-            conn_accepted: registry.counter("conn_accepted"),
-            conn_active: registry.gauge("conn_active"),
-            conn_errors: registry.counter("conn_errors"),
-            conn_reaped: registry.counter("conn_reaped"),
+            conn: ConnMetrics::register(registry),
             frames_in: registry.counter("frames_in"),
             frames_out: registry.counter("frames_out"),
             batches_routed: registry.counter("coord_batches_routed"),
@@ -123,35 +129,32 @@ impl CoordMetrics {
     }
 }
 
-/// Accept/connection bookkeeping plus everything a connection thread
-/// needs: the backend address list and the metric set.
-struct CoordShared {
+/// The coordinator's per-connection handler: the backend address list and
+/// the metric set every connection thread shares.
+#[derive(Debug)]
+struct Router {
     backends: Vec<String>,
     registry: MetricsRegistry,
     metrics: CoordMetrics,
-    conns: ConnThreads,
 }
 
-/// A running TDRC coordinator: an accept loop plus one router thread per
-/// client connection, each holding its own connection to every backend.
+impl Handler for Router {
+    fn serve(&self, stream: &TcpStream, _conn_id: u64) -> Result<(), ControlError> {
+        route_connection(self, stream)
+    }
+}
+
+/// A running TDRC coordinator: the daemon's TCP front end, with one
+/// router thread per client connection, each holding its own connection
+/// to every backend.
 ///
 /// Built by [`serve_coordinator`]. Dropping the coordinator performs the
 /// same graceful shutdown as [`shutdown`](Self::shutdown) (minus
 /// returning the report).
 #[derive(Debug)]
 pub struct Coordinator {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    shared: Arc<CoordShared>,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for CoordShared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CoordShared")
-            .field("backends", &self.backends)
-            .finish_non_exhaustive()
-    }
+    front: FrontEnd,
+    router: Arc<Router>,
 }
 
 /// What a coordinator hands back at [`Coordinator::shutdown`]: final
@@ -181,131 +184,56 @@ pub fn serve_coordinator(listener: TcpListener, backends: Vec<String>) -> io::Re
             "a coordinator needs at least one backend address",
         ));
     }
-    let addr = listener.local_addr()?;
     let registry = MetricsRegistry::new();
     let metrics = CoordMetrics::new(&registry, backends.len());
-    let shared = Arc::new(CoordShared {
+    let conn = metrics.conn.clone();
+    let router = Arc::new(Router {
         backends,
         registry,
         metrics,
-        conns: ConnThreads::default(),
     });
-    let stop = Arc::new(AtomicBool::new(false));
-    let accept_thread = {
-        let shared = Arc::clone(&shared);
-        let stop = Arc::clone(&stop);
-        std::thread::Builder::new()
-            .name("tdrd-coord-accept".to_string())
-            .spawn(move || accept_loop(listener, shared, stop))?
-    };
-    Ok(Coordinator {
-        addr,
-        stop,
-        shared,
-        accept_thread: Some(accept_thread),
-    })
+    let front = FrontEnd::start(listener, "tdrd-coord", conn, Arc::clone(&router))?;
+    Ok(Coordinator { front, router })
 }
 
 impl Coordinator {
     /// The address the coordinator is accepting on (resolves `:0` binds).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.front.local_addr()
     }
 
     /// The backend addresses this coordinator routes across, in shard
     /// order (`session_id mod N` indexes this slice).
     pub fn backends(&self) -> &[String] {
-        &self.shared.backends
+        &self.router.backends
     }
 
     /// Capture every coordinator metric as a deterministic, name-ordered
     /// snapshot — the payload of its [`ControlFrame::Stats`] responses.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.shared.registry.snapshot()
+        self.router.registry.snapshot()
     }
 
     /// Graceful shutdown: stop accepting, wait for every in-flight
     /// client connection to end, and return the final tallies. Backend
     /// connections close with their client connections.
-    pub fn shutdown(mut self) -> CoordReport {
-        self.shutdown_inner();
-        let snapshot = self.shared.registry.snapshot();
+    pub fn shutdown(self) -> CoordReport {
+        let Coordinator { front, router } = self;
+        drop(front);
+        let snapshot = router.registry.snapshot();
         CoordReport {
             connections_accepted: snapshot.counter("conn_accepted"),
             connection_errors: snapshot.counter("conn_errors"),
             snapshot,
         }
     }
-
-    fn shutdown_inner(&mut self) {
-        let Some(accept) = self.accept_thread.take() else {
-            return;
-        };
-        self.stop.store(true, Ordering::SeqCst);
-        wake_accept(self.addr);
-        let _ = accept.join();
-        self.shared.conns.join_all(&self.shared.metrics.conn_reaped);
-    }
 }
 
-impl Drop for Coordinator {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<CoordShared>, stop: Arc<AtomicBool>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                continue;
-            }
-        };
-        if stop.load(Ordering::SeqCst) {
-            drop(stream);
-            return;
-        }
-        let conn_id = shared.metrics.conn_accepted.inc();
-        shared.metrics.conn_active.inc();
-        shared.conns.reap_finished(&shared.metrics.conn_reaped);
-        let handle = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("tdrd-coord-conn-{conn_id}"))
-                .spawn(move || serve_connection(&shared, stream))
-        };
-        match handle {
-            Ok(handle) => shared.conns.push(handle),
-            Err(_) => {
-                shared.metrics.conn_active.dec();
-                shared.metrics.conn_errors.inc();
-            }
-        }
-    }
-}
-
-fn serve_connection(shared: &CoordShared, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let outcome = route_connection(shared, &stream);
-    if outcome.is_err() {
-        shared.metrics.conn_errors.inc();
-    }
-    shared.metrics.conn_active.dec();
-    let _ = stream.shutdown(Shutdown::Both);
-    shared.conns.reap_finished(&shared.metrics.conn_reaped);
-}
-
-/// One shard's routing state: the original submission indexes and jobs
-/// destined for one backend.
+/// One shard's routing state: the original submission indexes of the
+/// sessions destined for one backend, and their TDRB.
 struct Shard {
     indexes: Vec<usize>,
-    jobs: Vec<AuditJob>,
+    tdrb: Vec<u8>,
 }
 
 /// How a shard submission failed, classified for the routing policy.
@@ -341,8 +269,8 @@ fn classify(e: ControlError) -> ShardFail {
 
 /// Dial every backend. A backend that refuses the dial starts the
 /// connection dead (counted); submissions route around it.
-fn dial_backends(shared: &CoordShared) -> Vec<Option<Client<TcpStream>>> {
-    shared
+fn dial_backends(router: &Router) -> Vec<Option<Client<TcpStream>>> {
+    router
         .backends
         .iter()
         .enumerate()
@@ -352,29 +280,64 @@ fn dial_backends(shared: &CoordShared) -> Vec<Option<Client<TcpStream>>> {
                 Some(Client::new(stream))
             }
             Err(_) => {
-                shared.metrics.backend_failures.inc();
-                shared.metrics.per_backend[i].failures.inc();
+                router.metrics.backend_failures.inc();
+                router.metrics.per_backend[i].failures.inc();
                 None
             }
         })
         .collect()
 }
 
-/// Submit one shard to one backend, re-encoding its jobs as a
-/// self-contained TDRB. When the batch names a registered reference and
-/// this connection has seen its container, the bounded re-put helper
-/// covers an eviction race on the backend.
+/// The containers one client connection registered, oldest first, kept
+/// for the bounded re-put (`docs/FORMATS.md` §8.3) within `budget` bytes:
+/// the oldest go first, and the newest always stays.
+struct Containers {
+    held: VecDeque<(ReferenceId, Vec<u8>)>,
+    budget: usize,
+}
+
+impl Containers {
+    fn new(budget: u64) -> Self {
+        Containers {
+            held: VecDeque::new(),
+            budget: usize::try_from(budget).unwrap_or(usize::MAX),
+        }
+    }
+
+    /// Keep `tdrp` as the newest container, the one `id` names.
+    fn keep(&mut self, id: ReferenceId, tdrp: Vec<u8>) {
+        self.held.retain(|(held, _)| *held != id);
+        self.held.push_back((id, tdrp));
+        let mut bytes: usize = self.held.iter().map(|(_, tdrp)| tdrp.len()).sum();
+        while bytes > self.budget && self.held.len() > 1 {
+            let (_, oldest) = self.held.pop_front().expect("more than one held");
+            bytes -= oldest.len();
+        }
+    }
+
+    fn get(&self, id: ReferenceId) -> Option<&[u8]> {
+        self.held
+            .iter()
+            .find(|(held, _)| *held == id)
+            .map(|(_, tdrp)| tdrp.as_slice())
+    }
+}
+
+/// Submit one shard to one backend. When the batch names a registered
+/// reference and this connection still holds its container, the bounded
+/// re-put helper covers an eviction race on the backend; otherwise a
+/// backend's `Unknown` goes back to the client, which re-puts (§5.7).
 fn submit_shard(
     client: &mut Client<TcpStream>,
     batch_id: u64,
-    jobs: &[AuditJob],
+    tdrb: &[u8],
     reference: Option<ReferenceId>,
-    containers: &BTreeMap<ReferenceId, Vec<u8>>,
+    containers: &Containers,
 ) -> Result<BatchOutcome, ControlError> {
-    let tdrb = ingest::encode_batch(jobs);
+    let tdrb = tdrb.to_vec();
     match reference {
         None => client.submit_batch(batch_id, tdrb),
-        Some(id) => match containers.get(&id) {
+        Some(id) => match containers.get(id) {
             Some(tdrp) => client.submit_batch_reput(batch_id, tdrb, id, tdrp),
             None => client.submit_batch_for(batch_id, tdrb, id),
         },
@@ -385,14 +348,12 @@ fn submit_shard(
 /// backends, merge responses. Returns `Err` only for failures that end
 /// this client connection (client-side transport loss, protocol
 /// garbage); batch-scoped failures are answered in-band.
-fn route_connection(shared: &CoordShared, stream: &TcpStream) -> Result<(), ControlError> {
-    let metrics = &shared.metrics;
+fn route_connection(router: &Router, stream: &TcpStream) -> Result<(), ControlError> {
+    let metrics = &router.metrics;
     let mut reader = stream;
     let mut writer = BufWriter::new(stream);
-    let mut backends = dial_backends(shared);
-    // Containers registered through this connection, kept for the
-    // bounded re-put recovery when a backend evicts one mid-stream.
-    let mut containers: BTreeMap<ReferenceId, Vec<u8>> = BTreeMap::new();
+    let mut backends = dial_backends(router);
+    let mut containers = Containers::new(DEFAULT_REFERENCE_BUDGET);
     loop {
         let frame = match ControlFrame::read_from(&mut reader) {
             Ok(None) => return Ok(()), // client hung up cleanly
@@ -407,7 +368,7 @@ fn route_connection(shared: &CoordShared, stream: &TcpStream) -> Result<(), Cont
                 reference,
             } => {
                 route_batch(
-                    shared,
+                    router,
                     &mut backends,
                     &containers,
                     &mut writer,
@@ -418,20 +379,20 @@ fn route_connection(shared: &CoordShared, stream: &TcpStream) -> Result<(), Cont
             }
             ControlFrame::PutReference { put_id, tdrp } => {
                 metrics.reference_puts.inc();
-                let ack = fan_out_reference(shared, &mut backends, put_id, &tdrp);
+                let ack = fan_out_reference(router, &mut backends, put_id, &tdrp);
                 if let ControlFrame::ReferenceAck {
                     reference,
                     status: AckStatus::Loaded | AckStatus::AlreadyResident,
                     ..
                 } = &ack
                 {
-                    containers.insert(*reference, tdrp);
+                    containers.keep(*reference, tdrp);
                 }
                 write_frame(metrics, &mut writer, &ack)?;
             }
             ControlFrame::PutBattery { put_id, json } => {
                 metrics.battery_puts.inc();
-                let ack = fan_out_battery(shared, &mut backends, put_id, &json);
+                let ack = fan_out_battery(router, &mut backends, put_id, &json);
                 write_frame(metrics, &mut writer, &ack)?;
             }
             ControlFrame::StatsRequest => {
@@ -439,7 +400,7 @@ fn route_connection(shared: &CoordShared, stream: &TcpStream) -> Result<(), Cont
                     metrics,
                     &mut writer,
                     &ControlFrame::Stats {
-                        snapshot: shared.registry.snapshot(),
+                        snapshot: router.registry.snapshot(),
                     },
                 )?;
             }
@@ -468,50 +429,38 @@ fn write_frame<W: Write>(
     Ok(())
 }
 
-/// Route one `SubmitBatch`: decode, shard by `session_id mod N`, submit
-/// shards in parallel, retry dead backends' shards on survivors, merge.
+/// Route one `SubmitBatch` and answer it as a daemon would: validate it
+/// with the daemon's decoder, shard its valid sessions by
+/// `session_id mod N`, submit shards in parallel, retry dead backends'
+/// shards on survivors, merge, and end with the `Summary` — or, for a
+/// malformed batch, the decode `Error` after its valid prefix's verdicts.
 fn route_batch<W: Write>(
-    shared: &CoordShared,
+    router: &Router,
     backends: &mut [Option<Client<TcpStream>>],
-    containers: &BTreeMap<ReferenceId, Vec<u8>>,
+    containers: &Containers,
     writer: &mut W,
     batch_id: u64,
     tdrb: &[u8],
     reference: Option<ReferenceId>,
 ) -> Result<(), ControlError> {
-    let metrics = &shared.metrics;
+    let metrics = &router.metrics;
     metrics.batches_routed.inc();
-    // The whole TDRB is validated before any routing: a malformed batch
-    // is answered with an `Error` frame and zero verdicts (a single
-    // daemon streams verdicts for the valid prefix first — §8.2 draws
-    // this boundary).
-    let jobs = match ingest::decode_batch(tdrb) {
-        Ok(jobs) => jobs,
-        Err(e) => {
-            metrics.batch_errors.inc();
-            return write_frame(
-                metrics,
-                writer,
-                &ControlFrame::Error {
-                    batch_id,
-                    message: e.to_string(),
-                },
-            );
-        }
-    };
-    metrics.sessions_routed.add(jobs.len() as u64);
+    let (records, malformed) = ingest::session_records(tdrb);
+    metrics.sessions_routed.add(records.len() as u64);
     let n = backends.len();
-    let mut shards: Vec<Shard> = (0..n)
-        .map(|_| Shard {
-            indexes: Vec::new(),
-            jobs: Vec::new(),
+    let mut picks: Vec<(Vec<usize>, Vec<SessionRecord>)> = vec![(Vec::new(), Vec::new()); n];
+    for (index, record) in records.into_iter().enumerate() {
+        let (indexes, sessions) = &mut picks[(record.session_id % n as u64) as usize];
+        indexes.push(index);
+        sessions.push(record);
+    }
+    let shards: Vec<Shard> = picks
+        .into_iter()
+        .map(|(indexes, sessions)| Shard {
+            indexes,
+            tdrb: ingest::shard_batch(&sessions),
         })
         .collect();
-    for (index, job) in jobs.into_iter().enumerate() {
-        let home = (job.session_id % n as u64) as usize;
-        shards[home].indexes.push(index);
-        shards[home].jobs.push(job);
-    }
 
     // Parallel fan-out: every live backend serves its shard at once, so
     // coordinator latency is the slowest shard, not the sum.
@@ -519,7 +468,7 @@ fn route_batch<W: Write>(
     results.resize_with(n, || None);
     std::thread::scope(|scope| {
         for ((backend, shard), slot) in backends.iter_mut().zip(&shards).zip(results.iter_mut()) {
-            if shard.jobs.is_empty() {
+            if shard.indexes.is_empty() {
                 continue;
             }
             let Some(client) = backend.as_mut() else {
@@ -529,7 +478,7 @@ fn route_batch<W: Write>(
                 *slot = Some(submit_shard(
                     client,
                     batch_id,
-                    &shard.jobs,
+                    &shard.tdrb,
                     reference,
                     containers,
                 ));
@@ -541,7 +490,7 @@ fn route_batch<W: Write>(
     let mut outcomes: Vec<Option<BatchOutcome>> = (0..n).map(|_| None).collect();
     let mut needs_retry: Vec<usize> = Vec::new();
     for i in 0..n {
-        if shards[i].jobs.is_empty() {
+        if shards[i].indexes.is_empty() {
             continue;
         }
         match results[i].take() {
@@ -549,7 +498,7 @@ fn route_batch<W: Write>(
                 metrics.per_backend[i].batches.inc();
                 metrics.per_backend[i]
                     .sessions
-                    .add(shards[i].jobs.len() as u64);
+                    .add(shards[i].indexes.len() as u64);
                 outcomes[i] = Some(outcome);
             }
             Some(Err(e)) => match classify(e) {
@@ -559,7 +508,7 @@ fn route_batch<W: Write>(
                     metrics.per_backend[i].failures.inc();
                     needs_retry.push(i);
                 }
-                fail => return answer_shard_fail(shared, writer, batch_id, fail),
+                fail => return answer_shard_fail(router, writer, batch_id, fail),
             },
             None => needs_retry.push(i), // backend was dead before the batch
         }
@@ -575,12 +524,12 @@ fn route_batch<W: Write>(
                 continue;
             };
             metrics.retries.inc();
-            match submit_shard(client, batch_id, &shards[i].jobs, reference, containers) {
+            match submit_shard(client, batch_id, &shards[i].tdrb, reference, containers) {
                 Ok(outcome) => {
                     metrics.per_backend[j].batches.inc();
                     metrics.per_backend[j]
                         .sessions
-                        .add(shards[i].jobs.len() as u64);
+                        .add(shards[i].indexes.len() as u64);
                     outcomes[i] = Some(outcome);
                     served = true;
                     break;
@@ -591,7 +540,7 @@ fn route_batch<W: Write>(
                         metrics.backend_failures.inc();
                         metrics.per_backend[j].failures.inc();
                     }
-                    fail => return answer_shard_fail(shared, writer, batch_id, fail),
+                    fail => return answer_shard_fail(router, writer, batch_id, fail),
                 },
             }
         }
@@ -604,7 +553,7 @@ fn route_batch<W: Write>(
                     batch_id,
                     message: format!(
                         "backend {} died mid-batch and no survivor could take its shard",
-                        shared.backends[i]
+                        router.backends[i]
                     ),
                 },
             );
@@ -626,8 +575,9 @@ fn route_batch<W: Write>(
             }
             Err(message) => {
                 // The backend audited the shard and reported an in-band
-                // batch error; relay it (the shard TDRB came from our own
-                // encoder, so this is a backend-side failure, not input).
+                // batch error; relay it (every shard session passed the
+                // daemon's own decoder here, so this is a backend-side
+                // failure, not input).
                 metrics.batch_errors.inc();
                 return write_frame(metrics, writer, &ControlFrame::Error { batch_id, message });
             }
@@ -650,39 +600,50 @@ fn route_batch<W: Write>(
         indexed.extend(shards[i].indexes.iter().copied().zip(outcome.verdicts));
     }
     indexed.sort_by_key(|&(index, _)| index);
-    for (index, verdict) in &indexed {
-        ControlFrame::Verdict {
+    // Each verdict moves into its frame and, once written, into the list
+    // the summary is computed from: one copy per verdict.
+    let mut verdicts = Vec::with_capacity(indexed.len());
+    for (index, verdict) in indexed {
+        let frame = ControlFrame::Verdict {
             batch_id,
-            index: *index as u64,
-            verdict: verdict.clone(),
-        }
-        .write_to(writer)?;
+            index: index as u64,
+            verdict,
+        };
+        frame.write_to(writer)?;
         metrics.frames_out.inc();
+        let ControlFrame::Verdict { verdict, .. } = frame else {
+            unreachable!("built as a Verdict frame above");
+        };
+        verdicts.push(verdict);
     }
-    let verdicts: Vec<AuditVerdict> = indexed.into_iter().map(|(_, v)| v).collect();
-    let summary = FleetSummary::from_verdicts(&verdicts);
-    write_frame(
-        metrics,
-        writer,
-        &ControlFrame::Summary {
+    let last = match malformed {
+        Some(e) => {
+            metrics.batch_errors.inc();
+            ControlFrame::Error {
+                batch_id,
+                message: e.to_string(),
+            }
+        }
+        None => ControlFrame::Summary {
             batch_id,
             workers,
             peak_resident,
-            summary,
+            summary: FleetSummary::from_verdicts(&verdicts),
         },
-    )
+    };
+    write_frame(metrics, writer, &last)
 }
 
 /// Answer a non-retryable shard failure in-band, exactly as a single
 /// daemon would: an `Unknown` reference gets a `ReferenceAck`, refusals
 /// get an `Error` frame, protocol violations end the connection.
 fn answer_shard_fail<W: Write>(
-    shared: &CoordShared,
+    router: &Router,
     writer: &mut W,
     batch_id: u64,
     fail: ShardFail,
 ) -> Result<(), ControlError> {
-    let metrics = &shared.metrics;
+    let metrics = &router.metrics;
     match fail {
         ShardFail::Unknown(reference) => write_frame(
             metrics,
@@ -710,7 +671,7 @@ fn answer_shard_fail<W: Write>(
 /// the status is `AlreadyResident` only if every backend already held
 /// it, and `resident_bytes` sums across the fleet.
 fn fan_out_reference(
-    shared: &CoordShared,
+    router: &Router,
     backends: &mut [Option<Client<TcpStream>>],
     put_id: u64,
     tdrp: &[u8],
@@ -724,8 +685,8 @@ fn fan_out_reference(
             Ok(outcome) => acks.push(outcome),
             Err(_) => {
                 *backend = None;
-                shared.metrics.backend_failures.inc();
-                shared.metrics.per_backend[i].failures.inc();
+                router.metrics.backend_failures.inc();
+                router.metrics.per_backend[i].failures.inc();
             }
         }
     }
@@ -775,7 +736,7 @@ fn fan_out_reference(
 /// otherwise the reported generation is the **minimum** across backends
 /// — the floor every backend is guaranteed to have reached.
 fn fan_out_battery(
-    shared: &CoordShared,
+    router: &Router,
     backends: &mut [Option<Client<TcpStream>>],
     put_id: u64,
     json: &str,
@@ -789,8 +750,8 @@ fn fan_out_battery(
             Ok(outcome) => acks.push(outcome),
             Err(_) => {
                 *backend = None;
-                shared.metrics.backend_failures.inc();
-                shared.metrics.per_backend[i].failures.inc();
+                router.metrics.backend_failures.inc();
+                router.metrics.per_backend[i].failures.inc();
             }
         }
     }
@@ -815,5 +776,65 @@ fn fan_out_battery(
         put_id,
         generation: acks.iter().map(|a| a.generation).min().unwrap_or(0),
         status: AckStatus::Loaded,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn id(n: u8) -> ReferenceId {
+        ReferenceId([n; 32])
+    }
+
+    fn held(containers: &Containers) -> Vec<u8> {
+        containers.held.iter().map(|(id, _)| id.0[0]).collect()
+    }
+
+    #[test]
+    fn containers_drop_the_oldest_first_within_the_budget() {
+        let mut containers = Containers::new(10);
+        containers.keep(id(1), vec![1; 4]);
+        containers.keep(id(2), vec![2; 4]);
+        assert_eq!(held(&containers), [1, 2]);
+        // 12 bytes > 10: the oldest goes, the rest fit.
+        containers.keep(id(3), vec![3; 4]);
+        assert_eq!(held(&containers), [2, 3]);
+        assert_eq!(containers.get(id(1)), None, "a dropped container");
+        assert_eq!(containers.get(id(3)), Some(&[3u8; 4][..]));
+        // A re-put refreshes its container to the newest.
+        containers.keep(id(2), vec![2; 4]);
+        containers.keep(id(4), vec![4; 4]);
+        assert_eq!(held(&containers), [2, 4]);
+    }
+
+    #[test]
+    fn containers_always_keep_the_newest() {
+        let mut containers = Containers::new(10);
+        containers.keep(id(1), vec![1; 4]);
+        // Over the budget on its own: everything older goes, it stays.
+        containers.keep(id(2), vec![2; 16]);
+        assert_eq!(held(&containers), [2]);
+        containers.keep(id(3), vec![3; 2]);
+        assert_eq!(held(&containers), [3]);
+    }
+
+    #[test]
+    fn a_connection_holds_at_most_the_reference_budget() {
+        // Distinct puts of 1 MiB each: the held set never exceeds the
+        // default budget, however many a client sends. (Zeroed buffers
+        // the test never touches stay out of its resident set.)
+        let mut containers = Containers::new(DEFAULT_REFERENCE_BUDGET);
+        for n in 0..=255u8 {
+            containers.keep(id(n), vec![0u8; 1 << 20]);
+            let bytes: usize = containers.held.iter().map(|(_, t)| t.len()).sum();
+            assert!(
+                bytes as u64 <= DEFAULT_REFERENCE_BUDGET,
+                "after {n}: {bytes}"
+            );
+        }
+        assert_eq!(containers.held.len() as u64, DEFAULT_REFERENCE_BUDGET >> 20);
+        assert!(containers.get(id(255)).is_some(), "the newest stays");
+        assert!(containers.get(id(0)).is_none(), "the oldest went first");
     }
 }

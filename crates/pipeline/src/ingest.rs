@@ -89,13 +89,18 @@ impl fmt::Display for IngestError {
 
 impl std::error::Error for IngestError {}
 
-/// Encode a batch of audit jobs.
-pub fn encode_batch(jobs: &[AuditJob]) -> Vec<u8> {
-    let mut out = Vec::new();
+/// Append a batch header declaring `n_sessions` sessions.
+fn put_header(out: &mut Vec<u8>, n_sessions: usize) {
     out.extend_from_slice(&BATCH_MAGIC);
     out.extend_from_slice(&BATCH_VERSION.to_le_bytes());
     out.extend_from_slice(&0u16.to_le_bytes()); // flags
-    wire::put_varint(&mut out, jobs.len() as u64);
+    wire::put_varint(out, n_sessions as u64);
+}
+
+/// Encode a batch of audit jobs.
+pub fn encode_batch(jobs: &[AuditJob]) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_header(&mut out, jobs.len());
     for job in jobs {
         let header_start = out.len();
         wire::put_varint(&mut out, job.session_id);
@@ -110,6 +115,58 @@ pub fn encode_batch(jobs: &[AuditJob]) -> Vec<u8> {
         let encoded = job.log.encode();
         out.extend_from_slice(&(encoded.len() as u32).to_le_bytes());
         out.extend_from_slice(&encoded);
+    }
+    out
+}
+
+/// One valid session of a batch held in memory: its id and its whole
+/// record — header, header CRC and log frame — borrowed from the batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SessionRecord<'a> {
+    /// The session id the record declares.
+    pub session_id: u64,
+    /// The record's bytes, exactly as the batch carries them.
+    pub bytes: &'a [u8],
+}
+
+/// Validate an in-memory batch with [`BatchStream`], the decoder a daemon
+/// runs, keeping each valid session's record instead of its decoded job.
+///
+/// Returns the sessions before the first error, in submission order, and
+/// that error (`None` for a valid batch): the valid prefix a daemon
+/// audits before it answers a malformed batch with the same error.
+pub fn session_records(tdrb: &[u8]) -> (Vec<SessionRecord<'_>>, Option<IngestError>) {
+    let mut stream = match BatchStream::new(tdrb) {
+        Ok(stream) => stream,
+        Err(e) => return (Vec::new(), Some(e)),
+    };
+    let mut records = Vec::new();
+    let mut start = tdrb.len() - stream.src.len();
+    loop {
+        match stream.next() {
+            None => return (records, None),
+            Some(Err(e)) => return (records, Some(e)),
+            Some(Ok(job)) => {
+                let end = tdrb.len() - stream.src.len();
+                records.push(SessionRecord {
+                    session_id: job.session_id,
+                    bytes: &tdrb[start..end],
+                });
+                start = end;
+            }
+        }
+    }
+}
+
+/// Build a batch from session records taken verbatim from other batches
+/// (a coordinator's per-backend shard). Each record is self-contained, so
+/// the result equals [`encode_batch`] of the records' decoded jobs.
+pub fn shard_batch(sessions: &[SessionRecord<'_>]) -> Vec<u8> {
+    let body: usize = sessions.iter().map(|s| s.bytes.len()).sum();
+    let mut out = Vec::with_capacity(16 + body);
+    put_header(&mut out, sessions.len());
+    for session in sessions {
+        out.extend_from_slice(session.bytes);
     }
     out
 }
@@ -133,10 +190,6 @@ fn session_err(index: usize, e: StreamError) -> IngestError {
     match e {
         StreamError::Io(kind, msg) => IngestError::Io(kind, msg),
         StreamError::Codec(cause) => IngestError::BadSession { index, cause },
-        StreamError::FrameTooLarge { .. } => IngestError::BadSession {
-            index,
-            cause: CodecError::LengthOverflow,
-        },
     }
 }
 
@@ -161,7 +214,6 @@ pub struct BatchStream<R> {
     yielded: u64,
     hdr_buf: Vec<u8>,
     frame_buf: Vec<u8>,
-    max_frame_len: usize,
     done: bool,
 }
 
@@ -178,7 +230,6 @@ impl<R: Read> BatchStream<R> {
             Ok(n) => n,
             Err(StreamError::Io(kind, msg)) => return Err(IngestError::Io(kind, msg)),
             Err(StreamError::Codec(cause)) => return Err(IngestError::BadHeader(cause)),
-            Err(StreamError::FrameTooLarge { .. }) => unreachable!("read_full is frame-agnostic"),
         };
         if got < header.len() {
             return Err(IngestError::Truncated);
@@ -198,7 +249,6 @@ impl<R: Read> BatchStream<R> {
         let declared = read_varint_from(&mut src, &mut scratch).map_err(|e| match e {
             StreamError::Io(kind, msg) => IngestError::Io(kind, msg),
             StreamError::Codec(cause) => IngestError::BadHeader(cause),
-            StreamError::FrameTooLarge { .. } => unreachable!("varints are not frames"),
         })?;
         Ok(BatchStream {
             src,
@@ -206,15 +256,8 @@ impl<R: Read> BatchStream<R> {
             yielded: 0,
             hdr_buf: Vec::new(),
             frame_buf: Vec::new(),
-            max_frame_len: replay::stream::DEFAULT_MAX_FRAME_LEN,
             done: false,
         })
-    }
-
-    /// Cap the length one session's event-log frame may declare.
-    pub fn with_max_frame_len(mut self, max: usize) -> Self {
-        self.max_frame_len = max;
-        self
     }
 
     /// Sessions the batch header declared.
@@ -269,9 +312,6 @@ impl<R: Read> BatchStream<R> {
             Err(e) => return Err(session_err(index, e)),
         }
         let len = u32::from_le_bytes(len_bytes) as usize;
-        if len > self.max_frame_len {
-            return Err(bad(CodecError::LengthOverflow));
-        }
         let log = read_log_frame(&mut self.src, len, &mut self.frame_buf)
             .map_err(|e| session_err(index, e))?;
 
@@ -523,6 +563,64 @@ mod tests {
             Err(IngestError::UnsupportedVersion(9)) => {}
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn shards_of_verbatim_records_equal_the_reencoded_jobs() {
+        let jobs = vec![job(1), job(2), job(40), job(200), job(7)];
+        let bytes = encode_batch(&jobs);
+        let (records, error) = session_records(&bytes);
+        assert_eq!(error, None);
+        let ids: Vec<u64> = records.iter().map(|r| r.session_id).collect();
+        assert_eq!(ids, vec![1, 2, 40, 200, 7]);
+        // The records tile the batch after its header, and the whole set
+        // rebuilds the batch byte for byte.
+        assert_eq!(shard_batch(&records), bytes);
+        for odd in [false, true] {
+            let pick = |id: u64| (id % 2 == 1) == odd;
+            let shard: Vec<SessionRecord> = records
+                .iter()
+                .copied()
+                .filter(|r| pick(r.session_id))
+                .collect();
+            let picked: Vec<AuditJob> = jobs
+                .iter()
+                .filter(|j| pick(j.session_id))
+                .cloned()
+                .collect();
+            assert_eq!(shard_batch(&shard), encode_batch(&picked), "odd {odd}");
+        }
+        assert_eq!(shard_batch(&[]), encode_batch(&[]));
+    }
+
+    #[test]
+    fn session_records_stop_where_the_stream_does() {
+        let jobs = vec![job(1), job(2), job(3)];
+        let clean = encode_batch(&jobs);
+        let prefix = |bytes: &[u8]| -> (Vec<u64>, Option<IngestError>) {
+            let (records, error) = session_records(bytes);
+            (records.iter().map(|r| r.session_id).collect(), error)
+        };
+        // Corrupt session 1's log: session 0 survives, the error is the
+        // one the daemon's stream reports.
+        let last = session_records(&clean).0[2].bytes.len();
+        let mut corrupt = clean.clone();
+        corrupt[clean.len() - last - 10] ^= 0xff; // inside session 1's log
+        let streamed = BatchStream::new(&corrupt[..])
+            .expect("header")
+            .find_map(Result::err);
+        assert_eq!(prefix(&corrupt), (vec![1], streamed));
+        // Trailing bytes: every session is valid, then the batch errors.
+        let mut trailing = clean.clone();
+        trailing.extend_from_slice(b"junk");
+        assert_eq!(
+            prefix(&trailing),
+            (vec![1, 2, 3], Some(IngestError::TrailingBytes(4)))
+        );
+        // A bad header yields no session at all.
+        let mut magic = clean;
+        magic[0] = b'X';
+        assert_eq!(prefix(&magic), (vec![], Some(IngestError::BadMagic)));
     }
 
     #[test]

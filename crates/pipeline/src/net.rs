@@ -9,6 +9,14 @@
 //! battery generation, which is the whole point of a fleet daemon (one
 //! spin-up, many log sources).
 //!
+//! The accept loop, the connection threads and the stop/wake/join
+//! shutdown are one front end that the [`crate::coord`] coordinator holds
+//! too, with its router as the per-connection handler. Both keep the same
+//! connection ledger (`conn_accepted`, `conn_active`, `conn_errors`,
+//! `conn_reaped`); the daemon's own policy — connection-cap shedding,
+//! tenant quotas, the idle deadline, trace events and byte counting —
+//! lives in its handler.
+//!
 //! ## Connection lifecycle (normative rules in `docs/FORMATS.md` §5.4)
 //!
 //! * Each connection carries one independent TDRC request/response
@@ -59,48 +67,209 @@ use std::time::Duration;
 
 use crate::control::{BusyScope, ControlError, ControlFrame};
 use crate::obs::{
-    Counter, CountingRead, CountingWrite, MetricsSnapshot, ServiceMetrics, TraceKind,
+    Counter, CountingRead, CountingWrite, Gauge, MetricsRegistry, MetricsSnapshot, TraceKind,
 };
 use crate::service::{AuditService, TenantQuota};
 
-/// The connection-thread ledger of a TCP front end (this daemon and the
-/// [`crate::coord`] coordinator): threads still owed a join. Finished
-/// ones are reaped on each accept **and** as each connection exits (so
-/// an idle front end that stops receiving connects does not hold every
-/// handle it ever served until the next accept — at most the last
-/// connection to finish stays unreaped, since a thread cannot join
-/// itself); the remainder joins at shutdown. Every join increments the
-/// front end's `conn_reaped`, so after a drain the ledger balances:
-/// `conn_reaped` equals the connection threads ever spawned.
-#[derive(Debug, Default)]
-pub(crate) struct ConnThreads(Mutex<Vec<JoinHandle<()>>>);
+/// The connection ledger every TCP front end keeps, under the same names
+/// on a daemon and a coordinator so fleet tooling reads both alike:
+/// `conn_accepted` (its count is the 1-based connection id),
+/// `conn_active`, `conn_errors` and `conn_reaped` (connection threads
+/// joined).
+#[derive(Debug, Clone)]
+pub(crate) struct ConnMetrics {
+    pub(crate) accepted: Arc<Counter>,
+    pub(crate) active: Arc<Gauge>,
+    pub(crate) errors: Arc<Counter>,
+    pub(crate) reaped: Arc<Counter>,
+}
 
-impl ConnThreads {
-    pub(crate) fn push(&self, handle: JoinHandle<()>) {
-        self.0.lock().expect("conns lock").push(handle);
+impl ConnMetrics {
+    pub(crate) fn register(registry: &MetricsRegistry) -> Self {
+        ConnMetrics {
+            accepted: registry.counter("conn_accepted"),
+            active: registry.gauge("conn_active"),
+            errors: registry.counter("conn_errors"),
+            reaped: registry.counter("conn_reaped"),
+        }
+    }
+}
+
+/// What a [`FrontEnd`] does with the connections it accepts: the daemon
+/// serves the control plane from its warm service, the coordinator
+/// routes to its backends.
+pub(crate) trait Handler: Send + Sync + 'static {
+    /// Admission, before a connect counts as accepted: `false` sheds it,
+    /// after the handler answered it. Admits every connect by default.
+    fn admit(&self, _stream: &TcpStream) -> bool {
+        true
     }
 
-    /// Join the connection threads that already finished, counting each
-    /// join in `reaped`.
-    pub(crate) fn reap_finished(&self, reaped: &Counter) {
-        let mut conns = self.0.lock().expect("conns lock");
-        let (finished, live) = conns.drain(..).partition(JoinHandle::is_finished);
-        *conns = live;
-        drop(conns);
-        Self::join(finished, reaped);
+    /// Serve connection `conn_id` until it ends. An `Err` counts in
+    /// `conn_errors`.
+    fn serve(&self, stream: &TcpStream, conn_id: u64) -> Result<(), ControlError>;
+}
+
+/// One TCP front end, held by both [`TcpDaemon`] and
+/// [`crate::coord::Coordinator`]: an accept thread, one thread per
+/// accepted connection, and the stop/wake/join lifecycle. Dropping it
+/// stops accepting and joins every connection thread.
+#[derive(Debug)]
+pub(crate) struct FrontEnd {
+    addr: SocketAddr,
+    shared: Arc<Shared>,
+    accept_thread: Option<JoinHandle<()>>,
+}
+
+/// What a front end's owner, accept thread and connection threads share:
+/// the stop flag, the connection metrics, and the connection-thread
+/// ledger — threads still owed a join. Finished ones are reaped on each
+/// accept **and** as each connection exits (so an idle front end that
+/// stops receiving connects does not hold every handle it ever served
+/// until the next accept — at most the last connection to finish stays
+/// unreaped, since a thread cannot join itself); the remainder joins at
+/// shutdown. Every join increments `conn_reaped`, so after a drain the
+/// ledger balances: `conn_reaped` equals the connection threads ever
+/// spawned.
+#[derive(Debug)]
+struct Shared {
+    stop: AtomicBool,
+    metrics: ConnMetrics,
+    threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl FrontEnd {
+    /// Accept connections on `listener` and serve each on its own thread
+    /// with `handler`. Threads are named `{name}-accept` and
+    /// `{name}-conn-{id}`.
+    pub(crate) fn start<H: Handler>(
+        listener: TcpListener,
+        name: &'static str,
+        metrics: ConnMetrics,
+        handler: Arc<H>,
+    ) -> io::Result<FrontEnd> {
+        let addr = listener.local_addr()?;
+        let shared = Arc::new(Shared {
+            stop: AtomicBool::new(false),
+            metrics,
+            threads: Mutex::default(),
+        });
+        let accept_thread = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name(format!("{name}-accept"))
+                .spawn(move || accept_loop(listener, name, &shared, &handler))?
+        };
+        Ok(FrontEnd {
+            addr,
+            shared,
+            accept_thread: Some(accept_thread),
+        })
     }
 
-    /// Join every connection thread (shutdown), counting each join in
-    /// `reaped`.
-    pub(crate) fn join_all(&self, reaped: &Counter) {
-        let conns = std::mem::take(&mut *self.0.lock().expect("conns lock"));
-        Self::join(conns, reaped);
+    /// The address the front end is accepting on (resolves `:0` binds).
+    pub(crate) fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+}
+
+impl Drop for FrontEnd {
+    fn drop(&mut self) {
+        let Some(accept) = self.accept_thread.take() else {
+            return;
+        };
+        self.shared.stop.store(true, Ordering::SeqCst);
+        wake_accept(self.addr);
+        let _ = accept.join();
+        let threads = std::mem::take(&mut *self.shared.threads.lock().expect("threads lock"));
+        self.shared.join(threads);
+    }
+}
+
+fn accept_loop<H: Handler>(
+    listener: TcpListener,
+    name: &str,
+    shared: &Arc<Shared>,
+    handler: &Arc<H>,
+) {
+    loop {
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => {
+                // Transient accept failure (e.g. fd exhaustion): the
+                // front end must outlive it. Back off briefly and retry.
+                if shared.stop.load(Ordering::SeqCst) {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(20));
+                continue;
+            }
+        };
+        if shared.stop.load(Ordering::SeqCst) {
+            // The wake-up connection from shutdown (or a client racing
+            // it). Either way the front end is closing: drop it unanswered.
+            return;
+        }
+        if !handler.admit(&stream) {
+            continue;
+        }
+        let conn_id = shared.metrics.accepted.inc();
+        shared.metrics.active.inc();
+        shared.reap_finished();
+        let spawned = {
+            let (shared, handler) = (Arc::clone(shared), Arc::clone(handler));
+            std::thread::Builder::new()
+                .name(format!("{name}-conn-{conn_id}"))
+                .spawn(move || serve_connection(&shared, &*handler, stream, conn_id))
+        };
+        match spawned {
+            Ok(handle) => shared.threads.lock().expect("threads lock").push(handle),
+            Err(_) => {
+                // Could not spawn a thread: count it against the error
+                // tally and keep accepting — refusing one client is
+                // recoverable, dying is not.
+                shared.metrics.active.dec();
+                shared.metrics.errors.inc();
+            }
+        }
+    }
+}
+
+/// One connection's lifetime: serve until clean EOF / `Shutdown`, or a
+/// typed protocol/transport error (counted, never fatal to the front end).
+fn serve_connection<H: Handler>(shared: &Shared, handler: &H, stream: TcpStream, conn_id: u64) {
+    // Both handlers gather frames in a BufWriter and flush once per burst
+    // or reply. Disable Nagle so each flush leaves as one send at once
+    // instead of waiting on the peer's ACK.
+    let _ = stream.set_nodelay(true);
+    if handler.serve(&stream, conn_id).is_err() {
+        shared.metrics.errors.inc();
+    }
+    shared.metrics.active.dec();
+    let _ = stream.shutdown(Shutdown::Both);
+    // Reap on the way out, not only on the next accept: an idle front end
+    // (or a coordinator backend between batches) may never see another
+    // connect, and without this every handle it ever served would sit
+    // unjoined until shutdown. This thread's own handle reports
+    // unfinished to `is_finished` and is left for the next reaper.
+    shared.reap_finished();
+}
+
+impl Shared {
+    /// Join the connection threads that already finished.
+    fn reap_finished(&self) {
+        let mut threads = self.threads.lock().expect("threads lock");
+        let (finished, live) = threads.drain(..).partition(JoinHandle::is_finished);
+        *threads = live;
+        drop(threads);
+        self.join(finished);
     }
 
-    fn join(handles: Vec<JoinHandle<()>>, reaped: &Counter) {
-        for handle in handles {
-            let _ = handle.join();
-            reaped.inc();
+    fn join(&self, threads: Vec<JoinHandle<()>>) {
+        for thread in threads {
+            let _ = thread.join();
+            self.metrics.reaped.inc();
         }
     }
 }
@@ -111,7 +280,7 @@ impl ConnThreads {
 /// the bound port in that case. If connecting fails (listener already
 /// dead), the accept loop has already returned or will error out and
 /// observe its stop flag.
-pub(crate) fn wake_accept(addr: SocketAddr) {
+fn wake_accept(addr: SocketAddr) {
     let target = if addr.ip().is_unspecified() {
         let loopback: IpAddr = if addr.is_ipv4() {
             Ipv4Addr::LOCALHOST.into()
@@ -181,14 +350,11 @@ pub struct DaemonReport {
 /// service).
 #[derive(Debug)]
 pub struct TcpDaemon {
-    service: Arc<AuditService>,
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    front: FrontEnd,
     /// Connection tallies live in the service's metric set, not here —
     /// one source of truth for the live accessors, [`DaemonReport`], and
     /// the TDRC `Stats` frame.
-    conns: Arc<ConnThreads>,
-    accept_thread: Option<JoinHandle<()>>,
+    service: Arc<AuditService>,
 }
 
 /// [`serve_tcp`] with explicit [`DaemonOptions`] (idle timeout etc.).
@@ -197,25 +363,14 @@ pub fn serve_tcp_with(
     listener: TcpListener,
     options: DaemonOptions,
 ) -> io::Result<TcpDaemon> {
-    let addr = listener.local_addr()?;
     let service = Arc::new(service);
-    let stop = Arc::new(AtomicBool::new(false));
-    let conns = Arc::new(ConnThreads::default());
-    let accept_thread = {
-        let service = Arc::clone(&service);
-        let stop = Arc::clone(&stop);
-        let conns = Arc::clone(&conns);
-        std::thread::Builder::new()
-            .name("tdrd-accept".to_string())
-            .spawn(move || accept_loop(listener, service, stop, conns, options))?
-    };
-    Ok(TcpDaemon {
-        service,
-        addr,
-        stop,
-        conns,
-        accept_thread: Some(accept_thread),
-    })
+    let daemon = Arc::new(Daemon {
+        service: Arc::clone(&service),
+        options,
+    });
+    let metrics = service.metrics().conn.clone();
+    let front = FrontEnd::start(listener, "tdrd", metrics, daemon)?;
+    Ok(TcpDaemon { front, service })
 }
 
 /// Serve the TDRC control plane over TCP: accept connections on
@@ -232,144 +387,74 @@ pub fn serve_tcp(service: AuditService, listener: TcpListener) -> io::Result<Tcp
     serve_tcp_with(service, listener, DaemonOptions::default())
 }
 
-fn accept_loop(
-    listener: TcpListener,
+/// The daemon's per-connection policy: connection-cap shedding, the idle
+/// deadline, byte counting, tenant quotas and connection trace events.
+struct Daemon {
     service: Arc<AuditService>,
-    stop: Arc<AtomicBool>,
-    conns: Arc<ConnThreads>,
     options: DaemonOptions,
-) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                // Transient accept failure (e.g. fd exhaustion): the
-                // daemon must outlive it. Back off briefly and retry.
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                continue;
-            }
+}
+
+impl Handler for Daemon {
+    /// Shed a connection arriving while `max_conns` are active: answer it
+    /// with a single connection-scoped `Busy` frame (`batch_id` 0 — no
+    /// request was read) before the front end closes it. Best-effort
+    /// write: a peer that already vanished is shed all the same.
+    fn admit(&self, stream: &TcpStream) -> bool {
+        let metrics = self.service.metrics();
+        let active = metrics.conn.active.get();
+        let Some(cap) = self.options.max_conns.filter(|&cap| active as usize >= cap) else {
+            return true;
         };
-        if stop.load(Ordering::SeqCst) {
-            // The wake-up connection from `shutdown` (or a client racing
-            // it). Either way the daemon is closing: drop it unanswered.
-            drop(stream);
-            return;
+        let mut writer = CountingWrite::new(BufWriter::new(stream), Arc::clone(&metrics.bytes_out));
+        let wrote = ControlFrame::Busy {
+            batch_id: 0,
+            scope: BusyScope::Connections,
+            active,
+            limit: cap as u64,
         }
-        let metrics = service.metrics();
-        if let Some(cap) = options.max_conns {
-            let active = metrics.conn_active.get();
-            if active as usize >= cap {
-                shed_connection(&stream, metrics, active, cap as u64);
-                drop(stream);
-                continue;
-            }
+        .write_to(&mut writer)
+        .and_then(|()| writer.flush().map_err(ControlError::from_io));
+        if wrote.is_ok() {
+            metrics.frames_out.inc();
+            metrics.frames_out_busy.inc();
         }
-        // The accept counter doubles as the 1-based connection id keying
-        // this connection's trace events and thread name.
-        let conn_id = metrics.conn_accepted.inc();
+        metrics.conn_shed.inc();
+        metrics.trace(TraceKind::ConnShed, active, cap as u64);
+        false
+    }
+
+    fn serve(&self, stream: &TcpStream, conn_id: u64) -> Result<(), ControlError> {
+        let metrics = self.service.metrics();
         metrics.trace(TraceKind::ConnAccept, conn_id, 0);
-        metrics.conn_active.inc();
-        conns.reap_finished(&metrics.conn_reaped);
-        let handle = {
-            let service = Arc::clone(&service);
-            let conns = Arc::clone(&conns);
-            let options = options.clone();
-            std::thread::Builder::new()
-                .name(format!("tdrd-conn-{conn_id}"))
-                .spawn(move || serve_connection(&service, &conns, stream, conn_id, &options))
-        };
-        match handle {
-            Ok(handle) => conns.push(handle),
-            Err(_) => {
-                // Could not spawn a thread: count it against the daemon's
-                // error tally and keep accepting — refusing one client is
-                // recoverable, dying is not.
-                metrics.conn_active.dec();
-                metrics.conn_errors.inc();
-                metrics.trace(TraceKind::ConnError, conn_id, 0);
+        if let Some(deadline) = self.options.idle_timeout {
+            // A read past the deadline fails with WouldBlock/TimedOut,
+            // which the serve loop classifies as `ControlError::IdleTimeout`.
+            let _ = stream.set_read_timeout(Some(deadline));
+        }
+        let reader = CountingRead::new(stream, Arc::clone(&metrics.bytes_in));
+        let writer = CountingWrite::new(BufWriter::new(stream), Arc::clone(&metrics.bytes_out));
+        // The connection id is the tenant id: submissions from this peer
+        // are round-robin scheduled against other connections' work and
+        // metered under `tenant_{conn_id}_*`.
+        let outcome =
+            self.service
+                .serve_as_tenant(reader, writer, conn_id, self.options.tenant_quota);
+        match &outcome {
+            Ok(()) => metrics.trace(TraceKind::ConnClose, conn_id, 0),
+            Err(ControlError::IdleTimeout) => {
+                metrics.conn_idle_timeout.inc();
+                metrics.trace(TraceKind::ConnIdleTimeout, conn_id, 0);
             }
+            Err(_) => metrics.trace(TraceKind::ConnError, conn_id, 0),
         }
+        outcome
     }
-}
-
-/// Refuse one over-cap connection: answer with a single
-/// connection-scoped `Busy` frame (`batch_id` 0 — no request was read)
-/// and let the caller close the socket. Best-effort write: a peer that
-/// already vanished is shed all the same.
-fn shed_connection(stream: &TcpStream, metrics: &ServiceMetrics, active: u64, cap: u64) {
-    let mut writer = CountingWrite::new(BufWriter::new(stream), Arc::clone(&metrics.bytes_out));
-    let wrote = ControlFrame::Busy {
-        batch_id: 0,
-        scope: BusyScope::Connections,
-        active,
-        limit: cap,
-    }
-    .write_to(&mut writer)
-    .and_then(|()| writer.flush().map_err(ControlError::from_io));
-    if wrote.is_ok() {
-        metrics.frames_out.inc();
-        metrics.frames_out_busy.inc();
-    }
-    metrics.conn_shed.inc();
-    metrics.trace(TraceKind::ConnShed, active, cap);
-}
-
-/// One connection's lifetime: serve until clean EOF / `Shutdown`, or a
-/// typed protocol/transport error (counted, never fatal to the daemon).
-fn serve_connection(
-    service: &AuditService,
-    conns: &ConnThreads,
-    stream: TcpStream,
-    conn_id: u64,
-    options: &DaemonOptions,
-) {
-    let metrics = service.metrics();
-    // The BufWriter below gathers frames and the serve loop flushes once
-    // per burst: the verdicts of one 1 ms window, or a reply with the
-    // frames before it. Disable Nagle so each flush leaves as one send at
-    // once instead of waiting on the peer's ACK.
-    let _ = stream.set_nodelay(true);
-    if let Some(deadline) = options.idle_timeout {
-        // A read past the deadline fails with WouldBlock/TimedOut, which
-        // the serve loop classifies as `ControlError::IdleTimeout`.
-        let _ = stream.set_read_timeout(Some(deadline));
-    }
-    let reader = CountingRead::new(&stream, Arc::clone(&metrics.bytes_in));
-    let writer = CountingWrite::new(BufWriter::new(&stream), Arc::clone(&metrics.bytes_out));
-    // The connection id is the tenant id: submissions from this peer are
-    // round-robin scheduled against other connections' work and metered
-    // under `tenant_{conn_id}_*`.
-    let outcome = service.serve_as_tenant(reader, writer, conn_id, options.tenant_quota);
-    match &outcome {
-        Ok(()) => metrics.trace(TraceKind::ConnClose, conn_id, 0),
-        Err(ControlError::IdleTimeout) => {
-            metrics.conn_idle_timeout.inc();
-            metrics.conn_errors.inc();
-            metrics.trace(TraceKind::ConnIdleTimeout, conn_id, 0);
-        }
-        Err(_) => {
-            metrics.conn_errors.inc();
-            metrics.trace(TraceKind::ConnError, conn_id, 0);
-        }
-    }
-    metrics.conn_active.dec();
-    let _ = stream.shutdown(Shutdown::Both);
-    // Reap on the way out, not only on the next accept: an idle daemon
-    // (or a coordinator backend between batches) may never see another
-    // connect, and without this every handle it ever served would sit
-    // unjoined until shutdown. This thread's own handle reports
-    // unfinished to `is_finished` and is left for the next reaper.
-    conns.reap_finished(&metrics.conn_reaped);
 }
 
 impl TcpDaemon {
     /// The address the daemon is accepting on (resolves `:0` binds).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.front.local_addr()
     }
 
     /// The service the connections multiplex onto.
@@ -380,7 +465,7 @@ impl TcpDaemon {
     /// Connections accepted over the daemon's lifetime (a live view over
     /// the `conn_accepted` metric).
     pub fn connections_accepted(&self) -> u64 {
-        self.service.metrics().conn_accepted.get()
+        self.service.metrics().conn.accepted.get()
     }
 
     /// Connections that ended with a protocol or transport error (a
@@ -388,7 +473,7 @@ impl TcpDaemon {
     /// timeout). Clean EOFs and acknowledged `Shutdown`s are not errors.
     /// A live view over the `conn_errors` metric.
     pub fn connection_errors(&self) -> u64 {
-        self.service.metrics().conn_errors.get()
+        self.service.metrics().conn.errors.get()
     }
 
     /// Connections shed at the [`DaemonOptions::max_conns`] cap with a
@@ -408,45 +493,27 @@ impl TcpDaemon {
     /// this caller controls first; a connection held open forever by a
     /// peer blocks shutdown by design — killing its work silently would
     /// violate the drain guarantee.
-    pub fn shutdown(mut self) -> DaemonReport {
-        self.shutdown_inner();
+    pub fn shutdown(self) -> DaemonReport {
+        let TcpDaemon { front, service } = self;
+        drop(front);
         // Every connection thread is joined: the snapshot below is final,
         // and the tally fields are just named views into it.
-        let snapshot = self.service.metrics_snapshot();
-        let connections_accepted = snapshot.counter("conn_accepted");
-        let connection_errors = snapshot.counter("conn_errors");
-        let connections_shed = snapshot.counter("conn_shed");
-        let service = Arc::clone(&self.service);
-        drop(self); // only `service` above and the daemon's own Arc remain
+        let snapshot = service.metrics_snapshot();
         DaemonReport {
+            connections_accepted: snapshot.counter("conn_accepted"),
+            connection_errors: snapshot.counter("conn_errors"),
+            connections_shed: snapshot.counter("conn_shed"),
+            snapshot,
+            // Only the daemon's own handle remains: the handler's went
+            // with the joined threads. If this is the last handle when a
+            // daemon is dropped instead, the AuditService's own Drop joins
+            // its workers.
             service: match Arc::try_unwrap(service) {
                 Ok(service) => service,
                 Err(_) => {
                     unreachable!("all daemon threads joined and dropped their service handles")
                 }
             },
-            connections_accepted,
-            connection_errors,
-            connections_shed,
-            snapshot,
         }
-    }
-
-    fn shutdown_inner(&mut self) {
-        let Some(accept) = self.accept_thread.take() else {
-            return;
-        };
-        self.stop.store(true, Ordering::SeqCst);
-        wake_accept(self.addr);
-        let _ = accept.join();
-        self.conns.join_all(&self.service.metrics().conn_reaped);
-    }
-}
-
-impl Drop for TcpDaemon {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-        // The service Arc drops here; if this is the last handle, the
-        // AuditService's own Drop joins its workers.
     }
 }

@@ -39,6 +39,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::net::ConnMetrics;
+
 // ---------------------------------------------------------------------------
 // Handles
 // ---------------------------------------------------------------------------
@@ -627,12 +629,9 @@ pub struct ServiceMetrics {
     pub(crate) retrain_generations: Arc<Counter>,
 
     // net.rs — connection lifecycle
-    pub(crate) conn_accepted: Arc<Counter>,
-    pub(crate) conn_active: Arc<Gauge>,
-    pub(crate) conn_errors: Arc<Counter>,
+    pub(crate) conn: ConnMetrics,
     pub(crate) conn_idle_timeout: Arc<Counter>,
     pub(crate) conn_shed: Arc<Counter>,
-    pub(crate) conn_reaped: Arc<Counter>,
     pub(crate) bytes_in: Arc<Counter>,
     pub(crate) bytes_out: Arc<Counter>,
     pub(crate) conn_frames: Arc<Histogram>,
@@ -693,12 +692,9 @@ impl ServiceMetrics {
             verdict_latency_us: r.histogram("verdict_latency_us", &VERDICT_LATENCY_EDGES_US),
             batch_sessions: r.histogram("batch_sessions", &BATCH_SESSIONS_EDGES),
             retrain_generations: r.counter("retrain_generations"),
-            conn_accepted: r.counter("conn_accepted"),
-            conn_active: r.gauge("conn_active"),
-            conn_errors: r.counter("conn_errors"),
+            conn: ConnMetrics::register(&r),
             conn_idle_timeout: r.counter("conn_idle_timeout"),
             conn_shed: r.counter("conn_shed"),
-            conn_reaped: r.counter("conn_reaped"),
             bytes_in: r.counter("bytes_in"),
             bytes_out: r.counter("bytes_out"),
             conn_frames: r.histogram("conn_frames", &CONN_FRAMES_EDGES),

@@ -19,11 +19,10 @@
 //!   truncated or corrupted upload is rejected at ingest instead of
 //!   producing a nonsense audit.
 //!
-//! [`EventLog::encode`] / [`EventLog::decode`] are the single-log entry
-//! points; [`write_frame`] / [`FrameReader`] add a length-prefixed framing
-//! so many logs can be concatenated into one batch stream, and
-//! [`crate::stream::SessionStream`] decodes such a stream frame-at-a-time
-//! from any `io::Read` source in bounded memory.
+//! [`EventLog::encode`] / [`EventLog::decode`] are the entry points. Logs
+//! travel many to a batch inside TDRB sessions, each as one length-prefixed
+//! frame that [`crate::stream::read_log_frame`] reads from any `io::Read`
+//! source in bounded memory.
 //!
 //! The encoding is exact: every `u64`/`u128` round-trips bit-for-bit
 //! (deltas use wrapping arithmetic, so non-monotonic inputs are legal,
@@ -225,74 +224,6 @@ pub(crate) fn decode_payload(payload: &[u8]) -> Result<EventLog, CodecError> {
     })
 }
 
-// ---------------------------------------------------------------------------
-// Framing
-// ---------------------------------------------------------------------------
-
-/// Append `log` to `out` as one length-prefixed frame (`u32` LE length,
-/// then the encoded log). Batch files are just concatenated frames.
-pub fn write_frame(out: &mut Vec<u8>, log: &EventLog) {
-    let encoded = log.encode();
-    out.extend_from_slice(&(encoded.len() as u32).to_le_bytes());
-    out.extend_from_slice(&encoded);
-}
-
-/// Iterator over the logs of a concatenated frame stream.
-///
-/// Yields `Err` (and then stops) on the first malformed frame.
-pub struct FrameReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    failed: bool,
-}
-
-impl<'a> FrameReader<'a> {
-    /// Read frames from `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        FrameReader {
-            buf,
-            pos: 0,
-            failed: false,
-        }
-    }
-
-    /// Bytes consumed so far.
-    pub fn offset(&self) -> usize {
-        self.pos
-    }
-}
-
-impl Iterator for FrameReader<'_> {
-    type Item = Result<EventLog, CodecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed || self.pos == self.buf.len() {
-            return None;
-        }
-        if self.buf.len() - self.pos < 4 {
-            self.failed = true;
-            return Some(Err(CodecError::Truncated));
-        }
-        let len = u32::from_le_bytes(
-            self.buf[self.pos..self.pos + 4]
-                .try_into()
-                .expect("4 bytes"),
-        ) as usize;
-        self.pos += 4;
-        if self.buf.len() - self.pos < len {
-            self.failed = true;
-            return Some(Err(CodecError::Truncated));
-        }
-        let frame = &self.buf[self.pos..self.pos + len];
-        self.pos += len;
-        let result = EventLog::decode(frame);
-        if result.is_err() {
-            self.failed = true;
-        }
-        Some(result)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -425,32 +356,6 @@ mod tests {
                 "truncation at {cut} must fail"
             );
         }
-    }
-
-    #[test]
-    fn frame_stream_roundtrips() {
-        let logs = vec![sample_log(), EventLog::default(), sample_log()];
-        let mut buf = Vec::new();
-        for log in &logs {
-            write_frame(&mut buf, log);
-        }
-        let back: Vec<EventLog> = FrameReader::new(&buf)
-            .collect::<Result<_, _>>()
-            .expect("all frames decode");
-        assert_eq!(back, logs);
-    }
-
-    #[test]
-    fn frame_stream_stops_at_corruption() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &sample_log());
-        let good_len = buf.len();
-        write_frame(&mut buf, &sample_log());
-        buf[good_len + 20] ^= 0xff; // corrupt the second frame's body
-        let mut reader = FrameReader::new(&buf);
-        assert!(reader.next().expect("first frame").is_ok());
-        assert!(reader.next().expect("second frame").is_err());
-        assert!(reader.next().is_none(), "iteration stops after failure");
     }
 
     #[test]

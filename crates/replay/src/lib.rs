@@ -20,10 +20,10 @@
 //! [`EventLog`] is the serializable log; [`LogStats`] reproduces the §6.5
 //! accounting (log growth rate, share of incoming packets). The [`codec`]
 //! module adds the compact binary encoding the audit pipeline ingests
-//! ([`EventLog::encode`] / [`EventLog::decode`], plus frame streaming), and
-//! [`stream`] decodes concatenated frames from any `io::Read` source in
-//! bounded memory ([`SessionStream`]). Both wire formats are specified in
-//! `docs/FORMATS.md` at the repository root.
+//! ([`EventLog::encode`] / [`EventLog::decode`]), and [`stream`] reads
+//! length-prefixed frames from any `io::Read` source in bounded memory.
+//! The wire formats are specified in `docs/FORMATS.md` at the repository
+//! root.
 
 #![warn(missing_docs)]
 
@@ -32,7 +32,7 @@ pub mod log;
 pub mod session;
 pub mod stream;
 
-pub use codec::{CodecError, FrameReader};
+pub use codec::CodecError;
 pub use log::{EventLog, LogStats, PacketRecord};
 pub use session::{audit_replay, record, replay_functional, replay_tdr, Recorded, SessionError};
-pub use stream::{SessionStream, StreamError};
+pub use stream::StreamError;

@@ -1,19 +1,20 @@
-//! Streaming, bounded-memory decode of TDRL frame streams.
+//! Streaming, bounded-memory reads of length-prefixed frames.
 //!
-//! [`crate::codec::FrameReader`] walks frames of a batch that is already
-//! resident in memory. At fleet scale the batch arrives from disk or a
-//! socket and can be far larger than RAM, so this module provides the same
-//! iteration over any [`std::io::Read`] source: [`SessionStream`] pulls one
-//! length-prefixed frame at a time, validates its CRC-32 *incrementally* as
-//! chunks arrive (via [`crate::codec::Crc32`]), and only ever buffers a
-//! single frame — the lookahead is bounded by a configurable maximum frame
-//! length, so a corrupt or adversarial length prefix cannot balloon memory.
+//! Three formats share one framing rule (`u32 length | payload`,
+//! `docs/FORMATS.md` §3): the TDRL log inside each TDRB session, TDRC
+//! control frames, and TDRP containers carried by them. Their bytes
+//! arrive from disk or a socket, so this module reads them from any
+//! [`std::io::Read`] source: [`read_length_prefix`] classifies the prefix
+//! (clean end-of-stream versus truncation), [`read_log_frame`] reads one
+//! embedded log under the frame-length bound and validates its CRC-32
+//! *incrementally* as chunks arrive (via [`crate::codec::Crc32`]), and
+//! [`read_varint_from`] keeps the raw bytes of a varint for checksums
+//! computed over serialized headers.
 //!
-//! The wire format is specified normatively in `docs/FORMATS.md` (§ "Frame
-//! streams"); the split between this module and [`crate::codec`] is purely
-//! about *how* bytes arrive, never about what they mean — both paths decode
-//! identical bytes to identical logs, which the test suite pins across
-//! adversarial read-boundary splits (mid-varint, mid-frame, mid-CRC).
+//! How bytes arrive never changes what they mean: the streamed and the
+//! in-memory decoders turn identical bytes into identical logs, which the
+//! test suite pins across adversarial read-boundary splits (mid-varint,
+//! mid-frame, mid-CRC).
 
 use std::fmt;
 use std::io::{self, Read};
@@ -23,14 +24,14 @@ use jbc::wire::{self, WireError};
 use crate::codec::{self, CodecError, Crc32, MAGIC};
 use crate::log::EventLog;
 
-/// Default cap on a single frame's length (the bounded lookahead): 64 MiB,
+/// Cap on one embedded log frame's length (the bounded lookahead): 64 MiB,
 /// comfortably above any real event log and far below fleet batch sizes.
 pub const DEFAULT_MAX_FRAME_LEN: usize = 64 << 20;
 
 /// Chunk size for filling the frame buffer from the source.
 const READ_CHUNK: usize = 8 * 1024;
 
-/// Failure while decoding a frame stream from an `io::Read` source.
+/// Failure while reading a frame from an `io::Read` source.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamError {
     /// The underlying reader failed. Clean end-of-stream at a frame
@@ -39,13 +40,6 @@ pub enum StreamError {
     Io(io::ErrorKind, String),
     /// The frame contents failed to decode.
     Codec(CodecError),
-    /// A frame declared a length above the configured bound.
-    FrameTooLarge {
-        /// The declared frame length.
-        len: usize,
-        /// The configured maximum.
-        max: usize,
-    },
 }
 
 impl fmt::Display for StreamError {
@@ -53,9 +47,6 @@ impl fmt::Display for StreamError {
         match self {
             StreamError::Io(kind, msg) => write!(f, "read failed ({kind:?}): {msg}"),
             StreamError::Codec(e) => write!(f, "{e}"),
-            StreamError::FrameTooLarge { len, max } => {
-                write!(f, "frame of {len} bytes exceeds the {max}-byte bound")
-            }
         }
     }
 }
@@ -97,9 +88,8 @@ pub fn read_full<R: Read>(src: &mut R, buf: &mut [u8]) -> Result<usize, StreamEr
 ///
 /// `Ok(None)` means clean end-of-stream exactly at the frame boundary;
 /// a partial prefix is [`CodecError::Truncated`]. This is the shared
-/// entry point of every length-prefixed framing in the system — TDRL
-/// frame streams, and the audit pipeline's TDRC control frames — so all
-/// of them classify boundary conditions identically.
+/// entry point of the audit pipeline's TDRC control frames, so every
+/// connection classifies boundary conditions identically.
 pub fn read_length_prefix<R: Read>(src: &mut R) -> Result<Option<usize>, StreamError> {
     let mut len_bytes = [0u8; 4];
     match read_full(src, &mut len_bytes)? {
@@ -133,15 +123,19 @@ pub fn read_varint_from<R: Read>(src: &mut R, raw: &mut Vec<u8>) -> Result<u64, 
 /// (cleared and reused across calls), validating the CRC-32 trailer
 /// incrementally as chunks arrive, then decode it.
 ///
-/// This is the shared frame-body reader under [`SessionStream`] and the
-/// audit pipeline's TDRB session stream: both formats carry event logs as
-/// length-prefixed frames, and both must reject corruption before
-/// structural decode regardless of how the transport splits the bytes.
+/// This is the frame-body reader under the audit pipeline's TDRB session
+/// stream, which carries each event log as a length-prefixed frame and
+/// must reject corruption before structural decode regardless of how the
+/// transport splits the bytes. A `len` above [`DEFAULT_MAX_FRAME_LEN`] is
+/// [`CodecError::LengthOverflow`], before anything is read or allocated.
 pub fn read_log_frame<R: Read>(
     src: &mut R,
     len: usize,
     buf: &mut Vec<u8>,
 ) -> Result<EventLog, StreamError> {
+    if len > DEFAULT_MAX_FRAME_LEN {
+        return Err(CodecError::LengthOverflow.into());
+    }
     // Smallest legal frame: magic + version + flags + CRC trailer.
     if len < MAGIC.len() + 4 + 4 {
         // Drain what is there so the caller's offset stays meaningful.
@@ -181,115 +175,6 @@ pub fn read_log_frame<R: Read>(
     codec::decode_payload(&buf[..len - 4]).map_err(Into::into)
 }
 
-/// Iterator over the recorded sessions of a concatenated TDRL frame stream
-/// arriving from any [`io::Read`] source.
-///
-/// One decoded [`EventLog`] is yielded per frame; at most one frame is ever
-/// resident, so memory stays bounded by the largest single session (capped
-/// at [`max_frame_len`](Self::with_max_frame_len)) no matter how large the
-/// stream is. Yields `Err` once, then stops, on the first malformed frame —
-/// identical error classification to the in-memory
-/// [`FrameReader`](crate::codec::FrameReader).
-///
-/// # Examples
-///
-/// ```
-/// use replay::codec::write_frame;
-/// use replay::stream::SessionStream;
-/// use replay::EventLog;
-///
-/// let mut batch = Vec::new();
-/// write_frame(&mut batch, &EventLog::default());
-/// write_frame(&mut batch, &EventLog::default());
-///
-/// // Any io::Read works the same way: a file, a socket, or this slice.
-/// let logs: Vec<EventLog> = SessionStream::new(&batch[..])
-///     .collect::<Result<_, _>>()
-///     .expect("all frames decode");
-/// assert_eq!(logs.len(), 2);
-/// ```
-#[derive(Debug)]
-pub struct SessionStream<R> {
-    src: R,
-    buf: Vec<u8>,
-    max_frame_len: usize,
-    frames: u64,
-    bytes: u64,
-    failed: bool,
-}
-
-impl<R: Read> SessionStream<R> {
-    /// Stream frames from `src` with the default frame-length bound.
-    pub fn new(src: R) -> Self {
-        SessionStream {
-            src,
-            buf: Vec::new(),
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            frames: 0,
-            bytes: 0,
-            failed: false,
-        }
-    }
-
-    /// Cap the length a single frame may declare (the bounded lookahead).
-    pub fn with_max_frame_len(mut self, max: usize) -> Self {
-        self.max_frame_len = max;
-        self
-    }
-
-    /// Frames successfully decoded so far.
-    pub fn frames_decoded(&self) -> u64 {
-        self.frames
-    }
-
-    /// Bytes consumed from the source so far (length prefixes included).
-    pub fn bytes_consumed(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Unwrap the underlying reader.
-    pub fn into_inner(self) -> R {
-        self.src
-    }
-}
-
-impl<R: Read> Iterator for SessionStream<R> {
-    type Item = Result<EventLog, StreamError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        let len = match read_length_prefix(&mut self.src) {
-            Ok(None) => return None, // clean end of stream
-            Ok(Some(len)) => len,
-            Err(e) => {
-                self.failed = true;
-                return Some(Err(e));
-            }
-        };
-        self.bytes += 4;
-        if len > self.max_frame_len {
-            self.failed = true;
-            return Some(Err(StreamError::FrameTooLarge {
-                len,
-                max: self.max_frame_len,
-            }));
-        }
-        match read_log_frame(&mut self.src, len, &mut self.buf) {
-            Ok(log) => {
-                self.frames += 1;
-                self.bytes += len as u64;
-                Some(Ok(log))
-            }
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
 /// Wraps a reader so each `read` call returns at most `chunk` bytes.
 ///
 /// Real transports hand decoders arbitrary split points — a TCP segment can
@@ -323,7 +208,6 @@ impl<R: Read> Read for ChunkReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{write_frame, FrameReader};
     use crate::log::PacketRecord;
     use jbc::crc::crc32;
 
@@ -350,35 +234,60 @@ mod tests {
         }
     }
 
-    fn batch_bytes(n: u64) -> (Vec<EventLog>, Vec<u8>) {
+    /// `n` logs, each as one `u32 length | log` frame, concatenated.
+    fn framed(n: u64) -> (Vec<EventLog>, Vec<u8>) {
         let logs: Vec<EventLog> = (0..n).map(sample_log).collect();
         let mut buf = Vec::new();
         for log in &logs {
-            write_frame(&mut buf, log);
+            let encoded = log.encode();
+            buf.extend_from_slice(&(encoded.len() as u32).to_le_bytes());
+            buf.extend_from_slice(&encoded);
         }
         (logs, buf)
     }
 
+    /// Read frames from `src` until clean end-of-stream or the first
+    /// error: the §3 framing loop TDRB's session reader runs per session.
+    fn read_frames<R: Read>(mut src: R) -> Vec<Result<EventLog, StreamError>> {
+        let mut buf = Vec::new();
+        let mut out = Vec::new();
+        loop {
+            let item = match read_length_prefix(&mut src) {
+                Ok(None) => return out,
+                Ok(Some(len)) => read_log_frame(&mut src, len, &mut buf),
+                Err(e) => Err(e),
+            };
+            let failed = item.is_err();
+            out.push(item);
+            if failed {
+                return out;
+            }
+        }
+    }
+
     #[test]
     fn stream_matches_in_memory_reader() {
-        let (logs, buf) = batch_bytes(5);
-        let in_memory: Vec<EventLog> = FrameReader::new(&buf)
-            .collect::<Result<_, _>>()
-            .expect("in-memory decode");
-        let streamed: Vec<EventLog> = SessionStream::new(&buf[..])
+        let (logs, buf) = framed(5);
+        let streamed: Vec<EventLog> = read_frames(&buf[..])
+            .into_iter()
             .collect::<Result<_, _>>()
             .expect("streamed decode");
+        let in_memory: Vec<EventLog> = logs
+            .iter()
+            .map(|log| EventLog::decode(&log.encode()).expect("in-memory decode"))
+            .collect();
         assert_eq!(in_memory, logs);
         assert_eq!(streamed, logs);
     }
 
     #[test]
     fn stream_is_independent_of_read_chunk_size() {
-        let (logs, buf) = batch_bytes(4);
+        let (logs, buf) = framed(4);
         // chunk == 1 exercises every split point: mid-length-prefix,
         // mid-varint, mid-payload, mid-CRC.
         for chunk in [1usize, 3, 7, 64, 4096] {
-            let streamed: Vec<EventLog> = SessionStream::new(ChunkReader::new(&buf[..], chunk))
+            let streamed: Vec<EventLog> = read_frames(ChunkReader::new(&buf[..], chunk))
+                .into_iter()
                 .collect::<Result<_, _>>()
                 .unwrap_or_else(|e| panic!("chunk {chunk}: {e}"));
             assert_eq!(streamed, logs, "chunk size {chunk}");
@@ -398,12 +307,13 @@ mod tests {
 
     #[test]
     fn empty_source_yields_nothing() {
-        assert!(SessionStream::new(&[][..]).next().is_none());
+        assert_eq!(read_length_prefix(&mut &[][..]), Ok(None));
+        assert!(read_frames(&[][..]).is_empty());
     }
 
     #[test]
     fn truncation_mid_prefix_mid_frame_and_mid_crc_rejected() {
-        let (_, buf) = batch_bytes(2);
+        let (_, buf) = framed(2);
         let first_frame_len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
         // Mid length prefix (of each frame), mid frame body, and inside the
         // final CRC trailer.
@@ -413,25 +323,25 @@ mod tests {
             4 + first_frame_len + 2,
             buf.len() - 2,
         ] {
-            let mut s = SessionStream::new(ChunkReader::new(&buf[..cut], 3));
-            let err = loop {
-                match s.next() {
-                    Some(Ok(_)) => continue,
-                    Some(Err(e)) => break e,
-                    None => panic!("cut at {cut} must error"),
-                }
-            };
+            let items = read_frames(ChunkReader::new(&buf[..cut], 3));
+            let err = items
+                .last()
+                .and_then(|item| item.clone().err())
+                .unwrap_or_else(|| panic!("cut at {cut} must error"));
             assert_eq!(err, StreamError::Codec(CodecError::Truncated), "cut {cut}");
-            assert!(s.next().is_none(), "iteration stops after failure");
+            assert!(
+                items[..items.len() - 1].iter().all(Result::is_ok),
+                "cut {cut}: only the last frame fails"
+            );
         }
     }
 
     #[test]
     fn corruption_rejected_by_incremental_crc() {
-        let (_, mut buf) = batch_bytes(2);
+        let (_, mut buf) = framed(2);
         let mid = buf.len() / 2;
         buf[mid] ^= 0x10;
-        let results: Vec<_> = SessionStream::new(&buf[..]).collect();
+        let results = read_frames(&buf[..]);
         assert!(
             results
                 .iter()
@@ -448,10 +358,7 @@ mod tests {
         let n = encoded.len();
         let crc = crc32(&encoded[4..n - 4]);
         encoded[n - 4..].copy_from_slice(&crc.to_le_bytes());
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(encoded.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&encoded);
-        let got = SessionStream::new(&buf[..]).next().expect("one item");
+        let got = read_log_frame(&mut &encoded[..], n, &mut Vec::new());
         assert_eq!(
             got,
             Err(StreamError::Codec(CodecError::UnsupportedVersion(42)))
@@ -460,29 +367,12 @@ mod tests {
 
     #[test]
     fn oversized_frame_rejected_without_allocation() {
+        let src = [0u8; 32];
         let mut buf = Vec::new();
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        buf.extend_from_slice(&[0u8; 32]);
-        let mut s = SessionStream::new(&buf[..]).with_max_frame_len(1 << 16);
-        match s.next() {
-            Some(Err(StreamError::FrameTooLarge { len, max })) => {
-                assert_eq!(len, u32::MAX as usize);
-                assert_eq!(max, 1 << 16);
-            }
-            other => panic!("expected FrameTooLarge, got {other:?}"),
-        }
-        assert!(s.next().is_none());
-    }
-
-    #[test]
-    fn counters_track_progress() {
-        let (_, buf) = batch_bytes(3);
-        let mut s = SessionStream::new(&buf[..]);
-        assert_eq!(s.frames_decoded(), 0);
-        for r in s.by_ref() {
-            r.expect("decodes");
-        }
-        assert_eq!(s.frames_decoded(), 3);
-        assert_eq!(s.bytes_consumed(), buf.len() as u64);
+        let mut reader = &src[..];
+        let got = read_log_frame(&mut reader, DEFAULT_MAX_FRAME_LEN + 1, &mut buf);
+        assert_eq!(got, Err(StreamError::Codec(CodecError::LengthOverflow)));
+        assert_eq!(buf.capacity(), 0, "nothing buffered toward the declaration");
+        assert_eq!(reader.len(), src.len(), "nothing read past the prefix");
     }
 }

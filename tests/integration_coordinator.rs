@@ -352,6 +352,135 @@ fn all_backends_dead_surfaces_an_in_band_error_and_keeps_serving() {
 }
 
 // ---------------------------------------------------------------------------
+// Malformed batches: a coordinator answers what a daemon answers
+// ---------------------------------------------------------------------------
+
+/// Write `request` on `stream` and read its answer up to the first frame
+/// that is not a `Verdict`.
+fn answer(stream: &mut TcpStream, request: &ControlFrame) -> Vec<ControlFrame> {
+    request.write_to(&mut *stream).expect("send request");
+    let mut frames = Vec::new();
+    loop {
+        let frame = ControlFrame::read_from(&mut *stream)
+            .expect("response decodes")
+            .expect("answered before closing");
+        let last = !matches!(frame, ControlFrame::Verdict { .. });
+        frames.push(frame);
+        if last {
+            return frames;
+        }
+    }
+}
+
+/// A malformed batch through a two-backend coordinator is answered byte
+/// for byte as a single daemon of the same configuration answers it: the
+/// verdicts of its valid prefix, then the daemon's own decode `Error` —
+/// for v1 batches and for v2 batches on a resident reference.
+#[test]
+fn malformed_batches_get_a_single_daemons_answer_through_a_coordinator() {
+    let sanity = echo_sanity();
+    let tdrb = ingest::encode_batch(&echo_jobs(&sanity, 0..6));
+    let (records, _) = ingest::session_records(&tdrb);
+    let end_of = |k: usize| -> usize {
+        tdrb.len()
+            - records[k + 1..]
+                .iter()
+                .map(|r| r.bytes.len())
+                .sum::<usize>()
+    };
+    let corrupt_log = |k: usize| -> Vec<u8> {
+        let mut bytes = tdrb.clone();
+        bytes[end_of(k) - 10] ^= 0xff; // inside session k's log frame
+        bytes
+    };
+    let mut bad_magic = tdrb.clone();
+    bad_magic[1] = b'X';
+    // (batch, verdicts before the Error, the Error's text)
+    let malformed: [(Vec<u8>, usize, &str); 5] = [
+        (corrupt_log(3), 3, "session 3 failed to decode"),
+        (corrupt_log(0), 0, "session 0 failed to decode"),
+        (
+            tdrb[..end_of(4) - 7].to_vec(),
+            4,
+            "session 4 failed to decode",
+        ),
+        (
+            [&tdrb[..], b"junk"].concat(),
+            6,
+            "4 trailing bytes after batch",
+        ),
+        (bad_magic, 0, "bad magic"),
+    ];
+    let tdrp = sanity_tdr::jbc::container::seal(sanity.program());
+    let id = sanity_tdr::jbc::container::reference_id(sanity.program());
+
+    // Every answer, each frame as encoded on the wire.
+    let answers = |addr: std::net::SocketAddr| -> Vec<Vec<Vec<u8>>> {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let put = ControlFrame::PutReference {
+            put_id: 100,
+            tdrp: tdrp.clone(),
+        };
+        match &answer(&mut stream, &put)[..] {
+            [ControlFrame::ReferenceAck { status, .. }] => assert_eq!(*status, AckStatus::Loaded),
+            other => panic!("expected one ReferenceAck, got {other:?}"),
+        }
+        let mut all = Vec::new();
+        for (batch_id, (bytes, ..)) in malformed.iter().enumerate() {
+            for reference in [None, Some(id)] {
+                let submit = ControlFrame::SubmitBatch {
+                    batch_id: batch_id as u64,
+                    tdrb: bytes.clone(),
+                    reference,
+                };
+                let frames = answer(&mut stream, &submit);
+                all.push(frames.iter().map(ControlFrame::encode).collect());
+            }
+        }
+        Client::new(stream).shutdown().expect("shutdown ack");
+        all
+    };
+
+    let daemon = backend(&sanity, 2);
+    let from_daemon = answers(daemon.local_addr());
+    let backends: Vec<TcpDaemon> = (0..2).map(|_| backend(&sanity, 2)).collect();
+    let addrs = backends
+        .iter()
+        .map(|b| b.local_addr().to_string())
+        .collect();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let coordinator = serve_coordinator(listener, addrs).expect("coordinator starts");
+    let from_coordinator = answers(coordinator.local_addr());
+
+    for (n, (frames, through)) in from_daemon.iter().zip(&from_coordinator).enumerate() {
+        let (_, prefix, text) = &malformed[n / 2];
+        let what = format!("batch {} as v{}", n / 2, 1 + n % 2);
+        assert_eq!(
+            frames.len(),
+            prefix + 1,
+            "{what}: the valid prefix, then Error"
+        );
+        let last = ControlFrame::read_from(&mut &frames[*prefix][..]).expect("decodes");
+        match last.expect("one frame") {
+            ControlFrame::Error { message, .. } => {
+                assert!(message.contains(text), "{what}: {message}")
+            }
+            other => panic!("{what}: expected an Error, got {other:?}"),
+        }
+        assert_eq!(through, frames, "{what}: the coordinator's answer differs");
+    }
+
+    let report = coordinator.shutdown();
+    assert_eq!(report.connection_errors, 0);
+    assert_eq!(report.snapshot.counter("coord_batch_errors"), 10);
+    // The sessions of each valid prefix, v1 and v2.
+    assert_eq!(report.snapshot.counter("coord_sessions_routed"), 2 * 13);
+    for b in backends.into_iter().chain([daemon]) {
+        b.shutdown().service.shutdown();
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Control-plane fan-out: references and batteries
 // ---------------------------------------------------------------------------
 

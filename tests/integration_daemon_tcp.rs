@@ -3,7 +3,10 @@
 //! path and to in-process submission, under 1 and 4 concurrent
 //! connections; concurrent clients each get bit-identical verdicts;
 //! slow-loris and mid-frame-stall connections are isolated; and
-//! connection-level garbage never takes the daemon down.
+//! connection-level garbage never takes the daemon down. The front end's
+//! connection ledger (garbage ends one connection, finished threads are
+//! reaped, `conn_reaped == conn_accepted` after shutdown) is checked on
+//! both front ends that share it: a daemon and a two-backend coordinator.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -14,8 +17,8 @@ use std::time::Duration;
 use rand::{rngs::StdRng, SeedableRng};
 use sanity_tdr::audit_pipeline::{ingest, AuditVerdict, FleetSummary};
 use sanity_tdr::{
-    serve_tcp, serve_tcp_with, AuditConfig, AuditJob, Client, ControlFrame, DaemonOptions, Sanity,
-    Source, TcpDaemon,
+    serve_coordinator, serve_tcp, serve_tcp_with, AuditConfig, AuditJob, Client, ControlFrame,
+    Coordinator, DaemonOptions, MetricsSnapshot, Sanity, Source, TcpDaemon,
 };
 
 #[path = "torture_common.rs"]
@@ -31,6 +34,90 @@ fn tcp_daemon(sanity: &Sanity, workers: usize, high_water: usize) -> TcpDaemon {
         .expect("valid service configuration");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     serve_tcp(service, listener).expect("daemon starts")
+}
+
+/// The two TCP front ends that share the connection ledger: a daemon,
+/// and a coordinator over two daemon backends.
+enum Front {
+    Daemon(TcpDaemon),
+    Coordinator(Coordinator, Vec<TcpDaemon>),
+}
+
+impl Front {
+    /// A daemon and a two-backend coordinator, every daemon built like
+    /// [`tcp_daemon`].
+    fn both(sanity: &Sanity, workers: usize, high_water: usize) -> [Front; 2] {
+        let backends: Vec<TcpDaemon> = (0..2)
+            .map(|_| tcp_daemon(sanity, workers, high_water))
+            .collect();
+        let addrs = backends
+            .iter()
+            .map(|b| b.local_addr().to_string())
+            .collect();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+        let coordinator = serve_coordinator(listener, addrs).expect("coordinator starts");
+        [
+            Front::Daemon(tcp_daemon(sanity, workers, high_water)),
+            Front::Coordinator(coordinator, backends),
+        ]
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            Front::Daemon(_) => "daemon",
+            Front::Coordinator(..) => "coordinator",
+        }
+    }
+
+    fn local_addr(&self) -> SocketAddr {
+        match self {
+            Front::Daemon(daemon) => daemon.local_addr(),
+            Front::Coordinator(coordinator, _) => coordinator.local_addr(),
+        }
+    }
+
+    /// The front end's live metrics.
+    fn snapshot(&self) -> MetricsSnapshot {
+        match self {
+            Front::Daemon(daemon) => daemon.service().metrics_snapshot(),
+            Front::Coordinator(coordinator, _) => coordinator.metrics_snapshot(),
+        }
+    }
+
+    /// Shut the front end (and a coordinator's backends) down; its final
+    /// metrics.
+    fn shutdown(self) -> MetricsSnapshot {
+        match self {
+            Front::Daemon(daemon) => {
+                let report = daemon.shutdown();
+                assert_eq!(
+                    report.connections_accepted,
+                    report.snapshot.counter("conn_accepted")
+                );
+                assert_eq!(
+                    report.connection_errors,
+                    report.snapshot.counter("conn_errors")
+                );
+                report.service.shutdown();
+                report.snapshot
+            }
+            Front::Coordinator(coordinator, backends) => {
+                let report = coordinator.shutdown();
+                assert_eq!(
+                    report.connections_accepted,
+                    report.snapshot.counter("conn_accepted")
+                );
+                assert_eq!(
+                    report.connection_errors,
+                    report.snapshot.counter("conn_errors")
+                );
+                for backend in backends {
+                    backend.shutdown().service.shutdown();
+                }
+                report.snapshot
+            }
+        }
+    }
 }
 
 /// Write `request` to a fresh connection, then read the response stream
@@ -569,7 +656,9 @@ fn slow_loris_and_mid_frame_stalls_are_isolated_per_connection() {
 /// Seeded mutations of a request stream thrown at raw TCP connections:
 /// each connection's outcome (in-band service vs typed connection error)
 /// must match `AuditService::serve` over the same bytes in memory, and
-/// the daemon must keep serving throughout.
+/// the front end must keep serving throughout. The daemon and a
+/// two-backend coordinator take the same connections: garbage ends only
+/// its own connection, adding one to `conn_errors` as it closes.
 #[test]
 fn connection_level_garbage_never_kills_the_daemon() {
     let sanity = echo_sanity();
@@ -599,51 +688,71 @@ fn connection_level_garbage_never_kills_the_daemon() {
         .workers(1)
         .build()
         .expect("valid service configuration");
-
-    let daemon = tcp_daemon(&sanity, 2, 8);
-    let addr = daemon.local_addr();
-    let mut expected_errors = 0u64;
     const CONNS: u64 = 20;
     let mut rng = StdRng::seed_from_u64(0x07d5_e7c9);
-    for _seed in 0..CONNS {
-        let mutated = mutate(&mut rng, &request);
-        if oracle.serve(&mutated[..], std::io::sink()).is_err() {
-            expected_errors += 1;
-        }
-        let mut conn = TcpStream::connect(addr).expect("connect");
-        // The daemon may error and close mid-write; that only this
-        // connection cares about.
-        let _ = conn.write_all(&mutated);
-        let _ = conn.shutdown(Shutdown::Write); // deliver EOF like the oracle
-        let mut sink = Vec::new();
-        let _ = conn.read_to_end(&mut sink); // drain until the daemon closes
-    }
+    let mutated: Vec<(Vec<u8>, bool)> = (0..CONNS)
+        .map(|_| {
+            let mutated = mutate(&mut rng, &request);
+            let errors = oracle.serve(&mutated[..], std::io::sink()).is_err();
+            (mutated, errors)
+        })
+        .collect();
     oracle.shutdown();
 
-    // Still serving, verdicts still bit-identical.
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut client = Client::new(stream);
-    let outcome = client.submit_batch(42, bytes).expect("protocol clean");
-    assert_eq!(outcome.verdicts, expected.verdicts);
-    assert_eq!(
-        outcome.result.expect("batch audits").summary,
-        expected.summary
-    );
-    client.shutdown().expect("ack");
+    for front in Front::both(&sanity, 2, 8) {
+        let name = front.name();
+        let addr = front.local_addr();
+        let mut expected_errors = 0u64;
+        for (seed, (mutated, errors)) in mutated.iter().enumerate() {
+            let mut conn = TcpStream::connect(addr).expect("connect");
+            // The front end may error and close mid-write; that only this
+            // connection cares about.
+            let _ = conn.write_all(mutated);
+            let _ = conn.shutdown(Shutdown::Write); // deliver EOF like the oracle
+            let mut sink = Vec::new();
+            let _ = conn.read_to_end(&mut sink); // drain until the front end closes
+                                                 // The front end counts a connection's error before it closes
+                                                 // the socket, so the live tally is exact here.
+            expected_errors += u64::from(*errors);
+            assert_eq!(
+                front.snapshot().counter("conn_errors"),
+                expected_errors,
+                "{name}: connection {seed} matches the in-memory serve oracle"
+            );
+        }
 
-    let report = daemon.shutdown();
-    assert_eq!(report.connections_accepted, CONNS + 1);
-    assert_eq!(
-        report.connection_errors, expected_errors,
-        "every connection's outcome matches the in-memory serve oracle"
-    );
-    assert_eq!(report.connections_shed, 0, "no cap, nothing shed");
-    assert_eq!(
-        report.snapshot.counter("conn_reaped"),
-        report.connections_accepted,
-        "thread ledger unbalanced: every connection thread must be joined exactly once"
-    );
-    report.service.shutdown();
+        // Still serving, verdicts still bit-identical.
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut client = Client::new(stream);
+        let outcome = client
+            .submit_batch(42, bytes.clone())
+            .expect("protocol clean");
+        assert_eq!(outcome.verdicts, expected.verdicts, "{name}");
+        assert_eq!(
+            outcome.result.expect("batch audits").summary,
+            expected.summary,
+            "{name}"
+        );
+        client.shutdown().expect("ack");
+
+        let snapshot = front.shutdown();
+        assert_eq!(snapshot.counter("conn_accepted"), CONNS + 1, "{name}");
+        assert_eq!(
+            snapshot.counter("conn_errors"),
+            expected_errors,
+            "{name}: every connection's outcome matches the in-memory serve oracle"
+        );
+        assert_eq!(
+            snapshot.counter("conn_shed"),
+            0,
+            "{name}: no cap, nothing shed"
+        );
+        assert_eq!(
+            snapshot.counter("conn_reaped"),
+            snapshot.counter("conn_accepted"),
+            "{name}: thread ledger unbalanced: every connection thread must be joined exactly once"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -792,48 +901,49 @@ fn over_cap_connections_are_shed_with_a_typed_busy_frame() {
 // Thread-ledger hygiene: finished connections are reaped without new accepts
 // ---------------------------------------------------------------------------
 
-/// Regression: a daemon that stops receiving connects must not hold a
+/// Regression: a front end that stops receiving connects must not hold a
 /// handle for every connection it ever served until the next accept.
 /// Each exiting connection thread reaps its finished predecessors, so
 /// after N sequential connections end, at most the last one to finish
 /// stays unreaped (a thread cannot join itself) — observable on the live
-/// `conn_reaped` counter with zero further accepts.
+/// `conn_reaped` counter with zero further accepts. Checked on a daemon
+/// and on a two-backend coordinator.
 #[test]
 fn idle_daemon_reaps_finished_connection_threads_without_new_accepts() {
     const CONNS: u64 = 4;
     let sanity = echo_sanity();
-    let daemon = tcp_daemon(&sanity, 2, 1);
-    let addr = daemon.local_addr();
-
-    for _ in 0..CONNS {
-        let client = Client::new(TcpStream::connect(addr).expect("connect"));
-        client.shutdown().expect("shutdown ack");
-    }
-
-    // The serve threads finish asynchronously after the Shutdown acks;
-    // each one's exit-path reap joins every predecessor that already
-    // finished. Poll the live counter — no connects happen here.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        let reaped = daemon.service().metrics_snapshot().counter("conn_reaped");
-        assert!(reaped <= CONNS, "a thread was joined twice");
-        if reaped >= CONNS - 1 {
-            break;
+    for front in Front::both(&sanity, 2, 1) {
+        let name = front.name();
+        let addr = front.local_addr();
+        for _ in 0..CONNS {
+            let client = Client::new(TcpStream::connect(addr).expect("connect"));
+            client.shutdown().expect("shutdown ack");
         }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "idle daemon kept {} of {CONNS} finished connection threads unreaped",
-            CONNS - reaped
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
 
-    let report = daemon.shutdown();
-    assert_eq!(report.connections_accepted, CONNS);
-    assert_eq!(
-        report.snapshot.counter("conn_reaped"),
-        CONNS,
-        "shutdown joins the remainder exactly once"
-    );
-    report.service.shutdown();
+        // The serve threads finish asynchronously after the Shutdown acks;
+        // each one's exit-path reap joins every predecessor that already
+        // finished. Poll the live counter — no connects happen here.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let reaped = front.snapshot().counter("conn_reaped");
+            assert!(reaped <= CONNS, "{name}: a thread was joined twice");
+            if reaped >= CONNS - 1 {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{name}: idle front end kept {} of {CONNS} finished connection threads unreaped",
+                CONNS - reaped
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+
+        let snapshot = front.shutdown();
+        assert_eq!(snapshot.counter("conn_accepted"), CONNS, "{name}");
+        assert_eq!(
+            snapshot.counter("conn_reaped"),
+            CONNS,
+            "{name}: shutdown joins the remainder exactly once"
+        );
+    }
 }

@@ -1,7 +1,7 @@
 //! Protocol torture suite: seeded random corruption of every wire format.
 //!
-//! Takes pinned-good TDRC control frames, TDRL frame streams, and TDRB
-//! batches, applies ~1k seeded random mutations — bit flips, truncations,
+//! Takes pinned-good TDRC control frames, TDRL logs, and TDRB batches,
+//! applies ~1k seeded random mutations — bit flips, truncations,
 //! length-prefix inflation, duplicated and interleaved frames, byte-span
 //! rewrites — and requires that **every** mutation either decodes to
 //! something self-consistent (re-encode → re-decode identical) or fails
@@ -21,8 +21,7 @@ use sanity_tdr::audit_pipeline::control::DEFAULT_MAX_CONTROL_FRAME;
 use sanity_tdr::audit_pipeline::service::duplex;
 use sanity_tdr::audit_pipeline::{ingest, AuditVerdict, BatchStream, FleetSummary};
 use sanity_tdr::jbc::{container, crc::crc32};
-use sanity_tdr::replay::codec::write_frame;
-use sanity_tdr::replay::{EventLog, PacketRecord, SessionStream};
+use sanity_tdr::replay::{EventLog, PacketRecord};
 use sanity_tdr::{
     AckStatus, AuditConfig, AuditJob, BusyScope, Client, ControlError, ControlFrame,
     DetectorBattery, MetricsSnapshot, ReferenceId,
@@ -59,15 +58,6 @@ fn sample_log(salt: u64) -> EventLog {
         final_cycles: 987_654 + salt,
         final_wall_ps: 7_777_777 + salt as u128,
     }
-}
-
-/// Concatenated TDRL frames.
-fn tdrl_corpus() -> Vec<u8> {
-    let mut buf = Vec::new();
-    for salt in 0..3 {
-        write_frame(&mut buf, &sample_log(salt));
-    }
-    buf
 }
 
 /// One TDRB batch of synthetic sessions.
@@ -540,20 +530,17 @@ fn tdrp_containers_survive_a_hundred_seeded_mutations() {
 
 #[test]
 fn tdrl_survives_a_thousand_seeded_mutations() {
-    let base = tdrl_corpus();
-    sweep("TDRL", &base, 350, |bytes| {
-        for item in SessionStream::new(bytes) {
-            match item {
-                Ok(log) => {
-                    // Self-consistency: the decoded log re-encodes and
-                    // re-decodes identically.
-                    let re = log.encode();
-                    assert_eq!(EventLog::decode(&re).expect("re-decodes"), log);
-                }
-                Err(_typed) => break, // a typed StreamError
+    for salt in 0..3 {
+        let base = sample_log(salt).encode();
+        sweep(&format!("TDRL log {salt}"), &base, 350, |bytes| {
+            // A typed CodecError, or a log that re-encodes and re-decodes
+            // identically.
+            if let Ok(log) = EventLog::decode(bytes) {
+                let re = log.encode();
+                assert_eq!(EventLog::decode(&re).expect("re-decodes"), log);
             }
-        }
-    });
+        });
+    }
 }
 
 #[test]
