@@ -129,16 +129,16 @@ impl CoordMetrics {
     }
 }
 
-/// The coordinator's per-connection handler: the backend address list and
-/// the metric set every connection thread shares.
+/// Everything a connection thread needs, and the coordinator's
+/// per-connection handler: the backend address list and the metric set.
 #[derive(Debug)]
-struct Router {
+struct CoordShared {
     backends: Vec<String>,
     registry: MetricsRegistry,
     metrics: CoordMetrics,
 }
 
-impl Handler for Router {
+impl Handler for CoordShared {
     fn serve(&self, stream: &TcpStream, _conn_id: u64) -> Result<(), ControlError> {
         route_connection(self, stream)
     }
@@ -154,7 +154,7 @@ impl Handler for Router {
 #[derive(Debug)]
 pub struct Coordinator {
     front: FrontEnd,
-    router: Arc<Router>,
+    shared: Arc<CoordShared>,
 }
 
 /// What a coordinator hands back at [`Coordinator::shutdown`]: final
@@ -187,13 +187,13 @@ pub fn serve_coordinator(listener: TcpListener, backends: Vec<String>) -> io::Re
     let registry = MetricsRegistry::new();
     let metrics = CoordMetrics::new(&registry, backends.len());
     let conn = metrics.conn.clone();
-    let router = Arc::new(Router {
+    let shared = Arc::new(CoordShared {
         backends,
         registry,
         metrics,
     });
-    let front = FrontEnd::start(listener, "tdrd-coord", conn, Arc::clone(&router))?;
-    Ok(Coordinator { front, router })
+    let front = FrontEnd::start(listener, "tdrd-coord", conn, Arc::clone(&shared))?;
+    Ok(Coordinator { front, shared })
 }
 
 impl Coordinator {
@@ -205,22 +205,22 @@ impl Coordinator {
     /// The backend addresses this coordinator routes across, in shard
     /// order (`session_id mod N` indexes this slice).
     pub fn backends(&self) -> &[String] {
-        &self.router.backends
+        &self.shared.backends
     }
 
     /// Capture every coordinator metric as a deterministic, name-ordered
     /// snapshot — the payload of its [`ControlFrame::Stats`] responses.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.router.registry.snapshot()
+        self.shared.registry.snapshot()
     }
 
     /// Graceful shutdown: stop accepting, wait for every in-flight
     /// client connection to end, and return the final tallies. Backend
     /// connections close with their client connections.
     pub fn shutdown(self) -> CoordReport {
-        let Coordinator { front, router } = self;
+        let Coordinator { front, shared } = self;
         drop(front);
-        let snapshot = router.registry.snapshot();
+        let snapshot = shared.registry.snapshot();
         CoordReport {
             connections_accepted: snapshot.counter("conn_accepted"),
             connection_errors: snapshot.counter("conn_errors"),
@@ -269,8 +269,8 @@ fn classify(e: ControlError) -> ShardFail {
 
 /// Dial every backend. A backend that refuses the dial starts the
 /// connection dead (counted); submissions route around it.
-fn dial_backends(router: &Router) -> Vec<Option<Client<TcpStream>>> {
-    router
+fn dial_backends(shared: &CoordShared) -> Vec<Option<Client<TcpStream>>> {
+    shared
         .backends
         .iter()
         .enumerate()
@@ -280,8 +280,8 @@ fn dial_backends(router: &Router) -> Vec<Option<Client<TcpStream>>> {
                 Some(Client::new(stream))
             }
             Err(_) => {
-                router.metrics.backend_failures.inc();
-                router.metrics.per_backend[i].failures.inc();
+                shared.metrics.backend_failures.inc();
+                shared.metrics.per_backend[i].failures.inc();
                 None
             }
         })
@@ -348,11 +348,11 @@ fn submit_shard(
 /// backends, merge responses. Returns `Err` only for failures that end
 /// this client connection (client-side transport loss, protocol
 /// garbage); batch-scoped failures are answered in-band.
-fn route_connection(router: &Router, stream: &TcpStream) -> Result<(), ControlError> {
-    let metrics = &router.metrics;
+fn route_connection(shared: &CoordShared, stream: &TcpStream) -> Result<(), ControlError> {
+    let metrics = &shared.metrics;
     let mut reader = stream;
     let mut writer = BufWriter::new(stream);
-    let mut backends = dial_backends(router);
+    let mut backends = dial_backends(shared);
     let mut containers = Containers::new(DEFAULT_REFERENCE_BUDGET);
     loop {
         let frame = match ControlFrame::read_from(&mut reader) {
@@ -368,7 +368,7 @@ fn route_connection(router: &Router, stream: &TcpStream) -> Result<(), ControlEr
                 reference,
             } => {
                 route_batch(
-                    router,
+                    shared,
                     &mut backends,
                     &containers,
                     &mut writer,
@@ -379,7 +379,7 @@ fn route_connection(router: &Router, stream: &TcpStream) -> Result<(), ControlEr
             }
             ControlFrame::PutReference { put_id, tdrp } => {
                 metrics.reference_puts.inc();
-                let ack = fan_out_reference(router, &mut backends, put_id, &tdrp);
+                let ack = fan_out_reference(shared, &mut backends, put_id, &tdrp);
                 if let ControlFrame::ReferenceAck {
                     reference,
                     status: AckStatus::Loaded | AckStatus::AlreadyResident,
@@ -392,7 +392,7 @@ fn route_connection(router: &Router, stream: &TcpStream) -> Result<(), ControlEr
             }
             ControlFrame::PutBattery { put_id, json } => {
                 metrics.battery_puts.inc();
-                let ack = fan_out_battery(router, &mut backends, put_id, &json);
+                let ack = fan_out_battery(shared, &mut backends, put_id, &json);
                 write_frame(metrics, &mut writer, &ack)?;
             }
             ControlFrame::StatsRequest => {
@@ -400,7 +400,7 @@ fn route_connection(router: &Router, stream: &TcpStream) -> Result<(), ControlEr
                     metrics,
                     &mut writer,
                     &ControlFrame::Stats {
-                        snapshot: router.registry.snapshot(),
+                        snapshot: shared.registry.snapshot(),
                     },
                 )?;
             }
@@ -435,7 +435,7 @@ fn write_frame<W: Write>(
 /// shards on survivors, merge, and end with the `Summary` — or, for a
 /// malformed batch, the decode `Error` after its valid prefix's verdicts.
 fn route_batch<W: Write>(
-    router: &Router,
+    shared: &CoordShared,
     backends: &mut [Option<Client<TcpStream>>],
     containers: &Containers,
     writer: &mut W,
@@ -443,7 +443,7 @@ fn route_batch<W: Write>(
     tdrb: &[u8],
     reference: Option<ReferenceId>,
 ) -> Result<(), ControlError> {
-    let metrics = &router.metrics;
+    let metrics = &shared.metrics;
     metrics.batches_routed.inc();
     let (records, malformed) = ingest::session_records(tdrb);
     metrics.sessions_routed.add(records.len() as u64);
@@ -508,7 +508,7 @@ fn route_batch<W: Write>(
                     metrics.per_backend[i].failures.inc();
                     needs_retry.push(i);
                 }
-                fail => return answer_shard_fail(router, writer, batch_id, fail),
+                fail => return answer_shard_fail(shared, writer, batch_id, fail),
             },
             None => needs_retry.push(i), // backend was dead before the batch
         }
@@ -540,7 +540,7 @@ fn route_batch<W: Write>(
                         metrics.backend_failures.inc();
                         metrics.per_backend[j].failures.inc();
                     }
-                    fail => return answer_shard_fail(router, writer, batch_id, fail),
+                    fail => return answer_shard_fail(shared, writer, batch_id, fail),
                 },
             }
         }
@@ -553,7 +553,7 @@ fn route_batch<W: Write>(
                     batch_id,
                     message: format!(
                         "backend {} died mid-batch and no survivor could take its shard",
-                        router.backends[i]
+                        shared.backends[i]
                     ),
                 },
             );
@@ -638,12 +638,12 @@ fn route_batch<W: Write>(
 /// daemon would: an `Unknown` reference gets a `ReferenceAck`, refusals
 /// get an `Error` frame, protocol violations end the connection.
 fn answer_shard_fail<W: Write>(
-    router: &Router,
+    shared: &CoordShared,
     writer: &mut W,
     batch_id: u64,
     fail: ShardFail,
 ) -> Result<(), ControlError> {
-    let metrics = &router.metrics;
+    let metrics = &shared.metrics;
     match fail {
         ShardFail::Unknown(reference) => write_frame(
             metrics,
@@ -671,7 +671,7 @@ fn answer_shard_fail<W: Write>(
 /// the status is `AlreadyResident` only if every backend already held
 /// it, and `resident_bytes` sums across the fleet.
 fn fan_out_reference(
-    router: &Router,
+    shared: &CoordShared,
     backends: &mut [Option<Client<TcpStream>>],
     put_id: u64,
     tdrp: &[u8],
@@ -685,8 +685,8 @@ fn fan_out_reference(
             Ok(outcome) => acks.push(outcome),
             Err(_) => {
                 *backend = None;
-                router.metrics.backend_failures.inc();
-                router.metrics.per_backend[i].failures.inc();
+                shared.metrics.backend_failures.inc();
+                shared.metrics.per_backend[i].failures.inc();
             }
         }
     }
@@ -736,7 +736,7 @@ fn fan_out_reference(
 /// otherwise the reported generation is the **minimum** across backends
 /// — the floor every backend is guaranteed to have reached.
 fn fan_out_battery(
-    router: &Router,
+    shared: &CoordShared,
     backends: &mut [Option<Client<TcpStream>>],
     put_id: u64,
     json: &str,
@@ -750,8 +750,8 @@ fn fan_out_battery(
             Ok(outcome) => acks.push(outcome),
             Err(_) => {
                 *backend = None;
-                router.metrics.backend_failures.inc();
-                router.metrics.per_backend[i].failures.inc();
+                shared.metrics.backend_failures.inc();
+                shared.metrics.per_backend[i].failures.inc();
             }
         }
     }
