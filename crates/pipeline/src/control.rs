@@ -22,9 +22,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::iter;
 
-use jbc::crc::crc32;
+use jbc::crc::{crc32, Crc32};
 use jbc::wire::{put_bytes, put_f64, put_varint, Cursor, WireError};
 use jbc::ReferenceId;
 use replay::codec::CodecError;
@@ -546,6 +547,39 @@ impl ControlFrame {
     /// Checks run in the normative order: magic, checksum, version,
     /// flags, kind, body — and the body must consume the payload exactly.
     pub fn decode_payload(payload: &[u8]) -> Result<Self, ControlError> {
+        Self::decode_with(payload, &mut |bytes| bytes.to_vec())
+    }
+
+    /// [`decode_payload`](Self::decode_payload) of a payload this frame
+    /// may keep: the batch a `SubmitBatch` embeds, or the container a
+    /// `PutReference` does, becomes the payload buffer itself, the framing
+    /// around it cut off in place. Same checks, same order, same errors.
+    fn decode_owned(mut payload: Vec<u8>) -> Result<Self, ControlError> {
+        let base = payload.as_ptr() as usize;
+        let mut span = None;
+        let mut frame = Self::decode_with(&payload, &mut |bytes| {
+            let start = bytes.as_ptr() as usize - base;
+            span = Some(start..start + bytes.len());
+            Vec::new()
+        })?;
+        if let Some(span) = span {
+            payload.truncate(span.end);
+            payload.drain(..span.start);
+            match &mut frame {
+                ControlFrame::SubmitBatch { tdrb: bytes, .. }
+                | ControlFrame::PutReference { tdrp: bytes, .. } => *bytes = payload,
+                _ => unreachable!("only the `[bytes]` rows of the frame table embed bytes"),
+            }
+        }
+        Ok(frame)
+    }
+
+    /// The frame-level checks, then the body; `own` turns an embedded
+    /// byte string (a `[bytes]` field) into the frame's `Vec`.
+    fn decode_with(
+        payload: &[u8],
+        own: &mut dyn FnMut(&[u8]) -> Vec<u8>,
+    ) -> Result<Self, ControlError> {
         // Smallest legal frame: magic + version + flags + kind + trailer.
         if payload.len() < CONTROL_MAGIC.len() + 2 + 2 + 1 + 4 {
             return Err(ControlError::Truncated);
@@ -568,16 +602,28 @@ impl ControlFrame {
             return Err(ControlError::UnsupportedFlags(flags));
         }
         let mut body = Cursor::new(&payload[9..trailer_at]);
-        let frame = Self::get_body(payload[8], &mut body)?;
+        let frame = Self::get_body(payload[8], &mut body, own)?;
         body.finish()?;
         Ok(frame)
     }
 
-    /// Write one encoded frame to `writer`.
+    /// Write one frame to `writer`, byte for byte [`encode`](Self::encode).
+    /// A `SubmitBatch` or `PutReference` streams its embedded bytes from
+    /// where they are instead of copying them into an encoded frame.
     pub fn write_to<W: Write>(&self, writer: &mut W) -> Result<(), ControlError> {
-        writer
-            .write_all(&self.encode())
-            .map_err(ControlError::from_io)
+        match self {
+            ControlFrame::SubmitBatch {
+                batch_id,
+                tdrb,
+                reference,
+            } => write_submit_batch(writer, *batch_id, iter::once(&tdrb[..]), *reference),
+            ControlFrame::PutReference { put_id, tdrp } => {
+                write_put_reference(writer, *put_id, tdrp)
+            }
+            other => writer
+                .write_all(&other.encode())
+                .map_err(ControlError::from_io),
+        }
     }
 
     /// Read one frame from `reader` with the default length bound.
@@ -597,7 +643,10 @@ impl ControlFrame {
     /// a network-facing daemon the declared length is attacker-controlled,
     /// so the up-front `vec![0; len]` a naive reader would do is an
     /// asymmetric memory-exhaustion primitive. Bytes are read straight
-    /// into the payload, which grows as they arrive.
+    /// into the payload, which grows as they arrive toward the declared
+    /// length and never past it. A `SubmitBatch`'s TDRB (a
+    /// `PutReference`'s TDRP) is that payload buffer, so a frame's bytes
+    /// are held once.
     pub fn read_from_bounded<R: Read>(
         reader: &mut R,
         max_len: usize,
@@ -609,16 +658,95 @@ impl ControlFrame {
         if len > max_len {
             return Err(ControlError::FrameTooLarge { len, max: max_len });
         }
-        let mut payload = Vec::with_capacity(len.min(64 * 1024));
-        let got = reader
-            .take(len as u64)
-            .read_to_end(&mut payload)
-            .map_err(ControlError::from_io)?;
-        if got < len {
-            return Err(ControlError::Truncated);
+        let mut payload = Vec::new();
+        while payload.len() < len {
+            let want = len - payload.len();
+            payload.reserve_exact(want.min(payload.len().max(64 * 1024)));
+            let room = (payload.capacity() - payload.len()).min(want);
+            let got = reader
+                .take(room as u64)
+                .read_to_end(&mut payload)
+                .map_err(ControlError::from_io)?;
+            if got < room {
+                return Err(ControlError::Truncated);
+            }
         }
-        Self::decode_payload(&payload).map(Some)
+        Self::decode_owned(payload).map(Some)
     }
+}
+
+/// How many bytes a streamed frame gathers per write: its small pieces (the
+/// header, a shard's session records) leave in writes of about this size,
+/// a larger piece in a write of its own.
+const STREAM_CHUNK: usize = 32 * 1024;
+
+/// Write one frame shaped `varint id | varint n | n bytes | tail` from
+/// borrowed pieces, the `n` bytes being the concatenation of `parts`. The
+/// CRC is computed as the pieces go out, so the frame is never assembled;
+/// its bytes are those [`ControlFrame::encode`] gives.
+fn write_streamed<'a, W: Write>(
+    writer: &mut W,
+    kind: u8,
+    id: u64,
+    parts: impl Iterator<Item = &'a [u8]> + Clone,
+    tail: &[u8],
+) -> Result<(), ControlError> {
+    let n: usize = parts.clone().map(<[u8]>::len).sum();
+    let mut head = Vec::with_capacity(25);
+    head.extend_from_slice(&CONTROL_VERSION.to_le_bytes());
+    head.extend_from_slice(&0u16.to_le_bytes()); // flags
+    head.push(kind);
+    put_varint(&mut head, id);
+    put_varint(&mut head, n as u64);
+    let len = CONTROL_MAGIC.len() + head.len() + n + tail.len() + 4;
+    let io = ControlError::from_io;
+    let mut out = BufWriter::with_capacity(STREAM_CHUNK, writer);
+    out.write_all(&(len as u32).to_le_bytes()).map_err(io)?;
+    out.write_all(&CONTROL_MAGIC).map_err(io)?;
+    let mut crc = Crc32::new();
+    let mut checked = |bytes: &[u8]| {
+        crc.update(bytes);
+        out.write_all(bytes)
+    };
+    checked(&head).map_err(io)?;
+    for part in parts {
+        checked(part).map_err(io)?;
+    }
+    checked(tail).map_err(io)?;
+    out.write_all(&crc.value().to_le_bytes()).map_err(io)?;
+    out.into_inner().map(drop).map_err(|e| io(e.into_error()))
+}
+
+/// Write a `SubmitBatch` whose TDRB is the concatenation of `tdrb`: one
+/// slice, or a TDRB header then session records taken from other batches.
+pub(crate) fn write_submit_batch<'a, W: Write>(
+    writer: &mut W,
+    batch_id: u64,
+    tdrb: impl Iterator<Item = &'a [u8]> + Clone,
+    reference: Option<ReferenceId>,
+) -> Result<(), ControlError> {
+    let kind = ControlFrame::SubmitBatch {
+        batch_id,
+        tdrb: Vec::new(),
+        reference,
+    }
+    .kind_byte();
+    let tail = reference.as_ref().map_or(&[][..], |id| &id.0[..]);
+    write_streamed(writer, kind, batch_id, tdrb, tail)
+}
+
+/// Write a `PutReference` carrying the borrowed container `tdrp`.
+pub(crate) fn write_put_reference<W: Write>(
+    writer: &mut W,
+    put_id: u64,
+    tdrp: &[u8],
+) -> Result<(), ControlError> {
+    let kind = ControlFrame::PutReference {
+        put_id,
+        tdrp: Vec::new(),
+    }
+    .kind_byte();
+    write_streamed(writer, kind, put_id, iter::once(tdrp), &[])
 }
 
 // ---------------------------------------------------------------------------
@@ -691,17 +819,6 @@ impl Field for String {
     }
     fn get(r: &mut Cursor<'_>) -> Result<Self, ControlError> {
         String::from_utf8(r.bytes()?.to_vec()).map_err(|_| ControlError::BadUtf8)
-    }
-}
-
-/// Varint length, then the bytes verbatim (an embedded TDRB or TDRP).
-impl Field for Vec<u8> {
-    const MIN: usize = 1;
-    fn put(&self, out: &mut Vec<u8>) {
-        put_bytes(out, self);
-    }
-    fn get(r: &mut Cursor<'_>) -> Result<Self, ControlError> {
-        Ok(r.bytes()?.to_vec())
     }
 }
 
@@ -880,10 +997,13 @@ impl Split for Option<ReferenceId> {
 // A field's wire rule. Plain fields are a `Field`; `[split]` is a
 // `Split`; `[..= n]` bounds a sequence's count by an earlier field `n`
 // as well as by the body; `[= len]` sends no count, exactly `len`
-// elements.
+// elements; `[bytes]` is a byte string the decoder may own in place.
 macro_rules! put_head {
     ($v:ident, $out:ident, split) => {
         Split::put_head($v, $out)
+    };
+    ($v:ident, $out:ident, bytes) => {
+        put_bytes($out, $v)
     };
     ($v:ident, $out:ident, = $len:expr) => {
         put_each($v, $out)
@@ -910,6 +1030,16 @@ macro_rules! get_head {
     };
     ($r:ident, $t:ty, = $len:expr) => {
         get_exactly($r, $len)?
+    };
+}
+/// A frame-table field's decoder: a `[bytes]` field hands its bytes to
+/// the caller's `own`, which copies them or takes the payload instead.
+macro_rules! get_field {
+    ($r:ident, $own:ident, $t:ty, bytes) => {
+        $own($r.bytes()?)
+    };
+    ($r:ident, $own:ident, $t:ty $(, $($rule:tt)+)?) => {
+        get_head!($r, $t $(, $($rule)+)?)
     };
 }
 macro_rules! get_tail {
@@ -983,10 +1113,14 @@ macro_rules! control_frames {
                 }
             }
 
-            fn get_body(kind: u8, r: &mut Cursor<'_>) -> Result<Self, ControlError> {
+            fn get_body(
+                kind: u8,
+                r: &mut Cursor<'_>,
+                own: &mut dyn FnMut(&[u8]) -> Vec<u8>,
+            ) -> Result<Self, ControlError> {
                 Ok(match kind {
                     $($kind => {
-                        $(let $f = get_head!(r, $t $(, $($rule)+)?);)*
+                        $(let $f = get_field!(r, own, $t $(, $($rule)+)?);)*
                         $(get_tail!(r, $t, $f $(, $($rule)+)?);)*
                         ControlFrame::$name { $($f),* }
                     })+
@@ -998,7 +1132,7 @@ macro_rules! control_frames {
 }
 
 control_frames! {
-    0x01 SubmitBatch { batch_id: u64, tdrb: Vec<u8>, reference: Option<ReferenceId> [split] }
+    0x01 SubmitBatch { batch_id: u64, tdrb: Vec<u8> [bytes], reference: Option<ReferenceId> [split] }
     0x02 Verdict { batch_id: u64, index: u64, verdict: AuditVerdict }
     0x03 Summary { batch_id: u64, workers: u64, peak_resident: u64, summary: FleetSummary }
     0x04 Error { batch_id: u64, message: String }
@@ -1007,7 +1141,7 @@ control_frames! {
     0x07 StatsRequest {}
     0x08 Stats { snapshot: MetricsSnapshot }
     0x09 Busy { batch_id: u64, scope: BusyScope, active: u64, limit: u64 }
-    0x0a PutReference { put_id: u64, tdrp: Vec<u8> }
+    0x0a PutReference { put_id: u64, tdrp: Vec<u8> [bytes] }
     0x0b ReferenceAck { put_id: u64, reference: ReferenceId, status: AckStatus [split], resident_bytes: u64 }
     0x0c PutBattery { put_id: u64, json: String }
     0x0d BatteryAck { put_id: u64, generation: u64, status: AckStatus [split] }
@@ -1084,18 +1218,27 @@ pub struct BatchOutcome {
 /// the TCP tests), an in-memory [`duplex`](crate::service::duplex) end,
 /// or anything else that moves bytes.
 ///
+/// Requests are written straight from the caller's bytes, with no encoded
+/// copy of the frame. Replies are read through an internal buffer, so a
+/// burst of verdict frames costs one read of the transport, not two per
+/// frame. Those reads stay within one exchange: a peer speaks only to
+/// answer a request and its answer ends with the exchange's last frame,
+/// so nothing is left buffered at an exchange boundary.
+///
 /// Decoded verdicts are **bit-identical** to the ones the service
 /// produced — the wire encoding round-trips IEEE-754 bits, pinned by the
 /// integration suite against in-process submission.
 #[derive(Debug)]
 pub struct Client<T: Read + Write> {
-    transport: T,
+    transport: BufReader<T>,
 }
 
 impl<T: Read + Write> Client<T> {
     /// Wrap a connected transport.
     pub fn new(transport: T) -> Self {
-        Client { transport }
+        Client {
+            transport: BufReader::new(transport),
+        }
     }
 
     /// Submit one TDRB batch and block until its terminating frame.
@@ -1125,7 +1268,7 @@ impl<T: Read + Write> Client<T> {
         tdrb: Vec<u8>,
         reference: ReferenceId,
     ) -> Result<BatchOutcome, ControlError> {
-        self.submit_batch_inner(batch_id, tdrb, Some(reference), |_, _| {})
+        self.collect(batch_id, &tdrb, Some(reference), None, |_, _| {})
     }
 
     /// [`submit_batch_for`](Self::submit_batch_for) with the bounded
@@ -1146,16 +1289,66 @@ impl<T: Read + Write> Client<T> {
         reference: ReferenceId,
         tdrp: &[u8],
     ) -> Result<BatchOutcome, ControlError> {
-        // Encoded once: the rare resubmission writes the same bytes again.
-        let frame = ControlFrame::SubmitBatch {
+        self.collect(batch_id, &tdrb, Some(reference), Some(tdrp), |_, _| {})
+    }
+
+    /// [`submit_batch`](Self::submit_batch), invoking `on_verdict` for
+    /// each verdict frame as it arrives (before it is collected) — the
+    /// pull-streaming hook daemon clients use for live progress.
+    pub fn submit_batch_with(
+        &mut self,
+        batch_id: u64,
+        tdrb: Vec<u8>,
+        on_verdict: impl FnMut(u64, &AuditVerdict),
+    ) -> Result<BatchOutcome, ControlError> {
+        self.collect(batch_id, &tdrb, None, None, on_verdict)
+    }
+
+    /// One submission whose verdicts are collected into a
+    /// [`BatchOutcome`], each shown to `on_verdict` first.
+    fn collect(
+        &mut self,
+        batch_id: u64,
+        tdrb: &[u8],
+        reference: Option<ReferenceId>,
+        reput: Option<&[u8]>,
+        mut on_verdict: impl FnMut(u64, &AuditVerdict),
+    ) -> Result<BatchOutcome, ControlError> {
+        let mut verdicts = Vec::new();
+        let tdrb = iter::once(tdrb);
+        let result = self.submit_parts(batch_id, tdrb, reference, reput, |index, verdict| {
+            on_verdict(index, &verdict);
+            verdicts.push(verdict);
+        })?;
+        Ok(BatchOutcome {
             batch_id,
-            tdrb,
-            reference: Some(reference),
-        }
-        .encode();
-        match self.exchange(batch_id, &frame, |_, _| {}) {
+            verdicts,
+            result,
+        })
+    }
+
+    /// Submit a batch whose TDRB is the concatenation of `tdrb` (one slice,
+    /// or a TDRB header then session records) and hand each verdict, by
+    /// value and in order, to `on_verdict`. Returns the terminating frame:
+    /// the summary, or the in-band error message. With `reput`, an
+    /// `Unknown` answer re-puts that container and resubmits once, as
+    /// [`submit_batch_reput`](Self::submit_batch_reput) does; the frame is
+    /// streamed again from `tdrb`.
+    pub(crate) fn submit_parts<'a>(
+        &mut self,
+        batch_id: u64,
+        tdrb: impl Iterator<Item = &'a [u8]> + Clone,
+        reference: Option<ReferenceId>,
+        reput: Option<&[u8]>,
+        mut on_verdict: impl FnMut(u64, AuditVerdict),
+    ) -> Result<Result<BatchSummary, String>, ControlError> {
+        let first = self.exchange(batch_id, tdrb.clone(), reference, &mut on_verdict);
+        let (Some(tdrp), Some(reference)) = (reput, reference) else {
+            return first;
+        };
+        match first {
             Err(ControlError::UnknownReference(id)) if id == reference => {
-                let put = self.put_reference(batch_id, tdrp.to_vec())?;
+                let put = self.put_reference_from(batch_id, tdrp)?;
                 match put.status {
                     AckStatus::Loaded | AckStatus::AlreadyResident
                         if put.reference == reference => {}
@@ -1168,7 +1361,7 @@ impl<T: Read + Write> Client<T> {
                         ))
                     }
                 }
-                match self.exchange(batch_id, &frame, |_, _| {}) {
+                match self.exchange(batch_id, tdrb, Some(reference), &mut on_verdict) {
                     Err(ControlError::UnknownReference(id)) if id == reference => {
                         Err(ControlError::ReferenceThrash(reference))
                     }
@@ -1179,47 +1372,20 @@ impl<T: Read + Write> Client<T> {
         }
     }
 
-    /// [`submit_batch`](Self::submit_batch), invoking `on_verdict` for
-    /// each verdict frame as it arrives (before it is collected) — the
-    /// pull-streaming hook daemon clients use for live progress.
-    pub fn submit_batch_with(
+    /// One batch exchange: stream the `SubmitBatch` frame and read
+    /// `Verdict*` then the terminating frame. A refusal (`Busy`, an
+    /// `Unknown` reference) answers in place of any verdict.
+    fn exchange<'a>(
         &mut self,
         batch_id: u64,
-        tdrb: Vec<u8>,
-        on_verdict: impl FnMut(u64, &AuditVerdict),
-    ) -> Result<BatchOutcome, ControlError> {
-        self.submit_batch_inner(batch_id, tdrb, None, on_verdict)
-    }
-
-    fn submit_batch_inner(
-        &mut self,
-        batch_id: u64,
-        tdrb: Vec<u8>,
+        tdrb: impl Iterator<Item = &'a [u8]> + Clone,
         reference: Option<ReferenceId>,
-        on_verdict: impl FnMut(u64, &AuditVerdict),
-    ) -> Result<BatchOutcome, ControlError> {
-        let frame = ControlFrame::SubmitBatch {
-            batch_id,
-            tdrb,
-            reference,
-        }
-        .encode();
-        self.exchange(batch_id, &frame, on_verdict)
-    }
-
-    /// One batch exchange: write the encoded `SubmitBatch` `frame` and
-    /// read `Verdict*` then the terminating frame.
-    fn exchange(
-        &mut self,
-        batch_id: u64,
-        frame: &[u8],
-        mut on_verdict: impl FnMut(u64, &AuditVerdict),
-    ) -> Result<BatchOutcome, ControlError> {
-        self.transport
-            .write_all(frame)
-            .map_err(ControlError::from_io)?;
-        self.transport.flush().map_err(ControlError::from_io)?;
-        let mut verdicts: Vec<AuditVerdict> = Vec::new();
+        on_verdict: &mut impl FnMut(u64, AuditVerdict),
+    ) -> Result<Result<BatchSummary, String>, ControlError> {
+        let transport = self.transport.get_mut();
+        write_submit_batch(transport, batch_id, tdrb, reference)?;
+        transport.flush().map_err(ControlError::from_io)?;
+        let mut next = 0u64;
         loop {
             let frame =
                 ControlFrame::read_from(&mut self.transport)?.ok_or(ControlError::Disconnected)?;
@@ -1232,11 +1398,11 @@ impl<T: Read + Write> Client<T> {
                     if got != batch_id {
                         return Err(ControlError::UnexpectedFrame("Verdict (foreign batch id)"));
                     }
-                    if index != verdicts.len() as u64 {
+                    if index != next {
                         return Err(ControlError::UnexpectedFrame("Verdict (out of order)"));
                     }
-                    on_verdict(index, &verdict);
-                    verdicts.push(verdict);
+                    on_verdict(index, verdict);
+                    next += 1;
                 }
                 ControlFrame::Summary {
                     batch_id: got,
@@ -1247,15 +1413,11 @@ impl<T: Read + Write> Client<T> {
                     if got != batch_id {
                         return Err(ControlError::UnexpectedFrame("Summary (foreign batch id)"));
                     }
-                    return Ok(BatchOutcome {
-                        batch_id,
-                        verdicts,
-                        result: Ok(BatchSummary {
-                            workers,
-                            peak_resident,
-                            summary,
-                        }),
-                    });
+                    return Ok(Ok(BatchSummary {
+                        workers,
+                        peak_resident,
+                        summary,
+                    }));
                 }
                 ControlFrame::Error {
                     batch_id: got,
@@ -1264,11 +1426,7 @@ impl<T: Read + Write> Client<T> {
                     if got != batch_id {
                         return Err(ControlError::UnexpectedFrame("Error (foreign batch id)"));
                     }
-                    return Ok(BatchOutcome {
-                        batch_id,
-                        verdicts,
-                        result: Err(message),
-                    });
+                    return Ok(Err(message));
                 }
                 ControlFrame::Busy {
                     batch_id: got,
@@ -1299,10 +1457,16 @@ impl<T: Read + Write> Client<T> {
                 } => {
                     // The daemon refused the submission in-band: the
                     // named reference is not registered. `put_id` echoes
-                    // the batch id here (§5, "ReferenceAck").
+                    // the batch id here (§5, "ReferenceAck"), and the
+                    // refusal comes instead of any verdict.
                     if got != batch_id {
                         return Err(ControlError::UnexpectedFrame(
                             "ReferenceAck (foreign batch id)",
+                        ));
+                    }
+                    if next > 0 {
+                        return Err(ControlError::UnexpectedFrame(
+                            "ReferenceAck (after verdicts)",
                         ));
                     }
                     return Err(ControlError::UnknownReference(reference));
@@ -1324,8 +1488,18 @@ impl<T: Read + Write> Client<T> {
         put_id: u64,
         tdrp: Vec<u8>,
     ) -> Result<PutOutcome, ControlError> {
+        self.put_reference_from(put_id, &tdrp)
+    }
+
+    /// [`put_reference`](Self::put_reference) streaming a borrowed
+    /// container.
+    pub(crate) fn put_reference_from(
+        &mut self,
+        put_id: u64,
+        tdrp: &[u8],
+    ) -> Result<PutOutcome, ControlError> {
         self.request(
-            ControlFrame::PutReference { put_id, tdrp },
+            |transport| write_put_reference(transport, put_id, tdrp),
             |reply| match reply {
                 ControlFrame::ReferenceAck {
                     put_id: got,
@@ -1360,7 +1534,7 @@ impl<T: Read + Write> Client<T> {
         json: String,
     ) -> Result<BatteryOutcome, ControlError> {
         self.request(
-            ControlFrame::PutBattery { put_id, json },
+            |transport| ControlFrame::PutBattery { put_id, json }.write_to(transport),
             |reply| match reply {
                 ControlFrame::BatteryAck {
                     put_id: got,
@@ -1380,38 +1554,48 @@ impl<T: Read + Write> Client<T> {
     /// on the same connection; the snapshot covers the whole *service*
     /// (every connection's traffic), not just this client's.
     pub fn stats(&mut self) -> Result<MetricsSnapshot, ControlError> {
-        self.request(ControlFrame::StatsRequest, |reply| match reply {
-            ControlFrame::Stats { snapshot } => Ok(snapshot),
-            other => Err(unexpected(other)),
-        })
+        self.request(
+            |transport| ControlFrame::StatsRequest.write_to(transport),
+            |reply| match reply {
+                ControlFrame::Stats { snapshot } => Ok(snapshot),
+                other => Err(unexpected(other)),
+            },
+        )
     }
 
     /// Perform the `Shutdown`/`ShutdownAck` handshake and consume the
     /// client (over TCP this ends the *connection*; the daemon keeps
     /// serving other connections — `docs/FORMATS.md` §5.4).
     pub fn shutdown(mut self) -> Result<T, ControlError> {
-        self.request(ControlFrame::Shutdown, |reply| match reply {
-            ControlFrame::ShutdownAck => Ok(()),
-            other => Err(unexpected(other)),
-        })?;
-        Ok(self.transport)
+        self.request(
+            |transport| ControlFrame::Shutdown.write_to(transport),
+            |reply| match reply {
+                ControlFrame::ShutdownAck => Ok(()),
+                other => Err(unexpected(other)),
+            },
+        )?;
+        Ok(self.into_inner())
     }
 
-    /// One request, one reply: write and flush `request`, read one frame,
-    /// and hand it to `accept`. EOF before any reply is `Disconnected`.
+    /// One request, one reply: `send` the request and flush it, read one
+    /// frame, and hand it to `accept`. EOF before any reply is
+    /// `Disconnected`.
     fn request<R>(
         &mut self,
-        request: ControlFrame,
+        send: impl FnOnce(&mut T) -> Result<(), ControlError>,
         accept: impl FnOnce(ControlFrame) -> Result<R, ControlError>,
     ) -> Result<R, ControlError> {
-        request.write_to(&mut self.transport)?;
-        self.transport.flush().map_err(ControlError::from_io)?;
+        let transport = self.transport.get_mut();
+        send(transport)?;
+        transport.flush().map_err(ControlError::from_io)?;
         accept(ControlFrame::read_from(&mut self.transport)?.ok_or(ControlError::Disconnected)?)
     }
 
-    /// Unwrap the transport without the shutdown handshake.
+    /// Unwrap the transport without the shutdown handshake. Between
+    /// exchanges the client has buffered nothing (see the type's docs), so
+    /// no reply byte is lost with the buffer.
     pub fn into_inner(self) -> T {
-        self.transport
+        self.transport.into_inner()
     }
 }
 
@@ -2486,5 +2670,132 @@ mod tests {
         );
         let client = Client::new(Scripted::new(&[]));
         assert_eq!(client.shutdown().err(), Some(ControlError::Disconnected));
+    }
+
+    /// A [`Scripted`] peer that counts the client's reads of it.
+    struct CountingReads {
+        peer: Scripted,
+        reads: usize,
+    }
+
+    impl Read for CountingReads {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            self.peer.read(buf)
+        }
+    }
+
+    impl Write for CountingReads {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.peer.write(buf)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The verdict frames of a 64-session exchange and its summary.
+    fn answer_of_64(batch_id: u64) -> Vec<ControlFrame> {
+        let mut frames: Vec<ControlFrame> = (0..64)
+            .map(|index| ControlFrame::Verdict {
+                batch_id,
+                index,
+                verdict: sample_verdict(),
+            })
+            .collect();
+        frames.push(ControlFrame::Summary {
+            batch_id,
+            workers: 1,
+            peak_resident: 1,
+            summary: sample_summary(),
+        });
+        frames
+    }
+
+    #[test]
+    fn client_reads_a_burst_of_replies_at_once() {
+        let peer = CountingReads {
+            peer: Scripted::new(&answer_of_64(9)),
+            reads: 0,
+        };
+        let mut client = Client::new(peer);
+        let outcome = client
+            .submit_batch(9, vec![1, 2, 3])
+            .expect("protocol clean");
+        assert_eq!(outcome.verdicts.len(), 64);
+        let reads = client.into_inner().reads;
+        assert!(reads <= 4, "65 frames took {reads} reads");
+    }
+
+    #[test]
+    fn client_completes_when_every_reply_byte_arrives_alone() {
+        let (near, far) = crate::service::duplex();
+        let peer = std::thread::spawn(move || {
+            let request = ControlFrame::read_from(&mut &far)
+                .expect("decodes")
+                .expect("one request");
+            for frame in answer_of_64(4) {
+                for byte in frame.encode() {
+                    (&far).write_all(&[byte]).expect("client end open");
+                }
+            }
+            request
+        });
+        let outcome = Client::new(&near)
+            .submit_batch(4, vec![7; 10])
+            .expect("protocol clean");
+        assert_eq!(outcome.verdicts, vec![sample_verdict(); 64]);
+        assert_eq!(outcome.result.map(|s| s.summary), Ok(sample_summary()));
+        assert_eq!(
+            peer.join().expect("peer thread"),
+            ControlFrame::SubmitBatch {
+                batch_id: 4,
+                tdrb: vec![7; 10],
+                reference: None,
+            }
+        );
+    }
+
+    /// Takes at most one byte per `write()`.
+    struct OneByteWrites(Vec<u8>);
+
+    impl Write for OneByteWrites {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.extend(buf.first());
+            Ok(buf.len().min(1))
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A shard written from a TDRB header and session records borrowed
+    /// from another batch, one byte per write, is the frame `encode()`
+    /// gives for the assembled shard.
+    #[test]
+    fn a_streamed_shard_is_byte_identical_to_its_encoding() {
+        let jobs: Vec<crate::AuditJob> = (0..5u64)
+            .map(|id| crate::AuditJob {
+                session_id: id,
+                log: replay::EventLog::default(),
+                observed_ipds: vec![300 + id, 310, 290],
+            })
+            .collect();
+        let batch = crate::ingest::encode_batch(&jobs);
+        let (records, error) = crate::ingest::session_records(&batch);
+        assert_eq!(error, None);
+        let odd: Vec<&[u8]> = records.iter().skip(1).step_by(2).map(|r| r.bytes).collect();
+        let header = crate::ingest::batch_header(odd.len());
+        for reference in [None, Some(sample_reference_id())] {
+            let parts = iter::once(&header[..]).chain(odd.iter().copied());
+            let mut out = OneByteWrites(Vec::new());
+            write_submit_batch(&mut out, 3, parts.clone(), reference).expect("written");
+            let whole = ControlFrame::SubmitBatch {
+                batch_id: 3,
+                tdrb: parts.flatten().copied().collect(),
+                reference,
+            };
+            assert_eq!(out.0, whole.encode(), "reference {reference:?}");
+        }
     }
 }

@@ -17,10 +17,18 @@
 //! daemon's own decoder ([`crate::ingest::session_records`], a
 //! [`crate::BatchStream`] walk) and keeps only each valid session's id
 //! and bytes: TDRB sessions are self-contained, so each backend's shard
-//! is a fresh TDRB header plus the client's session bytes, verbatim, built
-//! once per batch ([`crate::ingest::shard_batch`]). A malformed batch is
-//! answered as a daemon answers it: the verdicts of its valid prefix,
-//! routed like any batch, then the decode `Error` the daemon would send.
+//! is a fresh TDRB header plus the client's session records, verbatim,
+//! streamed from the one copy of the batch the coordinator holds — the
+//! payload of the frame it read. A malformed batch is answered as a
+//! daemon answers it: the verdicts of its valid prefix, routed like any
+//! batch, then the decode `Error` the daemon would send.
+//!
+//! Verdicts are forwarded, not buffered: one reader thread per backend
+//! passes each verdict on as it is decoded, and the connection thread
+//! writes verdict `index` as soon as every lower index is out, in the
+//! daemon's 1 ms bursts. Nothing is released before every backend asked
+//! has answered once, so a refusal — always a backend's first frame —
+//! still reaches the client before any verdict.
 //!
 //! ## Why the merge can promise byte-identity
 //!
@@ -44,14 +52,15 @@
 //! ## Failure handling
 //!
 //! A backend that dies mid-batch (dial failure, disconnect, truncated
-//! frame) surfaces as a typed [`ControlError`] inside the coordinator;
-//! the dead backend's shard — and only that shard — is resubmitted to a
-//! survivor (bounded: each surviving backend is tried at most once).
-//! Partial verdicts from the dead backend are discarded wholesale, so
-//! the retried shard cannot double-report a session. With no survivors
-//! left the client receives an in-band [`ControlFrame::Error`] naming
-//! the dead backend; the coordinator — like a daemon refusing one batch
-//! — keeps serving.
+//! frame) surfaces as a typed [`ControlError`] inside the coordinator.
+//! The verdicts it already delivered stand — verdicts are
+//! deterministic, so a survivor could only repeat their bytes — and
+//! only its unanswered sessions are resubmitted, to the first idle
+//! survivor (bounded: each death removes a backend). No session is
+//! answered twice. With no survivors left the client receives an
+//! in-band [`ControlFrame::Error`] naming the dead backend, after any
+//! verdicts already released; the coordinator — like a daemon refusing
+//! one batch — keeps serving.
 //!
 //! ## Fleet-consistent batteries
 //!
@@ -64,18 +73,22 @@
 
 use std::collections::VecDeque;
 use std::io::{self, BufWriter, Write};
+use std::iter;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::thread;
+use std::time::Instant;
 
 use jbc::ReferenceId;
 
 use crate::control::{
-    AckStatus, BatchOutcome, BatteryOutcome, Client, ControlError, ControlFrame, PutOutcome,
+    AckStatus, BatchSummary, BatteryOutcome, Client, ControlError, ControlFrame, PutOutcome,
 };
 use crate::ingest::{self, SessionRecord};
 use crate::net::{ConnMetrics, FrontEnd, Handler};
 use crate::obs::{Counter, MetricsRegistry, MetricsSnapshot};
 use crate::registry::DEFAULT_REFERENCE_BUDGET;
+use crate::service::hold;
 use crate::verdict::{AuditVerdict, FleetSummary};
 
 /// Per-backend routing tallies, all exported through the Stats plane as
@@ -229,24 +242,17 @@ impl Coordinator {
     }
 }
 
-/// One shard's routing state: the original submission indexes of the
-/// sessions destined for one backend, and their TDRB.
-struct Shard {
-    indexes: Vec<usize>,
-    tdrb: Vec<u8>,
-}
-
 /// How a shard submission failed, classified for the routing policy.
 enum ShardFail {
     /// The backend is gone (dial/transport failure): mark it dead and
-    /// retry the shard on a survivor.
+    /// send its unanswered sessions to a survivor.
     Dead(ControlError),
     /// The backend does not hold the named reference — answered to the
     /// client in-band as an `Unknown` ack, exactly like a single daemon.
     Unknown(ReferenceId),
     /// A refusal that travels to the client as an in-band `Error` frame
-    /// (reference thrash, a backend quota, a backend-side batch error);
-    /// the connection keeps serving.
+    /// (reference thrash, a backend quota, a backend-side batch error, no
+    /// survivor); the connection keeps serving.
     InBand(String),
     /// A protocol violation on the backend link — fatal to this client
     /// connection, like protocol garbage on a daemon connection.
@@ -323,27 +329,6 @@ impl Containers {
     }
 }
 
-/// Submit one shard to one backend. When the batch names a registered
-/// reference and this connection still holds its container, the bounded
-/// re-put helper covers an eviction race on the backend; otherwise a
-/// backend's `Unknown` goes back to the client, which re-puts (§5.7).
-fn submit_shard(
-    client: &mut Client<TcpStream>,
-    batch_id: u64,
-    tdrb: &[u8],
-    reference: Option<ReferenceId>,
-    containers: &Containers,
-) -> Result<BatchOutcome, ControlError> {
-    let tdrb = tdrb.to_vec();
-    match reference {
-        None => client.submit_batch(batch_id, tdrb),
-        Some(id) => match containers.get(id) {
-            Some(tdrp) => client.submit_batch_reput(batch_id, tdrb, id, tdrp),
-            None => client.submit_batch_for(batch_id, tdrb, id),
-        },
-    }
-}
-
 /// The per-connection router loop: read client frames, fan out to the
 /// backends, merge responses. Returns `Err` only for failures that end
 /// this client connection (client-side transport loss, protocol
@@ -367,15 +352,12 @@ fn route_connection(shared: &CoordShared, stream: &TcpStream) -> Result<(), Cont
                 tdrb,
                 reference,
             } => {
-                route_batch(
-                    shared,
-                    &mut backends,
-                    &containers,
-                    &mut writer,
-                    batch_id,
-                    &tdrb,
+                let batch = Batch {
+                    id: batch_id,
                     reference,
-                )?;
+                    reput: reference.and_then(|id| containers.get(id)),
+                };
+                route_batch(shared, &mut backends, &mut writer, &batch, &tdrb)?;
             }
             ControlFrame::PutReference { put_id, tdrp } => {
                 metrics.reference_puts.inc();
@@ -429,214 +411,354 @@ fn write_frame<W: Write>(
     Ok(())
 }
 
+/// What every shard of one client batch is submitted with: the client's
+/// batch id and reference, and the container for the bounded re-put
+/// when this connection still holds it (otherwise a backend's `Unknown`
+/// goes back to the client, which re-puts, §5.7).
+#[derive(Clone, Copy)]
+struct Batch<'a> {
+    id: u64,
+    reference: Option<ReferenceId>,
+    reput: Option<&'a [u8]>,
+}
+
+/// A backend reader's report to the connection thread.
+enum Event {
+    /// The next verdict of backend `i`'s submission, in shard order.
+    Verdict(usize, AuditVerdict),
+    /// Backend `i`'s submission ended, with its terminating frame or how
+    /// the exchange failed; the backend's client comes back with it.
+    Done(usize, Box<(Client<TcpStream>, ExchangeEnd)>),
+}
+
+/// How one shard exchange ended: the backend's summary or in-band error
+/// message, or the failure that cut it short.
+type ExchangeEnd = Result<Result<BatchSummary, String>, ControlError>;
+
+/// The sessions one backend was asked to audit: their submission indexes,
+/// in shard order, and how many verdicts it has sent back.
+struct Asked<'s> {
+    indexes: &'s [usize],
+    answered: usize,
+}
+
+/// Start one submission on a reader thread of its own: stream the shard
+/// of `indexes` to backend `i` straight from the client's `records`, pass
+/// each verdict on as it is decoded, then hand the client back with how
+/// the exchange ended, waking the connection thread.
+fn submit<'scope, 'env>(
+    scope: &'scope thread::Scope<'scope, 'env>,
+    tx: &mpsc::Sender<Event>,
+    i: usize,
+    mut client: Client<TcpStream>,
+    batch: &Batch<'env>,
+    records: &'env [SessionRecord<'env>],
+    indexes: &'env [usize],
+) {
+    let (tx, connection, batch) = (tx.clone(), thread::current(), *batch);
+    scope.spawn(move || {
+        let header = ingest::batch_header(indexes.len());
+        let sessions = indexes.iter().map(|&k| records[k].bytes);
+        let shard = iter::once(&header[..]).chain(sessions);
+        let end = client.submit_parts(batch.id, shard, batch.reference, batch.reput, |_, v| {
+            let _ = tx.send(Event::Verdict(i, v));
+        });
+        let _ = tx.send(Event::Done(i, Box::new((client, end))));
+        connection.unpark();
+    });
+}
+
+/// One routed batch in flight: what each backend was asked and has
+/// answered, the sessions waiting for a survivor, and the verdicts on
+/// their way to the client.
+struct Routing<'a, W: Write> {
+    shared: &'a CoordShared,
+    writer: &'a mut W,
+    batch_id: u64,
+    /// Each verdict, held once, in its submission-index slot: it goes out
+    /// once every lower index has, and stays for the summary.
+    verdicts: Vec<Option<AuditVerdict>>,
+    /// Verdicts written so far: the slots below this index.
+    released: usize,
+    /// By backend: the submission it is serving, if any.
+    asked: Vec<Option<Asked<'a>>>,
+    /// Sessions whose backend died before answering them, with that
+    /// backend's position, waiting for an idle survivor. Each is the
+    /// tail of a submission, so of a shard.
+    orphans: VecDeque<(usize, &'a [usize])>,
+    /// What ends the batch short of its summary, first come.
+    failure: Option<ShardFail>,
+    /// Nothing is released before every submission has answered once: a
+    /// refusal is always a backend's first frame, so it still reaches the
+    /// client with no verdict before it.
+    gate: bool,
+    workers: u64,
+    peak_resident: u64,
+}
+
+impl<W: Write> Routing<'_, W> {
+    /// Take one reader's report.
+    fn handle(&mut self, event: Event, backends: &mut [Option<Client<TcpStream>>]) {
+        let metrics = &self.shared.metrics;
+        match event {
+            Event::Verdict(i, verdict) => {
+                let asked = self.asked[i]
+                    .as_mut()
+                    .expect("a verdict answers a submission");
+                if let (Some(&index), None) = (asked.indexes.get(asked.answered), &self.failure) {
+                    self.verdicts[index] = Some(verdict);
+                }
+                asked.answered += 1;
+            }
+            Event::Done(i, done) => {
+                let (client, end) = *done;
+                let Asked { indexes, answered } =
+                    self.asked[i].take().expect("an end answers a submission");
+                let miscounted = || {
+                    ShardFail::InBand(format!(
+                        "backend returned {answered} verdicts for a {}-session shard",
+                        indexes.len()
+                    ))
+                };
+                match end {
+                    _ if answered > indexes.len() => {
+                        self.failure.get_or_insert_with(miscounted);
+                    }
+                    Ok(Ok(summary)) if answered == indexes.len() => {
+                        metrics.per_backend[i].batches.inc();
+                        metrics.per_backend[i].sessions.add(indexes.len() as u64);
+                        self.workers += summary.workers;
+                        self.peak_resident = self.peak_resident.max(summary.peak_resident);
+                        backends[i] = Some(client);
+                    }
+                    Ok(Ok(_)) => {
+                        self.failure.get_or_insert_with(miscounted);
+                        backends[i] = Some(client);
+                    }
+                    // A backend-side batch error: every shard session
+                    // passed the daemon's own decoder here, so it is not
+                    // input; relay it.
+                    Ok(Err(message)) => {
+                        self.failure.get_or_insert(ShardFail::InBand(message));
+                        backends[i] = Some(client);
+                    }
+                    Err(e) => match classify(e) {
+                        // Its verdicts so far stand: verdicts are
+                        // deterministic, so a survivor could only repeat
+                        // them. Only the rest moves.
+                        ShardFail::Dead(_) => {
+                            metrics.backend_failures.inc();
+                            metrics.per_backend[i].failures.inc();
+                            if answered < indexes.len() {
+                                self.orphans.push_back((i, &indexes[answered..]));
+                            }
+                        }
+                        fail => {
+                            self.failure.get_or_insert(fail);
+                            backends[i] = Some(client);
+                        }
+                    },
+                }
+            }
+        }
+    }
+
+    /// Whether a burst must end at once: the batch is complete, or a dead
+    /// backend's sessions wait for a survivor.
+    fn urgent(&self) -> bool {
+        !self.orphans.is_empty() || self.asked.iter().all(Option::is_none)
+    }
+
+    /// End a burst: once the gate is open, write every verdict whose
+    /// lower indexes are all out, and flush them together.
+    fn end_burst(&mut self) -> Result<(), ControlError> {
+        self.gate = self.gate
+            || (self.orphans.is_empty() && self.asked.iter().flatten().all(|a| a.answered > 0));
+        if !self.gate || self.failure.is_some() {
+            return Ok(());
+        }
+        let from = self.released;
+        while let Some(slot) = self.verdicts.get_mut(self.released) {
+            let Some(verdict) = slot.take() else { break };
+            let frame = ControlFrame::Verdict {
+                batch_id: self.batch_id,
+                index: self.released as u64,
+                verdict,
+            };
+            frame.write_to(self.writer)?;
+            self.shared.metrics.frames_out.inc();
+            let ControlFrame::Verdict { verdict, .. } = frame else {
+                unreachable!("built as a Verdict frame above");
+            };
+            *slot = Some(verdict);
+            self.released += 1;
+        }
+        if self.released > from {
+            self.writer.flush().map_err(ControlError::from_io)?;
+        }
+        Ok(())
+    }
+}
+
 /// Route one `SubmitBatch` and answer it as a daemon would: validate it
 /// with the daemon's decoder, shard its valid sessions by
-/// `session_id mod N`, submit shards in parallel, retry dead backends'
-/// shards on survivors, merge, and end with the `Summary` — or, for a
-/// malformed batch, the decode `Error` after its valid prefix's verdicts.
+/// `session_id mod N`, stream each shard to its backend straight from the
+/// client's bytes, release each verdict as soon as every lower index is
+/// out, send a dead backend's unanswered sessions to a survivor, and end
+/// with the `Summary` — or, for a malformed batch, the decode `Error`
+/// after its valid prefix's verdicts.
 fn route_batch<W: Write>(
     shared: &CoordShared,
     backends: &mut [Option<Client<TcpStream>>],
-    containers: &Containers,
     writer: &mut W,
-    batch_id: u64,
+    batch: &Batch<'_>,
     tdrb: &[u8],
-    reference: Option<ReferenceId>,
 ) -> Result<(), ControlError> {
     let metrics = &shared.metrics;
     metrics.batches_routed.inc();
     let (records, malformed) = ingest::session_records(tdrb);
     metrics.sessions_routed.add(records.len() as u64);
     let n = backends.len();
-    let mut picks: Vec<(Vec<usize>, Vec<SessionRecord>)> = vec![(Vec::new(), Vec::new()); n];
-    for (index, record) in records.into_iter().enumerate() {
-        let (indexes, sessions) = &mut picks[(record.session_id % n as u64) as usize];
-        indexes.push(index);
-        sessions.push(record);
+    let mut shards: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (index, record) in records.iter().enumerate() {
+        shards[(record.session_id % n as u64) as usize].push(index);
     }
-    let shards: Vec<Shard> = picks
-        .into_iter()
-        .map(|(indexes, sessions)| Shard {
-            indexes,
-            tdrb: ingest::shard_batch(&sessions),
-        })
-        .collect();
+    let mut routing = Routing {
+        shared,
+        writer,
+        batch_id: batch.id,
+        verdicts: (0..records.len()).map(|_| None).collect(),
+        released: 0,
+        asked: (0..n).map(|_| None).collect(),
+        orphans: VecDeque::new(),
+        failure: None,
+        gate: false,
+        workers: 0,
+        peak_resident: 0,
+    };
+    let (tx, rx) = mpsc::channel();
 
-    // Parallel fan-out: every live backend serves its shard at once, so
-    // coordinator latency is the slowest shard, not the sum.
-    let mut results: Vec<Option<Result<BatchOutcome, ControlError>>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    std::thread::scope(|scope| {
-        for ((backend, shard), slot) in backends.iter_mut().zip(&shards).zip(results.iter_mut()) {
-            if shard.indexes.is_empty() {
+    thread::scope(|scope| -> Result<(), ControlError> {
+        let submit = |i, indexes, client| submit(scope, &tx, i, client, batch, &records, indexes);
+        for (i, indexes) in shards.iter().enumerate() {
+            if indexes.is_empty() {
                 continue;
             }
-            let Some(client) = backend.as_mut() else {
-                continue; // already dead: handled by the retry pass
-            };
-            scope.spawn(move || {
-                *slot = Some(submit_shard(
-                    client,
-                    batch_id,
-                    &shard.tdrb,
-                    reference,
-                    containers,
-                ));
-            });
-        }
-    });
-
-    // Collect, marking dead backends and queueing their shards.
-    let mut outcomes: Vec<Option<BatchOutcome>> = (0..n).map(|_| None).collect();
-    let mut needs_retry: Vec<usize> = Vec::new();
-    for i in 0..n {
-        if shards[i].indexes.is_empty() {
-            continue;
-        }
-        match results[i].take() {
-            Some(Ok(outcome)) => {
-                metrics.per_backend[i].batches.inc();
-                metrics.per_backend[i]
-                    .sessions
-                    .add(shards[i].indexes.len() as u64);
-                outcomes[i] = Some(outcome);
-            }
-            Some(Err(e)) => match classify(e) {
-                ShardFail::Dead(_) => {
-                    backends[i] = None;
-                    metrics.backend_failures.inc();
-                    metrics.per_backend[i].failures.inc();
-                    needs_retry.push(i);
+            match backends[i].take() {
+                Some(client) => {
+                    submit(i, indexes, client);
+                    routing.asked[i] = Some(Asked {
+                        indexes,
+                        answered: 0,
+                    });
                 }
-                fail => return answer_shard_fail(shared, writer, batch_id, fail),
-            },
-            None => needs_retry.push(i), // backend was dead before the batch
+                None => routing.orphans.push_back((i, indexes)), // dead before the batch
+            }
         }
-    }
-
-    // Bounded retry: each dead backend's shard moves, whole, to the
-    // first survivor that takes it. Partial verdicts from the dead
-    // backend were discarded above, so no session can double-report.
-    for i in needs_retry {
-        let mut served = false;
-        for (j, backend) in backends.iter_mut().enumerate() {
-            let Some(client) = backend.as_mut() else {
-                continue;
-            };
-            metrics.retries.inc();
-            match submit_shard(client, batch_id, &shards[i].tdrb, reference, containers) {
-                Ok(outcome) => {
-                    metrics.per_backend[j].batches.inc();
-                    metrics.per_backend[j]
-                        .sessions
-                        .add(shards[i].indexes.len() as u64);
-                    outcomes[i] = Some(outcome);
-                    served = true;
+        loop {
+            // Orphaned sessions go to the first idle survivor; each death
+            // takes a backend out, so this ends within N submissions.
+            while routing.failure.is_none() && !routing.orphans.is_empty() {
+                let Some(j) = backends.iter().position(Option::is_some) else {
                     break;
+                };
+                let (_, indexes) = routing.orphans.pop_front().expect("an orphan");
+                metrics.retries.inc();
+                submit(j, indexes, backends[j].take().expect("idle"));
+                routing.asked[j] = Some(Asked {
+                    indexes,
+                    answered: 0,
+                });
+            }
+            if routing.asked.iter().all(Option::is_none) {
+                if let Some(&(dead, _)) = routing.orphans.front() {
+                    routing.failure.get_or_insert_with(|| {
+                        ShardFail::InBand(format!(
+                            "backend {} died mid-batch and no survivor could take its shard",
+                            shared.backends[dead]
+                        ))
+                    });
                 }
-                Err(e) => match classify(e) {
-                    ShardFail::Dead(_) => {
-                        *backend = None;
-                        metrics.backend_failures.inc();
-                        metrics.per_backend[j].failures.inc();
-                    }
-                    fail => return answer_shard_fail(shared, writer, batch_id, fail),
-                },
+                return Ok(());
             }
+            // Block for a burst's first report, then gather reports for
+            // the rest of the window — a reader's send does not wake this
+            // thread while it is parked, only a finished submission does —
+            // and write what they release with one flush, as a daemon
+            // does (`docs/FORMATS.md` §5.1).
+            let mut event = Some(rx.recv().expect("a submission in flight holds a sender"));
+            let opened = Instant::now();
+            loop {
+                while let Some(report) = event.take().or_else(|| rx.try_recv().ok()) {
+                    routing.handle(report, backends);
+                }
+                match hold(opened, Instant::now(), routing.urgent()) {
+                    Some(rest) => thread::park_timeout(rest),
+                    None => break,
+                }
+            }
+            routing.end_burst()?;
         }
-        if !served {
-            metrics.batch_errors.inc();
-            return write_frame(
-                metrics,
-                writer,
-                &ControlFrame::Error {
-                    batch_id,
-                    message: format!(
-                        "backend {} died mid-batch and no survivor could take its shard",
-                        shared.backends[i]
-                    ),
-                },
-            );
-        }
-    }
+    })?;
 
-    // Merge: reunite the shard outcomes under the original submission
-    // indexes and re-derive the summary from the union — the pure
-    // order-insensitive aggregation the module docs lean on.
-    let mut indexed: Vec<(usize, AuditVerdict)> = Vec::new();
-    let mut workers = 0u64;
-    let mut peak_resident = 0u64;
-    for (i, slot) in outcomes.into_iter().enumerate() {
-        let Some(outcome) = slot else { continue };
-        match outcome.result {
-            Ok(summary) => {
-                workers += summary.workers;
-                peak_resident = peak_resident.max(summary.peak_resident);
-            }
-            Err(message) => {
-                // The backend audited the shard and reported an in-band
-                // batch error; relay it (every shard session passed the
-                // daemon's own decoder here, so this is a backend-side
-                // failure, not input).
-                metrics.batch_errors.inc();
-                return write_frame(metrics, writer, &ControlFrame::Error { batch_id, message });
-            }
+    let Routing {
+        writer,
+        verdicts,
+        released,
+        failure,
+        workers,
+        peak_resident,
+        ..
+    } = routing;
+    let last = match (failure, malformed) {
+        // Nothing released yet: answered exactly as before any verdict.
+        (Some(fail), _) if released == 0 => {
+            return answer_shard_fail(shared, writer, batch.id, fail)
         }
-        if outcome.verdicts.len() != shards[i].indexes.len() {
-            metrics.batch_errors.inc();
-            return write_frame(
-                metrics,
-                writer,
-                &ControlFrame::Error {
-                    batch_id,
-                    message: format!(
-                        "backend returned {} verdicts for a {}-session shard",
-                        outcome.verdicts.len(),
-                        shards[i].indexes.len()
-                    ),
-                },
-            );
-        }
-        indexed.extend(shards[i].indexes.iter().copied().zip(outcome.verdicts));
-    }
-    indexed.sort_by_key(|&(index, _)| index);
-    // Each verdict moves into its frame and, once written, into the list
-    // the summary is computed from: one copy per verdict.
-    let mut verdicts = Vec::with_capacity(indexed.len());
-    for (index, verdict) in indexed {
-        let frame = ControlFrame::Verdict {
-            batch_id,
-            index: index as u64,
-            verdict,
-        };
-        frame.write_to(writer)?;
-        metrics.frames_out.inc();
-        let ControlFrame::Verdict { verdict, .. } = frame else {
-            unreachable!("built as a Verdict frame above");
-        };
-        verdicts.push(verdict);
-    }
-    let last = match malformed {
-        Some(e) => {
+        // A failure after verdicts went out ends the batch with an
+        // `Error` after them, as a daemon's aborted batch does (§5.1).
+        (Some(ShardFail::Fatal(e) | ShardFail::Dead(e)), _) => return Err(e),
+        (Some(ShardFail::Unknown(id)), _) => {
             metrics.batch_errors.inc();
             ControlFrame::Error {
-                batch_id,
+                batch_id: batch.id,
+                message: ControlError::UnknownReference(id).to_string(),
+            }
+        }
+        (Some(ShardFail::InBand(message)), _) => {
+            metrics.batch_errors.inc();
+            ControlFrame::Error {
+                batch_id: batch.id,
+                message,
+            }
+        }
+        (None, Some(e)) => {
+            metrics.batch_errors.inc();
+            ControlFrame::Error {
+                batch_id: batch.id,
                 message: e.to_string(),
             }
         }
-        None => ControlFrame::Summary {
-            batch_id,
-            workers,
-            peak_resident,
-            summary: FleetSummary::from_verdicts(&verdicts),
-        },
+        (None, None) => {
+            // In place: the slots become the list the summary reads.
+            let verdicts: Vec<AuditVerdict> = verdicts
+                .into_iter()
+                .map(|v| v.expect("every session answered"))
+                .collect();
+            ControlFrame::Summary {
+                batch_id: batch.id,
+                workers,
+                peak_resident,
+                summary: FleetSummary::from_verdicts(&verdicts),
+            }
+        }
     };
     write_frame(metrics, writer, &last)
 }
 
-/// Answer a non-retryable shard failure in-band, exactly as a single
-/// daemon would: an `Unknown` reference gets a `ReferenceAck`, refusals
-/// get an `Error` frame, protocol violations end the connection.
+/// Answer a shard failure before any verdict went out, exactly as a
+/// single daemon would: an `Unknown` reference gets a `ReferenceAck`,
+/// refusals get an `Error` frame, protocol violations end the connection.
 fn answer_shard_fail<W: Write>(
     shared: &CoordShared,
     writer: &mut W,
@@ -661,8 +783,7 @@ fn answer_shard_fail<W: Write>(
             metrics.batch_errors.inc();
             write_frame(metrics, writer, &ControlFrame::Error { batch_id, message })
         }
-        ShardFail::Fatal(e) => Err(e),
-        ShardFail::Dead(e) => Err(e), // unreachable by construction
+        ShardFail::Fatal(e) | ShardFail::Dead(e) => Err(e),
     }
 }
 
@@ -681,7 +802,7 @@ fn fan_out_reference(
         let Some(client) = backend.as_mut() else {
             continue;
         };
-        match client.put_reference(put_id, tdrp.to_vec()) {
+        match client.put_reference_from(put_id, tdrp) {
             Ok(outcome) => acks.push(outcome),
             Err(_) => {
                 *backend = None;

@@ -158,16 +158,14 @@ pub fn session_records(tdrb: &[u8]) -> (Vec<SessionRecord<'_>>, Option<IngestErr
     }
 }
 
-/// Build a batch from session records taken verbatim from other batches
-/// (a coordinator's per-backend shard). Each record is self-contained, so
-/// the result equals [`encode_batch`] of the records' decoded jobs.
-pub fn shard_batch(sessions: &[SessionRecord<'_>]) -> Vec<u8> {
-    let body: usize = sessions.iter().map(|s| s.bytes.len()).sum();
-    let mut out = Vec::with_capacity(16 + body);
-    put_header(&mut out, sessions.len());
-    for session in sessions {
-        out.extend_from_slice(session.bytes);
-    }
+/// The header of a batch declaring `n_sessions` sessions. Followed by that
+/// many session records taken verbatim from other batches, it makes a
+/// batch (a coordinator's per-backend shard): each record is
+/// self-contained, so the result equals [`encode_batch`] of the records'
+/// decoded jobs.
+pub(crate) fn batch_header(n_sessions: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(18);
+    put_header(&mut out, n_sessions);
     out
 }
 
@@ -563,6 +561,15 @@ mod tests {
             Err(IngestError::UnsupportedVersion(9)) => {}
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
+    }
+
+    /// A shard as a coordinator sends it: a header, then the records.
+    fn shard_batch(records: &[SessionRecord<'_>]) -> Vec<u8> {
+        let mut out = batch_header(records.len());
+        for record in records {
+            out.extend_from_slice(record.bytes);
+        }
+        out
     }
 
     #[test]

@@ -1245,7 +1245,7 @@ const VERDICT_WINDOW: Duration = Duration::from_millis(1);
 /// How much longer the serve loop holds a burst of verdicts opened at
 /// `opened`; `None` writes it now. A burst that completes its batch
 /// (`all_in`) goes out at once, whatever is left of the window.
-fn hold(opened: Instant, now: Instant, all_in: bool) -> Option<Duration> {
+pub(crate) fn hold(opened: Instant, now: Instant, all_in: bool) -> Option<Duration> {
     if all_in {
         return None;
     }

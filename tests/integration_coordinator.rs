@@ -8,12 +8,16 @@
 //! battery (`PutBattery` fan-out) control planes. Sharding must also cut
 //! the fleet's deterministic makespan near-linearly in its size.
 
-use std::net::{TcpListener, TcpStream};
+use std::io;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use sanity_tdr::audit_pipeline::{ingest, FleetSummary};
 use sanity_tdr::{
-    serve_coordinator, serve_tcp, AckStatus, AuditConfig, AuditJob, Client, ControlError,
-    ControlFrame, DetectorBattery, Sanity, TcpDaemon,
+    serve_coordinator, serve_tcp, serve_tcp_with, AckStatus, AuditConfig, AuditJob, Client,
+    ControlError, ControlFrame, DaemonOptions, DetectorBattery, Sanity, TcpDaemon, TenantQuota,
 };
 
 #[path = "torture_common.rs"]
@@ -721,4 +725,227 @@ fn battery_writer_through_a_coordinator_matches_a_single_daemon() {
         );
         report.service.shutdown();
     }
+}
+
+// ---------------------------------------------------------------------------
+// Verdicts released as they arrive
+// ---------------------------------------------------------------------------
+
+/// What a [`relay`] does with one frame from its backend.
+enum Relayed {
+    Forward,
+    HangUp,
+}
+
+/// A relay in front of the backend at `to`, for one connection: the
+/// coordinator's bytes pass through as they come, and each frame the
+/// backend answers goes through `on_frame` first, which may block or end
+/// the connection. Returns the address to route to.
+fn relay(
+    to: SocketAddr,
+    mut on_frame: impl FnMut(&ControlFrame) -> Relayed + Send + 'static,
+) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().expect("local addr");
+    std::thread::spawn(move || {
+        let Ok((coordinator, _)) = listener.accept() else {
+            return;
+        };
+        let backend = TcpStream::connect(to).expect("dial the backend");
+        let (mut from, mut into) = (
+            coordinator.try_clone().expect("clone"),
+            backend.try_clone().expect("clone"),
+        );
+        std::thread::spawn(move || {
+            let _ = io::copy(&mut from, &mut into);
+            let _ = into.shutdown(Shutdown::Write);
+        });
+        let (mut answers, mut out) = (backend, coordinator);
+        while let Ok(Some(frame)) = ControlFrame::read_from(&mut answers) {
+            match on_frame(&frame) {
+                Relayed::Forward if frame.write_to(&mut out).is_ok() => {}
+                _ => break,
+            }
+        }
+        let _ = out.shutdown(Shutdown::Both);
+        let _ = answers.shutdown(Shutdown::Both);
+    });
+    addr
+}
+
+/// A coordinator over `addrs`, and a client connected through it. Bound
+/// in this order, a failing test drops the client first, so the
+/// coordinator's shutdown does not wait on a connection still open.
+fn through(addrs: Vec<String>) -> (sanity_tdr::Coordinator, Client<TcpStream>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let coordinator = serve_coordinator(listener, addrs).expect("coordinator starts");
+    let stream = TcpStream::connect(coordinator.local_addr()).expect("connect");
+    (coordinator, Client::new(stream))
+}
+
+/// A relay holds back the last `Verdict` of backend 1's shard, and with
+/// it the shard's `Summary`. Every verdict whose lower indexes are all
+/// answered still reaches the client before the relay lets go: the
+/// coordinator releases verdicts as they arrive instead of holding them
+/// until its slowest shard ends. The merged bytes then equal a single
+/// daemon's.
+#[test]
+fn verdicts_are_released_as_soon_as_every_lower_index_is_answered() {
+    let sanity = echo_sanity();
+    let jobs = echo_jobs(&sanity, 0..10);
+    let expected = sanity.audit_batch(&jobs, &cfg());
+    // Backend 1 audits the odd ids; its last is session 9, at index 9.
+    let held_index = 9u64;
+
+    let daemons: Vec<TcpDaemon> = (0..2).map(|_| backend(&sanity, 2)).collect();
+    let (let_go, held) = mpsc::channel::<()>();
+    let released = Arc::new(AtomicBool::new(false));
+    let relay_released = Arc::clone(&released);
+    let slow = relay(daemons[1].local_addr(), move |frame| {
+        // The shard's fifth and last verdict waits until the client has
+        // seen every verdict below it, or for a grace period (which a
+        // coordinator holding the whole batch needs).
+        if let ControlFrame::Verdict { index: 4, .. } = frame {
+            let _ = held.recv_timeout(Duration::from_secs(10));
+            relay_released.store(true, Ordering::SeqCst);
+        }
+        Relayed::Forward
+    });
+    let addrs = vec![daemons[0].local_addr().to_string(), slow.to_string()];
+    let (coordinator, mut client) = through(addrs);
+
+    let mut before_release = 0u64;
+    let tdrb = ingest::encode_batch(&jobs);
+    let outcome = client
+        .submit_batch_with(1, tdrb, |index, _| {
+            if !released.load(Ordering::SeqCst) {
+                assert!(index < held_index, "verdict {index} overtook the held one");
+                before_release += 1;
+                if before_release == held_index {
+                    let _ = let_go.send(());
+                }
+            }
+        })
+        .expect("batch completes");
+    assert_eq!(
+        before_release, held_index,
+        "every verdict below the held index goes out before the relay lets go"
+    );
+    let summary = outcome.result.expect("audits");
+    assert_eq!(
+        verdict_bytes(&outcome.verdicts),
+        verdict_bytes(&expected.verdicts)
+    );
+    assert_eq!(
+        summary_bytes(&summary.summary),
+        summary_bytes(&expected.summary)
+    );
+
+    client.shutdown().expect("shutdown ack");
+    assert_eq!(coordinator.shutdown().connection_errors, 0);
+    for d in daemons {
+        d.shutdown().service.shutdown();
+    }
+}
+
+/// A relay forwards three of backend 1's verdicts, then hangs up. Those
+/// three stand; the survivor is asked for exactly the shard's other
+/// sessions, as its routing counter and its own `sessions_audited` show,
+/// and the merged bytes equal a single daemon's.
+#[test]
+fn a_dead_backends_unanswered_sessions_alone_move_to_a_survivor() {
+    let sanity = echo_sanity();
+    let jobs = echo_jobs(&sanity, 0..10);
+    let expected = sanity.audit_batch(&jobs, &cfg());
+
+    let survivor = backend(&sanity, 2);
+    let behind = backend(&sanity, 2);
+    let mut forwarded = 0;
+    let dying = relay(behind.local_addr(), move |frame| {
+        if !matches!(frame, ControlFrame::Verdict { .. }) {
+            return Relayed::Forward;
+        }
+        forwarded += 1;
+        if forwarded <= 3 {
+            Relayed::Forward
+        } else {
+            Relayed::HangUp
+        }
+    });
+    let addrs = vec![survivor.local_addr().to_string(), dying.to_string()];
+    let (coordinator, mut client) = through(addrs);
+
+    let outcome = client
+        .submit_batch(1, ingest::encode_batch(&jobs))
+        .expect("batch completes despite the dead backend");
+    let summary = outcome.result.expect("audits");
+    assert_eq!(
+        verdict_bytes(&outcome.verdicts),
+        verdict_bytes(&expected.verdicts)
+    );
+    assert_eq!(
+        summary_bytes(&summary.summary),
+        summary_bytes(&expected.summary)
+    );
+
+    // Five even ids, then the two odd ids backend 1 never answered.
+    let snap = client.stats().expect("stats over the coordinator");
+    assert_eq!(snap.counter("coord_backend_0_sessions"), 5 + 2);
+    assert_eq!(snap.counter("coord_backend_0_batches"), 2);
+    assert_eq!(snap.counter("coord_backend_1_failures"), 1);
+    assert_eq!(snap.counter("coord_retries"), 1);
+    client.shutdown().expect("shutdown ack");
+    assert_eq!(coordinator.shutdown().connection_errors, 0);
+
+    let report = survivor.shutdown();
+    assert_eq!(report.snapshot.counter("sessions_audited"), 5 + 2);
+    report.service.shutdown();
+    behind.shutdown().service.shutdown();
+}
+
+/// One backend refuses its shard (its tenant quota is smaller than the
+/// shard) while the other streams verdicts: the refusal is always a
+/// backend's first frame, so the client reads it with no verdict before
+/// it, and the connection keeps serving.
+#[test]
+fn a_refused_shard_is_answered_before_any_verdict() {
+    let sanity = echo_sanity();
+    let jobs = echo_jobs(&sanity, 0..10);
+    let streaming = backend(&sanity, 2);
+    let refusing = {
+        let service = sanity
+            .audit_service()
+            .workers(2)
+            .build()
+            .expect("valid service configuration");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+        let options = DaemonOptions {
+            tenant_quota: Some(TenantQuota {
+                max_sessions: 4,
+                max_batches: 100,
+            }),
+            ..DaemonOptions::default()
+        };
+        serve_tcp_with(service, listener, options).expect("backend starts")
+    };
+    let addrs = vec![
+        streaming.local_addr().to_string(),
+        refusing.local_addr().to_string(),
+    ];
+    let (coordinator, mut client) = through(addrs);
+
+    let mut seen = 0;
+    let outcome = client
+        .submit_batch_with(1, ingest::encode_batch(&jobs), |_, _| seen += 1)
+        .expect("answered in-band");
+    let message = outcome.result.expect_err("backend 1 refuses its shard");
+    assert!(message.contains("quota"), "{message}");
+    assert_eq!((seen, outcome.verdicts.len()), (0, 0));
+
+    let snap = client.stats().expect("the connection keeps serving");
+    assert_eq!(snap.counter("coord_batch_errors"), 1);
+    client.shutdown().expect("shutdown ack");
+    coordinator.shutdown();
+    streaming.shutdown().service.shutdown();
+    refusing.shutdown().service.shutdown();
 }

@@ -319,12 +319,44 @@ fn read_all(mut reader: impl Read) -> (Vec<Vec<u8>>, Option<ControlError>) {
     }
 }
 
-/// The TDRC contract for one input: read at once and one byte per read,
-/// it yields the same frames and the same error; and every frame that
-/// survives corruption is self-consistent, re-encoding to the bytes it
-/// was decoded from.
+/// The reference reading of a frame stream: split it on its `u32` length
+/// prefixes, hold each to the same frame bound, and decode each payload
+/// with `decode_payload`. `read_from` decodes embedded bytes in place; its
+/// frames and its first error must be exactly these.
+fn read_by_prefix(mut bytes: &[u8]) -> (Vec<Vec<u8>>, Option<ControlError>) {
+    let mut frames = Vec::new();
+    while !bytes.is_empty() {
+        let Some((prefix, rest)) = bytes.split_first_chunk::<4>() else {
+            return (frames, Some(ControlError::Truncated));
+        };
+        let len = u32::from_le_bytes(*prefix) as usize;
+        if len > DEFAULT_MAX_CONTROL_FRAME {
+            let max = DEFAULT_MAX_CONTROL_FRAME;
+            return (frames, Some(ControlError::FrameTooLarge { len, max }));
+        }
+        let Some((payload, rest)) = rest.split_at_checked(len) else {
+            return (frames, Some(ControlError::Truncated));
+        };
+        match ControlFrame::decode_payload(payload) {
+            Ok(frame) => frames.push(frame.encode()),
+            Err(e) => return (frames, Some(e)),
+        }
+        bytes = rest;
+    }
+    (frames, None)
+}
+
+/// The TDRC contract for one input: read at once, one byte per read, and
+/// by the reference reader, it yields the same frames and the same error;
+/// and every frame that survives corruption is self-consistent,
+/// re-encoding to the bytes it was decoded from.
 fn check_tdrc(bytes: &[u8]) {
     let (frames, end) = read_all(bytes);
+    assert_eq!(
+        read_by_prefix(bytes),
+        (frames.clone(), end.clone()),
+        "decode_payload over the length prefixes"
+    );
     assert_eq!(
         read_all(OneByte(bytes)),
         (frames.clone(), end),
@@ -336,6 +368,82 @@ fn check_tdrc(bytes: &[u8]) {
             .expect("one frame");
         assert_eq!(back.encode(), frame);
     }
+}
+
+/// Takes at most one byte per `write()`.
+struct OneByteWrites(Vec<u8>);
+
+impl io::Write for OneByteWrites {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.extend(buf.first());
+        Ok(buf.len().min(1))
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// `SubmitBatch` and `PutReference` frames stream their embedded bytes
+/// instead of encoding a copy: written one byte per write, v1, v2, empty
+/// and container frames are exactly `encode()`, and so is what a `Client`
+/// sends.
+#[test]
+fn streamed_frames_are_byte_identical_to_their_encoding() {
+    let id = ReferenceId([0x5a; 32]);
+    let frames = [
+        ControlFrame::SubmitBatch {
+            batch_id: 1,
+            tdrb: tdrb_corpus(),
+            reference: None,
+        },
+        ControlFrame::SubmitBatch {
+            batch_id: u64::MAX,
+            tdrb: tdrb_corpus(),
+            reference: Some(id),
+        },
+        ControlFrame::SubmitBatch {
+            batch_id: 0,
+            tdrb: ingest::encode_batch(&[]),
+            reference: None,
+        },
+        ControlFrame::SubmitBatch {
+            batch_id: 2,
+            tdrb: Vec::new(),
+            reference: Some(id),
+        },
+        ControlFrame::PutReference {
+            put_id: 3,
+            tdrp: container::seal(echo_sanity().program()),
+        },
+    ];
+    for frame in &frames {
+        let mut out = OneByteWrites(Vec::new());
+        frame.write_to(&mut out).expect("written");
+        assert_eq!(out.0, frame.encode(), "{}", frame.kind_name());
+    }
+
+    // A client's request, answered with an in-band error.
+    let (near, far) = duplex();
+    let answer = std::thread::spawn(move || {
+        let request = ControlFrame::read_from(&mut &far).expect("decodes");
+        ControlFrame::Error {
+            batch_id: 1,
+            message: "answered".to_string(),
+        }
+        .write_to(&mut &far)
+        .expect("client end open");
+        request.expect("one frame").encode()
+    });
+    let outcome = Client::new(&near)
+        .submit_batch_for(1, tdrb_corpus(), id)
+        .expect("protocol clean");
+    assert_eq!(outcome.result, Err("answered".to_string()));
+    let sent = ControlFrame::SubmitBatch {
+        batch_id: 1,
+        tdrb: tdrb_corpus(),
+        reference: Some(id),
+    };
+    assert_eq!(answer.join().expect("peer thread"), sent.encode());
 }
 
 // ---------------------------------------------------------------------------
