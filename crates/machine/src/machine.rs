@@ -341,6 +341,7 @@ impl Machine {
         self.governor.elapsed_ps()
     }
 
+    #[inline]
     fn sync(&mut self) {
         let now = self.core.now();
         if now > self.synced {
@@ -356,6 +357,7 @@ impl Machine {
     /// `refs` are `(vaddr, is_write)` pairs (at most 4); `branch` is
     /// `(taken, target_vaddr)`. The machine translates addresses, charges
     /// the core model, applies due noise events, and advances the governor.
+    #[inline]
     pub fn step_instr(
         &mut self,
         base: Cycles,
@@ -391,6 +393,7 @@ impl Machine {
         self.post_step();
     }
 
+    #[inline]
     fn post_step(&mut self) {
         // Discrete-event gate: skip the whole housekeeping block unless a
         // component is actually due. The governor sync below stays

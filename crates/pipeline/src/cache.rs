@@ -34,7 +34,7 @@ pub struct ReferenceCache {
     program: Result<jbc::Verified, VmError>,
     machine: machine::MachineConfig,
     vm: vm::VmConfig,
-    /// Shared file set; cloned per session only when handed to the VM.
+    /// Shared file set; every session's VM reads the same copy.
     files: Arc<Vec<Vec<u8>>>,
     tdr: TdrDetector,
     /// Sessions audited through this cache.
@@ -70,7 +70,7 @@ impl ReferenceCache {
     /// Run the audit replay for `log` under `seed` on the cached reference.
     pub fn replay(&mut self, log: &EventLog, seed: u64) -> Result<Recorded, SessionError> {
         let program = self.program.as_ref().map_err(VmError::clone)?;
-        let files = (*self.files).clone();
+        let files = Arc::clone(&self.files);
         let rec = audit_replay(program, self.machine, self.vm, log, seed, |vm| {
             vm.set_files(files)
         })?;

@@ -77,6 +77,7 @@ impl BranchPredictor {
     /// Resolve the branch at `pc`: predict, compare against the actual
     /// outcome, update state, and return the cycle penalty (0 if predicted
     /// correctly, `mispredict_cycles` otherwise).
+    #[inline]
     pub fn resolve(&mut self, pc: PAddr, taken: bool, target: PAddr) -> Cycles {
         self.lookups += 1;
         let idx = self.index(pc);

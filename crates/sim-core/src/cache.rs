@@ -6,6 +6,17 @@
 //! same physical frames across play and replay (§3.6): a different
 //! virtual→physical assignment changes set indexing and thus conflict
 //! misses. This model reproduces that effect faithfully.
+//!
+//! Both [`Cache::access`] and [`Tlb::access`] first consult an exact memo
+//! of the two most recently hit lines (or pages): line number (or vpn) →
+//! where it lives. A memo hit skips only the set scan (or the hash walk);
+//! the hit it finds, and every LRU stamp, dirty bit and counter it
+//! updates, are the ones the scan would have found and updated. The memo
+//! is dropped at each point that can move or duplicate a line or page:
+//! every miss (a victim may be a memoized one), [`Cache::flush`],
+//! [`Cache::pollute`] (which can plant one tag in two ways of a set,
+//! where the scan picks the first) and [`Tlb::flush`]. A miss then
+//! memoizes the line (or page) it filled, the only valid copy of its tag.
 
 use serde::{Deserialize, Serialize};
 
@@ -86,6 +97,38 @@ const INVALID_LINE: Line = Line {
     lru: 0,
 };
 
+/// The two most recently hit keys of a [`Cache`] (line numbers) or a
+/// [`Tlb`] (vpns), most recent first, each with the index of its line or
+/// slot. Host-side only: see the [module docs](self) for why it is exact.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+struct Mru {
+    first: Option<(u64, u32)>,
+    second: Option<(u64, u32)>,
+}
+
+impl Mru {
+    /// Where `key` lives, if it is memoized; a hit moves it to the front.
+    #[inline]
+    fn get(&mut self, key: u64) -> Option<usize> {
+        match (self.first, self.second) {
+            (Some((k, at)), _) if k == key => Some(at as usize),
+            (first, Some((k, at))) if k == key => {
+                self.second = first;
+                self.first = Some((k, at));
+                Some(at as usize)
+            }
+            _ => None,
+        }
+    }
+
+    /// Memoize `key` at `at` as the most recent entry.
+    #[inline]
+    fn put(&mut self, key: u64, at: usize) {
+        self.second = self.first;
+        self.first = Some((key, at as u32));
+    }
+}
+
 /// A set-associative, write-back, write-allocate cache with true LRU.
 ///
 /// Deterministic by construction: the replacement decision depends only on
@@ -101,6 +144,7 @@ pub struct Cache {
     hits: u64,
     misses: u64,
     writebacks: u64,
+    mru: Mru,
 }
 
 impl Cache {
@@ -121,6 +165,7 @@ impl Cache {
             hits: 0,
             misses: 0,
             writebacks: 0,
+            mru: Mru::default(),
         }
     }
 
@@ -141,30 +186,38 @@ impl Cache {
 
     /// Access `addr`; returns hit/writeback status. A write marks the line
     /// dirty (write-allocate on miss).
+    #[inline]
     pub fn access(&mut self, addr: PAddr, write: bool) -> CacheAccess {
         self.clock += 1;
-        let set = self.set_index(addr);
+        let line = addr >> self.params.line.trailing_zeros();
+        let ways = self.params.ways as usize;
+        let base = self.set_index(addr) * ways;
         let tag = self.tag(addr);
-        let base = set * self.params.ways as usize;
-        let ways = &mut self.lines[base..base + self.params.ways as usize];
+        let hit = self.mru.get(line).or_else(|| {
+            let at = base
+                + self.lines[base..base + ways]
+                    .iter()
+                    .position(|l| l.valid && l.tag == tag)?;
+            self.mru.put(line, at);
+            Some(at)
+        });
 
-        // Hit path.
-        for l in ways.iter_mut() {
-            if l.valid && l.tag == tag {
-                l.lru = self.clock;
-                l.dirty |= write;
-                self.hits += 1;
-                return CacheAccess {
-                    hit: true,
-                    writeback: false,
-                };
-            }
+        if let Some(at) = hit {
+            let l = &mut self.lines[at];
+            l.lru = self.clock;
+            l.dirty |= write;
+            self.hits += 1;
+            return CacheAccess {
+                hit: true,
+                writeback: false,
+            };
         }
         // Miss: fill into the invalid or least-recently-used way.
         self.misses += 1;
-        let victim = ways
+        let (way, victim) = self.lines[base..base + ways]
             .iter_mut()
-            .min_by_key(|l| if l.valid { l.lru + 1 } else { 0 })
+            .enumerate()
+            .min_by_key(|(_, l)| if l.valid { l.lru + 1 } else { 0 })
             .expect("ways is non-empty");
         let writeback = victim.valid && victim.dirty;
         if writeback {
@@ -176,6 +229,8 @@ impl Cache {
             dirty: write,
             lru: self.clock,
         };
+        self.mru = Mru::default();
+        self.mru.put(line, base + way);
         CacheAccess {
             hit: false,
             writeback,
@@ -195,6 +250,7 @@ impl Cache {
     /// Invalidate everything, returning the number of dirty lines that the
     /// hardware would have to write back (`wbinvd` semantics, §4.2).
     pub fn flush(&mut self) -> u64 {
+        self.mru = Mru::default();
         // Only `access` and `pollute` fill lines, and both advance `clock`:
         // a cache whose clock is still 0 is all-invalid already.
         if self.clock == 0 {
@@ -212,6 +268,7 @@ impl Cache {
     ///
     /// The pollution pattern is a deterministic function of `salt`.
     pub fn pollute(&mut self, fraction: f64, salt: u64) {
+        self.mru = Mru::default();
         let n = self.lines.len();
         let count = ((n as f64) * fraction.clamp(0.0, 1.0)) as usize;
         for k in 0..count {
@@ -288,6 +345,7 @@ pub struct Tlb {
     /// bits, so vpns that differ only in high bits (the region bases are
     /// all multiples of 256 pages) still spread.
     hash_shift: u32,
+    mru: Mru,
 }
 
 impl Tlb {
@@ -304,6 +362,7 @@ impl Tlb {
             buckets: vec![NIL; buckets],
             next: vec![NIL; params.entries as usize],
             hash_shift: 64 - buckets.trailing_zeros(),
+            mru: Mru::default(),
         }
     }
 
@@ -314,22 +373,31 @@ impl Tlb {
 
     /// Touch the page containing virtual address `vaddr`; returns the cycle
     /// cost (0 on hit, `miss_cycles` on miss).
+    #[inline]
     pub fn access(&mut self, vaddr: u64) -> Cycles {
         self.clock += 1;
         let vpn = vaddr >> self.params.page.trailing_zeros();
-        if let Some(slot) = self.find(vpn) {
+        let hit = self.mru.get(vpn).or_else(|| {
+            let slot = self.find(vpn)?;
+            self.mru.put(vpn, slot);
+            Some(slot)
+        });
+        if let Some(slot) = hit {
             self.entries[slot].1 = self.clock;
             self.hits += 1;
             return 0;
         }
         self.misses += 1;
+        self.mru = Mru::default();
         if self.entries.len() < self.params.entries as usize {
             self.entries.push((vpn, self.clock));
             self.link(self.entries.len() - 1);
+            self.mru.put(vpn, self.entries.len() - 1);
         } else if let Some(slot) = (0..self.entries.len()).min_by_key(|&s| self.entries[s].1) {
             self.unlink(slot);
             self.entries[slot] = (vpn, self.clock);
             self.link(slot);
+            self.mru.put(vpn, slot);
         }
         self.params.miss_cycles
     }
@@ -374,6 +442,7 @@ impl Tlb {
     pub fn flush(&mut self) {
         self.entries.clear();
         self.buckets.fill(NIL);
+        self.mru = Mru::default();
     }
 
     /// `(hits, misses)` counters since construction.

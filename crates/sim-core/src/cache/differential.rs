@@ -1,8 +1,10 @@
-//! Differential test: the shift/mask cache and the hash-indexed TLB
-//! against test-local copies of the division-based cache and the
-//! sorted-index TLB they replaced, on seeded access streams. Every access
-//! outcome, the full line/entry state after every operation (so every
-//! victim), and the final counters must agree.
+//! Differential test: the shift/mask cache and the hash-indexed TLB, with
+//! their most-recently-used memos, against test-local copies of the
+//! division-based cache and the sorted-index TLB they replaced, on seeded
+//! access streams. Every access outcome, the full line/entry state after
+//! every operation (so every victim), and the final counters must agree.
+//! Uniform streams rarely repeat a line or a page, so the memo's hit
+//! branches get their own locality streams.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -184,9 +186,10 @@ fn assert_same_cache(new: &Cache, old: &RefCache, what: &str) {
     );
 }
 
-#[test]
-fn cache_matches_the_division_based_reference() {
-    let geometries = [
+/// The machine's three caches and three small geometries that fill,
+/// evict and alias quickly (one set of one way, odd associativity).
+fn geometries() -> [CacheParams; 6] {
+    [
         CacheParams::l1i(),
         CacheParams::l1d(),
         CacheParams::l2(),
@@ -208,8 +211,12 @@ fn cache_matches_the_division_based_reference() {
             line: 128,
             hit_cycles: 1,
         },
-    ];
-    for (g, params) in geometries.into_iter().enumerate() {
+    ]
+}
+
+#[test]
+fn cache_matches_the_division_based_reference() {
+    for (g, params) in geometries().into_iter().enumerate() {
         for seed in 0..4u64 {
             let what = format!("geometry {g} seed {seed}");
             let mut rng = StdRng::seed_from_u64(0xcace_0000 + g as u64 * 16 + seed);
@@ -299,6 +306,197 @@ fn tlb_matches_the_sorted_index_reference() {
             assert!(
                 entries == 0 || old.misses > entries as u64,
                 "{what}: TLB filled"
+            );
+        }
+    }
+}
+
+/// One run of a locality stream over the line numbers `lines`: mostly
+/// round robin, sometimes a repeat, each access at a random offset in its
+/// line. Checks every outcome and the full state after every access.
+fn cache_run(new: &mut Cache, old: &mut RefCache, rng: &mut StdRng, lines: &[u64], what: &str) {
+    let line = new.params().line as u64;
+    for step in 0..rng.gen_range(1..48usize) {
+        let l = if rng.gen_bool(0.75) {
+            lines[step % lines.len()]
+        } else {
+            lines[rng.gen_range(0..lines.len())]
+        };
+        let addr = l * line + rng.gen_range(0..line);
+        let write = rng.gen_bool(0.3);
+        assert_eq!(
+            new.access(addr, write),
+            old.access(addr, write),
+            "{what} step {step}: access {addr:#x}"
+        );
+        assert_same_cache(new, old, what);
+    }
+}
+
+#[test]
+fn cache_memo_matches_the_reference_on_locality_streams() {
+    for (g, params) in geometries().into_iter().enumerate() {
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(0x10ca_0000 + g as u64 * 16 + seed);
+            let mut new = Cache::new(params);
+            let mut old = RefCache::new(params);
+            let sets = params.sets as u64;
+            let mut lines = vec![0];
+            for run in 0..300 {
+                let what = format!("geometry {g} seed {seed} run {run}");
+                // Half the runs go back to the previous run's lines, which
+                // a flush or pollute may just have moved.
+                if rng.gen_bool(0.5) {
+                    // A working set a few times the capacity, so runs
+                    // revisit lines still resident and lines long evicted.
+                    let first = rng.gen_range(0..sets * params.ways as u64 * 3);
+                    let n = rng.gen_range(2..=4u64);
+                    lines = match rng.gen_range(0..3) {
+                        // Accesses within one line.
+                        0 => vec![first],
+                        // Two to four lines of one set: beyond the
+                        // associativity they evict each other.
+                        1 => (0..n).map(|k| first + k * sets).collect(),
+                        // Two to four lines in consecutive sets.
+                        _ => (0..n).map(|k| first + k).collect(),
+                    };
+                }
+                cache_run(&mut new, &mut old, &mut rng, &lines, &what);
+                match rng.gen_range(0..10) {
+                    0 => assert_eq!(new.flush(), old.flush(), "{what}: flush"),
+                    1 => {
+                        // Salts from a small range, so pollutes overlap.
+                        let fraction = rng.gen_range(0.0..1.0);
+                        let salt = rng.gen_range(0..16u64);
+                        new.pollute(fraction, salt);
+                        old.pollute(fraction, salt);
+                    }
+                    _ => {}
+                }
+                assert_same_cache(&new, &old, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn cache_memo_hits_the_first_of_two_copies_of_a_tag() {
+    // Two pollutes can plant one tag in two ways of a set (their tags are
+    // `salt + k`); the scan then finds the first copy, and so must every
+    // later hit. Plant such a pair directly, with distinct dirty bits and
+    // stamps, in a cache whose memo is empty, as after any pollute.
+    for (g, params) in geometries().into_iter().enumerate() {
+        if params.ways < 2 {
+            continue;
+        }
+        for seed in 0..4u64 {
+            let what = format!("geometry {g} seed {seed}");
+            let mut rng = StdRng::seed_from_u64(0xd0b1_0000 + g as u64 * 16 + seed);
+            let mut new = Cache::new(params);
+            let mut old = RefCache::new(params);
+            let sets = params.sets as u64;
+            let set = rng.gen_range(0..sets);
+            let tag = rng.gen_range(0..64u64);
+            let ways = params.ways as usize;
+            let a = rng.gen_range(0..ways - 1);
+            let b = rng.gen_range(a + 1..ways);
+            let base = set as usize * ways;
+            for (way, dirty, lru) in [(a, false, 2), (b, true, 1)] {
+                let planted = Line {
+                    tag,
+                    valid: true,
+                    dirty,
+                    lru,
+                };
+                new.lines[base + way] = planted;
+                old.lines[base + way] = planted;
+            }
+            new.clock = 2;
+            old.clock = 2;
+            let copied = tag * sets + set;
+            for run in 0..100 {
+                let what = format!("{what} run {run}");
+                // The doubled line, with the set's other lines and a line
+                // elsewhere, so the memo fills, hits and is dropped.
+                let lines = [copied, copied + sets, copied + 2 * sets, copied + 1];
+                let n = rng.gen_range(1..=lines.len());
+                cache_run(&mut new, &mut old, &mut rng, &lines[..n], &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn tlb_memo_matches_the_reference_on_locality_streams() {
+    for entries in [1u32, 2, 5, 64] {
+        for seed in 0..4u64 {
+            let params = TlbParams {
+                entries,
+                page: 4096,
+                miss_cycles: 30,
+            };
+            let mut rng = StdRng::seed_from_u64(0x10cb_0000 + entries as u64 * 16 + seed);
+            let mut new = Tlb::new(params);
+            let mut old = RefTlb::new(params);
+            // Pages near the region bases, whose vpns share hash buckets.
+            let page = |rng: &mut StdRng| {
+                REGION_BASES[rng.gen_range(0..REGION_BASES.len())] / 4096 + rng.gen_range(0..6u64)
+            };
+            let mut step = 0u64;
+            let mut touch = |new: &mut Tlb, old: &mut RefTlb, rng: &mut StdRng, vpn: u64| {
+                let vaddr = vpn * 4096 + rng.gen_range(0..4096u64);
+                step += 1;
+                assert_eq!(
+                    new.access(vaddr),
+                    old.access(vaddr),
+                    "{entries} entries seed {seed} step {step}: access {vaddr:#x}"
+                );
+                assert_eq!(new.entries, old.entries, "{entries} entries step {step}");
+                assert_eq!(new.clock, old.clock, "{entries} entries step {step}");
+            };
+            for _ in 0..400 {
+                match rng.gen_range(0..3) {
+                    // Accesses within one page.
+                    0 => {
+                        let vpn = page(&mut rng);
+                        for _ in 0..rng.gen_range(1..32) {
+                            touch(&mut new, &mut old, &mut rng, vpn);
+                        }
+                    }
+                    // Instructions as `CoreModel::step` charges them: a
+                    // fetch from a code page, then zero to two data
+                    // references among one to three data pages.
+                    1 => {
+                        let code = rng.gen_range(0..4u64);
+                        let data: Vec<u64> =
+                            (0..rng.gen_range(1..=3)).map(|_| page(&mut rng)).collect();
+                        for _ in 0..rng.gen_range(1..48) {
+                            let pc = code + rng.gen_bool(0.05) as u64;
+                            touch(&mut new, &mut old, &mut rng, pc);
+                            for _ in 0..rng.gen_range(0..=2) {
+                                let vpn = data[rng.gen_range(0..data.len())];
+                                touch(&mut new, &mut old, &mut rng, vpn);
+                            }
+                        }
+                    }
+                    // Two to four pages in turn.
+                    _ => {
+                        let pages: Vec<u64> =
+                            (0..rng.gen_range(2..=4)).map(|_| page(&mut rng)).collect();
+                        for k in 0..rng.gen_range(2..48usize) {
+                            touch(&mut new, &mut old, &mut rng, pages[k % pages.len()]);
+                        }
+                    }
+                }
+                if rng.gen_range(0..10) == 0 {
+                    new.flush();
+                    old.flush();
+                }
+            }
+            assert_eq!(
+                new.stats(),
+                (old.hits, old.misses),
+                "{entries} entries seed {seed}: counters"
             );
         }
     }

@@ -347,6 +347,7 @@ impl CoreModel {
 
     /// Access through L2 (called on an L1 miss or L1 writeback); returns
     /// cycles.
+    #[inline]
     fn l2_access(&mut self, paddr: PAddr, write: bool) -> Cycles {
         let mut cycles = self.params.l2.hit_cycles;
         let res = self.l2.access(paddr, write);
@@ -363,6 +364,7 @@ impl CoreModel {
     }
 
     /// Charge one data reference; returns (cycles, missed_l1).
+    #[inline]
     fn data_ref(&mut self, r: &MemRef) -> (Cycles, bool) {
         let mut cycles = self.tlb.access(r.vaddr);
         cycles += self.params.l1d.hit_cycles;
@@ -377,6 +379,7 @@ impl CoreModel {
     }
 
     /// Charge an instruction fetch; returns (cycles, missed_l1i).
+    #[inline]
     fn fetch(&mut self, vaddr: u64, paddr: PAddr) -> (Cycles, bool) {
         let mut cycles = self.tlb.access(vaddr);
         cycles += self.params.l1i.hit_cycles;
@@ -416,6 +419,7 @@ impl CoreModel {
     /// * `branch` — `(taken, target_paddr)` if this is a branch.
     ///
     /// Advances the core clock and returns the per-instruction breakdown.
+    #[inline]
     pub fn step(
         &mut self,
         base: Cycles,

@@ -1,14 +1,21 @@
 //! The inlined fast path: fused dispatch for the hot opcodes.
 //!
-//! [`step_fused`] runs a micro-loop over the current thread's quantum. Each
+//! [`step_fused`] runs a micro-loop over the current thread's quantum. It
+//! looks up the current frame and its method once per call, not once per
+//! instruction: no hot opcode changes the frame or the thread. Each
 //! iteration peeks the next opcode; the hot set — constants, local access,
 //! stack shuffles, non-trapping arithmetic, conversions, comparisons,
-//! branches/switches, and static field access — executes inline while the
-//! current frame is borrowed exactly once, instead of re-borrowed for every
-//! operand push/pop as in classic dispatch. Everything else (heap traffic,
-//! calls, natives, division, monitors — anything that can allocate, throw,
-//! block, or switch threads) bails to the classic [`Vm::step`] *before any
-//! state is touched*, so the cold path re-decodes from a clean slate.
+//! branches/switches, static field access, and array loads and stores
+//! (`IALoad` … `CAStore`) — executes inline on that one borrow of the
+//! frame, instead of re-borrowing it for every operand push/pop as in
+//! classic dispatch. An array access is hot only once its operands, read in
+//! place, show a non-null array of the opcode's kind and an index in
+//! bounds; a null array or a bad index throws, so it goes to classic
+//! dispatch, which charges and counts the throw exactly as it always has.
+//! Everything else (object fields, allocation, calls, natives, division,
+//! monitors — anything that can allocate, throw, block, or switch threads)
+//! bails to the classic [`Vm::step`] *before any state is touched*, so the
+//! cold path re-decodes from a clean slate.
 //!
 //! Timing identity: hot arms run the same prologue (icount/budget/limit
 //! checks), evaluate values through the same `ops::arith`/`ops::control`
@@ -20,13 +27,16 @@
 use jbc::{Op, Program};
 use machine::machine::map;
 
+use super::heap::ArrayKind;
 use super::{arith, charge, control};
 use crate::error::VmError;
+use crate::heap::{Heap, HeapObj};
 use crate::value::{Value, NULL};
 use crate::vmcore::Vm;
 
 /// Is `op` in the fused hot set (executable without allocation, throw,
-/// block, or thread switch)?
+/// block, or thread switch)? Array loads and stores are not listed: they
+/// are hot only when their operands rule out a throw ([`array_elem`]).
 #[inline]
 fn is_hot(op: &Op) -> bool {
     use Op::*;
@@ -116,52 +126,100 @@ fn is_hot(op: &Op) -> bool {
 /// a cold opcode is reached (which executes once via classic dispatch,
 /// then returns to the outer scheduling loop).
 pub(crate) fn step_fused(vm: &mut Vm, program: &Program) -> Result<(), VmError> {
+    if run_hot(vm, program)? {
+        // Cold: nothing has been mutated yet; classic dispatch redoes the
+        // decode and owns the whole instruction.
+        vm.step(program)
+    } else {
+        Ok(())
+    }
+}
+
+/// The index and simulated address of the element that an array load or
+/// store of `kind` at the top of `stack` reaches, or `None` if classic
+/// dispatch must run it: a null array, an index out of bounds (both
+/// throw) or an array of another kind. `depth` is the number of operands:
+/// 2 for a load (`arr, idx`), 3 for a store (`arr, idx, val`). Reads only.
+#[inline]
+fn array_elem(heap: &Heap, stack: &[Value], depth: usize, kind: ArrayKind) -> Option<(usize, u64)> {
+    let at = stack.len() - depth;
+    let arr = stack[at].as_ref();
+    let idx = stack[at + 1].as_i32();
+    if arr == NULL {
+        return None;
+    }
+    let obj = heap.get(arr);
+    if ArrayKind::of_obj(obj) != Some(kind) || idx < 0 || idx as usize >= obj.array_len()? {
+        return None;
+    }
+    Some((
+        idx as usize,
+        heap.payload_addr(arr) + kind.size() * idx as u64,
+    ))
+}
+
+/// Run hot instructions of the current frame until the quantum expires
+/// (`Ok(false)`) or the next instruction must go through classic dispatch
+/// (`Ok(true)`).
+fn run_hot(vm: &mut Vm, program: &Program) -> Result<bool, VmError> {
     use Op::*;
+    // One disjoint borrow of everything a hot opcode can touch, and one
+    // frame and method lookup for the whole run: no hot opcode changes the
+    // frame or the thread.
+    let Vm {
+        threads,
+        machine,
+        cost,
+        cfg,
+        heap,
+        string_refs,
+        statics,
+        cur,
+        budget,
+        icount,
+        ..
+    } = vm;
+    let f = threads[*cur]
+        .frames
+        .last_mut()
+        .expect("runnable thread has a frame");
+    let method = program.method(f.method);
+    let base = f.base_vaddr;
     loop {
-        if vm.budget == 0 {
-            return Ok(());
+        if *budget == 0 {
+            return Ok(false);
         }
-        let cur = vm.cur;
-        let (method, ip) = {
-            let f = vm.threads[cur]
-                .frames
-                .last()
-                .expect("runnable thread has a frame");
-            (program.method(f.method), f.ip)
-        };
+        let ip = f.ip;
         let op = &method.code[ip as usize];
-        if !is_hot(op) {
-            // Cold: nothing has been mutated yet; classic dispatch redoes
-            // the decode and owns the whole instruction.
-            return vm.step(program);
-        }
+        // Array access is hot only when it cannot throw: the check reads
+        // the operands in place, so a throwing access reaches classic
+        // dispatch untouched and charges and counts exactly as there.
+        let elem = match op {
+            IALoad | LALoad | DALoad | AALoad | BALoad | CALoad => {
+                array_elem(heap, &f.stack, 2, ArrayKind::of(op))
+            }
+            IAStore | LAStore | DAStore | AAStore | BAStore | CAStore => {
+                array_elem(heap, &f.stack, 3, ArrayKind::of(op))
+            }
+            _ if is_hot(op) => Some((0, 0)),
+            _ => None,
+        };
+        let Some((elem_index, elem_addr)) = elem else {
+            return Ok(true);
+        };
 
         // Prologue — identical to the classic step.
-        vm.icount += 1;
-        vm.budget -= 1;
-        if vm.icount > vm.cfg.instr_limit {
+        *icount += 1;
+        *budget -= 1;
+        if *icount > cfg.instr_limit {
             return Err(VmError::InstrLimit);
         }
-        if vm.machine.now_cycles() > vm.cfg.cycle_limit {
+        if machine.now_cycles() > cfg.cycle_limit {
             return Err(VmError::InstrLimit);
         }
 
-        // One disjoint borrow of everything a hot opcode can touch.
-        let Vm {
-            threads,
-            machine,
-            cost,
-            string_refs,
-            statics,
-            ..
-        } = vm;
-        let f = threads[cur]
-            .frames
-            .last_mut()
-            .expect("runnable thread has a frame");
         let pc = method.code_base + 4 * ip as u64;
         let cls = op.class();
-        let base = f.base_vaddr;
         // Pre-advance, exactly like classic dispatch (branch arms overwrite).
         f.ip = ip + 1;
         let stack = &mut f.stack;
@@ -417,6 +475,38 @@ pub(crate) fn step_fused(vm: &mut Vm, program: &Program) -> Result<(), VmError> 
                     Some((true, method.code_base + 4 * t as u64)),
                 );
                 f.ip = t;
+            }
+
+            IALoad | LALoad | DALoad | AALoad | BALoad | CALoad => {
+                let i = elem_index;
+                pop!();
+                let arr = pop!().as_ref();
+                stack.push(match heap.get(arr) {
+                    HeapObj::ArrI32(a) => Value::I32(a[i]),
+                    HeapObj::ArrI64(a) => Value::I64(a[i]),
+                    HeapObj::ArrF64(a) => Value::F64(a[i]),
+                    HeapObj::ArrRef(a) => Value::Ref(a[i]),
+                    HeapObj::ArrI8(a) => Value::I32(a[i] as i32),
+                    HeapObj::ArrU16(a) => Value::I32(a[i] as i32),
+                    other => unreachable!("checked array kind: {other:?}"),
+                });
+                charge(machine, cost, cls, pc, &[(elem_addr, false)], None);
+            }
+            IAStore | LAStore | DAStore | AAStore | BAStore | CAStore => {
+                let i = elem_index;
+                let val = pop!();
+                pop!();
+                let arr = pop!().as_ref();
+                match heap.get_mut(arr) {
+                    HeapObj::ArrI32(a) => a[i] = val.as_i32(),
+                    HeapObj::ArrI64(a) => a[i] = val.as_i64(),
+                    HeapObj::ArrF64(a) => a[i] = val.as_f64(),
+                    HeapObj::ArrRef(a) => a[i] = val.as_ref(),
+                    HeapObj::ArrI8(a) => a[i] = val.as_i32() as i8,
+                    HeapObj::ArrU16(a) => a[i] = val.as_i32() as u16,
+                    other => unreachable!("checked array kind: {other:?}"),
+                }
+                charge(machine, cost, cls, pc, &[(elem_addr, true)], None);
             }
 
             GetStatic(fid) => {

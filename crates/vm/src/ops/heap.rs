@@ -26,16 +26,41 @@ pub(crate) enum ArrayKind {
 }
 
 impl ArrayKind {
-    /// The kind a typed array-load opcode operates on.
+    /// The kind a typed array load or store opcode operates on.
     #[inline]
-    pub(crate) fn of_load(op: &Op) -> ArrayKind {
+    pub(crate) fn of(op: &Op) -> ArrayKind {
         match op {
-            Op::IALoad => ArrayKind::I32,
-            Op::LALoad => ArrayKind::I64,
-            Op::DALoad => ArrayKind::F64,
-            Op::AALoad => ArrayKind::Ref,
-            Op::BALoad => ArrayKind::I8,
+            Op::IALoad | Op::IAStore => ArrayKind::I32,
+            Op::LALoad | Op::LAStore => ArrayKind::I64,
+            Op::DALoad | Op::DAStore => ArrayKind::F64,
+            Op::AALoad | Op::AAStore => ArrayKind::Ref,
+            Op::BALoad | Op::BAStore => ArrayKind::I8,
             _ => ArrayKind::U16,
+        }
+    }
+
+    /// The kind of array `obj` is, if it is one.
+    #[inline]
+    pub(crate) fn of_obj(obj: &HeapObj) -> Option<ArrayKind> {
+        Some(match obj {
+            HeapObj::ArrI8(_) => ArrayKind::I8,
+            HeapObj::ArrU16(_) => ArrayKind::U16,
+            HeapObj::ArrI32(_) => ArrayKind::I32,
+            HeapObj::ArrI64(_) => ArrayKind::I64,
+            HeapObj::ArrF64(_) => ArrayKind::F64,
+            HeapObj::ArrRef(_) => ArrayKind::Ref,
+            _ => return None,
+        })
+    }
+
+    /// Element size in simulated bytes.
+    #[inline]
+    pub(crate) fn size(self) -> u64 {
+        match self {
+            ArrayKind::I8 => 1,
+            ArrayKind::U16 => 2,
+            ArrayKind::I32 => 4,
+            ArrayKind::I64 | ArrayKind::F64 | ArrayKind::Ref => 8,
         }
     }
 }

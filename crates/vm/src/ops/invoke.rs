@@ -281,8 +281,7 @@ pub(crate) fn call_native(vm: &mut Vm, program: &Program, kind: NativeKind) -> R
             let data = vm
                 .files
                 .get(fid.max(0) as usize)
-                .cloned()
-                .unwrap_or_default();
+                .map_or(&[][..], Vec::as_slice);
             let off = (offset.max(0) as usize).min(data.len());
             let payload = vm.heap.payload_addr(buf);
             let n = match vm.heap.get_mut(buf) {

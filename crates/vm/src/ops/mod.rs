@@ -4,10 +4,11 @@
 //! [`crate::vmcore::Vm::step`] stays the single decode point: it matches
 //! the opcode once and delegates to a handler here, so classic dispatch
 //! pays no extra indirection. The [`fused`] module adds the inlined fast
-//! path for the hot arithmetic/local/control opcodes: one borrow of the
-//! current frame per instruction instead of one per operand access, with
-//! anything complex (heap, calls, natives, potential throws) bailing to
-//! the classic handlers *before* any state is mutated.
+//! path for the hot arithmetic/local/control opcodes and for array loads
+//! and stores that cannot throw: one borrow of the current frame per run
+//! of hot instructions instead of one per operand access, with anything
+//! complex (object fields, allocation, calls, natives, potential throws)
+//! bailing to the classic handlers *before* any state is mutated.
 //!
 //! Every handler charges the machine exactly like the pre-split dispatch
 //! loop did — same cost class, same memory references, same branch

@@ -134,7 +134,7 @@ pub struct Vm {
     pub(crate) budget: u32,
     pub(crate) icount: u64,
     pub(crate) console: Vec<String>,
-    pub(crate) files: Vec<Vec<u8>>,
+    pub(crate) files: Arc<Vec<Vec<u8>>>,
     pub(crate) delay: Option<Box<dyn DelayModel>>,
     pub(crate) send_count: u64,
     pub(crate) monitors: HashMap<Handle, MonitorState>,
@@ -205,7 +205,7 @@ impl Vm {
             budget: cfg.quantum,
             icount: 0,
             console: Vec::new(),
-            files: Vec::new(),
+            files: Arc::default(),
             delay: None,
             send_count: 0,
             monitors: HashMap::new(),
@@ -237,9 +237,11 @@ impl Vm {
         &self.program
     }
 
-    /// Install the file store backing `file_read`/`file_size`.
-    pub fn set_files(&mut self, files: Vec<Vec<u8>>) {
-        self.files = files;
+    /// Install the file store backing `file_read`/`file_size`: a
+    /// `Vec<Vec<u8>>`, or an `Arc` of one that several VMs share (a read
+    /// copies only the bytes it reads into the heap).
+    pub fn set_files(&mut self, files: impl Into<Arc<Vec<Vec<u8>>>>) {
+        self.files = files.into();
     }
 
     /// Install the covert-channel delay model (host side of the
@@ -552,7 +554,7 @@ impl Vm {
             NewArray(et) => return ops::heap::new_array(self, program, *et, pc, cls),
             ArrayLength => return ops::heap::array_length(self, program, pc, cls),
             IALoad | LALoad | DALoad | AALoad | BALoad | CALoad => {
-                let kind = ops::heap::ArrayKind::of_load(op);
+                let kind = ops::heap::ArrayKind::of(op);
                 let idx = self.pop().as_i32();
                 let arr = self.pop().as_ref();
                 return ops::heap::array_load(self, program, kind, arr, idx, pc, cls);
