@@ -7,16 +7,16 @@
 //! virtual→physical assignment changes set indexing and thus conflict
 //! misses. This model reproduces that effect faithfully.
 //!
-//! Both [`Cache::access`] and [`Tlb::access`] first consult an exact memo
-//! of the two most recently hit lines (or pages): line number (or vpn) →
-//! where it lives. A memo hit skips only the set scan (or the hash walk);
-//! the hit it finds, and every LRU stamp, dirty bit and counter it
-//! updates, are the ones the scan would have found and updated. The memo
-//! is dropped at each point that can move or duplicate a line or page:
-//! every miss (a victim may be a memoized one), [`Cache::flush`],
-//! [`Cache::pollute`] (which can plant one tag in two ways of a set,
-//! where the scan picks the first) and [`Tlb::flush`]. A miss then
-//! memoizes the line (or page) it filled, the only valid copy of its tag.
+//! [`Cache::access`] first consults an exact memo of the most recently
+//! accessed line: its line number → the index of its line. A memo hit
+//! skips only the set scan; the hit it finds, and the LRU stamp, dirty
+//! bit and counter it updates, are the ones the scan would have found and
+//! updated. The memo is replaced or dropped at each point that can move or
+//! duplicate a line: every miss memoizes the line it filled, the only
+//! valid copy of its tag (the victim may have been the memoized line),
+//! and [`Cache::flush`] and [`Cache::pollute`] drop it (`pollute` can
+//! plant one tag in two ways of a set, where the scan picks the first).
+//! The TLB has no memo: its hash index already makes a lookup O(1).
 
 use serde::{Deserialize, Serialize};
 
@@ -81,7 +81,7 @@ pub struct CacheAccess {
     pub writeback: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
     tag: u64,
     valid: bool,
@@ -97,38 +97,6 @@ const INVALID_LINE: Line = Line {
     lru: 0,
 };
 
-/// The two most recently hit keys of a [`Cache`] (line numbers) or a
-/// [`Tlb`] (vpns), most recent first, each with the index of its line or
-/// slot. Host-side only: see the [module docs](self) for why it is exact.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-struct Mru {
-    first: Option<(u64, u32)>,
-    second: Option<(u64, u32)>,
-}
-
-impl Mru {
-    /// Where `key` lives, if it is memoized; a hit moves it to the front.
-    #[inline]
-    fn get(&mut self, key: u64) -> Option<usize> {
-        match (self.first, self.second) {
-            (Some((k, at)), _) if k == key => Some(at as usize),
-            (first, Some((k, at))) if k == key => {
-                self.second = first;
-                self.first = Some((k, at));
-                Some(at as usize)
-            }
-            _ => None,
-        }
-    }
-
-    /// Memoize `key` at `at` as the most recent entry.
-    #[inline]
-    fn put(&mut self, key: u64, at: usize) {
-        self.second = self.first;
-        self.first = Some((key, at as u32));
-    }
-}
-
 /// A set-associative, write-back, write-allocate cache with true LRU.
 ///
 /// Deterministic by construction: the replacement decision depends only on
@@ -136,7 +104,7 @@ impl Mru {
 /// ("if the instruction stream is exactly the same and the caches have a
 /// deterministic replacement policy … this is almost sufficient to
 /// reproduce the evolution of cache states", §3.6).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cache {
     params: CacheParams,
     lines: Vec<Line>,
@@ -144,7 +112,9 @@ pub struct Cache {
     hits: u64,
     misses: u64,
     writebacks: u64,
-    mru: Mru,
+    /// The most recently accessed line number and the index of its line:
+    /// host-side only, see the [module docs](self).
+    mru: Option<(u64, usize)>,
 }
 
 impl Cache {
@@ -165,7 +135,7 @@ impl Cache {
             hits: 0,
             misses: 0,
             writebacks: 0,
-            mru: Mru::default(),
+            mru: None,
         }
     }
 
@@ -193,16 +163,16 @@ impl Cache {
         let ways = self.params.ways as usize;
         let base = self.set_index(addr) * ways;
         let tag = self.tag(addr);
-        let hit = self.mru.get(line).or_else(|| {
-            let at = base
-                + self.lines[base..base + ways]
-                    .iter()
-                    .position(|l| l.valid && l.tag == tag)?;
-            self.mru.put(line, at);
-            Some(at)
-        });
+        let hit = match self.mru {
+            Some((memo, at)) if memo == line => Some(at),
+            _ => self.lines[base..base + ways]
+                .iter()
+                .position(|l| l.valid && l.tag == tag)
+                .map(|way| base + way),
+        };
 
         if let Some(at) = hit {
+            self.mru = Some((line, at));
             let l = &mut self.lines[at];
             l.lru = self.clock;
             l.dirty |= write;
@@ -229,8 +199,7 @@ impl Cache {
             dirty: write,
             lru: self.clock,
         };
-        self.mru = Mru::default();
-        self.mru.put(line, base + way);
+        self.mru = Some((line, base + way));
         CacheAccess {
             hit: false,
             writeback,
@@ -250,7 +219,7 @@ impl Cache {
     /// Invalidate everything, returning the number of dirty lines that the
     /// hardware would have to write back (`wbinvd` semantics, §4.2).
     pub fn flush(&mut self) -> u64 {
-        self.mru = Mru::default();
+        self.mru = None;
         // Only `access` and `pollute` fill lines, and both advance `clock`:
         // a cache whose clock is still 0 is all-invalid already.
         if self.clock == 0 {
@@ -268,7 +237,7 @@ impl Cache {
     ///
     /// The pollution pattern is a deterministic function of `salt`.
     pub fn pollute(&mut self, fraction: f64, salt: u64) {
-        self.mru = Mru::default();
+        self.mru = None;
         let n = self.lines.len();
         let count = ((n as f64) * fraction.clamp(0.0, 1.0)) as usize;
         for k in 0..count {
@@ -327,7 +296,7 @@ const NIL: u32 = u32::MAX;
 ///
 /// Tracks virtual page numbers; the walk cost is charged on miss. `flush`
 /// models the paper's `CR4.PCIDE` toggle that drops global entries too.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tlb {
     params: TlbParams,
     entries: Vec<(u64, u64)>, // (vpn, lru)
@@ -345,7 +314,6 @@ pub struct Tlb {
     /// bits, so vpns that differ only in high bits (the region bases are
     /// all multiples of 256 pages) still spread.
     hash_shift: u32,
-    mru: Mru,
 }
 
 impl Tlb {
@@ -362,7 +330,6 @@ impl Tlb {
             buckets: vec![NIL; buckets],
             next: vec![NIL; params.entries as usize],
             hash_shift: 64 - buckets.trailing_zeros(),
-            mru: Mru::default(),
         }
     }
 
@@ -377,27 +344,19 @@ impl Tlb {
     pub fn access(&mut self, vaddr: u64) -> Cycles {
         self.clock += 1;
         let vpn = vaddr >> self.params.page.trailing_zeros();
-        let hit = self.mru.get(vpn).or_else(|| {
-            let slot = self.find(vpn)?;
-            self.mru.put(vpn, slot);
-            Some(slot)
-        });
-        if let Some(slot) = hit {
+        if let Some(slot) = self.find(vpn) {
             self.entries[slot].1 = self.clock;
             self.hits += 1;
             return 0;
         }
         self.misses += 1;
-        self.mru = Mru::default();
         if self.entries.len() < self.params.entries as usize {
             self.entries.push((vpn, self.clock));
             self.link(self.entries.len() - 1);
-            self.mru.put(vpn, self.entries.len() - 1);
         } else if let Some(slot) = (0..self.entries.len()).min_by_key(|&s| self.entries[s].1) {
             self.unlink(slot);
             self.entries[slot] = (vpn, self.clock);
             self.link(slot);
-            self.mru.put(vpn, slot);
         }
         self.params.miss_cycles
     }
@@ -442,7 +401,6 @@ impl Tlb {
     pub fn flush(&mut self) {
         self.entries.clear();
         self.buckets.fill(NIL);
-        self.mru = Mru::default();
     }
 
     /// `(hits, misses)` counters since construction.

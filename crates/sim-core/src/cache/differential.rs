@@ -1,10 +1,10 @@
-//! Differential test: the shift/mask cache and the hash-indexed TLB, with
-//! their most-recently-used memos, against test-local copies of the
+//! Differential test: the shift/mask cache, with its most-recently-used
+//! memo, and the hash-indexed TLB against test-local copies of the
 //! division-based cache and the sorted-index TLB they replaced, on seeded
 //! access streams. Every access outcome, the full line/entry state after
 //! every operation (so every victim), and the final counters must agree.
-//! Uniform streams rarely repeat a line or a page, so the memo's hit
-//! branches get their own locality streams.
+//! Uniform addresses rarely repeat a line, so the cache's stream mixes in
+//! bursts of locality runs, which take the memo's hit branches.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -227,6 +227,7 @@ fn cache_matches_the_division_based_reference() {
             assert_eq!(new.flush(), old.flush(), "{what}: cold flush");
             assert_same_cache(&new, &old, &what);
             let span = params.capacity() * 3;
+            let mut lines = vec![0];
             for step in 0..6_000 {
                 match rng.gen_range(0u32..100) {
                     0 => assert_eq!(new.flush(), old.flush(), "{what} step {step}: flush"),
@@ -235,6 +236,33 @@ fn cache_matches_the_division_based_reference() {
                         let salt = rng.gen::<u64>();
                         new.pollute(fraction, salt);
                         old.pollute(fraction, salt);
+                    }
+                    // A burst of runs with the locality the memo serves,
+                    // which uniform addresses rarely have.
+                    2 => {
+                        for run in 0..rng.gen_range(1..=8) {
+                            let what = format!("{what} step {step} run {run}");
+                            // Half the runs go back to the previous run's
+                            // lines, which a flush or pollute may just have
+                            // moved.
+                            if rng.gen_bool(0.5) {
+                                lines = locality_lines(&params, &mut rng);
+                            }
+                            cache_run(&mut new, &mut old, &mut rng, &lines, &what);
+                            match rng.gen_range(0..10) {
+                                0 => assert_eq!(new.flush(), old.flush(), "{what}: flush"),
+                                1 => {
+                                    // Salts from a small range, so pollutes
+                                    // overlap.
+                                    let fraction = rng.gen_range(0.0..1.0);
+                                    let salt = rng.gen_range(0..16u64);
+                                    new.pollute(fraction, salt);
+                                    old.pollute(fraction, salt);
+                                }
+                                _ => {}
+                            }
+                            assert_same_cache(&new, &old, &what);
+                        }
                     }
                     op => {
                         // Mostly a working set a few times the capacity
@@ -263,51 +291,18 @@ fn cache_matches_the_division_based_reference() {
     }
 }
 
-#[test]
-fn tlb_matches_the_sorted_index_reference() {
-    for entries in [0u32, 1, 2, 5, 64, 100] {
-        for seed in 0..4u64 {
-            let what = format!("{entries} entries seed {seed}");
-            let params = TlbParams {
-                entries,
-                page: 4096,
-                miss_cycles: 30,
-            };
-            let mut rng = StdRng::seed_from_u64(0x71b0_0000 + entries as u64 * 16 + seed);
-            let mut new = Tlb::new(params);
-            let mut old = RefTlb::new(params);
-            // A pool of pages about twice the TLB's reach, dominated by
-            // the region bases and their neighbours, so a full TLB evicts
-            // constantly and colliding vpns share buckets.
-            let mut pool: Vec<u64> = REGION_BASES
-                .iter()
-                .flat_map(|&b| (0..4u64).map(move |k| b / 4096 + k))
-                .collect();
-            while pool.len() < (2 * entries as usize).max(40) {
-                pool.push(rng.gen_range(0..1u64 << 40));
-            }
-            for step in 0..8_000 {
-                if rng.gen_range(0u32..400) == 0 {
-                    new.flush();
-                    old.flush();
-                } else {
-                    let vpn = pool[rng.gen_range(0..pool.len())];
-                    let vaddr = vpn * 4096 + rng.gen_range(0..4096u64);
-                    assert_eq!(
-                        new.access(vaddr),
-                        old.access(vaddr),
-                        "{what} step {step}: access {vaddr:#x}"
-                    );
-                }
-                assert_eq!(new.entries, old.entries, "{what} step {step}: entries");
-                assert_eq!(new.clock, old.clock, "{what} step {step}: clock");
-            }
-            assert_eq!(new.stats(), (old.hits, old.misses), "{what}: counters");
-            assert!(
-                entries == 0 || old.misses > entries as u64,
-                "{what}: TLB filled"
-            );
-        }
+/// The line numbers of one locality run, in a working set a few times the
+/// capacity, so runs revisit lines still resident and lines long evicted:
+/// one line, two to four lines of one set (beyond the associativity they
+/// evict each other), or two to four lines in consecutive sets.
+fn locality_lines(params: &CacheParams, rng: &mut StdRng) -> Vec<u64> {
+    let sets = params.sets as u64;
+    let first = rng.gen_range(0..sets * params.ways as u64 * 3);
+    let n = rng.gen_range(2..=4u64);
+    match rng.gen_range(0..3) {
+        0 => vec![first],
+        1 => (0..n).map(|k| first + k * sets).collect(),
+        _ => (0..n).map(|k| first + k).collect(),
     }
 }
 
@@ -330,52 +325,6 @@ fn cache_run(new: &mut Cache, old: &mut RefCache, rng: &mut StdRng, lines: &[u64
             "{what} step {step}: access {addr:#x}"
         );
         assert_same_cache(new, old, what);
-    }
-}
-
-#[test]
-fn cache_memo_matches_the_reference_on_locality_streams() {
-    for (g, params) in geometries().into_iter().enumerate() {
-        for seed in 0..4u64 {
-            let mut rng = StdRng::seed_from_u64(0x10ca_0000 + g as u64 * 16 + seed);
-            let mut new = Cache::new(params);
-            let mut old = RefCache::new(params);
-            let sets = params.sets as u64;
-            let mut lines = vec![0];
-            for run in 0..300 {
-                let what = format!("geometry {g} seed {seed} run {run}");
-                // Half the runs go back to the previous run's lines, which
-                // a flush or pollute may just have moved.
-                if rng.gen_bool(0.5) {
-                    // A working set a few times the capacity, so runs
-                    // revisit lines still resident and lines long evicted.
-                    let first = rng.gen_range(0..sets * params.ways as u64 * 3);
-                    let n = rng.gen_range(2..=4u64);
-                    lines = match rng.gen_range(0..3) {
-                        // Accesses within one line.
-                        0 => vec![first],
-                        // Two to four lines of one set: beyond the
-                        // associativity they evict each other.
-                        1 => (0..n).map(|k| first + k * sets).collect(),
-                        // Two to four lines in consecutive sets.
-                        _ => (0..n).map(|k| first + k).collect(),
-                    };
-                }
-                cache_run(&mut new, &mut old, &mut rng, &lines, &what);
-                match rng.gen_range(0..10) {
-                    0 => assert_eq!(new.flush(), old.flush(), "{what}: flush"),
-                    1 => {
-                        // Salts from a small range, so pollutes overlap.
-                        let fraction = rng.gen_range(0.0..1.0);
-                        let salt = rng.gen_range(0..16u64);
-                        new.pollute(fraction, salt);
-                        old.pollute(fraction, salt);
-                    }
-                    _ => {}
-                }
-                assert_same_cache(&new, &old, &what);
-            }
-        }
     }
 }
 
@@ -427,76 +376,48 @@ fn cache_memo_hits_the_first_of_two_copies_of_a_tag() {
 }
 
 #[test]
-fn tlb_memo_matches_the_reference_on_locality_streams() {
-    for entries in [1u32, 2, 5, 64] {
+fn tlb_matches_the_sorted_index_reference() {
+    for entries in [0u32, 1, 2, 5, 64, 100] {
         for seed in 0..4u64 {
+            let what = format!("{entries} entries seed {seed}");
             let params = TlbParams {
                 entries,
                 page: 4096,
                 miss_cycles: 30,
             };
-            let mut rng = StdRng::seed_from_u64(0x10cb_0000 + entries as u64 * 16 + seed);
+            let mut rng = StdRng::seed_from_u64(0x71b0_0000 + entries as u64 * 16 + seed);
             let mut new = Tlb::new(params);
             let mut old = RefTlb::new(params);
-            // Pages near the region bases, whose vpns share hash buckets.
-            let page = |rng: &mut StdRng| {
-                REGION_BASES[rng.gen_range(0..REGION_BASES.len())] / 4096 + rng.gen_range(0..6u64)
-            };
-            let mut step = 0u64;
-            let mut touch = |new: &mut Tlb, old: &mut RefTlb, rng: &mut StdRng, vpn: u64| {
-                let vaddr = vpn * 4096 + rng.gen_range(0..4096u64);
-                step += 1;
-                assert_eq!(
-                    new.access(vaddr),
-                    old.access(vaddr),
-                    "{entries} entries seed {seed} step {step}: access {vaddr:#x}"
-                );
-                assert_eq!(new.entries, old.entries, "{entries} entries step {step}");
-                assert_eq!(new.clock, old.clock, "{entries} entries step {step}");
-            };
-            for _ in 0..400 {
-                match rng.gen_range(0..3) {
-                    // Accesses within one page.
-                    0 => {
-                        let vpn = page(&mut rng);
-                        for _ in 0..rng.gen_range(1..32) {
-                            touch(&mut new, &mut old, &mut rng, vpn);
-                        }
-                    }
-                    // Instructions as `CoreModel::step` charges them: a
-                    // fetch from a code page, then zero to two data
-                    // references among one to three data pages.
-                    1 => {
-                        let code = rng.gen_range(0..4u64);
-                        let data: Vec<u64> =
-                            (0..rng.gen_range(1..=3)).map(|_| page(&mut rng)).collect();
-                        for _ in 0..rng.gen_range(1..48) {
-                            let pc = code + rng.gen_bool(0.05) as u64;
-                            touch(&mut new, &mut old, &mut rng, pc);
-                            for _ in 0..rng.gen_range(0..=2) {
-                                let vpn = data[rng.gen_range(0..data.len())];
-                                touch(&mut new, &mut old, &mut rng, vpn);
-                            }
-                        }
-                    }
-                    // Two to four pages in turn.
-                    _ => {
-                        let pages: Vec<u64> =
-                            (0..rng.gen_range(2..=4)).map(|_| page(&mut rng)).collect();
-                        for k in 0..rng.gen_range(2..48usize) {
-                            touch(&mut new, &mut old, &mut rng, pages[k % pages.len()]);
-                        }
-                    }
-                }
-                if rng.gen_range(0..10) == 0 {
+            // A pool of pages about twice the TLB's reach, dominated by
+            // the region bases and their neighbours, so a full TLB evicts
+            // constantly and colliding vpns share buckets.
+            let mut pool: Vec<u64> = REGION_BASES
+                .iter()
+                .flat_map(|&b| (0..4u64).map(move |k| b / 4096 + k))
+                .collect();
+            while pool.len() < (2 * entries as usize).max(40) {
+                pool.push(rng.gen_range(0..1u64 << 40));
+            }
+            for step in 0..8_000 {
+                if rng.gen_range(0u32..400) == 0 {
                     new.flush();
                     old.flush();
+                } else {
+                    let vpn = pool[rng.gen_range(0..pool.len())];
+                    let vaddr = vpn * 4096 + rng.gen_range(0..4096u64);
+                    assert_eq!(
+                        new.access(vaddr),
+                        old.access(vaddr),
+                        "{what} step {step}: access {vaddr:#x}"
+                    );
                 }
+                assert_eq!(new.entries, old.entries, "{what} step {step}: entries");
+                assert_eq!(new.clock, old.clock, "{what} step {step}: clock");
             }
-            assert_eq!(
-                new.stats(),
-                (old.hits, old.misses),
-                "{entries} entries seed {seed}: counters"
+            assert_eq!(new.stats(), (old.hits, old.misses), "{what}: counters");
+            assert!(
+                entries == 0 || old.misses > entries as u64,
+                "{what}: TLB filled"
             );
         }
     }

@@ -1,10 +1,10 @@
 //! Differential test: [`Vm::run`]'s fused dispatch against the classic
 //! loop it replaced, which calls [`Vm::step`] once per instruction. Each
 //! program is recorded and then time-deterministically replayed from that
-//! recording, under both loops. The run's result, instruction count,
-//! cycles, wall-clock picoseconds, console output and every transmission
-//! time must agree: fused dispatch may skip host work, never simulated
-//! work.
+//! recording, under both loops. Every run must end as its case says it
+//! ends, and instruction count, cycles, wall-clock picoseconds, console
+//! output and every transmission time must agree: fused dispatch may skip
+//! host work, never simulated work.
 
 use std::sync::Arc;
 
@@ -13,7 +13,7 @@ use jbc::{ElemTy, Op, Program};
 use machine::{Machine, MachineConfig, Seeds, StEntry};
 use workloads::{corpus, nfs, scimark::Kernel};
 
-use crate::{ReplayStyle, RunOutcome, Vm, VmConfig, VmError};
+use crate::{ExitKind, ReplayStyle, RunOutcome, Vm, VmConfig, VmError};
 
 /// The classic loop: the scheduling head of [`Vm::run`], then one
 /// [`Vm::step`] per instruction.
@@ -28,7 +28,7 @@ fn run_classic(vm: &mut Vm) -> Result<RunOutcome, VmError> {
         vm.step(&program)?;
     }
     Ok(RunOutcome {
-        exit: crate::ExitKind::Completed,
+        exit: ExitKind::Completed,
         icount: vm.icount,
         cycles: vm.machine.now_cycles(),
         wall_ps: vm.machine.now_ps(),
@@ -45,15 +45,20 @@ struct Case {
     /// file set with every session it replays.
     files: Arc<Vec<Vec<u8>>>,
     packets: Vec<(u64, Vec<u8>)>,
+    /// How every run of the case must end, under either loop, so that the
+    /// loops agreeing is never agreement on an early failure.
+    ends: Result<ExitKind, VmError>,
 }
 
 impl Case {
+    /// A case that must run to completion.
     fn plain(name: String, program: Program) -> Case {
         Case {
             name,
             program: Arc::new(program),
             files: Arc::default(),
             packets: Vec::new(),
+            ends: Ok(ExitKind::Completed),
         }
     }
 }
@@ -66,8 +71,9 @@ struct Log {
 }
 
 /// One run of `case` under either loop: a recording when `log` is `None`,
-/// otherwise a TDR replay of `log` on another run's noise seed. Returns
-/// the run's fingerprint and, for a recording, its log.
+/// otherwise a TDR replay of `log` on another run's noise seed. Asserts
+/// that the run ends as the case says; returns the run's fingerprint and,
+/// for a recording, its log.
 fn run(case: &Case, log: Option<&Log>, classic: bool) -> (String, Option<Log>) {
     let (seed, replay_style) = match log {
         Some(_) => (8, ReplayStyle::Tdr),
@@ -99,6 +105,14 @@ fn run(case: &Case, log: Option<&Log>, classic: bool) -> (String, Option<Log>) {
         vm.run()
     }
     .map(|outcome| outcome.exit);
+    assert_eq!(
+        result,
+        case.ends,
+        "{}: the {} {} ended otherwise than the case says",
+        case.name,
+        if classic { "classic" } else { "fused" },
+        if log.is_none() { "recording" } else { "replay" },
+    );
     let (icount, console) = (vm.icount(), vm.console().to_vec());
     let m = vm.machine_mut();
     let tx: Vec<(u64, u128)> = m.take_tx().iter().map(|t| (t.cycle, t.wall_ps)).collect();
@@ -107,7 +121,7 @@ fn run(case: &Case, log: Option<&Log>, classic: bool) -> (String, Option<Log>) {
         values: m.drain_logged_values(),
     });
     let fingerprint = format!(
-        "result={result:?} icount={icount} cycles={} wall_ps={} console={console:?} tx={tx:?}",
+        "icount={icount} cycles={} wall_ps={} console={console:?} tx={tx:?}",
         m.now_cycles(),
         m.now_ps(),
     );
@@ -229,6 +243,16 @@ fn array_program() -> Program {
     b.link().expect("the array program links")
 }
 
+/// [`array_program`], which ends with its last, uncaught null load.
+fn array_case() -> Case {
+    Case {
+        ends: Err(VmError::UncaughtException {
+            class: "NullPointerException".to_string(),
+        }),
+        ..Case::plain("array access".to_string(), array_program())
+    }
+}
+
 fn cases() -> Vec<Case> {
     let mut cases: Vec<Case> = (0..corpus::GOLDEN_CORPUS_SIZE as u64)
         .map(|k| {
@@ -242,7 +266,7 @@ fn cases() -> Vec<Case> {
         "scimark fft".to_string(),
         Kernel::Fft.program_small(),
     ));
-    cases.push(Case::plain("array access".to_string(), array_program()));
+    cases.push(array_case());
     let files = nfs::make_files(4, 1500, 4000, 5);
     let schedule = nfs::client_schedule(&files, 200_000, 700_000, 4);
     cases.push(Case {
@@ -250,6 +274,7 @@ fn cases() -> Vec<Case> {
         program: Arc::new(nfs::server_program(8)),
         files: Arc::new(files),
         packets: schedule.packets.into_iter().take(8).collect(),
+        ends: Ok(ExitKind::Completed),
     });
     cases
 }
@@ -283,8 +308,8 @@ fn classic_and_fused_dispatch_agree() {
 #[test]
 fn array_program_reaches_every_kind_and_fault() {
     // The case above is only as strong as the program: pin what it prints
-    // and how it ends, so that fused and classic dispatch agreeing is not
-    // agreement on an early failure.
+    // (`run` checks how it ends), so that every kind and every fault is
+    // reached under fused dispatch.
     let sum = |f: fn(i64) -> i64| (0..ARRAY_LEN).map(f).sum::<i64>().to_string();
     let mut want = vec![
         sum(|k| (3 * k) as i8 as i64),
@@ -295,12 +320,7 @@ fn array_program_reaches_every_kind_and_fault() {
         (ARRAY_LEN * ARRAY_LEN).to_string(),
     ];
     want.extend((100..104).map(|k: i64| k.to_string()));
-    let (fingerprint, _) = run(&Case::plain("arrays".into(), array_program()), None, false);
-    assert!(
-        fingerprint
-            .starts_with("result=Err(UncaughtException { class: \"NullPointerException\" })"),
-        "{fingerprint}"
-    );
+    let (fingerprint, _) = run(&array_case(), None, false);
     assert!(
         fingerprint.contains(&format!("console={want:?}")),
         "{fingerprint}"

@@ -42,17 +42,17 @@ for dir in "${sides[@]}"; do commit[$dir]=$(commit_of "$dir"); done
 side[$here]=this
 [ -z "$against" ] || side[$against]=against
 
-# The CPUs this process may run on, and that count capped by a cgroup v2
-# CPU quota, which is how std::thread::available_parallelism counts.
-cpus=$(nproc)
-avail=$cpus
-if { read -r quota period </sys/fs/cgroup/cpu.max; } 2>/dev/null && [ "$quota" != max ]; then
-  limit=$((quota / period > 0 ? quota / period : 1))
-  avail=$((limit < cpus ? limit : cpus))
-fi
-
 runs=$here/target/bench_perf
 mkdir -p "$runs"
+
+# The CPUs this process may run on, and what std::thread::available_parallelism
+# reports here: that count capped by the CPU quota of this process's cgroup
+# and its ancestors, v1 or v2. The second comes from std itself, through a
+# one-line program built by the toolchain that builds auditbench.
+cpus=$(nproc)
+echo 'fn main() { println!("{}", std::thread::available_parallelism().unwrap()) }' |
+  rustc -o "$runs/available_parallelism" -
+avail=$("$runs/available_parallelism")
 records=$(mktemp -d)
 trap 'rm -rf "$records"' EXIT
 
