@@ -1084,6 +1084,174 @@ mod tests {
         b.link().expect("link")
     }
 
+    /// One of every opcode, in wire-byte order, each with extreme operands.
+    fn every_op() -> Vec<Op> {
+        use Op::*;
+        let (c, f, m) = (ClassId(u16::MAX), FieldId(u16::MAX), MethodId(u16::MAX));
+        let t = u32::MAX;
+        vec![
+            Nop,
+            IConst(i32::MIN),
+            LConst(i64::MAX),
+            DConst(-0.0),
+            AConstNull,
+            LdcStr(u16::MAX),
+            ILoad(u16::MAX),
+            LLoad(u16::MAX),
+            DLoad(u16::MAX),
+            ALoad(u16::MAX),
+            IStore(u16::MAX),
+            LStore(u16::MAX),
+            DStore(u16::MAX),
+            AStore(u16::MAX),
+            IInc(u16::MAX, i16::MIN),
+            Pop,
+            Dup,
+            DupX1,
+            Swap,
+            IAdd,
+            ISub,
+            IMul,
+            IDiv,
+            IRem,
+            INeg,
+            IShl,
+            IShr,
+            IUShr,
+            IAnd,
+            IOr,
+            IXor,
+            LAdd,
+            LSub,
+            LMul,
+            LDiv,
+            LRem,
+            LNeg,
+            LShl,
+            LShr,
+            LUShr,
+            LAnd,
+            LOr,
+            LXor,
+            DAdd,
+            DSub,
+            DMul,
+            DDiv,
+            DRem,
+            DNeg,
+            I2L,
+            I2D,
+            L2I,
+            L2D,
+            D2I,
+            D2L,
+            I2B,
+            I2C,
+            I2S,
+            LCmp,
+            DCmpL,
+            DCmpG,
+            Goto(t),
+            IfEq(t),
+            IfNe(t),
+            IfLt(t),
+            IfGe(t),
+            IfGt(t),
+            IfLe(t),
+            IfICmpEq(t),
+            IfICmpNe(t),
+            IfICmpLt(t),
+            IfICmpGe(t),
+            IfICmpGt(t),
+            IfICmpLe(t),
+            IfACmpEq(t),
+            IfACmpNe(t),
+            IfNull(t),
+            IfNonNull(t),
+            TableSwitch {
+                low: i32::MIN,
+                targets: vec![0, t],
+                default: t,
+            },
+            LookupSwitch {
+                pairs: vec![(i32::MIN, 0), (i32::MAX, t)],
+                default: t,
+            },
+            New(c),
+            GetField(f),
+            PutField(f),
+            GetStatic(f),
+            PutStatic(f),
+            InstanceOf(c),
+            CheckCast(c),
+            NewArray(ElemTy::Ref),
+            ArrayLength,
+            IALoad,
+            IAStore,
+            LALoad,
+            LAStore,
+            DALoad,
+            DAStore,
+            AALoad,
+            AAStore,
+            BALoad,
+            BAStore,
+            CALoad,
+            CAStore,
+            InvokeStatic(m),
+            InvokeVirtual(m),
+            InvokeSpecial(m),
+            InvokeNative(NativeId(u16::MAX)),
+            Return,
+            IReturn,
+            LReturn,
+            DReturn,
+            AReturn,
+            AThrow,
+            MonitorEnter,
+            MonitorExit,
+        ]
+    }
+
+    /// A container holding one method with [`every_op`], as hex.
+    const EVERY_OP_HEX: &str = concat!(
+        "710100005444525001000000d46ff636828fe54b51deb125364b3265bdfe1f1f89a4302b",
+        "ffd90fc3c5c6115fc30201014d00000001046d61696e000001046d61696e000000000100",
+        "007100010000008002ffffffffffffff7f0300000000000000800405ffff06ffff07ffff",
+        "08ffff09ffff0affff0bffff0cffff0dffff0effff00800f101112131415161718191a1b",
+        "1c1d1e1f202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3dffff",
+        "ffff3effffffff3fffffffff40ffffffff41ffffffff42ffffffff43ffffffff44ffffff",
+        "ff45ffffffff46ffffffff47ffffffff48ffffffff49ffffffff4affffffff4bffffffff",
+        "4cffffffff4dffffffff4e000000800200000000ffffffffffffffff4f02000000800000",
+        "0000ffffff7fffffffffffffffff50ffff51ffff52ffff53ffff54ffff55ffff56ffff57",
+        "0558595a5b5c5d5e5f606162636465ffff66ffff67ffff68ffff696a6b6c6d6e6f700000",
+        "80800400000000000044be1152",
+    );
+
+    /// Pins the encoding of every opcode: a method holding one of each
+    /// `Op` variant, with extreme operands, seals to [`EVERY_OP_HEX`] and
+    /// opens back to the same program. A change to any opcode byte or
+    /// immediate layout must show up here, never land silently.
+    #[test]
+    fn every_opcode_seals_to_pinned_bytes_and_round_trips() {
+        let ops = every_op();
+        let kinds: std::collections::HashSet<_> = ops.iter().map(std::mem::discriminant).collect();
+        assert_eq!(
+            (ops.len(), kinds.len()),
+            (0x71, 0x71),
+            "one op per opcode byte"
+        );
+        let mut program = tiny_program();
+        program.methods[0].code = ops;
+        let sealed = seal(&program);
+        let hex: String = sealed.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, EVERY_OP_HEX, "opcode encoding drifted");
+        let (id, back) = open(&sealed).expect("every opcode opens");
+        assert_eq!(back, program);
+        assert_eq!(id, reference_id(&program));
+        assert_eq!(seal(&back), sealed);
+    }
+
     /// Pins the FORMATS.md §7.2 worked example byte-for-byte: sealing
     /// the smallest compilable module produces exactly the documented 90
     /// bytes. Any canonical-encoding or envelope change must show up

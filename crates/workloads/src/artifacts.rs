@@ -64,4 +64,30 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), a.len(), "artifact ids are distinct");
     }
+
+    /// Pins each artifact's reference id: a change to one of these
+    /// programs, or to the canonical TDRP encoding, shows up here.
+    #[test]
+    fn artifact_ids_are_pinned() {
+        let pinned = [
+            (
+                "scimark_fft",
+                "b41526077966c5d7f636d0a236a111ce5e0cf3e2ef0fe45d071a01101967f7da",
+            ),
+            (
+                "nfs_server",
+                "fac5b81dc3b7461ff85e697661e07c283ff4407a1d16f270d1d83f093edbdff2",
+            ),
+            (
+                "corpus_0",
+                "37281bbe853e5bad26231f54fd86cddd67a3ed167fc36e847e5dfe0878b4677e",
+            ),
+        ];
+        let artifacts = registry_artifacts();
+        assert_eq!(artifacts.len(), pinned.len());
+        for ((name, program), (want_name, want_id)) in artifacts.iter().zip(pinned) {
+            let id = jbc::container::reference_id(program).to_hex();
+            assert_eq!((*name, id.as_str()), (want_name, want_id));
+        }
+    }
 }
