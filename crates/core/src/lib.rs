@@ -94,8 +94,9 @@ pub struct Sanity {
     program: Arc<Program>,
     mcfg: MachineConfig,
     /// Stable-storage contents (shared machine state: play and replay both
-    /// see the same file system, like the paper's NFS file set).
-    files: Vec<Vec<u8>>,
+    /// see the same file system, like the paper's NFS file set). One copy,
+    /// shared by every run and every reference made from this one.
+    files: Arc<Vec<Vec<u8>>>,
     /// Trained detector battery shared by every audit worker (None = the
     /// TDR-only default).
     battery: Option<Arc<DetectorBattery>>,
@@ -108,7 +109,7 @@ impl Sanity {
         Sanity {
             program: Arc::new(program),
             mcfg: MachineConfig::sanity(),
-            files: Vec::new(),
+            files: Arc::default(),
             battery: None,
         }
     }
@@ -116,8 +117,8 @@ impl Sanity {
     /// Attach stable-storage contents (installed into every run: storage is
     /// machine state, not a nondeterministic input, so replay must see the
     /// same files).
-    pub fn with_files(mut self, files: Vec<Vec<u8>>) -> Self {
-        self.files = files;
+    pub fn with_files(mut self, files: impl Into<Arc<Vec<Vec<u8>>>>) -> Self {
+        self.files = files.into();
         self
     }
 
@@ -153,7 +154,7 @@ impl Sanity {
     /// Record an execution; `setup` delivers inputs (packets, files, delay
     /// models) before the run starts.
     pub fn record(&self, run: u64, setup: impl FnOnce(&mut Vm)) -> Result<Recorded, SessionError> {
-        let files = self.files.clone();
+        let files = Arc::clone(&self.files);
         replay::record(
             Arc::clone(&self.program),
             self.mcfg,
@@ -173,7 +174,7 @@ impl Sanity {
         run: u64,
         setup: impl FnOnce(&mut Vm),
     ) -> Result<Recorded, SessionError> {
-        let files = self.files.clone();
+        let files = Arc::clone(&self.files);
         replay::replay_tdr(
             Arc::clone(&self.program),
             self.mcfg,
@@ -189,7 +190,7 @@ impl Sanity {
 
     /// Functional (XenTT-style) replay of `log` — the Fig. 3 baseline.
     pub fn replay_functional(&self, log: &EventLog, run: u64) -> Result<Recorded, SessionError> {
-        let files = self.files.clone();
+        let files = Arc::clone(&self.files);
         replay::replay_functional(
             Arc::clone(&self.program),
             VmConfig::default(),
@@ -207,7 +208,7 @@ impl Sanity {
             program: Arc::clone(&self.program),
             machine: self.mcfg,
             vm: VmConfig::default(),
-            files: self.files.clone(),
+            files: Arc::clone(&self.files),
             battery: self.battery.clone(),
         }
     }
@@ -268,7 +269,7 @@ impl Sanity {
         setup: impl FnOnce(&mut Vm),
     ) -> Result<Recorded, SessionError> {
         let program = jbc::Verified::new(Arc::clone(&self.program)).map_err(VmError::from)?;
-        let files = self.files.clone();
+        let files = Arc::clone(&self.files);
         replay::audit_replay(&program, self.mcfg, VmConfig::default(), log, run, |vm| {
             vm.set_files(files);
             setup(vm);

@@ -27,6 +27,11 @@
 //! encoding per program value and the id function is injective over
 //! accepted containers.
 //!
+//! The program body is described once: its encoder, its decoder and the
+//! bound on every declared count come from one row of fields per struct
+//! (`program_body!` below), and each opcode's byte and operands from its
+//! row of the instruction table in [`crate::op`].
+//!
 //! This crate is dependency-free by design, so SHA-256 is implemented
 //! here; varints and the bounds-checked [`Cursor`] come from
 //! [`crate::wire`] and the CRC-32 from [`crate::crc`], the one
@@ -35,6 +40,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 
 use crate::crc::crc32;
 use crate::op::{ElemTy, Op};
@@ -334,602 +340,266 @@ fn sha256(data: &[u8]) -> [u8; 32] {
 // Canonical program encoding
 // ---------------------------------------------------------------------------
 
-/// A string: varint length, then UTF-8 bytes.
-fn string(r: &mut Cursor<'_>) -> Result<String, ContainerError> {
-    String::from_utf8(r.bytes()?.to_vec()).map_err(|_| ContainerError::BadUtf8)
+/// A value with one canonical TDRP encoding. `MIN` is the fewest bytes one
+/// value occupies: the divisor a declared count of them is bounded by.
+/// `what` names the `Struct.field` being decoded, for a tag error.
+pub(crate) trait Wire: Sized {
+    const MIN: usize;
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(r: &mut Cursor<'_>, what: &'static str) -> Result<Self, ContainerError>;
 }
 
-/// A `bool` tag byte; anything but `00`/`01` names the field it broke.
-fn flag(r: &mut Cursor<'_>, what: &'static str) -> Result<bool, ContainerError> {
-    match r.byte()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        value => Err(ContainerError::BadTag { what, value }),
-    }
-}
-
-fn opt_u16(r: &mut Cursor<'_>, what: &'static str) -> Result<Option<u16>, ContainerError> {
-    if flag(r, what)? {
-        Ok(Some(r.le()?))
-    } else {
-        Ok(None)
-    }
-}
-
-fn put_opt_u16(out: &mut Vec<u8>, v: Option<u16>) {
-    match v {
-        Some(n) => {
-            out.push(1);
-            out.extend_from_slice(&n.to_le_bytes());
+/// Fixed-width little-endian; an `f64` as its IEEE-754 bits.
+macro_rules! fixed_le {
+    ($($t:ty),+) => {$(
+        impl Wire for $t {
+            const MIN: usize = std::mem::size_of::<$t>();
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut Cursor<'_>, _: &'static str) -> Result<Self, ContainerError> {
+                Ok(r.le()?)
+            }
         }
-        None => out.push(0),
-    }
+    )+};
 }
+fixed_le!(u16, i16, u32, i32, i64, f64);
 
-fn ty_byte(ty: Ty) -> u8 {
-    match ty {
-        Ty::I32 => 0,
-        Ty::I64 => 1,
-        Ty::F64 => 2,
-        Ty::Ref => 3,
-    }
-}
-
-fn ty_from(b: u8) -> Result<Ty, ContainerError> {
-    Ok(match b {
-        0 => Ty::I32,
-        1 => Ty::I64,
-        2 => Ty::F64,
-        3 => Ty::Ref,
-        value => return Err(ContainerError::BadTag { what: "Ty", value }),
-    })
-}
-
-fn elem_ty_byte(ty: ElemTy) -> u8 {
-    match ty {
-        ElemTy::I8 => 0,
-        ElemTy::U16 => 1,
-        ElemTy::I32 => 2,
-        ElemTy::I64 => 3,
-        ElemTy::F64 => 4,
-        ElemTy::Ref => 5,
-    }
-}
-
-fn elem_ty_from(b: u8) -> Result<ElemTy, ContainerError> {
-    Ok(match b {
-        0 => ElemTy::I8,
-        1 => ElemTy::U16,
-        2 => ElemTy::I32,
-        3 => ElemTy::I64,
-        4 => ElemTy::F64,
-        5 => ElemTy::Ref,
-        value => {
-            return Err(ContainerError::BadTag {
-                what: "ElemTy",
-                value,
-            })
+/// An id: its `u16` index.
+macro_rules! ids {
+    ($($t:ident),+) => {$(
+        impl Wire for $t {
+            const MIN: usize = 2;
+            fn put(&self, out: &mut Vec<u8>) {
+                self.0.put(out);
+            }
+            fn get(r: &mut Cursor<'_>, _: &'static str) -> Result<Self, ContainerError> {
+                Ok($t(r.le()?))
+            }
         }
-    })
+    )+};
+}
+ids!(ClassId, FieldId, MethodId, NativeId);
+
+/// Enums sent as one tag byte, each variant's byte in its row; any other
+/// byte is a `BadTag` naming the enum.
+macro_rules! tags {
+    ($($t:ident { $($v:ident = $byte:literal),+ })+) => {$(
+        impl Wire for $t {
+            const MIN: usize = 1;
+            fn put(&self, out: &mut Vec<u8>) {
+                out.push(match self {
+                    $($t::$v => $byte,)+
+                });
+            }
+            fn get(r: &mut Cursor<'_>, _: &'static str) -> Result<Self, ContainerError> {
+                Ok(match r.byte()? {
+                    $($byte => $t::$v,)+
+                    value => return Err(ContainerError::BadTag { what: stringify!($t), value }),
+                })
+            }
+        }
+    )+};
+}
+tags! {
+    Ty { I32 = 0, I64 = 1, F64 = 2, Ref = 3 }
+    ElemTy { I8 = 0, U16 = 1, I32 = 2, I64 = 3, F64 = 4, Ref = 5 }
 }
 
-/// Opcode byte assignments: declaration order of [`Op`], `0x00..=0x70`.
-/// Immediates follow the opcode byte fixed-width little-endian (`u16`,
-/// `i32`, `u32` targets, `i64`, `f64` bit patterns); switch tables carry
-/// a varint element count.
-fn put_op(out: &mut Vec<u8>, op: &Op) {
-    use Op::*;
-    let u16imm = |out: &mut Vec<u8>, code: u8, n: u16| {
-        out.push(code);
-        out.extend_from_slice(&n.to_le_bytes());
+impl Wire for u8 {
+    const MIN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+    fn get(r: &mut Cursor<'_>, _: &'static str) -> Result<Self, ContainerError> {
+        Ok(r.byte()?)
+    }
+}
+
+/// One byte, `00` or `01`; anything else names the field it broke.
+impl Wire for bool {
+    const MIN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
+    }
+    fn get(r: &mut Cursor<'_>, what: &'static str) -> Result<Self, ContainerError> {
+        match r.byte()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            value => Err(ContainerError::BadTag { what, value }),
+        }
+    }
+}
+
+/// Varint length, then UTF-8 bytes.
+impl Wire for String {
+    const MIN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_bytes(out, self.as_bytes());
+    }
+    fn get(r: &mut Cursor<'_>, _: &'static str) -> Result<Self, ContainerError> {
+        String::from_utf8(r.bytes()?.to_vec()).map_err(|_| ContainerError::BadUtf8)
+    }
+}
+
+/// A `bool` tag, then the value if it is set.
+impl<T: Wire> Wire for Option<T> {
+    const MIN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(v) = self {
+            v.put(out);
+        }
+    }
+    fn get(r: &mut Cursor<'_>, what: &'static str) -> Result<Self, ContainerError> {
+        Ok(if bool::get(r, what)? {
+            Some(T::get(r, what)?)
+        } else {
+            None
+        })
+    }
+}
+
+/// A varint count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.len() as u64);
+        for item in self {
+            item.put(out);
+        }
+    }
+    fn get(r: &mut Cursor<'_>, what: &'static str) -> Result<Self, ContainerError> {
+        let n = r.count(T::MIN)?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::get(r, what)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN: usize = A::MIN + B::MIN;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(r: &mut Cursor<'_>, what: &'static str) -> Result<Self, ContainerError> {
+        Ok((A::get(r, what)?, B::get(r, what)?))
+    }
+}
+
+/// A varint count, then the entries in key order, so the encoding is a
+/// function of the map's contents, not of hash iteration order.
+impl<K: Wire + Ord + Hash, V: Wire> Wire for HashMap<K, V> {
+    const MIN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        put_varint(out, entries.len() as u64);
+        for (k, v) in entries {
+            k.put(out);
+            v.put(out);
+        }
+    }
+    fn get(r: &mut Cursor<'_>, what: &'static str) -> Result<Self, ContainerError> {
+        let n = r.count(K::MIN + V::MIN)?;
+        let mut map = HashMap::with_capacity(n);
+        for _ in 0..n {
+            let k = K::get(r, what)?;
+            map.insert(k, V::get(r, what)?);
+        }
+        Ok(map)
+    }
+}
+
+// A program-body field's wire rule: its type's `Wire` encoding, or
+// `[varint]` for a count-like `u32`/`u64` sent as a varint. A varint that
+// does not fit its field decodes truncated, and `open`'s canonical check
+// then refuses the body.
+macro_rules! body_field {
+    (min $t:ty) => {
+        <$t as Wire>::MIN
     };
-    let u32imm = |out: &mut Vec<u8>, code: u8, n: u32| {
-        out.push(code);
-        out.extend_from_slice(&n.to_le_bytes());
+    (min $t:ty, varint) => {
+        1
     };
-    match op {
-        Nop => out.push(0x00),
-        IConst(v) => {
-            out.push(0x01);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        LConst(v) => {
-            out.push(0x02);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        DConst(v) => {
-            out.push(0x03);
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        AConstNull => out.push(0x04),
-        LdcStr(n) => u16imm(out, 0x05, *n),
-        ILoad(n) => u16imm(out, 0x06, *n),
-        LLoad(n) => u16imm(out, 0x07, *n),
-        DLoad(n) => u16imm(out, 0x08, *n),
-        ALoad(n) => u16imm(out, 0x09, *n),
-        IStore(n) => u16imm(out, 0x0a, *n),
-        LStore(n) => u16imm(out, 0x0b, *n),
-        DStore(n) => u16imm(out, 0x0c, *n),
-        AStore(n) => u16imm(out, 0x0d, *n),
-        IInc(n, d) => {
-            u16imm(out, 0x0e, *n);
-            out.extend_from_slice(&d.to_le_bytes());
-        }
-        Pop => out.push(0x0f),
-        Dup => out.push(0x10),
-        DupX1 => out.push(0x11),
-        Swap => out.push(0x12),
-        IAdd => out.push(0x13),
-        ISub => out.push(0x14),
-        IMul => out.push(0x15),
-        IDiv => out.push(0x16),
-        IRem => out.push(0x17),
-        INeg => out.push(0x18),
-        IShl => out.push(0x19),
-        IShr => out.push(0x1a),
-        IUShr => out.push(0x1b),
-        IAnd => out.push(0x1c),
-        IOr => out.push(0x1d),
-        IXor => out.push(0x1e),
-        LAdd => out.push(0x1f),
-        LSub => out.push(0x20),
-        LMul => out.push(0x21),
-        LDiv => out.push(0x22),
-        LRem => out.push(0x23),
-        LNeg => out.push(0x24),
-        LShl => out.push(0x25),
-        LShr => out.push(0x26),
-        LUShr => out.push(0x27),
-        LAnd => out.push(0x28),
-        LOr => out.push(0x29),
-        LXor => out.push(0x2a),
-        DAdd => out.push(0x2b),
-        DSub => out.push(0x2c),
-        DMul => out.push(0x2d),
-        DDiv => out.push(0x2e),
-        DRem => out.push(0x2f),
-        DNeg => out.push(0x30),
-        I2L => out.push(0x31),
-        I2D => out.push(0x32),
-        L2I => out.push(0x33),
-        L2D => out.push(0x34),
-        D2I => out.push(0x35),
-        D2L => out.push(0x36),
-        I2B => out.push(0x37),
-        I2C => out.push(0x38),
-        I2S => out.push(0x39),
-        LCmp => out.push(0x3a),
-        DCmpL => out.push(0x3b),
-        DCmpG => out.push(0x3c),
-        Goto(t) => u32imm(out, 0x3d, *t),
-        IfEq(t) => u32imm(out, 0x3e, *t),
-        IfNe(t) => u32imm(out, 0x3f, *t),
-        IfLt(t) => u32imm(out, 0x40, *t),
-        IfGe(t) => u32imm(out, 0x41, *t),
-        IfGt(t) => u32imm(out, 0x42, *t),
-        IfLe(t) => u32imm(out, 0x43, *t),
-        IfICmpEq(t) => u32imm(out, 0x44, *t),
-        IfICmpNe(t) => u32imm(out, 0x45, *t),
-        IfICmpLt(t) => u32imm(out, 0x46, *t),
-        IfICmpGe(t) => u32imm(out, 0x47, *t),
-        IfICmpGt(t) => u32imm(out, 0x48, *t),
-        IfICmpLe(t) => u32imm(out, 0x49, *t),
-        IfACmpEq(t) => u32imm(out, 0x4a, *t),
-        IfACmpNe(t) => u32imm(out, 0x4b, *t),
-        IfNull(t) => u32imm(out, 0x4c, *t),
-        IfNonNull(t) => u32imm(out, 0x4d, *t),
-        TableSwitch {
-            low,
-            targets,
-            default,
-        } => {
-            out.push(0x4e);
-            out.extend_from_slice(&low.to_le_bytes());
-            put_varint(out, targets.len() as u64);
-            for t in targets {
-                out.extend_from_slice(&t.to_le_bytes());
-            }
-            out.extend_from_slice(&default.to_le_bytes());
-        }
-        LookupSwitch { pairs, default } => {
-            out.push(0x4f);
-            put_varint(out, pairs.len() as u64);
-            for (k, t) in pairs {
-                out.extend_from_slice(&k.to_le_bytes());
-                out.extend_from_slice(&t.to_le_bytes());
-            }
-            out.extend_from_slice(&default.to_le_bytes());
-        }
-        New(c) => u16imm(out, 0x50, c.0),
-        GetField(fi) => u16imm(out, 0x51, fi.0),
-        PutField(fi) => u16imm(out, 0x52, fi.0),
-        GetStatic(fi) => u16imm(out, 0x53, fi.0),
-        PutStatic(fi) => u16imm(out, 0x54, fi.0),
-        InstanceOf(c) => u16imm(out, 0x55, c.0),
-        CheckCast(c) => u16imm(out, 0x56, c.0),
-        NewArray(ty) => {
-            out.push(0x57);
-            out.push(elem_ty_byte(*ty));
-        }
-        ArrayLength => out.push(0x58),
-        IALoad => out.push(0x59),
-        IAStore => out.push(0x5a),
-        LALoad => out.push(0x5b),
-        LAStore => out.push(0x5c),
-        DALoad => out.push(0x5d),
-        DAStore => out.push(0x5e),
-        AALoad => out.push(0x5f),
-        AAStore => out.push(0x60),
-        BALoad => out.push(0x61),
-        BAStore => out.push(0x62),
-        CALoad => out.push(0x63),
-        CAStore => out.push(0x64),
-        InvokeStatic(m) => u16imm(out, 0x65, m.0),
-        InvokeVirtual(m) => u16imm(out, 0x66, m.0),
-        InvokeSpecial(m) => u16imm(out, 0x67, m.0),
-        InvokeNative(n) => u16imm(out, 0x68, n.0),
-        Return => out.push(0x69),
-        IReturn => out.push(0x6a),
-        LReturn => out.push(0x6b),
-        DReturn => out.push(0x6c),
-        AReturn => out.push(0x6d),
-        AThrow => out.push(0x6e),
-        MonitorEnter => out.push(0x6f),
-        MonitorExit => out.push(0x70),
-    }
+    (put $v:ident, $out:ident) => {
+        $v.put($out)
+    };
+    (put $v:ident, $out:ident, varint) => {
+        put_varint($out, *$v as u64)
+    };
+    (get $r:ident, $t:ty, $what:expr) => {
+        <$t as Wire>::get($r, $what)?
+    };
+    (get $r:ident, $t:ty, $what:expr, varint) => {
+        $r.varint()? as $t
+    };
 }
 
-fn read_op(r: &mut Cursor<'_>) -> Result<Op, ContainerError> {
-    use Op::*;
-    let code = r.byte()?;
-    Ok(match code {
-        0x00 => Nop,
-        0x01 => IConst(r.le()?),
-        0x02 => LConst(r.le()?),
-        0x03 => DConst(r.le()?),
-        0x04 => AConstNull,
-        0x05 => LdcStr(r.le()?),
-        0x06 => ILoad(r.le()?),
-        0x07 => LLoad(r.le()?),
-        0x08 => DLoad(r.le()?),
-        0x09 => ALoad(r.le()?),
-        0x0a => IStore(r.le()?),
-        0x0b => LStore(r.le()?),
-        0x0c => DStore(r.le()?),
-        0x0d => AStore(r.le()?),
-        0x0e => IInc(r.le()?, r.le()?),
-        0x0f => Pop,
-        0x10 => Dup,
-        0x11 => DupX1,
-        0x12 => Swap,
-        0x13 => IAdd,
-        0x14 => ISub,
-        0x15 => IMul,
-        0x16 => IDiv,
-        0x17 => IRem,
-        0x18 => INeg,
-        0x19 => IShl,
-        0x1a => IShr,
-        0x1b => IUShr,
-        0x1c => IAnd,
-        0x1d => IOr,
-        0x1e => IXor,
-        0x1f => LAdd,
-        0x20 => LSub,
-        0x21 => LMul,
-        0x22 => LDiv,
-        0x23 => LRem,
-        0x24 => LNeg,
-        0x25 => LShl,
-        0x26 => LShr,
-        0x27 => LUShr,
-        0x28 => LAnd,
-        0x29 => LOr,
-        0x2a => LXor,
-        0x2b => DAdd,
-        0x2c => DSub,
-        0x2d => DMul,
-        0x2e => DDiv,
-        0x2f => DRem,
-        0x30 => DNeg,
-        0x31 => I2L,
-        0x32 => I2D,
-        0x33 => L2I,
-        0x34 => L2D,
-        0x35 => D2I,
-        0x36 => D2L,
-        0x37 => I2B,
-        0x38 => I2C,
-        0x39 => I2S,
-        0x3a => LCmp,
-        0x3b => DCmpL,
-        0x3c => DCmpG,
-        0x3d => Goto(r.le()?),
-        0x3e => IfEq(r.le()?),
-        0x3f => IfNe(r.le()?),
-        0x40 => IfLt(r.le()?),
-        0x41 => IfGe(r.le()?),
-        0x42 => IfGt(r.le()?),
-        0x43 => IfLe(r.le()?),
-        0x44 => IfICmpEq(r.le()?),
-        0x45 => IfICmpNe(r.le()?),
-        0x46 => IfICmpLt(r.le()?),
-        0x47 => IfICmpGe(r.le()?),
-        0x48 => IfICmpGt(r.le()?),
-        0x49 => IfICmpLe(r.le()?),
-        0x4a => IfACmpEq(r.le()?),
-        0x4b => IfACmpNe(r.le()?),
-        0x4c => IfNull(r.le()?),
-        0x4d => IfNonNull(r.le()?),
-        0x4e => {
-            let low = r.le()?;
-            let n = r.count(4)?;
-            let mut targets = Vec::with_capacity(n);
-            for _ in 0..n {
-                targets.push(r.le()?);
+/// The program body, one row per struct with its fields in wire order
+/// (`docs/FORMATS.md` §7): each struct's encoder, decoder and minimum
+/// size come from its row, and the decoder names `Struct.field` in a
+/// tag error. The destructuring makes a field missing from a row a
+/// compile error.
+macro_rules! program_body {
+    ($($name:ident { $($f:ident: $t:ty $([$rule:ident])?),+ })+) => {$(
+        impl Wire for $name {
+            const MIN: usize = 0 $(+ body_field!(min $t $(, $rule)?))+;
+            fn put(&self, out: &mut Vec<u8>) {
+                let $name { $($f),+ } = self;
+                $(body_field!(put $f, out $(, $rule)?);)+
             }
-            let default = r.le()?;
-            TableSwitch {
-                low,
-                targets,
-                default,
+            fn get(r: &mut Cursor<'_>, _: &'static str) -> Result<Self, ContainerError> {
+                $(let $f = body_field!(
+                    get r, $t, concat!(stringify!($name), ".", stringify!($f)) $(, $rule)?
+                );)+
+                Ok($name { $($f),+ })
             }
         }
-        0x4f => {
-            let n = r.count(8)?;
-            let mut pairs = Vec::with_capacity(n);
-            for _ in 0..n {
-                pairs.push((r.le()?, r.le()?));
-            }
-            let default = r.le()?;
-            LookupSwitch { pairs, default }
-        }
-        0x50 => New(ClassId(r.le()?)),
-        0x51 => GetField(FieldId(r.le()?)),
-        0x52 => PutField(FieldId(r.le()?)),
-        0x53 => GetStatic(FieldId(r.le()?)),
-        0x54 => PutStatic(FieldId(r.le()?)),
-        0x55 => InstanceOf(ClassId(r.le()?)),
-        0x56 => CheckCast(ClassId(r.le()?)),
-        0x57 => NewArray(elem_ty_from(r.byte()?)?),
-        0x58 => ArrayLength,
-        0x59 => IALoad,
-        0x5a => IAStore,
-        0x5b => LALoad,
-        0x5c => LAStore,
-        0x5d => DALoad,
-        0x5e => DAStore,
-        0x5f => AALoad,
-        0x60 => AAStore,
-        0x61 => BALoad,
-        0x62 => BAStore,
-        0x63 => CALoad,
-        0x64 => CAStore,
-        0x65 => InvokeStatic(MethodId(r.le()?)),
-        0x66 => InvokeVirtual(MethodId(r.le()?)),
-        0x67 => InvokeSpecial(MethodId(r.le()?)),
-        0x68 => InvokeNative(NativeId(r.le()?)),
-        0x69 => Return,
-        0x6a => IReturn,
-        0x6b => LReturn,
-        0x6c => DReturn,
-        0x6d => AReturn,
-        0x6e => AThrow,
-        0x6f => MonitorEnter,
-        0x70 => MonitorExit,
-        other => return Err(ContainerError::BadOpcode(other)),
-    })
+    )+};
+}
+
+// Opcode byte assignments are the instruction table's (`crate::op`): the
+// opcode byte, then each operand in row order, fixed-width little-endian,
+// a switch table with a varint count.
+program_body! {
+    Class {
+        name: String, super_class: Option<ClassId>, layout: Vec<FieldId>, vtable: Vec<MethodId>,
+        declared: HashMap<String, MethodId>
+    }
+    Method {
+        name: String, owner: ClassId, params: Vec<Ty>, ret: Option<Ty>, is_static: bool,
+        max_locals: u16, code: Vec<Op>, handlers: Vec<Handler>, vslot: Option<u16>,
+        code_base: u64 [varint]
+    }
+    Handler { start: u32, end: u32, target: u32, class: Option<ClassId> }
+    Field { name: String, owner: ClassId, ty: Ty, is_static: bool, slot: u32 [varint] }
+    NativeDecl { name: String, args: u8, ret: bool }
+    Program {
+        classes: Vec<Class>, methods: Vec<Method>, fields: Vec<Field>, strings: Vec<String>,
+        natives: Vec<NativeDecl>, static_slots: u32 [varint], entry: MethodId
+    }
 }
 
 /// The canonical byte encoding of `program` — the domain of
 /// [`reference_id`]. Deterministic: unordered collections (each class's
-/// `declared` map) are serialized in ascending name order, so two
-/// structurally equal programs encode byte-identically.
+/// `declared` map) are serialized in ascending key order, so two
+/// structurally equal programs encode byte-identically. Opcodes are
+/// encoded from the instruction table in [`crate::op`].
 pub fn canonical_program_bytes(program: &Program) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + program.total_code_len() * 3);
-
-    put_varint(&mut out, program.classes.len() as u64);
-    for class in &program.classes {
-        put_bytes(&mut out, class.name.as_bytes());
-        put_opt_u16(&mut out, class.super_class.map(|c| c.0));
-        put_varint(&mut out, class.layout.len() as u64);
-        for fid in &class.layout {
-            out.extend_from_slice(&fid.0.to_le_bytes());
-        }
-        put_varint(&mut out, class.vtable.len() as u64);
-        for mid in &class.vtable {
-            out.extend_from_slice(&mid.0.to_le_bytes());
-        }
-        // `declared` is a HashMap; sort by name so the encoding is a
-        // function of the program value, not of hash iteration order.
-        let mut declared: Vec<(&String, &MethodId)> = class.declared.iter().collect();
-        declared.sort_by(|a, b| a.0.cmp(b.0));
-        put_varint(&mut out, declared.len() as u64);
-        for (name, mid) in declared {
-            put_bytes(&mut out, name.as_bytes());
-            out.extend_from_slice(&mid.0.to_le_bytes());
-        }
-    }
-
-    put_varint(&mut out, program.methods.len() as u64);
-    for method in &program.methods {
-        put_bytes(&mut out, method.name.as_bytes());
-        out.extend_from_slice(&method.owner.0.to_le_bytes());
-        put_varint(&mut out, method.params.len() as u64);
-        for &p in &method.params {
-            out.push(ty_byte(p));
-        }
-        match method.ret {
-            Some(ty) => {
-                out.push(1);
-                out.push(ty_byte(ty));
-            }
-            None => out.push(0),
-        }
-        out.push(method.is_static as u8);
-        out.extend_from_slice(&method.max_locals.to_le_bytes());
-        put_varint(&mut out, method.code.len() as u64);
-        for op in &method.code {
-            put_op(&mut out, op);
-        }
-        put_varint(&mut out, method.handlers.len() as u64);
-        for h in &method.handlers {
-            out.extend_from_slice(&h.start.to_le_bytes());
-            out.extend_from_slice(&h.end.to_le_bytes());
-            out.extend_from_slice(&h.target.to_le_bytes());
-            put_opt_u16(&mut out, h.class.map(|c| c.0));
-        }
-        put_opt_u16(&mut out, method.vslot);
-        put_varint(&mut out, method.code_base);
-    }
-
-    put_varint(&mut out, program.fields.len() as u64);
-    for field in &program.fields {
-        put_bytes(&mut out, field.name.as_bytes());
-        out.extend_from_slice(&field.owner.0.to_le_bytes());
-        out.push(ty_byte(field.ty));
-        out.push(field.is_static as u8);
-        put_varint(&mut out, field.slot as u64);
-    }
-
-    put_varint(&mut out, program.strings.len() as u64);
-    for s in &program.strings {
-        put_bytes(&mut out, s.as_bytes());
-    }
-
-    put_varint(&mut out, program.natives.len() as u64);
-    for n in &program.natives {
-        put_bytes(&mut out, n.name.as_bytes());
-        out.push(n.args);
-        out.push(n.ret as u8);
-    }
-
-    put_varint(&mut out, program.static_slots as u64);
-    out.extend_from_slice(&program.entry.0.to_le_bytes());
+    program.put(&mut out);
     out
 }
 
 fn decode_program(bytes: &[u8]) -> Result<Program, ContainerError> {
     let mut r = Cursor::new(bytes);
-
-    let n_classes = r.count(1)?;
-    let mut classes = Vec::with_capacity(n_classes);
-    for _ in 0..n_classes {
-        let name = string(&mut r)?;
-        let super_class = opt_u16(&mut r, "Class.super_class")?.map(ClassId);
-        let n_layout = r.count(2)?;
-        let mut layout = Vec::with_capacity(n_layout);
-        for _ in 0..n_layout {
-            layout.push(FieldId(r.le()?));
-        }
-        let n_vtable = r.count(2)?;
-        let mut vtable = Vec::with_capacity(n_vtable);
-        for _ in 0..n_vtable {
-            vtable.push(MethodId(r.le()?));
-        }
-        let n_declared = r.count(3)?;
-        let mut declared = HashMap::with_capacity(n_declared);
-        for _ in 0..n_declared {
-            let mname = string(&mut r)?;
-            declared.insert(mname, MethodId(r.le()?));
-        }
-        classes.push(Class {
-            name,
-            super_class,
-            layout,
-            vtable,
-            declared,
-        });
-    }
-
-    let n_methods = r.count(1)?;
-    let mut methods = Vec::with_capacity(n_methods);
-    for _ in 0..n_methods {
-        let name = string(&mut r)?;
-        let owner = ClassId(r.le()?);
-        let n_params = r.count(1)?;
-        let mut params = Vec::with_capacity(n_params);
-        for _ in 0..n_params {
-            params.push(ty_from(r.byte()?)?);
-        }
-        let ret = if flag(&mut r, "Method.ret")? {
-            Some(ty_from(r.byte()?)?)
-        } else {
-            None
-        };
-        let is_static = flag(&mut r, "Method.is_static")?;
-        let max_locals = r.le()?;
-        let n_code = r.count(1)?;
-        let mut code = Vec::with_capacity(n_code);
-        for _ in 0..n_code {
-            code.push(read_op(&mut r)?);
-        }
-        let n_handlers = r.count(13)?;
-        let mut handlers = Vec::with_capacity(n_handlers);
-        for _ in 0..n_handlers {
-            handlers.push(Handler {
-                start: r.le()?,
-                end: r.le()?,
-                target: r.le()?,
-                class: opt_u16(&mut r, "Handler.class")?.map(ClassId),
-            });
-        }
-        let vslot = opt_u16(&mut r, "Method.vslot")?;
-        let code_base = r.varint()?;
-        methods.push(Method {
-            name,
-            owner,
-            params,
-            ret,
-            is_static,
-            max_locals,
-            code,
-            handlers,
-            vslot,
-            code_base,
-        });
-    }
-
-    let n_fields = r.count(5)?;
-    let mut fields = Vec::with_capacity(n_fields);
-    for _ in 0..n_fields {
-        fields.push(Field {
-            name: string(&mut r)?,
-            owner: ClassId(r.le()?),
-            ty: ty_from(r.byte()?)?,
-            is_static: flag(&mut r, "Field.is_static")?,
-            slot: r.varint()? as u32,
-        });
-    }
-
-    let n_strings = r.count(1)?;
-    let mut strings = Vec::with_capacity(n_strings);
-    for _ in 0..n_strings {
-        strings.push(string(&mut r)?);
-    }
-
-    let n_natives = r.count(3)?;
-    let mut natives = Vec::with_capacity(n_natives);
-    for _ in 0..n_natives {
-        natives.push(NativeDecl {
-            name: string(&mut r)?,
-            args: r.byte()?,
-            ret: flag(&mut r, "NativeDecl.ret")?,
-        });
-    }
-
-    let static_slots = r.varint()? as u32;
-    let entry = MethodId(r.le()?);
+    let program = Program::get(&mut r, "Program")?;
     r.finish()?;
-    Ok(Program {
-        classes,
-        methods,
-        fields,
-        strings,
-        natives,
-        static_slots,
-        entry,
-    })
+    Ok(program)
 }
 
 // ---------------------------------------------------------------------------
@@ -1084,136 +754,7 @@ mod tests {
         b.link().expect("link")
     }
 
-    /// One of every opcode, in wire-byte order, each with extreme operands.
-    fn every_op() -> Vec<Op> {
-        use Op::*;
-        let (c, f, m) = (ClassId(u16::MAX), FieldId(u16::MAX), MethodId(u16::MAX));
-        let t = u32::MAX;
-        vec![
-            Nop,
-            IConst(i32::MIN),
-            LConst(i64::MAX),
-            DConst(-0.0),
-            AConstNull,
-            LdcStr(u16::MAX),
-            ILoad(u16::MAX),
-            LLoad(u16::MAX),
-            DLoad(u16::MAX),
-            ALoad(u16::MAX),
-            IStore(u16::MAX),
-            LStore(u16::MAX),
-            DStore(u16::MAX),
-            AStore(u16::MAX),
-            IInc(u16::MAX, i16::MIN),
-            Pop,
-            Dup,
-            DupX1,
-            Swap,
-            IAdd,
-            ISub,
-            IMul,
-            IDiv,
-            IRem,
-            INeg,
-            IShl,
-            IShr,
-            IUShr,
-            IAnd,
-            IOr,
-            IXor,
-            LAdd,
-            LSub,
-            LMul,
-            LDiv,
-            LRem,
-            LNeg,
-            LShl,
-            LShr,
-            LUShr,
-            LAnd,
-            LOr,
-            LXor,
-            DAdd,
-            DSub,
-            DMul,
-            DDiv,
-            DRem,
-            DNeg,
-            I2L,
-            I2D,
-            L2I,
-            L2D,
-            D2I,
-            D2L,
-            I2B,
-            I2C,
-            I2S,
-            LCmp,
-            DCmpL,
-            DCmpG,
-            Goto(t),
-            IfEq(t),
-            IfNe(t),
-            IfLt(t),
-            IfGe(t),
-            IfGt(t),
-            IfLe(t),
-            IfICmpEq(t),
-            IfICmpNe(t),
-            IfICmpLt(t),
-            IfICmpGe(t),
-            IfICmpGt(t),
-            IfICmpLe(t),
-            IfACmpEq(t),
-            IfACmpNe(t),
-            IfNull(t),
-            IfNonNull(t),
-            TableSwitch {
-                low: i32::MIN,
-                targets: vec![0, t],
-                default: t,
-            },
-            LookupSwitch {
-                pairs: vec![(i32::MIN, 0), (i32::MAX, t)],
-                default: t,
-            },
-            New(c),
-            GetField(f),
-            PutField(f),
-            GetStatic(f),
-            PutStatic(f),
-            InstanceOf(c),
-            CheckCast(c),
-            NewArray(ElemTy::Ref),
-            ArrayLength,
-            IALoad,
-            IAStore,
-            LALoad,
-            LAStore,
-            DALoad,
-            DAStore,
-            AALoad,
-            AAStore,
-            BALoad,
-            BAStore,
-            CALoad,
-            CAStore,
-            InvokeStatic(m),
-            InvokeVirtual(m),
-            InvokeSpecial(m),
-            InvokeNative(NativeId(u16::MAX)),
-            Return,
-            IReturn,
-            LReturn,
-            DReturn,
-            AReturn,
-            AThrow,
-            MonitorEnter,
-            MonitorExit,
-        ]
-    }
-
-    /// A container holding one method with [`every_op`], as hex.
+    /// A container holding one method with `every_op(true)`, as hex.
     const EVERY_OP_HEX: &str = concat!(
         "710100005444525001000000d46ff636828fe54b51deb125364b3265bdfe1f1f89a4302b",
         "ffd90fc3c5c6115fc30201014d00000001046d61696e000001046d61696e000000000100",
@@ -1234,7 +775,7 @@ mod tests {
     /// immediate layout must show up here, never land silently.
     #[test]
     fn every_opcode_seals_to_pinned_bytes_and_round_trips() {
-        let ops = every_op();
+        let ops = crate::op::every_op(true);
         let kinds: std::collections::HashSet<_> = ops.iter().map(std::mem::discriminant).collect();
         assert_eq!(
             (ops.len(), kinds.len()),
@@ -1507,6 +1048,35 @@ mod tests {
             open(&container),
             Err(ContainerError::LengthOverflow { .. })
         ));
+
+        // Each count is bounded by its element's smallest encoding, summed
+        // from its row: one class, method or field more than the bytes
+        // left could hold is refused at the count, before any allocation.
+        assert_eq!(
+            (
+                Class::MIN,
+                Method::MIN,
+                Field::MIN,
+                Handler::MIN,
+                NativeDecl::MIN
+            ),
+            (5, 12, 6, 13, 3)
+        );
+        let left = 60;
+        // Classes lead the body; methods follow zero classes, fields zero
+        // methods.
+        for (empty_lists, min) in [(0, Class::MIN), (1, Method::MIN), (2, Field::MIN)] {
+            let mut body = vec![0; empty_lists];
+            put_varint(&mut body, (left / min + 1) as u64);
+            body.resize(body.len() + left, 0);
+            assert_eq!(
+                decode_program(&body),
+                Err(ContainerError::LengthOverflow {
+                    declared: (left / min + 1) as u64,
+                    available: (left / min) as u64,
+                })
+            );
+        }
     }
 
     #[test]

@@ -6,47 +6,11 @@ use crate::op::Op;
 use crate::program::{MethodId, Program};
 
 /// Render one instruction, resolving ids against `program` when possible.
+/// Every op without ids lists as the instruction table shows it.
 pub fn format_op(program: &Program, op: &Op) -> String {
     use Op::*;
     match op {
-        IConst(v) => format!("iconst {v}"),
-        LConst(v) => format!("lconst {v}"),
-        DConst(v) => format!("dconst {v}"),
         LdcStr(i) => format!("ldc_str {:?}", program.strings[*i as usize]),
-        ILoad(n) => format!("iload {n}"),
-        LLoad(n) => format!("lload {n}"),
-        DLoad(n) => format!("dload {n}"),
-        ALoad(n) => format!("aload {n}"),
-        IStore(n) => format!("istore {n}"),
-        LStore(n) => format!("lstore {n}"),
-        DStore(n) => format!("dstore {n}"),
-        AStore(n) => format!("astore {n}"),
-        IInc(n, d) => format!("iinc {n} {d:+}"),
-        Goto(t) => format!("goto -> {t}"),
-        IfEq(t) => format!("ifeq -> {t}"),
-        IfNe(t) => format!("ifne -> {t}"),
-        IfLt(t) => format!("iflt -> {t}"),
-        IfGe(t) => format!("ifge -> {t}"),
-        IfGt(t) => format!("ifgt -> {t}"),
-        IfLe(t) => format!("ifle -> {t}"),
-        IfICmpEq(t) => format!("if_icmpeq -> {t}"),
-        IfICmpNe(t) => format!("if_icmpne -> {t}"),
-        IfICmpLt(t) => format!("if_icmplt -> {t}"),
-        IfICmpGe(t) => format!("if_icmpge -> {t}"),
-        IfICmpGt(t) => format!("if_icmpgt -> {t}"),
-        IfICmpLe(t) => format!("if_icmple -> {t}"),
-        IfACmpEq(t) => format!("if_acmpeq -> {t}"),
-        IfACmpNe(t) => format!("if_acmpne -> {t}"),
-        IfNull(t) => format!("ifnull -> {t}"),
-        IfNonNull(t) => format!("ifnonnull -> {t}"),
-        TableSwitch {
-            low,
-            targets,
-            default,
-        } => format!("tableswitch low={low} targets={targets:?} default={default}"),
-        LookupSwitch { pairs, default } => {
-            format!("lookupswitch pairs={pairs:?} default={default}")
-        }
         New(c) => format!("new {}", program.class(*c).name),
         GetField(f) => format!("getfield {}", qualified_field(program, *f)),
         PutField(f) => format!("putfield {}", qualified_field(program, *f)),
@@ -54,12 +18,11 @@ pub fn format_op(program: &Program, op: &Op) -> String {
         PutStatic(f) => format!("putstatic {}", qualified_field(program, *f)),
         InstanceOf(c) => format!("instanceof {}", program.class(*c).name),
         CheckCast(c) => format!("checkcast {}", program.class(*c).name),
-        NewArray(t) => format!("newarray {t:?}"),
         InvokeStatic(m) => format!("invokestatic {}", qualified_method(program, *m)),
         InvokeVirtual(m) => format!("invokevirtual {}", qualified_method(program, *m)),
         InvokeSpecial(m) => format!("invokespecial {}", qualified_method(program, *m)),
         InvokeNative(n) => format!("invokenative {}", program.natives[n.0 as usize].name),
-        other => other.mnemonic().to_string(),
+        other => other.listing(),
     }
 }
 

@@ -10,9 +10,10 @@
 //! The crate is deliberately self-contained and side-effect free: it knows
 //! nothing about timing, replay, or the platform. It provides:
 //!
-//! * [`Op`] — the instruction set (~110 opcodes mirroring the JVM's
+//! * [`Op`] — the instruction set (113 opcodes mirroring the JVM's
 //!   structure: constants, locals, operand-stack manipulation, arithmetic,
-//!   control flow, objects, arrays, calls, exceptions, monitors);
+//!   control flow, objects, arrays, calls, exceptions, monitors), each
+//!   described by one row of the instruction table in [`op`];
 //! * [`Program`], [`Class`], [`Method`], [`Field`] — the linked program
 //!   model (the equivalent of a loaded set of class files);
 //! * [`ProgramBuilder`] / [`MethodAsm`] — a label-based assembler API;

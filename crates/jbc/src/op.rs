@@ -5,10 +5,19 @@
 //! labels to indices). For timing purposes every instruction is considered to
 //! occupy four bytes of the simulated instruction stream, so the fetch
 //! address of instruction `i` in a method with code base `b` is `b + 4 * i`.
+//!
+//! What else there is to know about an opcode — its TDRP byte and operand
+//! layout, its mnemonic, its [`OpClass`] and its stack effect — is one
+//! row of the instruction table (`instructions!` below), from which every
+//! per-opcode match in this crate is generated.
+
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::container::{ContainerError, Wire};
 use crate::program::{ClassId, FieldId, MethodId, NativeId};
+use crate::wire::Cursor;
 
 /// Element type of a primitive or reference array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -357,106 +366,313 @@ pub enum Op {
     MonitorExit,
 }
 
-impl Op {
-    /// The timing class of this opcode.
-    pub fn class(&self) -> OpClass {
-        use Op::*;
-        match self {
-            Nop | IConst(_) | LConst(_) | DConst(_) | AConstNull | LdcStr(_) => OpClass::Const,
-            ILoad(_) | LLoad(_) | DLoad(_) | ALoad(_) | IStore(_) | LStore(_) | DStore(_)
-            | AStore(_) | IInc(..) => OpClass::Local,
-            Pop | Dup | DupX1 | Swap => OpClass::Stack,
-            IAdd | ISub | INeg | IShl | IShr | IUShr | IAnd | IOr | IXor | LAdd | LSub | LNeg
-            | LShl | LShr | LUShr | LAnd | LOr | LXor | LCmp => OpClass::AluInt,
-            IMul | LMul => OpClass::MulInt,
-            IDiv | IRem | LDiv | LRem => OpClass::DivInt,
-            DAdd | DSub | DNeg | DCmpL | DCmpG => OpClass::AluFp,
-            DMul => OpClass::MulFp,
-            DDiv | DRem => OpClass::DivFp,
-            I2L | I2D | L2I | L2D | D2I | D2L | I2B | I2C | I2S => OpClass::Conv,
-            Goto(_)
-            | IfEq(_)
-            | IfNe(_)
-            | IfLt(_)
-            | IfGe(_)
-            | IfGt(_)
-            | IfLe(_)
-            | IfICmpEq(_)
-            | IfICmpNe(_)
-            | IfICmpLt(_)
-            | IfICmpGe(_)
-            | IfICmpGt(_)
-            | IfICmpLe(_)
-            | IfACmpEq(_)
-            | IfACmpNe(_)
-            | IfNull(_)
-            | IfNonNull(_)
-            | TableSwitch { .. }
-            | LookupSwitch { .. } => OpClass::Branch,
-            GetField(_) | GetStatic(_) | IALoad | LALoad | DALoad | AALoad | BALoad | CALoad
-            | ArrayLength | InstanceOf(_) | CheckCast(_) => OpClass::HeapLoad,
-            PutField(_) | PutStatic(_) | IAStore | LAStore | DAStore | AAStore | BAStore
-            | CAStore => OpClass::HeapStore,
-            New(_) | NewArray(_) => OpClass::Alloc,
-            InvokeStatic(_) | InvokeVirtual(_) | InvokeSpecial(_) | Return | IReturn | LReturn
-            | DReturn | AReturn => OpClass::Call,
-            InvokeNative(_) => OpClass::Native,
-            AThrow => OpClass::Throw,
-            MonitorEnter | MonitorExit => OpClass::Monitor,
-        }
+/// An instruction operand. Its TDRP encoding is its [`Wire`] impl; this
+/// adds how a listing shows it and which branch targets it holds. Every
+/// `u32` operand is a branch target, and no other operand type holds one.
+pub(crate) trait Operand: Wire + fmt::Debug {
+    /// The operand as the disassembler lists it.
+    fn show(&self) -> String {
+        format!("{self:?}")
     }
 
+    /// Pass each branch target to `f`.
+    fn targets(&self, _f: &mut impl FnMut(u32)) {}
+
+    /// Rewrite each branch target through `f`.
+    fn map_targets(&mut self, _f: &mut impl FnMut(u32) -> u32) {}
+}
+
+impl Operand for i32 {}
+impl Operand for i64 {}
+impl Operand for u16 {}
+impl Operand for ElemTy {}
+impl Operand for ClassId {}
+impl Operand for FieldId {}
+impl Operand for MethodId {}
+impl Operand for NativeId {}
+
+impl Operand for f64 {
+    fn show(&self) -> String {
+        self.to_string()
+    }
+}
+
+/// `IInc`'s increment, signed even when positive.
+impl Operand for i16 {
+    fn show(&self) -> String {
+        format!("{self:+}")
+    }
+}
+
+impl Operand for u32 {
+    fn show(&self) -> String {
+        format!("-> {self}")
+    }
+    fn targets(&self, f: &mut impl FnMut(u32)) {
+        f(*self)
+    }
+    fn map_targets(&mut self, f: &mut impl FnMut(u32) -> u32) {
+        *self = f(*self)
+    }
+}
+
+impl Operand for Vec<u32> {
+    fn targets(&self, f: &mut impl FnMut(u32)) {
+        self.iter().for_each(|t| f(*t))
+    }
+    fn map_targets(&mut self, f: &mut impl FnMut(u32) -> u32) {
+        self.iter_mut().for_each(|t| *t = f(*t))
+    }
+}
+
+impl Operand for Vec<(i32, u32)> {
+    fn targets(&self, f: &mut impl FnMut(u32)) {
+        self.iter().for_each(|(_, t)| f(*t))
+    }
+    fn map_targets(&mut self, f: &mut impl FnMut(u32) -> u32) {
+        self.iter_mut().for_each(|(_, t)| *t = f(*t))
+    }
+}
+
+/// A row's stack effect: `pops => pushes`, or `call` for an invoke.
+macro_rules! effect {
+    (call) => {
+        None
+    };
+    ($pops:literal => $pushes:literal) => {
+        Some(($pops, $pushes))
+    };
+}
+
+/// The instruction table. Each row gives one opcode's wire byte, its
+/// operands in wire order, its mnemonic, its [`OpClass`] and its stack
+/// effect as `[pops => pushes]`; the four invokes take theirs from the
+/// callee (`[call]`). Every match below is generated from it and
+/// exhaustive over [`Op`], so an opcode without a row does not compile.
+macro_rules! instructions {
+    ($($byte:literal $name:ident $(($($a:ident: $at:ty),+))? $({$($f:ident: $ft:ty),+})?
+        $mnemonic:literal $class:ident [$($effect:tt)+];)+) => {
+        impl Op {
+            /// The timing class of this opcode.
+            pub fn class(&self) -> OpClass {
+                match self {
+                    $(Op::$name { .. } => OpClass::$class,)+
+                }
+            }
+
+            /// The canonical lower-case mnemonic, as used by the disassembler.
+            pub fn mnemonic(&self) -> &'static str {
+                match self {
+                    $(Op::$name { .. } => $mnemonic,)+
+                }
+            }
+
+            /// Operand-stack slots this opcode pops and then pushes; `None`
+            /// for the invokes, whose effect is the callee's signature.
+            pub(crate) fn stack_effect(&self) -> Option<(i32, i32)> {
+                match self {
+                    $(Op::$name { .. } => effect!($($effect)+),)+
+                }
+            }
+
+            /// All branch targets encoded in the instruction (empty for
+            /// non-branches).
+            pub fn branch_targets(&self) -> Vec<u32> {
+                let mut out = Vec::new();
+                let mut push = |t| out.push(t);
+                match self {
+                    $(Op::$name $(($($a),+))? $({$($f),+})? => {
+                        $($($a.targets(&mut push);)+)?
+                        $($($f.targets(&mut push);)+)?
+                    })+
+                }
+                out
+            }
+
+            /// Rewrite every branch target through `f` (used by the label
+            /// resolver).
+            pub fn map_targets(&mut self, mut f: impl FnMut(u32) -> u32) {
+                match self {
+                    $(Op::$name $(($($a),+))? $({$($f),+})? => {
+                        $($($a.map_targets(&mut f);)+)?
+                        $($($f.map_targets(&mut f);)+)?
+                    })+
+                }
+            }
+
+            /// The listing of this instruction with its operands as numbers;
+            /// the disassembler resolves ids itself.
+            pub(crate) fn listing(&self) -> String {
+                match self {
+                    $(Op::$name $(($($a),+))? $({$($f),+})? => [
+                        $mnemonic.to_string(),
+                        $($($a.show(),)+)?
+                        $($(format!(concat!(stringify!($f), "={:?}"), $f),)+)?
+                    ]
+                    .join(" "),)+
+                }
+            }
+        }
+
+        /// The opcode byte, then the operands in row order.
+        impl Wire for Op {
+            const MIN: usize = 1;
+
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Op::$name $(($($a),+))? $({$($f),+})? => {
+                        out.push($byte);
+                        $($($a.put(out);)+)?
+                        $($($f.put(out);)+)?
+                    })+
+                }
+            }
+
+            #[deny(unreachable_patterns)]
+            fn get(r: &mut Cursor<'_>, what: &'static str) -> Result<Self, ContainerError> {
+                Ok(match r.byte()? {
+                    $($byte => {
+                        $($(let $a = <$at as Wire>::get(r, what)?;)+)?
+                        $($(let $f = <$ft as Wire>::get(r, what)?;)+)?
+                        Op::$name $(($($a),+))? $({$($f),+})?
+                    })+
+                    other => return Err(ContainerError::BadOpcode(other)),
+                })
+            }
+        }
+
+        /// One of every opcode in wire-byte order, each operand at its
+        /// [`tests::Sample`] value.
+        #[cfg(test)]
+        pub(crate) fn every_op(extreme: bool) -> Vec<Op> {
+            use tests::Sample;
+            vec![$(Op::$name $(($(<$at>::sample(extreme)),+))? $({$($f: <$ft>::sample(extreme)),+})?,)+]
+        }
+    };
+}
+
+instructions! {
+    0x00 Nop                            "nop"           Const       [0 => 0];
+    0x01 IConst(v: i32)                 "iconst"        Const       [0 => 1];
+    0x02 LConst(v: i64)                 "lconst"        Const       [0 => 1];
+    0x03 DConst(v: f64)                 "dconst"        Const       [0 => 1];
+    0x04 AConstNull                     "aconst_null"   Const       [0 => 1];
+    0x05 LdcStr(string: u16)            "ldc_str"       Const       [0 => 1];
+    0x06 ILoad(local: u16)              "iload"         Local       [0 => 1];
+    0x07 LLoad(local: u16)              "lload"         Local       [0 => 1];
+    0x08 DLoad(local: u16)              "dload"         Local       [0 => 1];
+    0x09 ALoad(local: u16)              "aload"         Local       [0 => 1];
+    0x0a IStore(local: u16)             "istore"        Local       [1 => 0];
+    0x0b LStore(local: u16)             "lstore"        Local       [1 => 0];
+    0x0c DStore(local: u16)             "dstore"        Local       [1 => 0];
+    0x0d AStore(local: u16)             "astore"        Local       [1 => 0];
+    0x0e IInc(local: u16, by: i16)      "iinc"          Local       [0 => 0];
+    0x0f Pop                            "pop"           Stack       [1 => 0];
+    0x10 Dup                            "dup"           Stack       [1 => 2];
+    0x11 DupX1                          "dup_x1"        Stack       [2 => 3];
+    0x12 Swap                           "swap"          Stack       [2 => 2];
+    0x13 IAdd                           "iadd"          AluInt      [2 => 1];
+    0x14 ISub                           "isub"          AluInt      [2 => 1];
+    0x15 IMul                           "imul"          MulInt      [2 => 1];
+    0x16 IDiv                           "idiv"          DivInt      [2 => 1];
+    0x17 IRem                           "irem"          DivInt      [2 => 1];
+    0x18 INeg                           "ineg"          AluInt      [1 => 1];
+    0x19 IShl                           "ishl"          AluInt      [2 => 1];
+    0x1a IShr                           "ishr"          AluInt      [2 => 1];
+    0x1b IUShr                          "iushr"         AluInt      [2 => 1];
+    0x1c IAnd                           "iand"          AluInt      [2 => 1];
+    0x1d IOr                            "ior"           AluInt      [2 => 1];
+    0x1e IXor                           "ixor"          AluInt      [2 => 1];
+    0x1f LAdd                           "ladd"          AluInt      [2 => 1];
+    0x20 LSub                           "lsub"          AluInt      [2 => 1];
+    0x21 LMul                           "lmul"          MulInt      [2 => 1];
+    0x22 LDiv                           "ldiv"          DivInt      [2 => 1];
+    0x23 LRem                           "lrem"          DivInt      [2 => 1];
+    0x24 LNeg                           "lneg"          AluInt      [1 => 1];
+    0x25 LShl                           "lshl"          AluInt      [2 => 1];
+    0x26 LShr                           "lshr"          AluInt      [2 => 1];
+    0x27 LUShr                          "lushr"         AluInt      [2 => 1];
+    0x28 LAnd                           "land"          AluInt      [2 => 1];
+    0x29 LOr                            "lor"           AluInt      [2 => 1];
+    0x2a LXor                           "lxor"          AluInt      [2 => 1];
+    0x2b DAdd                           "dadd"          AluFp       [2 => 1];
+    0x2c DSub                           "dsub"          AluFp       [2 => 1];
+    0x2d DMul                           "dmul"          MulFp       [2 => 1];
+    0x2e DDiv                           "ddiv"          DivFp       [2 => 1];
+    0x2f DRem                           "drem"          DivFp       [2 => 1];
+    0x30 DNeg                           "dneg"          AluFp       [1 => 1];
+    0x31 I2L                            "i2l"           Conv        [1 => 1];
+    0x32 I2D                            "i2d"           Conv        [1 => 1];
+    0x33 L2I                            "l2i"           Conv        [1 => 1];
+    0x34 L2D                            "l2d"           Conv        [1 => 1];
+    0x35 D2I                            "d2i"           Conv        [1 => 1];
+    0x36 D2L                            "d2l"           Conv        [1 => 1];
+    0x37 I2B                            "i2b"           Conv        [1 => 1];
+    0x38 I2C                            "i2c"           Conv        [1 => 1];
+    0x39 I2S                            "i2s"           Conv        [1 => 1];
+    0x3a LCmp                           "lcmp"          AluInt      [2 => 1];
+    0x3b DCmpL                          "dcmpl"         AluFp       [2 => 1];
+    0x3c DCmpG                          "dcmpg"         AluFp       [2 => 1];
+    0x3d Goto(target: u32)              "goto"          Branch      [0 => 0];
+    0x3e IfEq(target: u32)              "ifeq"          Branch      [1 => 0];
+    0x3f IfNe(target: u32)              "ifne"          Branch      [1 => 0];
+    0x40 IfLt(target: u32)              "iflt"          Branch      [1 => 0];
+    0x41 IfGe(target: u32)              "ifge"          Branch      [1 => 0];
+    0x42 IfGt(target: u32)              "ifgt"          Branch      [1 => 0];
+    0x43 IfLe(target: u32)              "ifle"          Branch      [1 => 0];
+    0x44 IfICmpEq(target: u32)          "if_icmpeq"     Branch      [2 => 0];
+    0x45 IfICmpNe(target: u32)          "if_icmpne"     Branch      [2 => 0];
+    0x46 IfICmpLt(target: u32)          "if_icmplt"     Branch      [2 => 0];
+    0x47 IfICmpGe(target: u32)          "if_icmpge"     Branch      [2 => 0];
+    0x48 IfICmpGt(target: u32)          "if_icmpgt"     Branch      [2 => 0];
+    0x49 IfICmpLe(target: u32)          "if_icmple"     Branch      [2 => 0];
+    0x4a IfACmpEq(target: u32)          "if_acmpeq"     Branch      [2 => 0];
+    0x4b IfACmpNe(target: u32)          "if_acmpne"     Branch      [2 => 0];
+    0x4c IfNull(target: u32)            "ifnull"        Branch      [1 => 0];
+    0x4d IfNonNull(target: u32)         "ifnonnull"     Branch      [1 => 0];
+    0x4e TableSwitch { low: i32, targets: Vec<u32>, default: u32 }
+                                        "tableswitch"   Branch      [1 => 0];
+    0x4f LookupSwitch { pairs: Vec<(i32, u32)>, default: u32 }
+                                        "lookupswitch"  Branch      [1 => 0];
+    0x50 New(class: ClassId)            "new"           Alloc       [0 => 1];
+    0x51 GetField(field: FieldId)       "getfield"      HeapLoad    [1 => 1];
+    0x52 PutField(field: FieldId)       "putfield"      HeapStore   [2 => 0];
+    0x53 GetStatic(field: FieldId)      "getstatic"     HeapLoad    [0 => 1];
+    0x54 PutStatic(field: FieldId)      "putstatic"     HeapStore   [1 => 0];
+    0x55 InstanceOf(class: ClassId)     "instanceof"    HeapLoad    [1 => 1];
+    0x56 CheckCast(class: ClassId)      "checkcast"     HeapLoad    [1 => 1];
+    0x57 NewArray(elem: ElemTy)         "newarray"      Alloc       [1 => 1];
+    0x58 ArrayLength                    "arraylength"   HeapLoad    [1 => 1];
+    0x59 IALoad                         "iaload"        HeapLoad    [2 => 1];
+    0x5a IAStore                        "iastore"       HeapStore   [3 => 0];
+    0x5b LALoad                         "laload"        HeapLoad    [2 => 1];
+    0x5c LAStore                        "lastore"       HeapStore   [3 => 0];
+    0x5d DALoad                         "daload"        HeapLoad    [2 => 1];
+    0x5e DAStore                        "dastore"       HeapStore   [3 => 0];
+    0x5f AALoad                         "aaload"        HeapLoad    [2 => 1];
+    0x60 AAStore                        "aastore"       HeapStore   [3 => 0];
+    0x61 BALoad                         "baload"        HeapLoad    [2 => 1];
+    0x62 BAStore                        "bastore"       HeapStore   [3 => 0];
+    0x63 CALoad                         "caload"        HeapLoad    [2 => 1];
+    0x64 CAStore                        "castore"       HeapStore   [3 => 0];
+    0x65 InvokeStatic(method: MethodId) "invokestatic"  Call        [call];
+    0x66 InvokeVirtual(method: MethodId) "invokevirtual" Call       [call];
+    0x67 InvokeSpecial(method: MethodId) "invokespecial" Call       [call];
+    0x68 InvokeNative(native: NativeId) "invokenative"  Native      [call];
+    0x69 Return                         "return"        Call        [0 => 0];
+    0x6a IReturn                        "ireturn"       Call        [1 => 0];
+    0x6b LReturn                        "lreturn"       Call        [1 => 0];
+    0x6c DReturn                        "dreturn"       Call        [1 => 0];
+    0x6d AReturn                        "areturn"       Call        [1 => 0];
+    0x6e AThrow                         "athrow"        Throw       [1 => 0];
+    0x6f MonitorEnter                   "monitorenter"  Monitor     [1 => 0];
+    0x70 MonitorExit                    "monitorexit"   Monitor     [1 => 0];
+}
+
+impl Op {
     /// True if this opcode may transfer control to a non-sequential index.
     pub fn is_branch(&self) -> bool {
         matches!(self.class(), OpClass::Branch)
-    }
-
-    /// All branch targets encoded in the instruction (empty for non-branches).
-    pub fn branch_targets(&self) -> Vec<u32> {
-        use Op::*;
-        match self {
-            Goto(t) | IfEq(t) | IfNe(t) | IfLt(t) | IfGe(t) | IfGt(t) | IfLe(t) | IfICmpEq(t)
-            | IfICmpNe(t) | IfICmpLt(t) | IfICmpGe(t) | IfICmpGt(t) | IfICmpLe(t) | IfACmpEq(t)
-            | IfACmpNe(t) | IfNull(t) | IfNonNull(t) => vec![*t],
-            TableSwitch {
-                targets, default, ..
-            } => {
-                let mut v = targets.clone();
-                v.push(*default);
-                v
-            }
-            LookupSwitch { pairs, default } => {
-                let mut v: Vec<u32> = pairs.iter().map(|(_, t)| *t).collect();
-                v.push(*default);
-                v
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    /// Rewrite every branch target through `f` (used by the label resolver).
-    pub fn map_targets(&mut self, mut f: impl FnMut(u32) -> u32) {
-        use Op::*;
-        match self {
-            Goto(t) | IfEq(t) | IfNe(t) | IfLt(t) | IfGe(t) | IfGt(t) | IfLe(t) | IfICmpEq(t)
-            | IfICmpNe(t) | IfICmpLt(t) | IfICmpGe(t) | IfICmpGt(t) | IfICmpLe(t) | IfACmpEq(t)
-            | IfACmpNe(t) | IfNull(t) | IfNonNull(t) => *t = f(*t),
-            TableSwitch {
-                targets, default, ..
-            } => {
-                for t in targets.iter_mut() {
-                    *t = f(*t);
-                }
-                *default = f(*default);
-            }
-            LookupSwitch { pairs, default } => {
-                for (_, t) in pairs.iter_mut() {
-                    *t = f(*t);
-                }
-                *default = f(*default);
-            }
-            _ => {}
-        }
     }
 
     /// Net change in operand-stack depth, if statically known.
@@ -464,167 +680,50 @@ impl Op {
     /// Call and native instructions return `None` because their effect
     /// depends on the callee signature; the verifier special-cases them.
     pub fn stack_delta(&self) -> Option<i32> {
-        use Op::*;
-        Some(match self {
-            Nop | IInc(..) | Goto(_) => 0,
-            IConst(_) | LConst(_) | DConst(_) | AConstNull | LdcStr(_) => 1,
-            ILoad(_) | LLoad(_) | DLoad(_) | ALoad(_) => 1,
-            IStore(_) | LStore(_) | DStore(_) | AStore(_) => -1,
-            Pop => -1,
-            Dup | DupX1 => 1,
-            Swap => 0,
-            IAdd | ISub | IMul | IDiv | IRem | IShl | IShr | IUShr | IAnd | IOr | IXor => -1,
-            LAdd | LSub | LMul | LDiv | LRem | LShl | LShr | LUShr | LAnd | LOr | LXor => -1,
-            DAdd | DSub | DMul | DDiv | DRem => -1,
-            INeg | LNeg | DNeg => 0,
-            I2L | I2D | L2I | L2D | D2I | D2L | I2B | I2C | I2S => 0,
-            LCmp | DCmpL | DCmpG => -1,
-            IfEq(_) | IfNe(_) | IfLt(_) | IfGe(_) | IfGt(_) | IfLe(_) | IfNull(_)
-            | IfNonNull(_) => -1,
-            IfICmpEq(_) | IfICmpNe(_) | IfICmpLt(_) | IfICmpGe(_) | IfICmpGt(_) | IfICmpLe(_)
-            | IfACmpEq(_) | IfACmpNe(_) => -2,
-            TableSwitch { .. } | LookupSwitch { .. } => -1,
-            New(_) => 1,
-            GetField(_) => 0,
-            PutField(_) => -2,
-            GetStatic(_) => 1,
-            PutStatic(_) => -1,
-            InstanceOf(_) | CheckCast(_) => 0,
-            NewArray(_) => 0,
-            ArrayLength => 0,
-            IALoad | LALoad | DALoad | AALoad | BALoad | CALoad => -1,
-            IAStore | LAStore | DAStore | AAStore | BAStore | CAStore => -3,
-            Return => 0,
-            IReturn | LReturn | DReturn | AReturn | AThrow => -1,
-            MonitorEnter | MonitorExit => -1,
-            InvokeStatic(_) | InvokeVirtual(_) | InvokeSpecial(_) | InvokeNative(_) => return None,
-        })
-    }
-
-    /// The canonical lower-case mnemonic, as used by the disassembler.
-    pub fn mnemonic(&self) -> &'static str {
-        use Op::*;
-        match self {
-            Nop => "nop",
-            IConst(_) => "iconst",
-            LConst(_) => "lconst",
-            DConst(_) => "dconst",
-            AConstNull => "aconst_null",
-            LdcStr(_) => "ldc_str",
-            ILoad(_) => "iload",
-            LLoad(_) => "lload",
-            DLoad(_) => "dload",
-            ALoad(_) => "aload",
-            IStore(_) => "istore",
-            LStore(_) => "lstore",
-            DStore(_) => "dstore",
-            AStore(_) => "astore",
-            IInc(..) => "iinc",
-            Pop => "pop",
-            Dup => "dup",
-            DupX1 => "dup_x1",
-            Swap => "swap",
-            IAdd => "iadd",
-            ISub => "isub",
-            IMul => "imul",
-            IDiv => "idiv",
-            IRem => "irem",
-            INeg => "ineg",
-            IShl => "ishl",
-            IShr => "ishr",
-            IUShr => "iushr",
-            IAnd => "iand",
-            IOr => "ior",
-            IXor => "ixor",
-            LAdd => "ladd",
-            LSub => "lsub",
-            LMul => "lmul",
-            LDiv => "ldiv",
-            LRem => "lrem",
-            LNeg => "lneg",
-            LShl => "lshl",
-            LShr => "lshr",
-            LUShr => "lushr",
-            LAnd => "land",
-            LOr => "lor",
-            LXor => "lxor",
-            DAdd => "dadd",
-            DSub => "dsub",
-            DMul => "dmul",
-            DDiv => "ddiv",
-            DRem => "drem",
-            DNeg => "dneg",
-            I2L => "i2l",
-            I2D => "i2d",
-            L2I => "l2i",
-            L2D => "l2d",
-            D2I => "d2i",
-            D2L => "d2l",
-            I2B => "i2b",
-            I2C => "i2c",
-            I2S => "i2s",
-            LCmp => "lcmp",
-            DCmpL => "dcmpl",
-            DCmpG => "dcmpg",
-            Goto(_) => "goto",
-            IfEq(_) => "ifeq",
-            IfNe(_) => "ifne",
-            IfLt(_) => "iflt",
-            IfGe(_) => "ifge",
-            IfGt(_) => "ifgt",
-            IfLe(_) => "ifle",
-            IfICmpEq(_) => "if_icmpeq",
-            IfICmpNe(_) => "if_icmpne",
-            IfICmpLt(_) => "if_icmplt",
-            IfICmpGe(_) => "if_icmpge",
-            IfICmpGt(_) => "if_icmpgt",
-            IfICmpLe(_) => "if_icmple",
-            IfACmpEq(_) => "if_acmpeq",
-            IfACmpNe(_) => "if_acmpne",
-            IfNull(_) => "ifnull",
-            IfNonNull(_) => "ifnonnull",
-            TableSwitch { .. } => "tableswitch",
-            LookupSwitch { .. } => "lookupswitch",
-            New(_) => "new",
-            GetField(_) => "getfield",
-            PutField(_) => "putfield",
-            GetStatic(_) => "getstatic",
-            PutStatic(_) => "putstatic",
-            InstanceOf(_) => "instanceof",
-            CheckCast(_) => "checkcast",
-            NewArray(_) => "newarray",
-            ArrayLength => "arraylength",
-            IALoad => "iaload",
-            IAStore => "iastore",
-            LALoad => "laload",
-            LAStore => "lastore",
-            DALoad => "daload",
-            DAStore => "dastore",
-            AALoad => "aaload",
-            AAStore => "aastore",
-            BALoad => "baload",
-            BAStore => "bastore",
-            CALoad => "caload",
-            CAStore => "castore",
-            InvokeStatic(_) => "invokestatic",
-            InvokeVirtual(_) => "invokevirtual",
-            InvokeSpecial(_) => "invokespecial",
-            InvokeNative(_) => "invokenative",
-            Return => "return",
-            IReturn => "ireturn",
-            LReturn => "lreturn",
-            DReturn => "dreturn",
-            AReturn => "areturn",
-            AThrow => "athrow",
-            MonitorEnter => "monitorenter",
-            MonitorExit => "monitorexit",
-        }
+        self.stack_effect().map(|(pops, pushes)| pushes - pops)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A value of an operand type for [`every_op`]: extreme, for byte
+    /// pins, or the smallest, an index and id in range in any program
+    /// and a target in range of any method.
+    pub(crate) trait Sample {
+        fn sample(extreme: bool) -> Self;
+    }
+
+    macro_rules! sample {
+        ($($t:ty: $extreme:expr, $small:expr;)+) => {$(
+            impl Sample for $t {
+                fn sample(extreme: bool) -> Self {
+                    if extreme {
+                        $extreme
+                    } else {
+                        $small
+                    }
+                }
+            }
+        )+};
+    }
+
+    sample! {
+        i32: i32::MIN, 0;
+        i64: i64::MAX, 0;
+        f64: -0.0, 0.0;
+        u16: u16::MAX, 0;
+        i16: i16::MIN, 0;
+        u32: u32::MAX, 0;
+        ClassId: ClassId(u16::MAX), ClassId(0);
+        FieldId: FieldId(u16::MAX), FieldId(0);
+        MethodId: MethodId(u16::MAX), MethodId(0);
+        NativeId: NativeId(u16::MAX), NativeId(0);
+        ElemTy: ElemTy::Ref, ElemTy::I32;
+        Vec<u32>: vec![0, u32::MAX], vec![0];
+        Vec<(i32, u32)>: vec![(i32::MIN, 0), (i32::MAX, u32::MAX)], vec![(0, 0)];
+    }
 
     #[test]
     fn branch_targets_of_plain_ops_are_empty() {
@@ -695,16 +794,7 @@ mod tests {
 
     #[test]
     fn mnemonics_are_unique_for_distinct_ops() {
-        let ops = [
-            Op::IAdd,
-            Op::ISub,
-            Op::LAdd,
-            Op::DAdd,
-            Op::Goto(0),
-            Op::IfEq(0),
-            Op::Return,
-            Op::IReturn,
-        ];
+        let ops = every_op(false);
         let mut seen = std::collections::HashSet::new();
         for op in &ops {
             assert!(seen.insert(op.mnemonic()), "duplicate {}", op.mnemonic());

@@ -141,19 +141,15 @@ pub fn verify_method(program: &Program, mid: MethodId) -> Result<(), VerifyError
             None => depth_at[i] = Some(depth),
         }
         let op = &m.code[i];
-        let delta = match op.stack_delta() {
-            Some(d) => d,
-            None => call_delta(program, op),
-        };
-        let next = depth + delta;
-        let popped = pops(program, op);
-        if depth < popped {
+        let (pops, pushes) = stack_effect(program, op);
+        if depth < pops {
             return Err(err(
                 mid,
                 Some(pc),
-                format!("stack underflow: depth {depth}, pops {popped}"),
+                format!("stack underflow: depth {depth}, pops {pops}"),
             ));
         }
+        let next = depth - pops + pushes;
         match op {
             Op::Return | Op::IReturn | Op::LReturn | Op::DReturn | Op::AReturn | Op::AThrow => {
                 let want_ret =
@@ -194,63 +190,28 @@ pub fn verify_method(program: &Program, mid: MethodId) -> Result<(), VerifyError
     Ok(())
 }
 
-/// Net stack delta of a call-like op, derived from the callee signature.
-fn call_delta(program: &Program, op: &Op) -> i32 {
-    match op {
+/// The slots `op` pops and then pushes: its row of the instruction table,
+/// or for an invoke, the callee's signature.
+fn stack_effect(program: &Program, op: &Op) -> (i32, i32) {
+    if let Some(effect) = op.stack_effect() {
+        return effect;
+    }
+    let (pops, ret) = match op {
         Op::InvokeStatic(m) => {
             let c = program.method(*m);
-            -(c.params.len() as i32) + c.ret.is_some() as i32
+            (c.params.len() as i32, c.ret.is_some())
         }
         Op::InvokeVirtual(m) | Op::InvokeSpecial(m) => {
             let c = program.method(*m);
-            -(c.params.len() as i32) - 1 + c.ret.is_some() as i32
+            (c.params.len() as i32 + 1, c.ret.is_some())
         }
         Op::InvokeNative(n) => {
             let d = &program.natives[n.0 as usize];
-            -(d.args as i32) + d.ret as i32
+            (d.args as i32, d.ret)
         }
-        _ => unreachable!("call_delta on non-call op"),
-    }
-}
-
-/// Number of operand slots an op pops (for underflow checking).
-fn pops(program: &Program, op: &Op) -> i32 {
-    match op {
-        Op::InvokeStatic(m) => program.method(*m).params.len() as i32,
-        Op::InvokeVirtual(m) | Op::InvokeSpecial(m) => program.method(*m).params.len() as i32 + 1,
-        Op::InvokeNative(n) => program.natives[n.0 as usize].args as i32,
-        _ => {
-            // For fixed ops: pops = pushes - delta; compute from known table.
-            let delta = op.stack_delta().unwrap_or(0);
-            let pushes = match op {
-                Op::Dup | Op::DupX1 => 2,
-                Op::Swap => 2,
-                _ if delta > 0 => delta,
-                _ => match op {
-                    Op::Nop | Op::IInc(..) | Op::Goto(_) | Op::Return => 0,
-                    Op::INeg
-                    | Op::LNeg
-                    | Op::DNeg
-                    | Op::I2L
-                    | Op::I2D
-                    | Op::L2I
-                    | Op::L2D
-                    | Op::D2I
-                    | Op::D2L
-                    | Op::I2B
-                    | Op::I2C
-                    | Op::I2S
-                    | Op::ArrayLength
-                    | Op::GetField(_)
-                    | Op::InstanceOf(_)
-                    | Op::CheckCast(_)
-                    | Op::NewArray(_) => 1,
-                    _ => 0,
-                },
-            };
-            pushes - delta
-        }
-    }
+        _ => unreachable!("only an invoke's stack effect is the callee's"),
+    };
+    (pops, ret as i32)
 }
 
 fn local_index(op: &Op) -> Option<u16> {
@@ -359,6 +320,44 @@ mod tests {
         })
         .unwrap_err();
         assert!(e.what.contains("underflow"), "{e}");
+    }
+
+    /// Every op with a fixed stack effect is refused with a stack
+    /// underflow one operand short of its pops, and not with exactly its
+    /// pops. Operands are the table's smallest, so every local, id and
+    /// target is in range; field 0 is static only for the static ops.
+    #[test]
+    fn every_fixed_effect_op_underflows_one_operand_short() {
+        let mut b = ProgramBuilder::new();
+        let c = b.class("C", None);
+        b.field(c, "f", Ty::I32);
+        let main = {
+            let mut m = b.static_method("Main", "main", &[], None);
+            m.op(Op::Return);
+            m.finish()
+        };
+        b.set_entry(main);
+        let mut p = b.link().unwrap();
+        p.strings.push("s".into());
+        p.methods[main.0 as usize].max_locals = 1;
+        let mut wrong = Vec::new();
+        for op in crate::op::every_op(false) {
+            let Some((pops, _)) = op.stack_effect() else {
+                continue;
+            };
+            p.fields[0].is_static = matches!(op, Op::GetStatic(_) | Op::PutStatic(_));
+            for pushed in pops.max(1) - 1..=pops {
+                let code = &mut p.methods[main.0 as usize].code;
+                *code = vec![Op::IConst(0); pushed as usize];
+                code.extend([op.clone(), Op::Return]);
+                let underflow =
+                    matches!(verify(&p), Err(e) if e.what.starts_with("stack underflow"));
+                if underflow != (pushed < pops) {
+                    wrong.push(format!("{} after {pushed}", op.mnemonic()));
+                }
+            }
+        }
+        assert!(wrong.is_empty(), "{} wrong: {wrong:?}", wrong.len());
     }
 
     #[test]

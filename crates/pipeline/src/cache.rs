@@ -50,7 +50,7 @@ impl ReferenceCache {
             program: jbc::Verified::new(Arc::clone(&reference.program)).map_err(VmError::from),
             machine: reference.machine,
             vm: reference.vm,
-            files: Arc::new(reference.files.clone()),
+            files: Arc::clone(&reference.files),
             tdr: TdrDetector::new(),
             sessions_audited: 0,
             cycles_replayed: 0,

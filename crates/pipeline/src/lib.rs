@@ -93,8 +93,9 @@ pub struct Reference {
     /// VM configuration.
     pub vm: VmConfig,
     /// Stable-storage contents, installed into every audit replay (storage
-    /// is machine state, so the reference must see the same files).
-    pub files: Vec<Vec<u8>>,
+    /// is machine state, so the reference must see the same files). One
+    /// shared copy: every cache and replay holds the same `Arc`.
+    pub files: Arc<Vec<Vec<u8>>>,
     /// A detector battery trained on this fleet's clean traces, shared
     /// (one `Arc`, not one copy per worker) by every audit that scores
     /// with it. `None` — the default — leaves the pipeline TDR-only;
@@ -112,14 +113,14 @@ impl Reference {
             program,
             machine: MachineConfig::sanity(),
             vm: VmConfig::default(),
-            files: Vec::new(),
+            files: Arc::default(),
             battery: None,
         }
     }
 
     /// Attach stable-storage contents.
-    pub fn with_files(mut self, files: Vec<Vec<u8>>) -> Self {
-        self.files = files;
+    pub fn with_files(mut self, files: impl Into<Arc<Vec<Vec<u8>>>>) -> Self {
+        self.files = files.into();
         self
     }
 

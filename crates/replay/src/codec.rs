@@ -199,7 +199,8 @@ pub(crate) fn decode_payload(payload: &[u8]) -> Result<EventLog, CodecError> {
         values.push(prev);
     }
 
-    let n_packets = r.count(1)?;
+    // The smallest packet is three one-byte deltas and a one-byte length.
+    let n_packets = r.count(4)?;
     let mut packets = Vec::with_capacity(n_packets);
     let (mut icount, mut wire, mut avail) = (0u64, 0u64, 0u64);
     for _ in 0..n_packets {
@@ -355,6 +356,29 @@ mod tests {
                 EventLog::decode(&bytes[..cut]).is_err(),
                 "truncation at {cut} must fail"
             );
+        }
+    }
+
+    /// A declared packet count is bounded by the smallest packet, 4 bytes
+    /// (three one-byte deltas and a one-byte length): `n` empty packets in
+    /// `4n` bytes decode, and a claim of `n + 1` is a length overflow at
+    /// the count, before anything is reserved or read for it.
+    #[test]
+    fn packet_count_is_bounded_by_the_smallest_packet() {
+        let n = 3u64;
+        for declared in [n, n + 1] {
+            let mut payload = MAGIC.to_vec();
+            payload.extend_from_slice(&VERSION.to_le_bytes());
+            payload.extend_from_slice(&0u16.to_le_bytes());
+            // Zero icount, cycles and wall time; no values.
+            payload.extend_from_slice(&[0, 0, 0, 0]);
+            put_varint(&mut payload, declared);
+            payload.resize(payload.len() + 4 * n as usize, 0);
+            match decode_payload(&payload) {
+                Ok(log) if declared == n => assert_eq!(log.packets.len() as u64, n),
+                Err(CodecError::LengthOverflow) if declared > n => {}
+                other => panic!("{declared} packets in {} bytes: {other:?}", 4 * n),
+            }
         }
     }
 

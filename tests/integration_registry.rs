@@ -601,6 +601,61 @@ fn unverifiable_reference_gets_the_same_error_verdicts_and_rejection() {
     daemon.shutdown();
 }
 
+/// `IConst 1; IAdd; Return` pops two operands with one on the stack. The
+/// verifier once counted one pop for every binary op, so this program
+/// passed it and its first replay panicked the worker. Its put is now
+/// refused in band with the verifier's message, and the same connection
+/// goes on to get every verdict of a v1 batch.
+#[test]
+fn one_operand_short_put_is_rejected_and_the_connection_keeps_auditing() {
+    use sanity_tdr::jbc::{Op, ProgramBuilder};
+
+    let echo = echo_sanity_with(3);
+    let jobs = echo_jobs(&echo, 0..3);
+    let expected = echo.audit_batch(&jobs, &cfg());
+
+    let mut b = ProgramBuilder::new();
+    let main = {
+        let mut m = b.static_method("Main", "main", &[], None);
+        m.op(Op::IConst(1));
+        m.op(Op::IAdd);
+        m.op(Op::Return);
+        m.finish()
+    };
+    b.set_entry(main);
+    let bad = b.link().expect("link");
+    let verify_error = sanity_tdr::jbc::verify(&bad).expect_err("one operand short");
+    assert!(
+        verify_error.what.starts_with("stack underflow"),
+        "{verify_error}"
+    );
+
+    let service = echo
+        .audit_service()
+        .workers(1)
+        .build()
+        .expect("valid configuration");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let daemon = serve_tcp_with(service, listener, DaemonOptions::default()).expect("serve");
+    let stream = std::net::TcpStream::connect(daemon.local_addr()).expect("connect");
+    let mut client = Client::new(stream);
+    let put = client
+        .put_reference(1, container::seal(&bad))
+        .expect("exchange completes");
+    assert_eq!(
+        put.status,
+        AckStatus::Rejected(format!("program failed verification: {verify_error}"))
+    );
+
+    let outcome = client
+        .submit_batch(2, ingest::encode_batch(&jobs))
+        .expect("protocol clean");
+    assert_eq!(outcome.verdicts, expected.verdicts);
+    assert_eq!(outcome.result.expect("audits").summary, expected.summary);
+    client.shutdown().expect("ack");
+    daemon.shutdown();
+}
+
 /// The built-in reference is an entry outside the registry. A service
 /// whose built-in program (with its file set and battery) is also put
 /// over the wire holds two entries: the put loads a fresh program-only
