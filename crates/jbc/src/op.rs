@@ -454,6 +454,9 @@ macro_rules! instructions {
         $mnemonic:literal $class:ident [$($effect:tt)+];)+) => {
         impl Op {
             /// The timing class of this opcode.
+            // The VM asks once per replayed instruction, and a match this
+            // long is past the size rustc inlines across crates unasked.
+            #[inline]
             pub fn class(&self) -> OpClass {
                 match self {
                     $(Op::$name { .. } => OpClass::$class,)+
