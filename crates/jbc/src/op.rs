@@ -521,6 +521,10 @@ macro_rules! instructions {
         impl Wire for Op {
             const MIN: usize = 1;
 
+            // Both halves are inlined into the loop over a method's code,
+            // as the hand-written codec was: a call per instruction made
+            // `container::open` about 15% slower.
+            #[inline]
             fn put(&self, out: &mut Vec<u8>) {
                 match self {
                     $(Op::$name $(($($a),+))? $({$($f),+})? => {
@@ -532,6 +536,7 @@ macro_rules! instructions {
             }
 
             #[deny(unreachable_patterns)]
+            #[inline]
             fn get(r: &mut Cursor<'_>, what: &'static str) -> Result<Self, ContainerError> {
                 Ok(match r.byte()? {
                     $($byte => {
