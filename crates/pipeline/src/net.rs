@@ -123,19 +123,45 @@ pub(crate) struct FrontEnd {
 
 /// What a front end's owner, accept thread and connection threads share:
 /// the stop flag, the connection metrics, and the connection-thread
-/// ledger — threads still owed a join. Finished ones are reaped on each
-/// accept **and** as each connection exits (so an idle front end that
+/// ledger — threads still owed a join. Ended ones are reaped on each
+/// accept **and** as each connection exits, so an idle front end that
 /// stops receiving connects does not hold every handle it ever served
-/// until the next accept — at most the last connection to finish stays
-/// unreaped, since a thread cannot join itself); the remainder joins at
-/// shutdown. Every join increments `conn_reaped`, so after a drain the
-/// ledger balances: `conn_reaped` equals the connection threads ever
-/// spawned.
+/// until the next accept; the remainder joins at shutdown. Every join
+/// increments `conn_reaped`, so after a drain the ledger balances:
+/// `conn_reaped` equals the connection threads ever spawned.
 #[derive(Debug)]
 struct Shared {
     stop: AtomicBool,
     metrics: ConnMetrics,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    threads: Mutex<Threads>,
+}
+
+/// The connection threads owed a join. A thread records its exit here,
+/// under the lock, and joins the threads that recorded theirs earlier, so
+/// of threads that end together at most the last to record stays
+/// unreaped (a thread cannot join itself). A thread's own handle may only
+/// arrive after it recorded its exit; the next reaper takes it then.
+#[derive(Debug, Default)]
+struct Threads {
+    /// Handles not yet joined, by connection id.
+    handles: Vec<(u64, JoinHandle<()>)>,
+    /// Connections whose threads recorded their exit and are not joined.
+    exited: Vec<u64>,
+}
+
+impl Threads {
+    /// Take the handles of the threads that recorded their exit, or that
+    /// ended without recording it (a handler that panicked).
+    fn take_ended(&mut self) -> Vec<JoinHandle<()>> {
+        let exited = &mut self.exited;
+        let (ended, live): (Vec<_>, Vec<_>) = self
+            .handles
+            .drain(..)
+            .partition(|(id, handle)| exited.contains(id) || handle.is_finished());
+        self.handles = live;
+        exited.retain(|id| !ended.iter().any(|(e, _)| e == id));
+        ended.into_iter().map(|(_, handle)| handle).collect()
+    }
 }
 
 impl FrontEnd {
@@ -182,7 +208,8 @@ impl Drop for FrontEnd {
         wake_accept(self.addr);
         let _ = accept.join();
         let threads = std::mem::take(&mut *self.shared.threads.lock().expect("threads lock"));
-        self.shared.join(threads);
+        self.shared
+            .join(threads.handles.into_iter().map(|(_, handle)| handle));
     }
 }
 
@@ -216,7 +243,7 @@ fn accept_loop<H: Handler>(
         }
         let conn_id = shared.metrics.accepted.inc();
         shared.metrics.active.inc();
-        shared.reap_finished();
+        shared.reap(None);
         let spawned = {
             let (shared, handler) = (Arc::clone(shared), Arc::clone(handler));
             std::thread::Builder::new()
@@ -224,7 +251,10 @@ fn accept_loop<H: Handler>(
                 .spawn(move || serve_connection(&shared, &*handler, stream, conn_id))
         };
         match spawned {
-            Ok(handle) => shared.threads.lock().expect("threads lock").push(handle),
+            Ok(handle) => {
+                let mut threads = shared.threads.lock().expect("threads lock");
+                threads.handles.push((conn_id, handle));
+            }
             Err(_) => {
                 // Could not spawn a thread: count it against the error
                 // tally and keep accepting — refusing one client is
@@ -251,22 +281,23 @@ fn serve_connection<H: Handler>(shared: &Shared, handler: &H, stream: TcpStream,
     // Reap on the way out, not only on the next accept: an idle front end
     // (or a coordinator backend between batches) may never see another
     // connect, and without this every handle it ever served would sit
-    // unjoined until shutdown. This thread's own handle reports
-    // unfinished to `is_finished` and is left for the next reaper.
-    shared.reap_finished();
+    // unjoined until shutdown. This thread records its exit and is left
+    // for the next reaper.
+    shared.reap(Some(conn_id));
 }
 
 impl Shared {
-    /// Join the connection threads that already finished.
-    fn reap_finished(&self) {
+    /// Join the connection threads that ended, after recording the exit
+    /// of connection `exiting`'s thread, the caller's, if it is one.
+    fn reap(&self, exiting: Option<u64>) {
         let mut threads = self.threads.lock().expect("threads lock");
-        let (finished, live) = threads.drain(..).partition(JoinHandle::is_finished);
-        *threads = live;
+        let ended = threads.take_ended();
+        threads.exited.extend(exiting);
         drop(threads);
-        self.join(finished);
+        self.join(ended);
     }
 
-    fn join(&self, threads: Vec<JoinHandle<()>>) {
+    fn join(&self, threads: impl IntoIterator<Item = JoinHandle<()>>) {
         for thread in threads {
             let _ = thread.join();
             self.metrics.reaped.inc();
@@ -515,5 +546,91 @@ impl TcpDaemon {
                 }
             },
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Read;
+    use std::sync::Barrier;
+    use std::time::Instant;
+
+    use super::*;
+
+    /// Reads its connection to the end.
+    struct Drain;
+
+    impl Handler for Drain {
+        fn serve(&self, mut stream: &TcpStream, _conn_id: u64) -> Result<(), ControlError> {
+            let mut sink = [0u8; 64];
+            while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+            Ok(())
+        }
+    }
+
+    /// Eight connections end at once, fifty times over. Of the threads
+    /// that end together, at most the last to record its exit may stay
+    /// unreaped; the next round's accepts reap it.
+    #[test]
+    fn connections_ending_together_leave_at_most_one_thread_unreaped() {
+        const CONNS: usize = 8;
+        const ROUNDS: usize = 50;
+        let metrics = ConnMetrics::register(&MetricsRegistry::new());
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let front =
+            FrontEnd::start(listener, "reap", metrics.clone(), Arc::new(Drain)).expect("start");
+        let mut crowded = Vec::new();
+        for round in 0..ROUNDS {
+            let clients: Vec<TcpStream> = (0..CONNS)
+                .map(|_| TcpStream::connect(front.local_addr()).expect("connect"))
+                .collect();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while metrics.active.get() < CONNS as u64 {
+                assert!(
+                    Instant::now() < deadline,
+                    "round {round}: connections never served"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let barrier = Arc::new(Barrier::new(CONNS));
+            let enders: Vec<_> = clients
+                .into_iter()
+                .map(|client| {
+                    let barrier = Arc::clone(&barrier);
+                    std::thread::spawn(move || {
+                        barrier.wait();
+                        drop(client);
+                    })
+                })
+                .collect();
+            for ender in enders {
+                ender.join().expect("ender");
+            }
+            let accepted = ((round + 1) * CONNS) as u64;
+            let deadline = Instant::now() + Duration::from_secs(5);
+            loop {
+                let unreaped = accepted - metrics.reaped.get();
+                if metrics.active.get() == 0 && unreaped <= 1 {
+                    break;
+                }
+                if Instant::now() >= deadline {
+                    crowded.push((round, unreaped));
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        drop(front);
+        assert!(
+            crowded.is_empty(),
+            "{} of {ROUNDS} rounds kept more than one ended thread unreaped \
+             (round, unreaped): {crowded:?}",
+            crowded.len()
+        );
+        assert_eq!(
+            metrics.reaped.get(),
+            (CONNS * ROUNDS) as u64,
+            "shutdown joins the rest"
+        );
     }
 }
