@@ -20,12 +20,18 @@ use crate::log::{EventLog, PacketRecord};
 pub enum SessionError {
     /// The VM failed.
     Vm(VmError),
+    /// An audit replay panicked, with the panic's message. The verifier
+    /// checks stack depth, not operand types, so a verified program can
+    /// still reach an interpreter assertion; [`audit_replay`] turns that
+    /// into this error instead of unwinding into the auditor's thread.
+    Panicked(String),
 }
 
 impl fmt::Display for SessionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SessionError::Vm(e) => write!(f, "vm error: {e}"),
+            SessionError::Panicked(message) => write!(f, "replay panicked: {message}"),
         }
     }
 }
@@ -176,6 +182,11 @@ pub fn replay_functional(
 ///
 /// The program comes verified: an auditor replays one reference for many
 /// sessions, so it verifies once ([`Verified::new`]) and reuses the handle.
+///
+/// A replay that panics returns [`SessionError::Panicked`] with the
+/// panic's message (no thread name or location, so the error is the same
+/// on every thread), and the machine and VM it built are dropped with the
+/// unwind: nothing of a failed replay outlives it.
 pub fn audit_replay(
     program: &Verified,
     mcfg: MachineConfig,
@@ -184,20 +195,34 @@ pub fn audit_replay(
     run: u64,
     setup: impl FnOnce(&mut Vm),
 ) -> Result<Recorded, SessionError> {
-    let machine = Machine::new(mcfg, Seeds::from_run(run));
-    let mut cfg = vm_cfg;
-    cfg.replay_style = ReplayStyle::Play;
-    let mut vm = Vm::load(program, machine, cfg)?;
-    setup(&mut vm);
-    // Re-deliver the recorded inputs at their original arrival times. The
-    // nano-time values are injected from the log so the reference binary
-    // observes the same clock readings.
-    for p in &log.packets {
-        vm.machine_mut().deliver_packet(p.wire_at, p.data.clone());
-    }
-    vm.machine_mut().start_run();
-    let outcome = vm.run()?;
-    Ok(finish(vm, outcome, true))
+    let replay = || {
+        let machine = Machine::new(mcfg, Seeds::from_run(run));
+        let mut cfg = vm_cfg;
+        cfg.replay_style = ReplayStyle::Play;
+        let mut vm = Vm::load(program, machine, cfg)?;
+        setup(&mut vm);
+        // Re-deliver the recorded inputs at their original arrival times.
+        // The nano-time values are injected from the log so the reference
+        // binary observes the same clock readings.
+        for p in &log.packets {
+            vm.machine_mut().deliver_packet(p.wire_at, p.data.clone());
+        }
+        vm.machine_mut().start_run();
+        let outcome = vm.run()?;
+        Ok(finish(vm, outcome, true))
+    };
+    // Every value the replay mutates is built inside it, so an unwind
+    // leaves nothing half-updated behind.
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(replay)).unwrap_or_else(|payload| {
+        let message = match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => match payload.downcast::<&'static str>() {
+                Ok(message) => message.to_string(),
+                Err(_) => "a panic without a message".to_string(),
+            },
+        };
+        Err(SessionError::Panicked(message))
+    })
 }
 
 #[cfg(test)]

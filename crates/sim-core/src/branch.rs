@@ -5,9 +5,22 @@
 //! the "polluted BTB" effect the paper's symmetric read/write design
 //! eliminates (§3.5). The model is a direct-mapped BTB indexed by the
 //! branch's fetch address, with a 2-bit counter per entry.
+//!
+//! **Cold state in O(1).** Each entry carries the epoch it was allocated
+//! in and is valid only while that epoch equals its predictor's; every
+//! entry's epoch is at most its predictor's. [`BranchPredictor::flush`]
+//! invalidates every entry by moving to the next epoch, and rewrites the
+//! entries (to epoch 0, which no predictor holds) only when the `u32`
+//! epoch would wrap, restarting the count at 1. A dropped predictor
+//! leaves its entries and final epoch to a per-thread spare, and the next
+//! [`BranchPredictor::new`] of the same size on that thread starts from
+//! them one epoch later, without allocating or writing them. Nothing
+//! reads a stale entry but its epoch, so recycled entries behave as fresh
+//! ones.
 
 use serde::{Deserialize, Serialize};
 
+use crate::epoch::{Entry, Spare, Store};
 use crate::{Cycles, PAddr};
 
 /// Geometry and penalty of the branch predictor.
@@ -29,26 +42,46 @@ impl BtbParams {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BtbEntry {
     tag: u64,
     target: u64,
+    /// The epoch the entry was allocated in: valid only while it equals
+    /// its predictor's.
+    epoch: u32,
     /// 2-bit saturating counter; >= 2 predicts taken.
     counter: u8,
-    valid: bool,
+}
+
+impl Entry for BtbEntry {
+    const COLD: BtbEntry = BtbEntry {
+        tag: 0,
+        target: 0,
+        epoch: 0,
+        counter: 0,
+    };
+    /// A core's one BTB.
+    const SPARES: usize = 1;
+
+    fn spare() -> &'static std::thread::LocalKey<Spare<BtbEntry>> {
+        thread_local!(static SPARE: Spare<BtbEntry> = const { Spare::new(Vec::new()) });
+        &SPARE
+    }
 }
 
 /// A direct-mapped BTB + 2-bit bimodal predictor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BranchPredictor {
     params: BtbParams,
-    entries: Vec<BtbEntry>,
+    entries: Store<BtbEntry>,
     lookups: u64,
     mispredicts: u64,
 }
 
 impl BranchPredictor {
-    /// Create a predictor with all entries invalid (predicting not-taken).
+    /// Create a predictor with all entries invalid (predicting not-taken),
+    /// on this thread's spare entries when a dropped predictor of the same
+    /// size left some.
     pub fn new(params: BtbParams) -> Self {
         assert!(
             params.entries.is_power_of_two(),
@@ -56,15 +89,7 @@ impl BranchPredictor {
         );
         BranchPredictor {
             params,
-            entries: vec![
-                BtbEntry {
-                    tag: 0,
-                    target: 0,
-                    counter: 0,
-                    valid: false,
-                };
-                params.entries as usize
-            ],
+            entries: Store::new(params.entries as usize),
             lookups: 0,
             mispredicts: 0,
         }
@@ -81,10 +106,12 @@ impl BranchPredictor {
     pub fn resolve(&mut self, pc: PAddr, taken: bool, target: PAddr) -> Cycles {
         self.lookups += 1;
         let idx = self.index(pc);
+        let epoch = self.entries.epoch();
         let e = &mut self.entries[idx];
         let tag = pc >> 2;
+        let resident = e.epoch == epoch && e.tag == tag;
 
-        let (pred_taken, pred_target) = if e.valid && e.tag == tag {
+        let (pred_taken, pred_target) = if resident {
             (e.counter >= 2, e.target)
         } else {
             // Cold or aliased entry: static predict not-taken.
@@ -93,7 +120,7 @@ impl BranchPredictor {
         let correct = pred_taken == taken && (!taken || pred_target == target);
 
         // Train.
-        if e.valid && e.tag == tag {
+        if resident {
             if taken {
                 e.counter = (e.counter + 1).min(3);
                 e.target = target;
@@ -105,8 +132,8 @@ impl BranchPredictor {
             *e = BtbEntry {
                 tag,
                 target,
+                epoch,
                 counter: 2,
-                valid: true,
             };
         }
 
@@ -120,15 +147,7 @@ impl BranchPredictor {
 
     /// Invalidate all entries (used during initialization/quiescence).
     pub fn flush(&mut self) {
-        // Only `resolve` trains entries, and it counts a lookup: with no
-        // lookups yet, every entry is still in its constructed state.
-        if self.lookups == 0 {
-            return;
-        }
-        for e in self.entries.iter_mut() {
-            e.valid = false;
-            e.counter = 0;
-        }
+        self.entries.invalidate();
     }
 
     /// `(lookups, mispredicts)` counters since construction.
@@ -136,6 +155,9 @@ impl BranchPredictor {
         (self.lookups, self.mispredicts)
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

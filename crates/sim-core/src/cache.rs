@@ -17,9 +17,24 @@
 //! and [`Cache::flush`] and [`Cache::pollute`] drop it (`pollute` can
 //! plant one tag in two ways of a set, where the scan picks the first).
 //! The TLB has no memo: its hash index already makes a lookup O(1).
+//!
+//! **Cold state in O(1).** Each line carries the epoch it was filled in
+//! and is valid only while that epoch equals its cache's; every line's
+//! epoch is at most its cache's. [`Cache::flush`] invalidates every line
+//! by moving the cache to the next epoch. Only when the `u32` epoch would
+//! wrap are the lines rewritten, to epoch 0, which no cache ever holds,
+//! and the count restarts at 1. `flush` still counts the valid dirty
+//! lines exactly, since its cycle cost depends on that count. A dropped
+//! cache leaves its lines and final epoch to a per-thread spare (a core's
+//! worth: three caches), and the next [`Cache::new`] of the same size on
+//! that thread starts from them one epoch later, so a replay's cold
+//! caches are built without allocating or filling their 5,120 lines.
+//! Nothing reads a stale line but its epoch, so recycled lines behave as
+//! fresh ones.
 
 use serde::{Deserialize, Serialize};
 
+use crate::epoch::{Entry, Spare, Store};
 use crate::{Cycles, PAddr};
 
 /// Geometry and latency of one cache level.
@@ -84,18 +99,29 @@ pub struct CacheAccess {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
     tag: u64,
-    valid: bool,
-    dirty: bool,
     /// LRU stamp; higher = more recently used.
     lru: u64,
+    /// The epoch the line was filled in: valid only while it equals its
+    /// cache's.
+    epoch: u32,
+    dirty: bool,
 }
 
-const INVALID_LINE: Line = Line {
-    tag: 0,
-    valid: false,
-    dirty: false,
-    lru: 0,
-};
+impl Entry for Line {
+    const COLD: Line = Line {
+        tag: 0,
+        lru: 0,
+        epoch: 0,
+        dirty: false,
+    };
+    /// A core's L1I, L1D and L2.
+    const SPARES: usize = 3;
+
+    fn spare() -> &'static std::thread::LocalKey<Spare<Line>> {
+        thread_local!(static SPARE: Spare<Line> = const { Spare::new(Vec::new()) });
+        &SPARE
+    }
+}
 
 /// A set-associative, write-back, write-allocate cache with true LRU.
 ///
@@ -107,7 +133,7 @@ const INVALID_LINE: Line = Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     params: CacheParams,
-    lines: Vec<Line>,
+    lines: Store<Line>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -118,7 +144,8 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Create an empty (all-invalid) cache.
+    /// Create an empty (all-invalid) cache, on this thread's spare lines
+    /// when a dropped cache of the same size left some.
     ///
     /// # Panics
     ///
@@ -130,7 +157,7 @@ impl Cache {
         assert!(params.ways > 0, "ways must be nonzero");
         Cache {
             params,
-            lines: vec![INVALID_LINE; (params.sets * params.ways) as usize],
+            lines: Store::new((params.sets * params.ways) as usize),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -163,11 +190,12 @@ impl Cache {
         let ways = self.params.ways as usize;
         let base = self.set_index(addr) * ways;
         let tag = self.tag(addr);
+        let epoch = self.lines.epoch();
         let hit = match self.mru {
             Some((memo, at)) if memo == line => Some(at),
             _ => self.lines[base..base + ways]
                 .iter()
-                .position(|l| l.valid && l.tag == tag)
+                .position(|l| l.epoch == epoch && l.tag == tag)
                 .map(|way| base + way),
         };
 
@@ -187,17 +215,17 @@ impl Cache {
         let (way, victim) = self.lines[base..base + ways]
             .iter_mut()
             .enumerate()
-            .min_by_key(|(_, l)| if l.valid { l.lru + 1 } else { 0 })
+            .min_by_key(|(_, l)| if l.epoch == epoch { l.lru + 1 } else { 0 })
             .expect("ways is non-empty");
-        let writeback = victim.valid && victim.dirty;
+        let writeback = victim.epoch == epoch && victim.dirty;
         if writeback {
             self.writebacks += 1;
         }
         *victim = Line {
             tag,
-            valid: true,
-            dirty: write,
             lru: self.clock,
+            epoch,
+            dirty: write,
         };
         self.mru = Some((line, base + way));
         CacheAccess {
@@ -213,7 +241,7 @@ impl Cache {
         let base = set * self.params.ways as usize;
         self.lines[base..base + self.params.ways as usize]
             .iter()
-            .any(|l| l.valid && l.tag == tag)
+            .any(|l| l.epoch == self.lines.epoch() && l.tag == tag)
     }
 
     /// Invalidate everything, returning the number of dirty lines that the
@@ -225,10 +253,13 @@ impl Cache {
         if self.clock == 0 {
             return 0;
         }
-        let dirty = self.lines.iter().filter(|l| l.valid && l.dirty).count() as u64;
-        for l in self.lines.iter_mut() {
-            *l = INVALID_LINE;
-        }
+        let epoch = self.lines.epoch();
+        let dirty = self
+            .lines
+            .iter()
+            .filter(|l| l.epoch == epoch && l.dirty)
+            .count() as u64;
+        self.lines.invalidate();
         dirty
     }
 
@@ -249,9 +280,9 @@ impl Cache {
             self.clock += 1;
             self.lines[idx as usize] = Line {
                 tag: salt.wrapping_add(k as u64) | (1 << 40),
-                valid: true,
-                dirty: k % 3 == 0,
                 lru: self.clock,
+                epoch: self.lines.epoch(),
+                dirty: k % 3 == 0,
             };
         }
     }
@@ -263,7 +294,8 @@ impl Cache {
 
     /// Number of currently valid lines.
     pub fn resident_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        let epoch = self.lines.epoch();
+        self.lines.iter().filter(|l| l.epoch == epoch).count()
     }
 }
 

@@ -1,21 +1,43 @@
 //! Differential test: the shift/mask cache, with its most-recently-used
-//! memo, and the hash-indexed TLB against test-local copies of the
-//! division-based cache and the sorted-index TLB they replaced, on seeded
-//! access streams. Every access outcome, the full line/entry state after
-//! every operation (so every victim), and the final counters must agree.
-//! Uniform addresses rarely repeat a line, so the cache's stream mixes in
-//! bursts of locality runs, which take the memo's hit branches.
+//! memo and its epoch-stamped, recycled lines, and the hash-indexed TLB
+//! against test-local copies of the division-based cache (a valid bit per
+//! line, a flush that rewrites every line, fresh lines for every cache)
+//! and the sorted-index TLB they replaced, on seeded access streams.
+//! Every access outcome, the observable line state after every operation
+//! (each line's validity, read through the epoch, then the tag, dirty bit
+//! and LRU stamp of a valid line, so every victim), and the final
+//! counters must agree. Uniform addresses rarely repeat a line, so the
+//! cache's stream mixes in bursts of locality runs, which take the memo's
+//! hit branches. Further streams drop a used cache and build the next one
+//! of the same geometry on the same thread, which takes the dropped
+//! cache's lines, or start an epoch count near its wrap.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use super::{Cache, CacheAccess, CacheParams, Line, Tlb, TlbParams, INVALID_LINE};
+use super::{Cache, CacheAccess, CacheParams, Line, Tlb, TlbParams};
+
+/// A line of the cache as it was: a valid bit instead of an epoch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RefLine {
+    tag: u64,
+    valid: bool,
+    dirty: bool,
+    lru: u64,
+}
+
+const INVALID_LINE: RefLine = RefLine {
+    tag: 0,
+    valid: false,
+    dirty: false,
+    lru: 0,
+};
 
 /// The cache as it was: division/modulo indexing and a flush that always
-/// scans.
+/// scans and rewrites every line.
 struct RefCache {
     params: CacheParams,
-    lines: Vec<Line>,
+    lines: Vec<RefLine>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -60,7 +82,7 @@ impl RefCache {
         if writeback {
             self.writebacks += 1;
         }
-        *victim = Line {
+        *victim = RefLine {
             tag,
             valid: true,
             dirty: write,
@@ -89,7 +111,7 @@ impl RefCache {
                 .wrapping_add((k as u64).wrapping_mul(1442695040888963407)))
                 % n as u64;
             self.clock += 1;
-            self.lines[idx as usize] = Line {
+            self.lines[idx as usize] = RefLine {
                 tag: salt.wrapping_add(k as u64) | (1 << 40),
                 valid: true,
                 dirty: k % 3 == 0,
@@ -176,8 +198,20 @@ const REGION_BASES: [u64; 8] = [
     0x0B30_0000,
 ];
 
+/// Same observable state: each line valid in both or in neither, a valid
+/// line's tag, dirty bit and LRU stamp, the clock and the counters. A
+/// stale line's other fields are never read, so they are not compared;
+/// what is checked of them is the epoch invariant, that no line's epoch
+/// is past its cache's.
 fn assert_same_cache(new: &Cache, old: &RefCache, what: &str) {
-    assert_eq!(new.lines, old.lines, "{what}: line state");
+    let epoch = new.lines.epoch();
+    assert_eq!(new.lines.len(), old.lines.len(), "{what}: line count");
+    for (i, (n, o)) in new.lines.iter().zip(&old.lines).enumerate() {
+        assert!(n.epoch <= epoch, "{what}: line {i} from a later epoch");
+        let n = (n.epoch == epoch).then_some((n.tag, n.dirty, n.lru));
+        let o = o.valid.then_some((o.tag, o.dirty, o.lru));
+        assert_eq!(n, o, "{what}: line {i}");
+    }
     assert_eq!(new.clock, old.clock, "{what}: clock");
     assert_eq!(
         new.stats(),
@@ -226,68 +260,169 @@ fn cache_matches_the_division_based_reference() {
             // case the early return serves).
             assert_eq!(new.flush(), old.flush(), "{what}: cold flush");
             assert_same_cache(&new, &old, &what);
-            let span = params.capacity() * 3;
-            let mut lines = vec![0];
-            for step in 0..6_000 {
-                match rng.gen_range(0u32..100) {
-                    0 => assert_eq!(new.flush(), old.flush(), "{what} step {step}: flush"),
-                    1 => {
-                        let fraction = rng.gen_range(0.0..1.0);
-                        let salt = rng.gen::<u64>();
-                        new.pollute(fraction, salt);
-                        old.pollute(fraction, salt);
-                    }
-                    // A burst of runs with the locality the memo serves,
-                    // which uniform addresses rarely have.
-                    2 => {
-                        for run in 0..rng.gen_range(1..=8) {
-                            let what = format!("{what} step {step} run {run}");
-                            // Half the runs go back to the previous run's
-                            // lines, which a flush or pollute may just have
-                            // moved.
-                            if rng.gen_bool(0.5) {
-                                lines = locality_lines(&params, &mut rng);
-                            }
-                            cache_run(&mut new, &mut old, &mut rng, &lines, &what);
-                            match rng.gen_range(0..10) {
-                                0 => assert_eq!(new.flush(), old.flush(), "{what}: flush"),
-                                1 => {
-                                    // Salts from a small range, so pollutes
-                                    // overlap.
-                                    let fraction = rng.gen_range(0.0..1.0);
-                                    let salt = rng.gen_range(0..16u64);
-                                    new.pollute(fraction, salt);
-                                    old.pollute(fraction, salt);
-                                }
-                                _ => {}
-                            }
-                            assert_same_cache(&new, &old, &what);
-                        }
-                    }
-                    op => {
-                        // Mostly a working set a few times the capacity
-                        // (hits, LRU evictions, dirty writebacks); some
-                        // addresses anywhere, including the region bases
-                        // and the top of the address space.
-                        let addr = match op % 4 {
-                            0 => rng.gen::<u64>(),
-                            1 => {
-                                REGION_BASES[rng.gen_range(0..REGION_BASES.len())]
-                                    + rng.gen_range(0..4096u64)
-                            }
-                            _ => rng.gen_range(0..span),
-                        };
-                        let write = rng.gen_bool(0.3);
-                        assert_eq!(
-                            new.access(addr, write),
-                            old.access(addr, write),
-                            "{what} step {step}: access {addr:#x}"
-                        );
-                    }
-                }
+            cache_stream(&mut new, &mut old, &mut rng, 6_000, &what);
+        }
+    }
+}
+
+#[test]
+fn recycled_lines_match_a_fresh_reference() {
+    // Each round drops a used cache, with lines left valid, dirty and
+    // polluted, and builds the next one of the same geometry on this
+    // thread, which takes the dropped lines; the new cache must behave as
+    // a reference cache built from nothing.
+    for (g, params) in geometries().into_iter().enumerate() {
+        for seed in 0..2u64 {
+            let mut rng = StdRng::seed_from_u64(0x5ba2_0000 + g as u64 * 16 + seed);
+            let mut new = Cache::new(params);
+            let mut old = RefCache::new(params);
+            for round in 0..12 {
+                let what = format!("geometry {g} seed {seed} round {round}");
+                cache_stream(&mut new, &mut old, &mut rng, 400, &what);
+                touch(&mut new, &mut old, &mut rng, 50, &what);
+                assert!(
+                    old.lines.iter().any(|l| l.valid && l.dirty),
+                    "{what}: dirty"
+                );
+                let lines = new.lines.as_ptr();
+                let epoch = new.lines.epoch();
+                drop(new);
+                new = Cache::new(params);
+                assert_eq!(new.lines.as_ptr(), lines, "{what}: spare lines taken");
+                assert_eq!(new.lines.epoch(), epoch + 1, "{what}: one epoch on");
+                old = RefCache::new(params);
                 assert_same_cache(&new, &old, &what);
+                assert_eq!(new.flush(), old.flush(), "{what}: cold flush");
             }
         }
+    }
+}
+
+#[test]
+fn epoch_wrap_matches_the_reference() {
+    for (g, params) in geometries().into_iter().enumerate() {
+        for seed in 0..2u64 {
+            let what = format!("geometry {g} seed {seed}");
+            let mut rng = StdRng::seed_from_u64(0xe90c_0000 + g as u64 * 16 + seed);
+            {
+                // Flushes across the wrap: from MAX - 1 to MAX, then to 1
+                // with every line rewritten to epoch 0, then on to 2.
+                let mut new = Cache::new(params);
+                new.lines.restart_at(u32::MAX - 1);
+                let mut old = RefCache::new(params);
+                for after in [u32::MAX, 1, 2] {
+                    let what = format!("{what} flush to epoch {after}");
+                    touch(&mut new, &mut old, &mut rng, 300, &what);
+                    assert_eq!(new.flush(), old.flush(), "{what}");
+                    assert_eq!(new.lines.epoch(), after, "{what}");
+                    assert_same_cache(&new, &old, &what);
+                }
+                cache_stream(&mut new, &mut old, &mut rng, 600, &what);
+            }
+            // A cache dropped in the last epoch, its lines valid: the next
+            // one wraps as it takes them.
+            let mut new = Cache::new(params);
+            new.lines.restart_at(u32::MAX);
+            let mut old = RefCache::new(params);
+            touch(&mut new, &mut old, &mut rng, 300, &what);
+            assert_eq!(new.lines.epoch(), u32::MAX, "{what}: last epoch");
+            let lines = new.lines.as_ptr();
+            drop(new);
+            let mut new = Cache::new(params);
+            assert_eq!(new.lines.as_ptr(), lines, "{what}: spare lines taken");
+            assert_eq!(new.lines.epoch(), 1, "{what}: wrapped");
+            let mut old = RefCache::new(params);
+            assert_same_cache(&new, &old, &what);
+            cache_stream(&mut new, &mut old, &mut rng, 600, &what);
+        }
+    }
+}
+
+/// `n` accesses over a working set a few times the capacity, a pollute,
+/// and a write: leaves lines valid, dirty and (in caches of ten lines or
+/// more) polluted, with no flush. Checks every outcome and the state.
+fn touch(new: &mut Cache, old: &mut RefCache, rng: &mut StdRng, n: usize, what: &str) {
+    let span = new.params().capacity() * 3;
+    for step in 0..=n {
+        if step == n / 2 {
+            let fraction = rng.gen_range(0.1..1.0);
+            let salt = rng.gen::<u64>();
+            new.pollute(fraction, salt);
+            old.pollute(fraction, salt);
+        }
+        let addr = rng.gen_range(0..span);
+        let write = step == n || rng.gen_bool(0.3);
+        assert_eq!(
+            new.access(addr, write),
+            old.access(addr, write),
+            "{what} step {step}: access {addr:#x}"
+        );
+    }
+    assert_same_cache(new, old, what);
+}
+
+/// `steps` seeded operations on both caches, checking every outcome and
+/// the observable state after every operation: accesses, mostly to a
+/// working set a few times the capacity (hits, LRU evictions, dirty
+/// writebacks), and rarely a flush, a pollute or a burst of locality runs.
+fn cache_stream(new: &mut Cache, old: &mut RefCache, rng: &mut StdRng, steps: usize, what: &str) {
+    let params = *new.params();
+    let span = params.capacity() * 3;
+    let mut lines = vec![0];
+    for step in 0..steps {
+        match rng.gen_range(0u32..100) {
+            0 => assert_eq!(new.flush(), old.flush(), "{what} step {step}: flush"),
+            1 => {
+                let fraction = rng.gen_range(0.0..1.0);
+                let salt = rng.gen::<u64>();
+                new.pollute(fraction, salt);
+                old.pollute(fraction, salt);
+            }
+            // A burst of runs with the locality the memo serves, which
+            // uniform addresses rarely have.
+            2 => {
+                for run in 0..rng.gen_range(1..=8) {
+                    let what = format!("{what} step {step} run {run}");
+                    // Half the runs go back to the previous run's lines,
+                    // which a flush or pollute may just have moved.
+                    if rng.gen_bool(0.5) {
+                        lines = locality_lines(&params, rng);
+                    }
+                    cache_run(new, old, rng, &lines, &what);
+                    match rng.gen_range(0..10) {
+                        0 => assert_eq!(new.flush(), old.flush(), "{what}: flush"),
+                        1 => {
+                            // Salts from a small range, so pollutes overlap.
+                            let fraction = rng.gen_range(0.0..1.0);
+                            let salt = rng.gen_range(0..16u64);
+                            new.pollute(fraction, salt);
+                            old.pollute(fraction, salt);
+                        }
+                        _ => {}
+                    }
+                    assert_same_cache(new, old, &what);
+                }
+            }
+            op => {
+                // Some addresses anywhere, including the region bases and
+                // the top of the address space.
+                let addr = match op % 4 {
+                    0 => rng.gen::<u64>(),
+                    1 => {
+                        REGION_BASES[rng.gen_range(0..REGION_BASES.len())]
+                            + rng.gen_range(0..4096u64)
+                    }
+                    _ => rng.gen_range(0..span),
+                };
+                let write = rng.gen_bool(0.3);
+                assert_eq!(
+                    new.access(addr, write),
+                    old.access(addr, write),
+                    "{what} step {step}: access {addr:#x}"
+                );
+            }
+        }
+        assert_same_cache(new, old, what);
     }
 }
 
@@ -351,14 +486,18 @@ fn cache_memo_hits_the_first_of_two_copies_of_a_tag() {
             let b = rng.gen_range(a + 1..ways);
             let base = set as usize * ways;
             for (way, dirty, lru) in [(a, false, 2), (b, true, 1)] {
-                let planted = Line {
+                new.lines[base + way] = Line {
+                    tag,
+                    lru,
+                    epoch: new.lines.epoch(),
+                    dirty,
+                };
+                old.lines[base + way] = RefLine {
                     tag,
                     valid: true,
                     dirty,
                     lru,
                 };
-                new.lines[base + way] = planted;
-                old.lines[base + way] = planted;
             }
             new.clock = 2;
             old.clock = 2;

@@ -33,6 +33,7 @@ pub mod bus;
 pub mod cache;
 pub mod core;
 pub mod dram;
+mod epoch;
 pub mod freq;
 
 pub use crate::core::{

@@ -4,7 +4,11 @@
 //! work, the daemon loop over an in-memory duplex audits a TDRB batch
 //! end to end through the TDRC control plane, and a battery writer
 //! (`verdict::retrain` plus `PutBattery`) reproduces the generations
-//! in-service retraining recorded.
+//! in-service retraining recorded. One worker that audits a mixed
+//! sequence, every session after the first on the cache and BTB storage
+//! the previous replay left on its thread, gives each session the verdict
+//! a newly spawned thread gives it, and a replay that panics costs its
+//! session an error verdict, not the worker.
 
 use std::io::{self, Cursor, Read};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -13,12 +17,16 @@ use std::time::Duration;
 
 use sanity_tdr::audit_pipeline::service::duplex;
 use sanity_tdr::audit_pipeline::verdict::retrain;
-use sanity_tdr::audit_pipeline::{ingest, FleetSummary};
+use sanity_tdr::audit_pipeline::{ingest, AuditVerdict, FleetSummary, Reference, ReferenceCache};
 use sanity_tdr::detectors::DetectorBattery;
+use sanity_tdr::jbc::{container, ElemTy, Op, Program, ProgramBuilder};
 use sanity_tdr::{
     AuditConfig, AuditJob, AuditService, BatchTicket, BatteryMode, Client, ConfigError,
-    ControlFrame, Source,
+    ControlFrame, ReferenceId, Sanity, Source,
 };
+use workloads::artifacts::registry_artifacts;
+use workloads::nfs::{encode_request, OP_LOOKUP};
+use workloads::scimark::fft_program;
 
 #[path = "torture_common.rs"]
 mod torture_common;
@@ -507,4 +515,225 @@ fn battery_writer_reproduces_in_service_retraining() {
         writer, WRITER_ROUNDS,
         "(verdict bytes, battery JSON, generation) per batch"
     );
+}
+
+/// Waits for one packet and answers it, unless its first byte is nonzero:
+/// then it loads from a byte array with `iaload`. The verifier counts
+/// stack depth, not operand types, so the program verifies, and that
+/// load panics the interpreter.
+fn picky_program() -> Program {
+    let mut b = ProgramBuilder::new();
+    let main = {
+        let mut m = b.static_method("Picky", "main", &[], None);
+        m.locals(1);
+        m.op(Op::IConst(64))
+            .op(Op::NewArray(ElemTy::I8))
+            .op(Op::AStore(0));
+        m.invoke_native("wait_packet", 0, false);
+        m.op(Op::ALoad(0))
+            .invoke_native("net_recv", 1, true)
+            .op(Op::Pop);
+        m.op(Op::ALoad(0)).op(Op::IConst(0)).op(Op::BALoad);
+        let answer = m.label();
+        m.br(Op::IfEq, answer);
+        m.op(Op::IConst(4)).op(Op::NewArray(ElemTy::I8));
+        m.op(Op::IConst(0))
+            .op(Op::IALoad)
+            .op(Op::Pop)
+            .op(Op::Return);
+        m.bind(answer);
+        m.op(Op::ALoad(0)).op(Op::IConst(16));
+        m.invoke_native("net_send", 2, false).op(Op::Return);
+        m.finish()
+    };
+    b.set_entry(main);
+    b.link().expect("link")
+}
+
+/// A recorded session of [`picky_program`]; a `bad` one carries the same
+/// log with the packet's first byte set, whose replay panics.
+fn picky_job(sanity: &Sanity, id: u64, bad: bool) -> AuditJob {
+    let rec = sanity
+        .record(300 + id, move |vm| {
+            vm.machine_mut()
+                .deliver_packet(120_000 + id * 9_000, vec![0; 32]);
+        })
+        .expect("record");
+    let observed_ipds = rec.tx_ipds_cycles();
+    let mut log = rec.log;
+    log.packets[0].data[0] = u8::from(bad);
+    AuditJob {
+        session_id: id,
+        observed_ipds,
+        log,
+    }
+}
+
+#[test]
+fn a_panicking_replay_costs_its_session_not_the_worker() {
+    let sanity = Sanity::new(picky_program());
+    let cfg = AuditConfig {
+        workers: 1,
+        ..AuditConfig::default()
+    };
+    let first = vec![picky_job(&sanity, 0, true), picky_job(&sanity, 1, false)];
+    let second = vec![picky_job(&sanity, 2, false), picky_job(&sanity, 3, false)];
+    let service = sanity
+        .audit_service()
+        .workers(1)
+        .build()
+        .expect("valid service configuration");
+
+    let report = submit_jobs(&service, &first)
+        .wait()
+        .expect("the batch completes");
+    let bad = &report.verdicts[0];
+    let error = bad.error.as_deref().expect("an error verdict");
+    assert!(
+        error.starts_with("replay panicked: array kind mismatch"),
+        "the panic's message, and no thread name: {error}"
+    );
+    assert_eq!((bad.score, bad.flagged, bad.tx_packets), (1.0, true, 0));
+    assert_eq!(report.verdicts[1].error, None);
+    assert_eq!(report, sanity.audit_batch(&first, &cfg), "== one-shot");
+
+    let warm = submit_jobs(&service, &second)
+        .wait()
+        .expect("the worker lives");
+    assert_eq!(warm, sanity.audit_batch(&second, &cfg), "== one-shot");
+    assert_eq!(service.sessions_audited(), 4);
+    service.shutdown();
+}
+
+/// One registered or built-in reference and the sessions audited on it.
+struct Mixed {
+    reference: Reference,
+    /// `None` for the service's built-in reference.
+    id: Option<ReferenceId>,
+    jobs: Vec<AuditJob>,
+}
+
+#[test]
+fn recycled_core_storage_audits_like_a_new_thread() {
+    // The built-in reference: NFS with files, scored by the full battery.
+    let nfs = nfs_sanity(14);
+    let nfs_jobs = fleet(&nfs, 0..6, 3);
+    let nfs = nfs.with_battery(trained_on_clean(&nfs_jobs, 3));
+    let service = nfs
+        .audit_service()
+        .workers(1)
+        .battery(BatteryMode::Full)
+        .build()
+        .expect("valid service configuration");
+    let registered = |program: Program, jobs: Vec<AuditJob>| {
+        let id = service
+            .put_reference(&container::seal(&program))
+            .expect("admitted")
+            .id;
+        Mixed {
+            reference: Reference::new(Arc::new(program)),
+            id: Some(id),
+            jobs,
+        }
+    };
+
+    // The `nfs_server` artifact, on LOOKUP-only sessions.
+    let (_, server) = registry_artifacts()
+        .into_iter()
+        .find(|(name, _)| *name == "nfs_server")
+        .expect("the artifact set names nfs_server");
+    let lookup = Sanity::new(server.clone());
+    let lookup_jobs: Vec<AuditJob> = (0..3u64)
+        .map(|id| {
+            let rec = lookup
+                .record(60 + id, move |vm| {
+                    for k in 0..4u64 {
+                        let req = encode_request(OP_LOOKUP, (id + k) as u8 % 5, 0, 0);
+                        let at = 150_000 + k * 400_000 + id * 5_000;
+                        vm.machine_mut().deliver_packet(at, req);
+                    }
+                })
+                .expect("record LOOKUP session");
+            AuditJob {
+                session_id: 100 + id,
+                observed_ipds: rec.tx_ipds_cycles(),
+                log: rec.log,
+            }
+        })
+        .collect();
+    // SciMark FFT: compute only.
+    let fft = Sanity::new(fft_program(64));
+    let fft_jobs: Vec<AuditJob> = (0..2u64)
+        .map(|id| {
+            let rec = fft.record(80 + id, |_| {}).expect("record FFT session");
+            AuditJob {
+                session_id: 200 + id,
+                observed_ipds: rec.tx_ipds_cycles(),
+                log: rec.log,
+            }
+        })
+        .collect();
+    // One session whose replay fails part way, after its machine has run.
+    let picky = Sanity::new(picky_program());
+    let picky_jobs = vec![picky_job(&picky, 300, true), picky_job(&picky, 301, false)];
+
+    let sets = [
+        Mixed {
+            reference: nfs.as_reference(),
+            id: None,
+            jobs: nfs_jobs,
+        },
+        registered(server, lookup_jobs),
+        registered(fft_program(64), fft_jobs),
+        registered(picky_program(), picky_jobs),
+    ];
+    let battery = service.battery();
+    let expected: Vec<Vec<AuditVerdict>> = sets
+        .iter()
+        .map(|set| {
+            let battery = match set.id {
+                None => battery.clone(),
+                Some(_) => None,
+            };
+            let fresh: Vec<AuditVerdict> = set
+                .jobs
+                .iter()
+                .map(|job| {
+                    let (reference, job) = (set.reference.clone(), job.clone());
+                    let (cfg, battery) = (*service.config(), battery.clone());
+                    std::thread::spawn(move || {
+                        ReferenceCache::new(&reference).audit(&job, &cfg, battery.as_deref())
+                    })
+                    .join()
+                    .expect("a new thread audits")
+                })
+                .collect();
+            fresh
+        })
+        .collect();
+    assert!(expected[3][0].error.is_some(), "the failing session fails");
+
+    // Two orders, one session per submission, so each replay runs on the
+    // storage the one before it left.
+    let forward: Vec<(usize, usize)> = (0..6)
+        .flat_map(|k| (0..sets.len()).map(move |s| (s, k)))
+        .filter(|&(s, k)| k < sets[s].jobs.len())
+        .collect();
+    let backward: Vec<(usize, usize)> = forward.iter().rev().copied().collect();
+    for (name, order) in [("forward", forward), ("backward", backward)] {
+        for (s, k) in order {
+            let set = &sets[s];
+            let report = service
+                .submit(vec![set.jobs[k].clone()], set.id)
+                .expect("resident")
+                .wait()
+                .expect("audits");
+            assert_eq!(
+                verdict_bytes(&report.verdicts),
+                verdict_bytes(&expected[s][k..=k]),
+                "{name}: set {s} session {k}"
+            );
+        }
+    }
+    service.shutdown();
 }
