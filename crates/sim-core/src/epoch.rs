@@ -119,9 +119,12 @@ impl<T: Entry> Drop for Store<T> {
     fn drop(&mut self) {
         let entries = std::mem::take(&mut self.entries);
         let epoch = self.epoch;
-        // A thread tearing down its locals frees the storage instead.
+        // A thread tearing down its locals frees the storage instead; a
+        // drop never panics.
         let _ = T::spare().try_with(|spare| {
-            let mut spare = spare.borrow_mut();
+            let Ok(mut spare) = spare.try_borrow_mut() else {
+                return;
+            };
             if spare.len() == T::SPARES {
                 spare.remove(0);
             }
