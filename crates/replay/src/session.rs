@@ -214,13 +214,11 @@ pub fn audit_replay(
     // Every value the replay mutates is built inside it, so an unwind
     // leaves nothing half-updated behind.
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(replay)).unwrap_or_else(|payload| {
-        let message = match payload.downcast::<String>() {
-            Ok(message) => *message,
-            Err(payload) => match payload.downcast::<&'static str>() {
-                Ok(message) => message.to_string(),
-                Err(_) => "a panic without a message".to_string(),
-            },
-        };
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|m| m.to_string()))
+            .unwrap_or_else(|| "a panic without a message".to_string());
         Err(SessionError::Panicked(message))
     })
 }
