@@ -7,6 +7,14 @@
 //! virtual→physical assignment changes set indexing and thus conflict
 //! misses. This model reproduces that effect faithfully.
 //!
+//! **Hits inline, misses out of line.** Every replayed instruction makes a
+//! TLB and a cache access for its fetch and for each data reference, and
+//! nearly all of them hit. So [`Cache::access`] and [`Tlb::access`] keep
+//! only the hit path inline in their callers: the memo or hint check, the
+//! set scan or bucket walk, the LRU stamp and the hit counter. A miss calls
+//! one cold, out-of-line fill per type: the victim choice, the writeback
+//! flag, the fill and the memo update, and the TLB's eviction and relink.
+//!
 //! [`Cache::access`] first consults an exact memo of the most recently
 //! accessed line: its line number → the index of its line. A memo hit
 //! skips only the set scan; the hit it finds, and the LRU stamp, dirty
@@ -16,7 +24,16 @@
 //! valid copy of its tag (the victim may have been the memoized line),
 //! and [`Cache::flush`] and [`Cache::pollute`] drop it (`pollute` can
 //! plant one tag in two ways of a set, where the scan picks the first).
-//! The TLB has no memo: its hash index already makes a lookup O(1).
+//!
+//! [`Tlb::access`] takes a slot hint that its caller keeps for one access
+//! stream; the core keeps one for fetches and one for data. The hint is
+//! trusted only when it names a resident slot holding the accessed vpn,
+//! which is then the slot the hash index would find, since a vpn is
+//! resident in at most one slot; otherwise the index is walked. It is left
+//! naming the slot hit or filled, so it changes no outcome. On the
+//! benchmark's workloads the fetch hint serves 100.0% (NFS) and 99.8%
+//! (LOOKUP) of fetch lookups, and the data hint 79.8% and 47.6% of data
+//! lookups.
 //!
 //! **Cold state in O(1).** Each line carries the epoch it was filled in
 //! and is valid only while that epoch equals its cache's; every line's
@@ -30,7 +47,10 @@
 //! that thread starts from them one epoch later, so a replay's cold
 //! caches are built without allocating or filling their 5,120 lines.
 //! Nothing reads a stale line but its epoch, so recycled lines behave as
-//! fresh ones.
+//! fresh ones. The TLB's slots and bucket heads are recycled the same
+//! way, one TLB's worth per thread: a head is valid only at its store's
+//! epoch and a slot only below the TLB's fill count, so [`Tlb::flush`] is
+//! one increment and a reset of that count.
 
 use serde::{Deserialize, Serialize};
 
@@ -173,45 +193,62 @@ impl Cache {
 
     // `sets` and `line` are powers of two (checked in `new`), so the
     // divisions of the set-index and tag math are shifts and masks.
+    #[inline(always)]
     fn set_index(&self, addr: PAddr) -> usize {
         ((addr >> self.params.line.trailing_zeros()) & (self.params.sets as u64 - 1)) as usize
     }
 
+    #[inline(always)]
     fn tag(&self, addr: PAddr) -> u64 {
         addr >> (self.params.line.trailing_zeros() + self.params.sets.trailing_zeros())
     }
 
     /// Access `addr`; returns hit/writeback status. A write marks the line
-    /// dirty (write-allocate on miss).
-    #[inline]
+    /// dirty (write-allocate on miss). Only the hit path is inline; a miss
+    /// calls the out-of-line fill.
+    #[inline(always)]
     pub fn access(&mut self, addr: PAddr, write: bool) -> CacheAccess {
         self.clock += 1;
         let line = addr >> self.params.line.trailing_zeros();
+        let at = match self.mru {
+            Some((memo, at)) if memo == line => at,
+            _ => {
+                let ways = self.params.ways as usize;
+                let base = self.set_index(addr) * ways;
+                let tag = self.tag(addr);
+                let epoch = self.lines.epoch();
+                match self.lines[base..base + ways]
+                    .iter()
+                    .position(|l| l.epoch == epoch && l.tag == tag)
+                {
+                    Some(way) => {
+                        self.mru = Some((line, base + way));
+                        base + way
+                    }
+                    None => return self.fill(addr, write),
+                }
+            }
+        };
+        let l = &mut self.lines[at];
+        l.lru = self.clock;
+        l.dirty |= write;
+        self.hits += 1;
+        CacheAccess {
+            hit: true,
+            writeback: false,
+        }
+    }
+
+    /// The miss path of [`Cache::access`]: fill `addr`'s line into the
+    /// invalid or least-recently-used way of its set, and memoize it.
+    #[cold]
+    #[inline(never)]
+    fn fill(&mut self, addr: PAddr, write: bool) -> CacheAccess {
+        self.misses += 1;
         let ways = self.params.ways as usize;
         let base = self.set_index(addr) * ways;
         let tag = self.tag(addr);
         let epoch = self.lines.epoch();
-        let hit = match self.mru {
-            Some((memo, at)) if memo == line => Some(at),
-            _ => self.lines[base..base + ways]
-                .iter()
-                .position(|l| l.epoch == epoch && l.tag == tag)
-                .map(|way| base + way),
-        };
-
-        if let Some(at) = hit {
-            self.mru = Some((line, at));
-            let l = &mut self.lines[at];
-            l.lru = self.clock;
-            l.dirty |= write;
-            self.hits += 1;
-            return CacheAccess {
-                hit: true,
-                writeback: false,
-            };
-        }
-        // Miss: fill into the invalid or least-recently-used way.
-        self.misses += 1;
         let (way, victim) = self.lines[base..base + ways]
             .iter_mut()
             .enumerate()
@@ -227,7 +264,7 @@ impl Cache {
             epoch,
             dirty: write,
         };
-        self.mru = Some((line, base + way));
+        self.mru = Some((addr >> self.params.line.trailing_zeros(), base + way));
         CacheAccess {
             hit: false,
             writeback,
@@ -324,6 +361,53 @@ impl TlbParams {
 /// End of a [`Tlb`] bucket chain.
 const NIL: u32 = u32::MAX;
 
+/// A TLB slot: its vpn, its LRU stamp and the next slot of its bucket's
+/// chain. Slots below the TLB's `len` are resident; their store's epoch
+/// goes unused, and the store serves only to recycle the storage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TlbSlot {
+    vpn: u64,
+    lru: u64,
+    next: u32,
+}
+
+impl Entry for TlbSlot {
+    const COLD: TlbSlot = TlbSlot {
+        vpn: 0,
+        lru: 0,
+        next: NIL,
+    };
+    /// A core's one TLB.
+    const SPARES: usize = 1;
+
+    fn spare() -> &'static std::thread::LocalKey<Spare<TlbSlot>> {
+        thread_local!(static SPARE: Spare<TlbSlot> = const { Spare::new(Vec::new()) });
+        &SPARE
+    }
+}
+
+/// The head of a [`Tlb`] bucket chain: its first slot, valid only while
+/// `epoch` equals its store's (an invalid head is an empty chain).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TlbHead {
+    slot: u32,
+    epoch: u32,
+}
+
+impl Entry for TlbHead {
+    const COLD: TlbHead = TlbHead {
+        slot: NIL,
+        epoch: 0,
+    };
+    /// A core's one TLB.
+    const SPARES: usize = 1;
+
+    fn spare() -> &'static std::thread::LocalKey<Spare<TlbHead>> {
+        thread_local!(static SPARE: Spare<TlbHead> = const { Spare::new(Vec::new()) });
+        &SPARE
+    }
+}
+
 /// A fully associative TLB with LRU replacement.
 ///
 /// Tracks virtual page numbers; the walk cost is charged on miss. `flush`
@@ -331,37 +415,40 @@ const NIL: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct Tlb {
     params: TlbParams,
-    entries: Vec<(u64, u64)>, // (vpn, lru)
+    /// Slots `..len` hold the resident vpns, filled in order until the TLB
+    /// is full and then by LRU eviction.
+    slots: Store<TlbSlot>,
+    len: usize,
     clock: u64,
     hits: u64,
     misses: u64,
-    /// Host-side lookup index over `entries`, so a lookup costs O(1)
-    /// instead of a scan: `buckets[hash(vpn)]` heads a chain of the slots
-    /// whose vpn hashes there, linked through `next[slot]`. Hit/miss and
-    /// LRU outcomes are decided by `entries` alone — a chain only names
-    /// the slots to compare.
-    buckets: Vec<u32>,
-    next: Vec<u32>,
-    /// `64 - log2(buckets.len())`: the multiplicative hash keeps the top
+    /// Host-side lookup index over the slots, so a lookup costs O(1)
+    /// instead of a scan: `heads[hash(vpn)]` heads a chain of the resident
+    /// slots whose vpn hashes there, linked through their `next`. Hit/miss
+    /// and LRU outcomes are decided by the slots alone — a chain only
+    /// names the slots to compare.
+    heads: Store<TlbHead>,
+    /// `64 - log2(heads.len())`: the multiplicative hash keeps the top
     /// bits, so vpns that differ only in high bits (the region bases are
     /// all multiples of 256 pages) still spread.
     hash_shift: u32,
 }
 
 impl Tlb {
-    /// Create an empty TLB.
+    /// Create an empty TLB, on this thread's spare storage when a dropped
+    /// TLB of the same size left some.
     pub fn new(params: TlbParams) -> Self {
         assert!(params.page.is_power_of_two(), "page must be a power of two");
-        let buckets = (params.entries as usize * 2).next_power_of_two().max(2);
+        let heads = (params.entries as usize * 2).next_power_of_two().max(2);
         Tlb {
             params,
-            entries: Vec::with_capacity(params.entries as usize),
+            slots: Store::new(params.entries as usize),
+            len: 0,
             clock: 0,
             hits: 0,
             misses: 0,
-            buckets: vec![NIL; buckets],
-            next: vec![NIL; params.entries as usize],
-            hash_shift: 64 - buckets.trailing_zeros(),
+            heads: Store::new(heads),
+            hash_shift: 64 - heads.trailing_zeros(),
         }
     }
 
@@ -372,67 +459,118 @@ impl Tlb {
 
     /// Touch the page containing virtual address `vaddr`; returns the cycle
     /// cost (0 on hit, `miss_cycles` on miss).
-    #[inline]
-    pub fn access(&mut self, vaddr: u64) -> Cycles {
+    ///
+    /// `hint` is a slot the caller keeps for one access stream. It is
+    /// trusted only when it is resident and holds this vpn, which is then
+    /// the slot the index would name (a vpn is resident in at most one
+    /// slot); otherwise the index is walked. It is left naming the slot hit
+    /// or filled. Every outcome is the same whatever the hint. Only the hit
+    /// path is inline; a miss calls the out-of-line fill.
+    #[inline(always)]
+    pub fn access(&mut self, vaddr: u64, hint: &mut u32) -> Cycles {
         self.clock += 1;
         let vpn = vaddr >> self.params.page.trailing_zeros();
-        if let Some(slot) = self.find(vpn) {
-            self.entries[slot].1 = self.clock;
-            self.hits += 1;
-            return 0;
-        }
-        self.misses += 1;
-        if self.entries.len() < self.params.entries as usize {
-            self.entries.push((vpn, self.clock));
-            self.link(self.entries.len() - 1);
-        } else if let Some(slot) = (0..self.entries.len()).min_by_key(|&s| self.entries[s].1) {
-            self.unlink(slot);
-            self.entries[slot] = (vpn, self.clock);
-            self.link(slot);
-        }
-        self.params.miss_cycles
+        let at = *hint as usize;
+        let slot = if at < self.len && self.slots[at].vpn == vpn {
+            at
+        } else {
+            match self.find(vpn) {
+                Some(slot) => slot,
+                None => {
+                    *hint = self.fill(vpn);
+                    return self.params.miss_cycles;
+                }
+            }
+        };
+        self.slots[slot].lru = self.clock;
+        self.hits += 1;
+        *hint = slot as u32;
+        0
     }
 
+    /// The miss path of [`Tlb::access`]: take the next free slot, or evict
+    /// the least recently used one, for `vpn`. Returns the slot filled, or
+    /// [`NIL`] for a TLB of no entries.
+    #[cold]
+    #[inline(never)]
+    fn fill(&mut self, vpn: u64) -> u32 {
+        self.misses += 1;
+        let slot = if self.len < self.slots.len() {
+            self.len += 1;
+            self.len - 1
+        } else if let Some(slot) = (0..self.len).min_by_key(|&s| self.slots[s].lru) {
+            self.unlink(slot);
+            slot
+        } else {
+            return NIL;
+        };
+        self.slots[slot].vpn = vpn;
+        self.slots[slot].lru = self.clock;
+        self.link(slot);
+        slot as u32
+    }
+
+    #[inline(always)]
     fn bucket(&self, vpn: u64) -> usize {
         (vpn.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.hash_shift) as usize
     }
 
+    /// The first slot of `vpn`'s chain.
+    #[inline(always)]
+    fn head(&self, vpn: u64) -> u32 {
+        let head = self.heads[self.bucket(vpn)];
+        if head.epoch == self.heads.epoch() {
+            head.slot
+        } else {
+            NIL
+        }
+    }
+
+    #[inline(always)]
     fn find(&self, vpn: u64) -> Option<usize> {
-        let mut slot = self.buckets[self.bucket(vpn)];
+        let mut slot = self.head(vpn);
         while slot != NIL {
-            if self.entries[slot as usize].0 == vpn {
+            let s = &self.slots[slot as usize];
+            if s.vpn == vpn {
                 return Some(slot as usize);
             }
-            slot = self.next[slot as usize];
+            slot = s.next;
         }
         None
     }
 
     /// Chain `slot` (holding its new vpn) into its bucket.
     fn link(&mut self, slot: usize) {
-        let b = self.bucket(self.entries[slot].0);
-        self.next[slot] = self.buckets[b];
-        self.buckets[b] = slot as u32;
+        let vpn = self.slots[slot].vpn;
+        self.slots[slot].next = self.head(vpn);
+        let b = self.bucket(vpn);
+        self.heads[b] = TlbHead {
+            slot: slot as u32,
+            epoch: self.heads.epoch(),
+        };
     }
 
-    /// Unchain `slot` (still holding its old vpn) from its bucket.
+    /// Unchain `slot` (resident, still holding its old vpn) from its
+    /// bucket.
     fn unlink(&mut self, slot: usize) {
-        let b = self.bucket(self.entries[slot].0);
-        if self.buckets[b] == slot as u32 {
-            self.buckets[b] = self.next[slot];
+        let b = self.bucket(self.slots[slot].vpn);
+        let next = self.slots[slot].next;
+        if self.heads[b].slot == slot as u32 {
+            self.heads[b].slot = next;
             return;
         }
-        let mut prev = self.buckets[b] as usize;
-        while self.next[prev] != slot as u32 {
-            prev = self.next[prev] as usize;
+        let mut prev = self.heads[b].slot as usize;
+        while self.slots[prev].next != slot as u32 {
+            prev = self.slots[prev].next as usize;
         }
-        self.next[prev] = self.next[slot];
+        self.slots[prev].next = next;
     }
 
-    /// Drop every entry.
+    /// Drop every entry: no slot resident, and every chain empty at the
+    /// heads' next epoch.
     pub fn flush(&mut self) {
-        self.entries.clear();
-        self.buckets.fill(NIL);
+        self.len = 0;
+        self.heads.invalidate();
     }
 
     /// `(hits, misses)` counters since construction.
@@ -538,9 +676,10 @@ mod tests {
     #[test]
     fn tlb_hit_after_fill() {
         let mut t = Tlb::new(TlbParams::default_params());
-        assert_eq!(t.access(0x1000), 30);
-        assert_eq!(t.access(0x1fff), 0, "same page");
-        assert_eq!(t.access(0x2000), 30, "next page");
+        let mut hint = 0;
+        assert_eq!(t.access(0x1000, &mut hint), 30);
+        assert_eq!(t.access(0x1fff, &mut hint), 0, "same page");
+        assert_eq!(t.access(0x2000, &mut hint), 30, "next page");
     }
 
     #[test]
@@ -550,14 +689,15 @@ mod tests {
             page: 4096,
             miss_cycles: 10,
         });
-        t.access(0x0000); // page 0
-        t.access(0x1000); // page 1
-        t.access(0x0000); // page 0 again; page 1 is LRU
-        t.access(0x2000); // page 2 evicts page 1
-        assert_eq!(t.access(0x0000), 0);
-        assert_eq!(t.access(0x1000), 10, "page 1 was evicted");
+        let mut hint = 0;
+        t.access(0x0000, &mut hint); // page 0
+        t.access(0x1000, &mut hint); // page 1
+        t.access(0x0000, &mut hint); // page 0 again; page 1 is LRU
+        t.access(0x2000, &mut hint); // page 2 evicts page 1
+        assert_eq!(t.access(0x0000, &mut hint), 0);
+        assert_eq!(t.access(0x1000, &mut hint), 10, "page 1 was evicted");
         t.flush();
-        assert_eq!(t.access(0x0000), 10, "flush drops everything");
+        assert_eq!(t.access(0x0000, &mut hint), 10, "flush drops everything");
     }
 
     #[test]

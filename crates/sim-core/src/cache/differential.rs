@@ -8,9 +8,11 @@
 //! and LRU stamp of a valid line, so every victim), and the final
 //! counters must agree. Uniform addresses rarely repeat a line, so the
 //! cache's stream mixes in bursts of locality runs, which take the memo's
-//! hit branches. Further streams drop a used cache and build the next one
-//! of the same geometry on the same thread, which takes the dropped
-//! cache's lines, or start an epoch count near its wrap.
+//! hit branches. The TLB's streams pass one of two slot hints per access,
+//! so hints name slots refilled with other vpns and, after a flush, slots
+//! past the resident ones. Further streams drop a used cache or TLB and
+//! build the next one of the same size on the same thread, which takes
+//! the dropped storage, or start an epoch count near its wrap.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -514,50 +516,199 @@ fn cache_memo_hits_the_first_of_two_copies_of_a_tag() {
     }
 }
 
+/// Same observable TLB state: the resident slots' vpns and LRU stamps
+/// against the reference's entries, the clock and the counters. The index
+/// is checked whole: no head is from a later epoch, the valid heads'
+/// chains reach each resident slot once and nothing else, and each slot
+/// sits in its own vpn's chain.
+fn assert_same_tlb(new: &Tlb, old: &RefTlb, what: &str) {
+    let resident: Vec<(u64, u64)> = new.slots[..new.len]
+        .iter()
+        .map(|s| (s.vpn, s.lru))
+        .collect();
+    assert_eq!(resident, old.entries, "{what}: entries");
+    assert_eq!(new.clock, old.clock, "{what}: clock");
+    assert_eq!(new.stats(), (old.hits, old.misses), "{what}: counters");
+    let epoch = new.heads.epoch();
+    let mut chained = vec![false; new.len];
+    for (b, head) in new.heads.iter().enumerate() {
+        assert!(head.epoch <= epoch, "{what}: head {b} from a later epoch");
+        let mut slot = if head.epoch == epoch {
+            head.slot
+        } else {
+            super::NIL
+        };
+        while slot != super::NIL {
+            let s = slot as usize;
+            assert!(
+                s < new.len && !chained[s],
+                "{what}: bucket {b} chains slot {s}"
+            );
+            assert_eq!(
+                new.bucket(new.slots[s].vpn),
+                b,
+                "{what}: slot {s} in bucket {b}"
+            );
+            chained[s] = true;
+            slot = new.slots[s].next;
+        }
+    }
+    assert!(
+        chained.iter().all(|&c| c),
+        "{what}: a resident slot unchained"
+    );
+}
+
+/// Seeded TLB operations: a generator, a pool of pages about twice the
+/// reach of the TLB, dominated by the region bases and their neighbours
+/// (so a full TLB evicts constantly and colliding vpns share buckets), and
+/// the two slot hints the accesses pass, as the core's fetch and data
+/// streams do.
+struct TlbStreams {
+    rng: StdRng,
+    pool: Vec<u64>,
+    hints: [u32; 2],
+}
+
+impl TlbStreams {
+    fn new(entries: u32, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pool: Vec<u64> = REGION_BASES
+            .iter()
+            .flat_map(|&b| (0..4u64).map(move |k| b / 4096 + k))
+            .collect();
+        while pool.len() < (2 * entries as usize).max(40) {
+            pool.push(rng.gen_range(0..1u64 << 40));
+        }
+        TlbStreams {
+            rng,
+            pool,
+            hints: [0; 2],
+        }
+    }
+
+    /// `steps` operations on both TLBs, with `flushes` one in 400 a flush,
+    /// else only accesses. Each access passes one of the two hints, picked
+    /// at random, so a hint often names a slot the other stream refilled
+    /// with another vpn, and after a flush a slot past the resident ones.
+    /// Checks every outcome, the state after every operation and, after
+    /// every hit or fill, that the hint names the slot holding the vpn.
+    fn run(&mut self, new: &mut Tlb, old: &mut RefTlb, steps: usize, flushes: bool, what: &str) {
+        for step in 0..steps {
+            let what = format!("{what} step {step}");
+            if flushes && self.rng.gen_range(0u32..400) == 0 {
+                new.flush();
+                old.flush();
+            } else {
+                let vpn = self.pool[self.rng.gen_range(0..self.pool.len())];
+                let vaddr = vpn * 4096 + self.rng.gen_range(0..4096u64);
+                let hint = &mut self.hints[self.rng.gen_range(0..2)];
+                assert_eq!(
+                    new.access(vaddr, hint),
+                    old.access(vaddr),
+                    "{what}: access {vaddr:#x}"
+                );
+                if new.params.entries > 0 {
+                    assert_eq!(new.slots[*hint as usize].vpn, vpn, "{what}: hint");
+                }
+            }
+            assert_same_tlb(new, old, &what);
+        }
+    }
+}
+
+fn tlb_params(entries: u32) -> TlbParams {
+    TlbParams {
+        entries,
+        page: 4096,
+        miss_cycles: 30,
+    }
+}
+
 #[test]
 fn tlb_matches_the_sorted_index_reference() {
     for entries in [0u32, 1, 2, 5, 64, 100] {
         for seed in 0..4u64 {
             let what = format!("{entries} entries seed {seed}");
-            let params = TlbParams {
-                entries,
-                page: 4096,
-                miss_cycles: 30,
-            };
-            let mut rng = StdRng::seed_from_u64(0x71b0_0000 + entries as u64 * 16 + seed);
-            let mut new = Tlb::new(params);
-            let mut old = RefTlb::new(params);
-            // A pool of pages about twice the TLB's reach, dominated by
-            // the region bases and their neighbours, so a full TLB evicts
-            // constantly and colliding vpns share buckets.
-            let mut pool: Vec<u64> = REGION_BASES
-                .iter()
-                .flat_map(|&b| (0..4u64).map(move |k| b / 4096 + k))
-                .collect();
-            while pool.len() < (2 * entries as usize).max(40) {
-                pool.push(rng.gen_range(0..1u64 << 40));
-            }
-            for step in 0..8_000 {
-                if rng.gen_range(0u32..400) == 0 {
-                    new.flush();
-                    old.flush();
-                } else {
-                    let vpn = pool[rng.gen_range(0..pool.len())];
-                    let vaddr = vpn * 4096 + rng.gen_range(0..4096u64);
-                    assert_eq!(
-                        new.access(vaddr),
-                        old.access(vaddr),
-                        "{what} step {step}: access {vaddr:#x}"
-                    );
-                }
-                assert_eq!(new.entries, old.entries, "{what} step {step}: entries");
-                assert_eq!(new.clock, old.clock, "{what} step {step}: clock");
-            }
-            assert_eq!(new.stats(), (old.hits, old.misses), "{what}: counters");
+            let mut streams = TlbStreams::new(entries, 0x71b0_0000 + entries as u64 * 16 + seed);
+            let mut new = Tlb::new(tlb_params(entries));
+            let mut old = RefTlb::new(tlb_params(entries));
+            streams.run(&mut new, &mut old, 8_000, true, &what);
             assert!(
                 entries == 0 || old.misses > entries as u64,
                 "{what}: TLB filled"
             );
+        }
+    }
+}
+
+#[test]
+fn recycled_tlb_storage_matches_a_fresh_reference() {
+    // Each round drops a used TLB with slots resident, and builds the next
+    // one of the same size on this thread, which takes the dropped slots
+    // and heads; with the hints kept from the dropped TLB, the new one
+    // must behave as a reference TLB built from nothing.
+    for entries in [1u32, 2, 5, 64, 100] {
+        for seed in 0..2u64 {
+            let mut streams = TlbStreams::new(entries, 0x7ec7_0000 + entries as u64 * 16 + seed);
+            let mut new = Tlb::new(tlb_params(entries));
+            let mut old = RefTlb::new(tlb_params(entries));
+            for round in 0..12 {
+                let what = format!("{entries} entries seed {seed} round {round}");
+                streams.run(&mut new, &mut old, 300, true, &what);
+                streams.run(&mut new, &mut old, 20, false, &what);
+                assert!(new.len > 0, "{what}: slots resident");
+                let (slots, heads) = (new.slots.as_ptr(), new.heads.as_ptr());
+                let epoch = new.heads.epoch();
+                drop(new);
+                new = Tlb::new(tlb_params(entries));
+                assert_eq!(new.slots.as_ptr(), slots, "{what}: spare slots taken");
+                assert_eq!(new.heads.as_ptr(), heads, "{what}: spare heads taken");
+                assert_eq!(new.heads.epoch(), epoch + 1, "{what}: one epoch on");
+                old = RefTlb::new(tlb_params(entries));
+                assert_same_tlb(&new, &old, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn tlb_epoch_wrap_matches_the_reference() {
+    for entries in [1u32, 2, 5, 64, 100] {
+        for seed in 0..2u64 {
+            let what = format!("{entries} entries seed {seed}");
+            let mut streams = TlbStreams::new(entries, 0x7e90_0000 + entries as u64 * 16 + seed);
+            {
+                // Flushes across the wrap: from MAX - 1 to MAX, then to 1
+                // with every head rewritten to epoch 0, then on to 2.
+                let mut new = Tlb::new(tlb_params(entries));
+                new.heads.restart_at(u32::MAX - 1);
+                let mut old = RefTlb::new(tlb_params(entries));
+                for after in [u32::MAX, 1, 2] {
+                    let what = format!("{what} flush to epoch {after}");
+                    streams.run(&mut new, &mut old, 200, false, &what);
+                    new.flush();
+                    old.flush();
+                    assert_eq!(new.heads.epoch(), after, "{what}");
+                    assert_same_tlb(&new, &old, &what);
+                }
+                streams.run(&mut new, &mut old, 400, true, &what);
+            }
+            // A TLB dropped in the heads' last epoch, slots resident: the
+            // next one wraps as it takes them.
+            let mut new = Tlb::new(tlb_params(entries));
+            new.heads.restart_at(u32::MAX);
+            let mut old = RefTlb::new(tlb_params(entries));
+            streams.run(&mut new, &mut old, 20, false, &what);
+            assert!(new.len > 0, "{what}: slots resident");
+            let heads = new.heads.as_ptr();
+            drop(new);
+            let mut new = Tlb::new(tlb_params(entries));
+            assert_eq!(new.heads.as_ptr(), heads, "{what}: spare heads taken");
+            assert_eq!(new.heads.epoch(), 1, "{what}: wrapped");
+            let mut old = RefTlb::new(tlb_params(entries));
+            assert_same_tlb(&new, &old, &what);
+            streams.run(&mut new, &mut old, 400, true, &what);
         }
     }
 }

@@ -252,6 +252,10 @@ pub struct CoreModel {
     l1d: Cache,
     l2: Cache,
     tlb: Tlb,
+    /// The TLB slot each access stream, fetch and data, touched last
+    /// (see [`Tlb::access`]): host-side only.
+    fetch_hint: u32,
+    data_hint: u32,
     btb: BranchPredictor,
     dram: Dram,
     bus: MemoryBus,
@@ -269,6 +273,8 @@ impl CoreModel {
             l1d: Cache::new(params.l1d),
             l2: Cache::new(params.l2),
             tlb: Tlb::new(params.tlb),
+            fetch_hint: 0,
+            data_hint: 0,
             btb: BranchPredictor::new(params.btb),
             dram: Dram::new(params.dram),
             bus: MemoryBus::new(params.bus, bus_seed),
@@ -366,7 +372,7 @@ impl CoreModel {
     /// Charge one data reference; returns (cycles, missed_l1).
     #[inline]
     fn data_ref(&mut self, r: &MemRef) -> (Cycles, bool) {
-        let mut cycles = self.tlb.access(r.vaddr);
+        let mut cycles = self.tlb.access(r.vaddr, &mut self.data_hint);
         cycles += self.params.l1d.hit_cycles;
         let res = self.l1d.access(r.paddr, r.write);
         if res.writeback {
@@ -381,7 +387,7 @@ impl CoreModel {
     /// Charge an instruction fetch; returns (cycles, missed_l1i).
     #[inline]
     fn fetch(&mut self, vaddr: u64, paddr: PAddr) -> (Cycles, bool) {
-        let mut cycles = self.tlb.access(vaddr);
+        let mut cycles = self.tlb.access(vaddr, &mut self.fetch_hint);
         cycles += self.params.l1i.hit_cycles;
         let res = self.l1i.access(paddr, false);
         if !res.hit {

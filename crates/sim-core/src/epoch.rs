@@ -1,24 +1,25 @@
 //! Cold state in O(1): epoch-stamped storage, recycled per thread.
 //!
 //! Every replay starts from flushed caches, TLB and BTB (§3.6). A cache's
-//! lines and a BTB's entries live in a [`Store`], and each entry carries
-//! the epoch it was written in. **An entry is valid only while its epoch
-//! equals its store's**, so invalidating everything is one increment of
-//! the store's epoch. The store's epoch starts at 1 and every entry's
-//! epoch is at most the store's. When the `u32` count would wrap, every
-//! entry is rewritten to [`Entry::COLD`] (epoch 0, which no store ever
-//! holds) and the count restarts at 1, so a stale entry can never turn
-//! valid again.
+//! lines, a BTB's entries and a TLB's bucket heads live in a [`Store`],
+//! and each entry carries the epoch it was written in. **An entry is valid
+//! only while its epoch equals its store's**, so invalidating everything
+//! is one increment of the store's epoch. The store's epoch starts at 1
+//! and every entry's epoch is at most the store's. When the `u32` count
+//! would wrap, every entry is rewritten to [`Entry::COLD`] (epoch 0, which
+//! no store ever holds) and the count restarts at 1, so a stale entry can
+//! never turn valid again. A TLB's slots live in a store too, for its
+//! recycling only: they carry no epoch, and the TLB counts the valid ones.
 //!
 //! Dropping a store hands its storage and final epoch to a small spare
 //! kept per thread: at most [`Entry::SPARES`] storages of each entry type,
-//! a core's three caches and one BTB (about 132 KiB with the default
-//! geometry). The next store of the same length built on that thread
-//! takes the storage it got last and starts one epoch later, so a cold
-//! cache is built without allocating or writing its lines. Every stale
-//! entry is invalid by the rule above, and no outcome reads anything of
-//! an invalid entry but its epoch, so recycled storage behaves exactly as
-//! fresh storage does.
+//! a core's three caches, one TLB and one BTB (about 134 KiB with the
+//! default geometry). The next store of the same length built on that
+//! thread takes the storage it got last and starts one epoch later, so a
+//! cold cache is built without allocating or writing its lines. Every
+//! stale entry is invalid by the rule above, and no outcome reads anything
+//! of an invalid entry but its epoch, so recycled storage behaves exactly
+//! as fresh storage does.
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
@@ -30,7 +31,8 @@ pub(crate) type Spare<T> = RefCell<Vec<(Vec<T>, u32)>>;
 
 /// An epoch-stamped entry of a [`Store`].
 pub(crate) trait Entry: Copy + 'static {
-    /// An entry of epoch 0: invalid in every store.
+    /// An entry of epoch 0: invalid in every store (an entry without an
+    /// epoch: the one a rewrite leaves).
     const COLD: Self;
     /// The storages of this type a thread keeps spare.
     const SPARES: usize;
