@@ -5,8 +5,9 @@
 //! docs. Inputs are supplied by a `setup` closure that can deliver packets,
 //! install files, or arm a covert-channel delay model before the run.
 
+use std::cell::Cell;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 
 use jbc::{Program, Verified};
 use machine::{EventMark, Machine, MachineConfig, Seeds, StEntry, TxRecord};
@@ -186,7 +187,12 @@ pub fn replay_functional(
 /// A replay that panics returns [`SessionError::Panicked`] with the
 /// panic's message (no thread name or location, so the error is the same
 /// on every thread), and the machine and VM it built are dropped with the
-/// unwind: nothing of a failed replay outlives it.
+/// unwind: nothing of a failed replay outlives it. Such a panic is not
+/// reported to the panic hook: the first audit replay in a process wraps
+/// the hook then set in one that stays silent while its thread is inside a
+/// replay and passes every other panic on, so a tenant whose sessions
+/// reach an interpreter assertion cannot fill a daemon's log. A hook set
+/// later replaces that one.
 pub fn audit_replay(
     program: &Verified,
     mcfg: MachineConfig,
@@ -213,7 +219,11 @@ pub fn audit_replay(
     };
     // Every value the replay mutates is built inside it, so an unwind
     // leaves nothing half-updated behind.
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(replay)).unwrap_or_else(|payload| {
+    quiet_replay_panics();
+    let enclosing = IN_AUDIT_REPLAY.replace(true);
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(replay));
+    IN_AUDIT_REPLAY.set(enclosing);
+    caught.unwrap_or_else(|payload| {
         let message = payload
             .downcast_ref::<String>()
             .cloned()
@@ -221,6 +231,26 @@ pub fn audit_replay(
             .unwrap_or_else(|| "a panic without a message".to_string());
         Err(SessionError::Panicked(message))
     })
+}
+
+thread_local! {
+    /// Whether this thread is inside [`audit_replay`]'s `catch_unwind`.
+    static IN_AUDIT_REPLAY: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Wrap the process's panic hook, once, in one that is silent for the
+/// panics [`audit_replay`] catches and calls the wrapped hook for all
+/// others.
+fn quiet_replay_panics() {
+    static WRAP: Once = Once::new();
+    WRAP.call_once(|| {
+        let outer = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !IN_AUDIT_REPLAY.try_with(Cell::get).unwrap_or(false) {
+                outer(info);
+            }
+        }));
+    });
 }
 
 #[cfg(test)]
