@@ -3,7 +3,7 @@
 # BENCHMARK.json, from auditbench runs of this checkout over the given
 # seeds at the benchmark's run length. Each seed gets one untraced run
 # (the gated end-to-end metrics, and the slowest of its slices) and one
-# traced run (`--trace 1`: replay.us_per_session, replay.ns_per_instr).
+# traced run (`--trace 1`: every per-layer metric BENCHMARK.json names).
 # Rows already in the file are never changed; CI runs none of this.
 #
 #   scripts/bench_perf.sh 9001 9002 9003
@@ -27,6 +27,7 @@ fi
 ledger=$here/BENCH_perf.json
 seconds=$(jq -r .run_seconds BENCHMARK.json)
 gated=$(jq -c '[.end_to_end[].name]' BENCHMARK.json)
+layers=$(jq -c '[.per_layer[].name]' BENCHMARK.json)
 
 commit_of() {
   if ! git -C "$1" diff --quiet HEAD -- . ':!BENCH_perf.json'; then
@@ -93,7 +94,8 @@ rows=$(for dir in "${sides[@]}"; do
   [ -z "$against" ] || for d in "${sides[@]}"; do [ "$d" = "$dir" ] || other="\"${commit[$d]}\""; done
   for workload in $(jq -r '.workloads[].name' BENCHMARK.json); do
     jq -s -c --arg commit "${commit[$dir]}" --arg workload "$workload" \
-      --argjson paired_with "$other" --argjson gated "$gated" --argjson seconds "$seconds" \
+      --argjson paired_with "$other" --argjson gated "$gated" --argjson layers "$layers" \
+      --argjson seconds "$seconds" \
       --argjson nproc "$cpus" --argjson avail "$avail" '
       def q($p): sort as $v | ((($v | length) - 1) * $p) as $h | ($h | floor) as $i
         | if $i + 1 < ($v | length) then $v[$i] + ($h - $i) * ($v[$i + 1] - $v[$i]) else $v[$i] end;
@@ -104,8 +106,7 @@ rows=$(for dir in "${sides[@]}"; do
         seconds: $seconds, runs: ($r | length), seeds: [$r[].seed],
         end_to_end: ($gated | map({key: ., value: (. as $m | [$r[].plain[$m].value] | stats)}) | from_entries),
         slice_min_sessions_per_s: ([$r[].slice_min] | stats),
-        traced: (["replay.us_per_session", "replay.ns_per_instr"]
-          | map({key: ., value: (. as $m | [$r[].traced[$m].value] | stats)}) | from_entries)
+        traced: ($layers | map({key: ., value: (. as $m | [$r[].traced[$m].value] | stats)}) | from_entries)
       }' "$records/${side[$dir]}-$workload"
   done
 done)
