@@ -364,7 +364,7 @@ const NIL: u32 = u32::MAX;
 /// A TLB slot: its vpn, its LRU stamp and the next slot of its bucket's
 /// chain. Slots below the TLB's `len` are resident; their store's epoch
 /// goes unused, and the store serves only to recycle the storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct TlbSlot {
     vpn: u64,
     lru: u64,
@@ -388,7 +388,7 @@ impl Entry for TlbSlot {
 
 /// The head of a [`Tlb`] bucket chain: its first slot, valid only while
 /// `epoch` equals its store's (an invalid head is an empty chain).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct TlbHead {
     slot: u32,
     epoch: u32,

@@ -31,8 +31,8 @@ pub(crate) type Spare<T> = RefCell<Vec<(Vec<T>, u32)>>;
 
 /// An epoch-stamped entry of a [`Store`].
 pub(crate) trait Entry: Copy + 'static {
-    /// An entry of epoch 0: invalid in every store (an entry without an
-    /// epoch: the one a rewrite leaves).
+    /// An entry of epoch 0, invalid in every store; for an entry that
+    /// carries no epoch, the value a wrap's rewrite leaves.
     const COLD: Self;
     /// The storages of this type a thread keeps spare.
     const SPARES: usize;

@@ -19,7 +19,7 @@ use sanity_tdr::audit_pipeline::service::duplex;
 use sanity_tdr::audit_pipeline::verdict::retrain;
 use sanity_tdr::audit_pipeline::{ingest, AuditVerdict, FleetSummary, Reference, ReferenceCache};
 use sanity_tdr::detectors::DetectorBattery;
-use sanity_tdr::jbc::{container, ElemTy, Op, Program, ProgramBuilder};
+use sanity_tdr::jbc::{container, Program};
 use sanity_tdr::{
     AuditConfig, AuditJob, AuditService, BatchTicket, BatteryMode, Client, ConfigError,
     ControlFrame, ReferenceId, Sanity, Source,
@@ -31,8 +31,8 @@ use workloads::scimark::fft_program;
 #[path = "torture_common.rs"]
 mod torture_common;
 use torture_common::{
-    fleet, fnv1a, nfs_sanity, trained_on_clean, verdict_bytes, writer_fixture, writer_round,
-    WRITER_ROUNDS,
+    fleet, fnv1a, nfs_sanity, picky_job, picky_program, trained_on_clean, verdict_bytes,
+    writer_fixture, writer_round, WRITER_ROUNDS,
 };
 
 /// Submit owned copies of `jobs` against the service's built-in reference.
@@ -515,58 +515,6 @@ fn battery_writer_reproduces_in_service_retraining() {
         writer, WRITER_ROUNDS,
         "(verdict bytes, battery JSON, generation) per batch"
     );
-}
-
-/// Waits for one packet and answers it, unless its first byte is nonzero:
-/// then it loads from a byte array with `iaload`. The verifier counts
-/// stack depth, not operand types, so the program verifies, and that
-/// load panics the interpreter.
-fn picky_program() -> Program {
-    let mut b = ProgramBuilder::new();
-    let main = {
-        let mut m = b.static_method("Picky", "main", &[], None);
-        m.locals(1);
-        m.op(Op::IConst(64))
-            .op(Op::NewArray(ElemTy::I8))
-            .op(Op::AStore(0));
-        m.invoke_native("wait_packet", 0, false);
-        m.op(Op::ALoad(0))
-            .invoke_native("net_recv", 1, true)
-            .op(Op::Pop);
-        m.op(Op::ALoad(0)).op(Op::IConst(0)).op(Op::BALoad);
-        let answer = m.label();
-        m.br(Op::IfEq, answer);
-        m.op(Op::IConst(4)).op(Op::NewArray(ElemTy::I8));
-        m.op(Op::IConst(0))
-            .op(Op::IALoad)
-            .op(Op::Pop)
-            .op(Op::Return);
-        m.bind(answer);
-        m.op(Op::ALoad(0)).op(Op::IConst(16));
-        m.invoke_native("net_send", 2, false).op(Op::Return);
-        m.finish()
-    };
-    b.set_entry(main);
-    b.link().expect("link")
-}
-
-/// A recorded session of [`picky_program`]; a `bad` one carries the same
-/// log with the packet's first byte set, whose replay panics.
-fn picky_job(sanity: &Sanity, id: u64, bad: bool) -> AuditJob {
-    let rec = sanity
-        .record(300 + id, move |vm| {
-            vm.machine_mut()
-                .deliver_packet(120_000 + id * 9_000, vec![0; 32]);
-        })
-        .expect("record");
-    let observed_ipds = rec.tx_ipds_cycles();
-    let mut log = rec.log;
-    log.packets[0].data[0] = u8::from(bad);
-    AuditJob {
-        session_id: id,
-        observed_ipds,
-        log,
-    }
 }
 
 #[test]

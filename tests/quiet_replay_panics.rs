@@ -9,59 +9,18 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use sanity_tdr::jbc::{ElemTy, Op, Program, ProgramBuilder};
-use sanity_tdr::{AuditJob, Sanity};
+use sanity_tdr::Sanity;
+
+#[path = "torture_common.rs"]
+mod torture_common;
+use torture_common::{picky_job, picky_program};
 
 static HOOK_CALLS: AtomicUsize = AtomicUsize::new(0);
-
-/// Waits for one packet and answers it, unless its first byte is nonzero:
-/// then it loads from a byte array with `iaload`, which panics the
-/// interpreter.
-fn picky_program() -> Program {
-    let mut b = ProgramBuilder::new();
-    let main = {
-        let mut m = b.static_method("Picky", "main", &[], None);
-        m.locals(1);
-        m.op(Op::IConst(64))
-            .op(Op::NewArray(ElemTy::I8))
-            .op(Op::AStore(0));
-        m.invoke_native("wait_packet", 0, false);
-        m.op(Op::ALoad(0))
-            .invoke_native("net_recv", 1, true)
-            .op(Op::Pop);
-        m.op(Op::ALoad(0)).op(Op::IConst(0)).op(Op::BALoad);
-        let answer = m.label();
-        m.br(Op::IfEq, answer);
-        m.op(Op::IConst(4)).op(Op::NewArray(ElemTy::I8));
-        m.op(Op::IConst(0))
-            .op(Op::IALoad)
-            .op(Op::Pop)
-            .op(Op::Return);
-        m.bind(answer);
-        m.op(Op::ALoad(0)).op(Op::IConst(16));
-        m.invoke_native("net_send", 2, false).op(Op::Return);
-        m.finish()
-    };
-    b.set_entry(main);
-    b.link().expect("link")
-}
 
 #[test]
 fn a_caught_replay_panic_skips_the_hook_and_others_reach_it() {
     let sanity = Sanity::new(picky_program());
-    let rec = sanity
-        .record(7, |vm| {
-            vm.machine_mut().deliver_packet(120_000, vec![0; 32]);
-        })
-        .expect("record");
-    let observed_ipds = rec.tx_ipds_cycles();
-    let mut log = rec.log;
-    log.packets[0].data[0] = 1;
-    let bad = AuditJob {
-        session_id: 0,
-        observed_ipds,
-        log,
-    };
+    let bad = picky_job(&sanity, 0, true);
     std::panic::set_hook(Box::new(|_| {
         HOOK_CALLS.fetch_add(1, Ordering::SeqCst);
     }));

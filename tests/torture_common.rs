@@ -2,7 +2,9 @@
 //! mutator of the protocol torture suites (`protocol_torture.rs`,
 //! `integration_daemon_tcp.rs`), the cheap echo fixture, and the NFS
 //! fleet and battery-writer round the retraining pins share
-//! (`integration_service.rs`, `integration_coordinator.rs`). Each test
+//! (`integration_service.rs`, `integration_coordinator.rs`), and the
+//! program whose replay panics (`integration_service.rs`,
+//! `quiet_replay_panics.rs`). Each test
 //! binary pulls this in with `#[path = "torture_common.rs"] mod
 //! torture_common;`, so the suites can never drift apart on what "a
 //! mutation" or "a writer round" means.
@@ -14,6 +16,7 @@ use std::io::{Read, Write};
 use rand::{rngs::StdRng, Rng};
 use sanity_tdr::audit_pipeline::verdict::retrain;
 use sanity_tdr::audit_pipeline::{ingest, AuditVerdict};
+use sanity_tdr::jbc::{ElemTy, Op, Program, ProgramBuilder};
 use sanity_tdr::{AckStatus, AuditJob, Client, ControlFrame, DetectorBattery, Sanity};
 use workloads::nfs;
 
@@ -247,4 +250,56 @@ pub fn writer_round<T: Read + Write>(
         .expect("PutBattery answered");
     assert_eq!(ack.status, AckStatus::Loaded);
     (outcome.verdicts, next.battery, ack.generation)
+}
+
+/// Waits for one packet and answers it, unless its first byte is nonzero:
+/// then it loads from a byte array with `iaload`. The verifier counts
+/// stack depth, not operand types, so the program verifies, and that
+/// load panics the interpreter.
+pub fn picky_program() -> Program {
+    let mut b = ProgramBuilder::new();
+    let main = {
+        let mut m = b.static_method("Picky", "main", &[], None);
+        m.locals(1);
+        m.op(Op::IConst(64))
+            .op(Op::NewArray(ElemTy::I8))
+            .op(Op::AStore(0));
+        m.invoke_native("wait_packet", 0, false);
+        m.op(Op::ALoad(0))
+            .invoke_native("net_recv", 1, true)
+            .op(Op::Pop);
+        m.op(Op::ALoad(0)).op(Op::IConst(0)).op(Op::BALoad);
+        let answer = m.label();
+        m.br(Op::IfEq, answer);
+        m.op(Op::IConst(4)).op(Op::NewArray(ElemTy::I8));
+        m.op(Op::IConst(0))
+            .op(Op::IALoad)
+            .op(Op::Pop)
+            .op(Op::Return);
+        m.bind(answer);
+        m.op(Op::ALoad(0)).op(Op::IConst(16));
+        m.invoke_native("net_send", 2, false).op(Op::Return);
+        m.finish()
+    };
+    b.set_entry(main);
+    b.link().expect("link")
+}
+
+/// A recorded session of [`picky_program`]; a `bad` one carries the same
+/// log with the packet's first byte set, whose replay panics.
+pub fn picky_job(sanity: &Sanity, id: u64, bad: bool) -> AuditJob {
+    let rec = sanity
+        .record(300 + id, move |vm| {
+            vm.machine_mut()
+                .deliver_packet(120_000 + id * 9_000, vec![0; 32]);
+        })
+        .expect("record");
+    let observed_ipds = rec.tx_ipds_cycles();
+    let mut log = rec.log;
+    log.packets[0].data[0] = u8::from(bad);
+    AuditJob {
+        session_id: id,
+        observed_ipds,
+        log,
+    }
 }
